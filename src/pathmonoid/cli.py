@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -207,6 +208,37 @@ def _parse_element_arg(raw: str) -> PartialInjection:
         raise UsageError(str(exc)) from None
 
 
+_ELEMENT_N_RE = re.compile(r"n=(\d+);")
+
+
+def _peek_element_n(raw: str) -> int | None:
+    """The n of an element argument, read without building the element;
+    None when it cannot be read, so that the full parse reports the error."""
+    stripped = raw.strip()
+    try:
+        if stripped.startswith("{"):
+            return int(json.loads(stripped)["n"])
+        m = _ELEMENT_N_RE.match(stripped)
+        return int(m.group(1)) if m else None
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+
+
+# Largest up-front work estimate ``factor`` and ``expand`` accept (up to
+# n = 292): the 4n² letters of the factorization step bound, each composed
+# at a cost of n.
+MAX_WORD_WORK = 10**8
+
+
+def _refuse_word_work(n: int) -> None:
+    work = 4 * n**3
+    if work > MAX_WORD_WORK:
+        raise ResourceRefused(
+            f"n={n} needs an estimated {work} steps (4n^2 letters, n per composition), "
+            f"above the bound of {MAX_WORD_WORK}"
+        )
+
+
 def _require_positive_n(n: int) -> None:
     if n < 1:
         raise UsageError(f"--n must be positive, got {n}")
@@ -310,6 +342,9 @@ def _cmd_classify(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int
 
 
 def _cmd_factor(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
+    n = _peek_element_n(args.element)
+    if n is not None:
+        _refuse_word_work(n)
     element = _parse_element_arg(args.element)
     if args.n is not None and args.n != element.n:
         raise UsageError(
@@ -350,6 +385,7 @@ def _cmd_factor(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
 
 def _cmd_expand(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
     _require_positive_n(args.n)
+    _refuse_word_work(args.n)
     try:
         symbol = parse_symbol(args.symbol)
     except ValueError as exc:

@@ -24,6 +24,7 @@ from bisect import bisect_left
 from .genwords import Symbol, Word, alpha, beta, canonical_eps_star, make_generator, rho_minus, rho_plus
 from .path_core import (
     PartialInjection,
+    block_image,
     compose,
     domain_intervals,
     format_element,
@@ -36,15 +37,9 @@ from .path_core import (
 __all__ = ["factor_paut", "factor_iend", "canonical_delta"]
 
 
-def _block_image(g: PartialInjection, block: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = block
-    values = [g[x] for x in range(lo, hi + 1)]
-    return (min(values), max(values))
-
-
 def _block_order(g: PartialInjection, blocks: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Block indices sorted by where their images sit, left to right."""
-    return tuple(sorted(range(len(blocks)), key=lambda r: _block_image(g, blocks[r])[0]))
+    return tuple(sorted(range(len(blocks)), key=lambda r: block_image(g, blocks[r])[0]))
 
 
 class _Emitter:
@@ -81,8 +76,8 @@ def _repair_block_order(
         if order == target_order:
             return
         s = next(p for p in range(len(blocks)) if order[p] != target_order[p])
-        t = _block_image(em.current, blocks[order[s]])[0]
-        q = _block_image(em.current, blocks[target_order[s]])[1]
+        t = block_image(em.current, blocks[order[s]])[0]
+        q = block_image(em.current, blocks[target_order[s]])[1]
         if not t <= q:
             raise RuntimeError("block order repair selected an empty segment")
         em.emit(canonical_eps_star(t - 1, q + 1, n))
@@ -151,12 +146,12 @@ def factor_paut(a: PartialInjection, *, step_bound: int | None = None) -> Word:
             raise RuntimeError("shift letters disturbed the block order")
         u = next(
             p
-            for p in range(len(blocks))
-            if any(em.current[x] != a[x] for x in range(blocks[order[p]][0], blocks[order[p]][1] + 1))
+            for p, (lo, hi) in enumerate(blocks[r] for r in order)
+            if em.current.img[lo : hi + 1] != a.img[lo : hi + 1]
         )
         block = blocks[order[u]]
-        cur_lo, cur_hi = _block_image(em.current, block)
-        tgt_lo, tgt_hi = _block_image(a, block)
+        cur_lo, cur_hi = block_image(em.current, block)
+        tgt_lo, tgt_hi = block_image(a, block)
         img = em.current.image_set()
         if (cur_lo, cur_hi) == (tgt_lo, tgt_hi):
             # Image in place; the restriction differs, so flip it in place.
@@ -166,7 +161,7 @@ def factor_paut(a: PartialInjection, *, step_bound: int | None = None) -> Word:
         else:
             floor = 0
             if u > 0:
-                floor = max(_block_image(em.current, blocks[order[p]])[1] for p in range(u))
+                floor = max(block_image(em.current, blocks[order[p]])[1] for p in range(u))
             em.emit(_shift_left_letter(img, cur_lo, cur_hi, floor, n))
     return Word(n, tuple(em.letters))
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .path_core import PartialInjection, compose, identity
+from .path_core import PartialInjection, _trusted, identity
 
 __all__ = [
     "Symbol",
@@ -111,62 +111,70 @@ def beta(i: int) -> Symbol:
     return Symbol("b", i)
 
 
+# Index ranges each symbol kind admits at a given n.
+_INDEX_RULES = {
+    "tau": lambda i, j, n: n >= 1,
+    "a": lambda i, j, n: 0 <= i <= n + 1,
+    "as": lambda i, j, n: 1 <= i <= n,
+    "e": lambda i, j, n: 1 <= i and i + 1 < j <= n,
+    "es": lambda i, j, n: 0 <= i and i + 1 < j <= n + 1,
+    "rp": lambda i, j, n: 0 <= i and i + 2 < j <= n,
+    "rm": lambda i, j, n: 1 <= i and i + 2 < j <= n + 1,
+    "b": lambda i, j, n: 2 <= i <= n - 1,
+}
+
+
 def _check_symbol(sym: Symbol, n: int) -> None:
-    k, i, j = sym.kind, sym.i, sym.j
-    ok = {
-        "tau": lambda: n >= 1,
-        "a": lambda: 0 <= i <= n + 1,
-        "as": lambda: 1 <= i <= n,
-        "e": lambda: 1 <= i and i + 1 < j <= n,
-        "es": lambda: 0 <= i and i + 1 < j <= n + 1,
-        "rp": lambda: 0 <= i and i + 2 < j <= n,
-        "rm": lambda: 1 <= i and i + 2 < j <= n + 1,
-        "b": lambda: 2 <= i <= n - 1,
-    }.get(k)
-    if ok is None:
-        raise ValueError(f"unknown symbol kind {k!r}")
-    if not ok():
+    rule = _INDEX_RULES.get(sym.kind)
+    if rule is None:
+        raise ValueError(f"unknown symbol kind {sym.kind!r}")
+    if not rule(sym.i, sym.j, n):
         raise ValueError(f"symbol {format_symbol(sym)} has indices out of range for n={n}")
+
+
+def _generator_image(kind: str, i: int, j: int, n: int) -> tuple[int, ...]:
+    """The image tuple (see ``PartialInjection``) of a checked symbol."""
+    if kind == "tau":
+        return (0, *range(n, 0, -1))
+    if kind == "a":
+        if i == n + 1:
+            return tuple(range(n + 1))
+        # a(0) = tau falls out of the same formula.
+        return (*range(i), 0, *range(n, i, -1))
+    if kind == "as":
+        return (0, *range(i - 1, 0, -1), 0, *range(i + 1, n + 1))
+    if kind == "b":
+        return (*range(i), 0, *range(i, n))
+    img = list(range(n + 1))
+    if kind == "e":
+        img[i] = img[j] = 0
+    elif kind == "es":
+        # The boundary conventions need no case: index 0 is the sentinel
+        # slot and n+1 lies past the end, so nothing leaves the domain.
+        img[i + 1 : j] = range(j - 1, i, -1)
+        img[i] = 0
+        if j <= n:
+            img[j] = 0
+    elif kind == "rp":
+        img[i + 2 : j + 1] = range(i + 1, j)
+        img[i] = img[i + 1] = 0
+        if j + 1 <= n:
+            img[j + 1] = 0
+    else:  # rm
+        img[i : j - 1] = range(i + 1, j)
+        img[i - 1] = img[j - 1] = 0
+        if j <= n:
+            img[j] = 0
+    return tuple(img)
 
 
 def make_generator(sym: Symbol, n: int) -> PartialInjection:
     """The partial injection named by ``sym`` on {1..n}."""
     _check_symbol(sym, n)
-    k, i, j = sym.kind, sym.i, sym.j
-    pairs: list[tuple[int, int]] = []
-    if k == "tau":
-        pairs = [(x, n + 1 - x) for x in range(1, n + 1)]
-    elif k == "a":
-        if i == 0:
-            return make_generator(tau(), n)
-        if i == n + 1:
-            return identity(n)
-        pairs = [(x, x) for x in range(1, i)]
-        pairs += [(x, n + i + 1 - x) for x in range(i + 1, n + 1)]
-    elif k == "as":
-        pairs = [(x, i - x) for x in range(1, i)]
-        pairs += [(x, x) for x in range(i + 1, n + 1)]
-    elif k == "e":
-        pairs = [(x, x) for x in range(1, n + 1) if x not in (i, j)]
-    elif k == "es":
-        # The one formula covers the boundary conventions: 0 and n+1 fall
-        # outside the vertex range, so nothing is removed from the domain.
-        for x in range(1, n + 1):
-            if x == i or x == j:
-                continue
-            pairs.append((x, i + j - x) if i < x < j else (x, x))
-    elif k == "rp":
-        pairs = [(x, x) for x in range(1, i)]
-        pairs += [(x, x - 1) for x in range(i + 2, j + 1)]
-        pairs += [(x, x) for x in range(j + 2, n + 1)]
-    elif k == "rm":
-        pairs = [(x, x) for x in range(1, i - 1)]
-        pairs += [(x, x + 1) for x in range(i, j - 1)]
-        pairs += [(x, x) for x in range(j + 1, n + 1)]
-    elif k == "b":
-        pairs = [(x, x) for x in range(1, i)]
-        pairs += [(x, x - 1) for x in range(i + 1, n + 1)]
-    return PartialInjection(n, pairs)
+    # a(0) and a(n+1) pass the index check at n <= 0 too.
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    return _trusted(_generator_image(sym.kind, sym.i, sym.j, n))
 
 
 def legal_symbols(n: int) -> Iterator[Symbol]:
@@ -235,10 +243,15 @@ class Word:
 
 
 def eval_symbols(letters: Iterable[Symbol], n: int) -> PartialInjection:
-    out = identity(n)
+    """Evaluate ``letters`` left to right under the right action."""
+    out = identity(n).img
+    images: dict[Symbol, tuple[int, ...]] = {}
     for sym in letters:
-        out = compose(out, make_generator(sym, n))
-    return out
+        g = images.get(sym)
+        if g is None:
+            g = images[sym] = make_generator(sym, n).img
+        out = tuple(map(g.__getitem__, out))
+    return _trusted(out)
 
 
 def eval_word(word: Word) -> PartialInjection:
@@ -331,10 +344,13 @@ def expand_symbol(sym: Symbol, n: int) -> Word:
 
 def expand_word(word: Word) -> Word:
     """Expand every letter; the result evaluates to the same element."""
+    n = word.n
+    if word.letters and n < 3:
+        raise ValueError(f"expansion requires n >= 3, got n={n}")
     letters: list[Symbol] = []
     for sym in word.letters:
-        letters.extend(expand_symbol(sym, word.n).letters)
-    return Word(word.n, tuple(letters))
+        letters.extend(_expand(sym.kind, sym.i, sym.j, n))
+    return Word(n, tuple(letters))
 
 
 # -- text form ----------------------------------------------------------------

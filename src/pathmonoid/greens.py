@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 from .path_core import (
     PartialInjection,
+    block_image,
     compose,
     domain_intervals,
     format_element,
@@ -67,7 +68,7 @@ def type_sequence(a: PartialInjection, j: tuple[int, int]) -> tuple[int, ...]:
     lo, hi = j
     preimage = [x for x, y in a.pairs if lo <= y <= hi]
     blocks = maximal_intervals(preimage)
-    ordered = sorted(blocks, key=lambda block: min(a[x] for x in range(block[0], block[1] + 1)))
+    ordered = sorted(blocks, key=lambda block: block_image(a, block))
     return tuple(b_hi - b_lo + 1 for b_lo, b_hi in ordered)
 
 
@@ -117,11 +118,7 @@ def l_related_interval_images(a: PartialInjection, b: PartialInjection) -> bool:
     _require_members(a, b)
 
     def block_images(x: PartialInjection) -> frozenset[tuple[int, int]]:
-        images = []
-        for lo, hi in domain_intervals(x):
-            vals = [x[v] for v in range(lo, hi + 1)]
-            images.append((min(vals), max(vals)))
-        return frozenset(images)
+        return frozenset(block_image(x, block) for block in domain_intervals(x))
 
     return block_images(a) == block_images(b)
 

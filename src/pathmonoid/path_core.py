@@ -10,7 +10,8 @@ provided:
 * ``is_paut`` -- partial automorphisms: as above, and each such image is a
   *maximal* interval of the image set.
 
-The canonical text format is ``"n=5;1>3,2>4"`` (pairs sorted by domain; an
+Elements are stored as image tuples (see ``PartialInjection``).  The
+canonical text format is ``"n=5;1>3,2>4"`` (pairs sorted by domain; an
 empty map is ``"n=5;"``).
 """
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "maximal_intervals",
     "domain_intervals",
     "image_intervals",
+    "block_image",
     "is_iend",
     "is_paut",
     "format_element",
@@ -40,75 +42,95 @@ __all__ = [
 class PartialInjection:
     """An immutable injective partial map on {1, ..., n}.
 
-    ``pairs`` is the graph of the map as a tuple of ``(x, y)`` pairs sorted
-    by ``x``.  Instances are hashable and compare by ``(n, pairs)``.
+    The map is stored as ``img``, a tuple of length n+1: ``img[x]`` is the
+    image of x, 0 where x is undefined, and ``img[0]`` is always 0, so
+    ``compose(a, b)`` is the single pass ``b.img[a.img[x]]``.  ``pairs``,
+    ``domain()``, ``image()`` and the mapping methods are views derived from
+    ``img``; ``pairs`` is the graph of the map sorted by ``x``.  Instances
+    are hashable and compare by ``img``.
+
+    The constructor, ``parse_element`` and ``element_from_json_dict``
+    validate their input.  Results built inside the package (``compose``,
+    ``inverse``, generators and word evaluation) come from an image tuple
+    that is correct by construction and skip the checks.
     """
 
-    __slots__ = ("n", "pairs", "_map", "_hash")
+    __slots__ = ("n", "img", "_hash")
 
     n: int
-    pairs: tuple[tuple[int, int], ...]
+    img: tuple[int, ...]
 
     def __init__(self, n: int, pairs: Mapping[int, int] | Iterable[tuple[int, int]]):
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         items = sorted(pairs.items()) if isinstance(pairs, Mapping) else sorted(pairs)
-        mapping: dict[int, int] = {}
+        defined: set[int] = set()
         seen_images: set[int] = set()
         for x, y in items:
             if not (isinstance(x, int) and isinstance(y, int)):
                 raise ValueError(f"vertices must be integers, got ({x!r}, {y!r})")
             if not (1 <= x <= n and 1 <= y <= n):
                 raise ValueError(f"pair ({x}, {y}) out of range for n={n}")
-            if x in mapping:
+            if x in defined:
                 raise ValueError(f"duplicate domain vertex {x}")
             if y in seen_images:
                 raise ValueError(f"duplicate image vertex {y} (map not injective)")
-            mapping[x] = y
+            defined.add(x)
             seen_images.add(y)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairs", tuple(items))
-        object.__setattr__(self, "_map", mapping)
-        object.__setattr__(self, "_hash", hash((n, tuple(items))))
+        img = [0] * (n + 1)
+        for x, y in items:
+            img[x] = y
+        _init(self, tuple(img))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PartialInjection is immutable")
 
-    # -- mapping behaviour ------------------------------------------------
+    # -- views derived from img -------------------------------------------
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((x, y) for x, y in enumerate(self.img) if y)
 
     def __getitem__(self, x: int) -> int:
-        return self._map[x]
+        y = self.get(x)
+        if y is None:
+            raise KeyError(x)
+        return y
 
     def get(self, x: int, default: int | None = None) -> int | None:
-        return self._map.get(x, default)
+        # Index 0 holds the sentinel and negative indices wrap, so only
+        # 1..n may reach the tuple.
+        if isinstance(x, int) and 0 < x <= self.n and self.img[x]:
+            return self.img[x]
+        return default
 
     def __contains__(self, x: int) -> bool:
-        return x in self._map
+        return self.get(x) is not None
 
     def __len__(self) -> int:
-        return len(self._map)
+        return len(self.img) - self.img.count(0)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.domain())
 
     def domain(self) -> tuple[int, ...]:
-        return tuple(x for x, _ in self.pairs)
+        return tuple(x for x, y in enumerate(self.img) if y)
 
     def image(self) -> tuple[int, ...]:
-        return tuple(sorted(y for _, y in self.pairs))
+        return tuple(sorted(y for y in self.img if y))
 
     def domain_set(self) -> frozenset[int]:
-        return frozenset(self._map)
+        return frozenset(self.domain())
 
     def image_set(self) -> frozenset[int]:
-        return frozenset(self._map.values())
+        return frozenset(self.img) - {0}
 
     # -- identity/equality -------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartialInjection):
             return NotImplemented
-        return self.n == other.n and self.pairs == other.pairs
+        return self.img == other.img
 
     def __hash__(self) -> int:
         return self._hash
@@ -132,18 +154,35 @@ class PartialInjection:
         return format_element(self)
 
 
+def _init(a: PartialInjection, img: tuple[int, ...]) -> None:
+    object.__setattr__(a, "n", len(img) - 1)
+    object.__setattr__(a, "img", img)
+    object.__setattr__(a, "_hash", hash(img))
+
+
+def _trusted(img: tuple[int, ...]) -> PartialInjection:
+    """Wrap an image tuple without checks; ``img`` must already be a valid
+    injective image tuple with ``img[0] == 0`` and length at least 2."""
+    a = object.__new__(PartialInjection)
+    _init(a, img)
+    return a
+
+
 def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
     """Right-action composite: x -> b(a(x)) where both sides are defined."""
     if a.n != b.n:
         raise ValueError(f"cannot compose maps on different paths (n={a.n} vs n={b.n})")
-    bm = b._map
-    pairs = [(x, bm[y]) for x, y in a.pairs if y in bm]
-    return PartialInjection(a.n, pairs)
+    return _trusted(tuple(map(b.img.__getitem__, a.img)))
 
 
 def inverse(a: PartialInjection) -> PartialInjection:
     """The inverse partial injection (swap domain and image)."""
-    return PartialInjection(a.n, [(y, x) for x, y in a.pairs])
+    inv = [0] * len(a.img)
+    for x, y in enumerate(a.img):
+        inv[y] = x
+    # Every undefined x wrote itself into slot 0; restore the sentinel.
+    inv[0] = 0
+    return _trusted(tuple(inv))
 
 
 def identity(n: int) -> PartialInjection:
@@ -185,19 +224,22 @@ def maximal_intervals(points: Iterable[int]) -> tuple[tuple[int, int], ...]:
 
 def domain_intervals(a: PartialInjection) -> tuple[tuple[int, int], ...]:
     """Maximal intervals of Dom a, in increasing order."""
-    return maximal_intervals(x for x, _ in a.pairs)
+    return maximal_intervals(x for x, y in enumerate(a.img) if y)
 
 
 def image_intervals(a: PartialInjection) -> tuple[tuple[int, int], ...]:
     """Maximal intervals of Im a, in increasing order."""
-    return maximal_intervals(y for _, y in a.pairs)
+    return maximal_intervals(y for y in a.img if y)
 
 
-def _block_image(a: PartialInjection, lo: int, hi: int) -> list[int]:
-    return [a[x] for x in range(lo, hi + 1)]
+def block_image(a: PartialInjection, block: tuple[int, int]) -> tuple[int, int]:
+    """``(min, max)`` of the images of the domain block ``(lo, hi)``, an
+    interval inside Dom a."""
+    values = a.img[block[0] : block[1] + 1]
+    return min(values), max(values)
 
 
-def _is_monotone_onto_interval(values: list[int]) -> bool:
+def _is_monotone_onto_interval(values: tuple[int, ...]) -> bool:
     """True iff ``values`` (distinct) is consecutive ascending or descending."""
     if len(values) <= 1:
         return True
@@ -210,8 +252,9 @@ def _is_monotone_onto_interval(values: list[int]) -> bool:
 def is_iend(a: PartialInjection) -> bool:
     """Membership in IEnd(P_n): each maximal domain interval maps onto an
     interval, order-preservingly or order-reversingly."""
+    img = a.img
     for lo, hi in domain_intervals(a):
-        if not _is_monotone_onto_interval(_block_image(a, lo, hi)):
+        if not _is_monotone_onto_interval(img[lo : hi + 1]):
             return False
     return True
 
@@ -219,12 +262,12 @@ def is_iend(a: PartialInjection) -> bool:
 def is_paut(a: PartialInjection) -> bool:
     """Membership in PAut(P_n): as ``is_iend``, with every block image a
     *maximal* interval of the image set."""
+    img = a.img
     img_blocks = set(image_intervals(a))
-    for lo, hi in domain_intervals(a):
-        values = _block_image(a, lo, hi)
-        if not _is_monotone_onto_interval(values):
+    for block in domain_intervals(a):
+        if not _is_monotone_onto_interval(img[block[0] : block[1] + 1]):
             return False
-        if (min(values), max(values)) not in img_blocks:
+        if block_image(a, block) not in img_blocks:
             return False
     return True
 
@@ -269,6 +312,6 @@ def element_from_json_dict(obj: Mapping) -> PartialInjection:
     try:
         n = int(obj["n"])
         pairs = [(int(x), int(y)) for x, y in obj["pairs"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed element object: {obj!r}") from exc
     return PartialInjection(n, pairs)

@@ -189,7 +189,7 @@ def _forced_generators(target: MonoidSet) -> list[PartialInjection]:
     rev = full_reversal(n)
     if rev == ident:
         return []
-    full_domain = {a for a in target.elements if len(a.pairs) == n}
+    full_domain = {a for a in target.elements if len(a) == n}
     if full_domain == {ident, rev}:
         return [rev]
     return []

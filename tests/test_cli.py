@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
-from pathmonoid.cli import main
+from pathmonoid.cli import MAX_WORD_WORK, main
 
 
 def run(capsys, *argv):
@@ -151,6 +152,38 @@ class TestExpand:
 
     def test_out_of_range_symbol(self, capsys):
         code, _, err = run(capsys, "expand", "--symbol", "es1,9", "--n", "5")
+        assert code == 2
+        assert json.loads(err)["error"]["code"] == "usage"
+
+
+class TestWordWorkBound:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("factor", "--element", "n=100000000;1>1"),
+            ("factor", "--element", '{"n": 100000000, "pairs": [[1, 1]]}'),
+            ("expand", "--symbol", "b3", "--n", "100000000"),
+        ],
+    )
+    def test_huge_n_refused_before_building(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "resource-refused"
+        assert f"estimated {4 * 10**24} steps" in error["message"]
+        assert f"bound of {MAX_WORD_WORK}" in error["message"]
+
+    def test_edge_of_the_bound(self, capsys):
+        assert 4 * 292**3 <= MAX_WORD_WORK < 4 * 293**3
+        code, out, _ = run(capsys, "expand", "--symbol", "b3", "--n", "292")
+        assert code == 0 and json.loads(out)["matches_generator"] is True
+        code, _, _ = run(capsys, "expand", "--symbol", "b3", "--n", "293")
+        assert code == 3
+
+    def test_malformed_element_is_still_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "factor", "--element", '{"n": 1e400, "pairs": []}')
         assert code == 2
         assert json.loads(err)["error"]["code"] == "usage"
 

@@ -1,0 +1,65 @@
+"""Golden-output gate: fixed CLI invocations compared byte for byte.
+
+Each case runs ``pathmonoid.cli.main`` in-process and compares its exit code
+and standard output with the committed file ``tests/golden/<name>.out``.
+Refactors that must not change behaviour are gated on this test, including
+any iteration order that leaks into the output.
+
+To rewrite the expected files after an intended output change, run from the
+repository root::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from pathmonoid.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+CASES: dict[str, tuple[str, ...]] = {
+    "selftest-n5": ("selftest", "--n", "5"),
+    "classify-n5-iend-H": ("classify", "--n", "5", "--family", "iend", "--relation", "H"),
+    "classify-n4-paut-J-csv": ("classify", "--n", "4", "--family", "paut", "--relation", "J", "--format", "csv"),
+    "verify-rank-n6-iend": ("verify-rank", "--n", "6", "--family", "iend"),
+    "verify-rank-n5-paut-text": ("verify-rank", "--n", "5", "--family", "paut", "--format", "text"),
+    "factor-paut-base": ("factor", "--element", "n=7;1>6,2>5,4>1,5>2,6>3", "--alphabet", "base"),
+    "factor-iend-base": ("factor", "--element", "n=8;1>3,2>4,4>5,5>6,7>1", "--alphabet", "base"),
+    "factor-iend-derived-text": (
+        "factor", "--element", '{"n": 6, "pairs": [[1, 2], [2, 1], [4, 3], [6, 6]]}',
+        "--alphabet", "derived", "--format", "text",
+    ),
+    "expand-rp": ("expand", "--symbol", "rp1,5", "--n", "7"),
+    "expand-b": ("expand", "--symbol", "b5", "--n", "7"),
+    "count-n10": ("count", "--n", "10"),
+    "count-n5-per-mask-text": ("count", "--n", "5", "--per-mask", "--format", "text"),
+    "enumerate-n4-iend-text": ("enumerate", "--n", "4", "--family", "iend", "--format", "text"),
+}
+
+
+def run_case(argv: tuple[str, ...]) -> str:
+    """Exit code line followed by everything written to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return f"exit {code}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name):
+    expected = (GOLDEN_DIR / f"{name}.out").read_bytes()
+    assert run_case(CASES[name]).encode() == expected
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for case_name, case_argv in CASES.items():
+        (GOLDEN_DIR / f"{case_name}.out").write_bytes(run_case(case_argv).encode())
+        print(f"wrote {case_name}", file=sys.stderr)

@@ -61,6 +61,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PartialInjection(3, [(1, 2), (3, 2)])
 
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [(3, [(1, 0)]), (3, [(-1, 1)]), (3, [(1.0, 2)]), (3, [("1", 2)]), (2.0, []), (-1, [])],
+    )
+    def test_rejects_bad_vertices_and_n(self, n, pairs):
+        with pytest.raises(ValueError):
+            PartialInjection(n, pairs)
+
 
 class TestAlgebra:
     def test_compose_right_action(self):
@@ -155,7 +163,10 @@ class TestTextAndJson:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "n=5", "5;1>3", "n=5;1>3,", "n=5;1>6", "n=5;0>1", "n=5;1>2,1>3", "n=x;1>2"],
+        [
+            "", "n=5", "5;1>3", "n=5;1>3,", "n=5;1>6", "n=5;0>1", "n=5;1>2,1>3", "n=x;1>2",
+            "n=5;1>2,3>2", "n=0;", "n=5;-1>2", "n=5;1>a",
+        ],
     )
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
@@ -169,7 +180,14 @@ class TestTextAndJson:
 
     @pytest.mark.parametrize(
         "bad",
-        [{}, {"n": 5}, {"pairs": []}, {"n": "five", "pairs": []}, {"n": 3, "pairs": [[1]]}],
+        [
+            {}, {"n": 5}, {"pairs": []}, {"n": "five", "pairs": []}, {"n": 3, "pairs": [[1]]},
+            {"n": 3, "pairs": [[1, 4]]},
+            {"n": 3, "pairs": [[1, 2], [1, 3]]},
+            {"n": 3, "pairs": [[1, 2], [3, 2]]},
+            {"n": 3, "pairs": [["x", 2]]},
+            {"n": float("inf"), "pairs": []},
+        ],
     )
     def test_json_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
