@@ -42,7 +42,6 @@ from .greens import (
     j_related,
     l_related,
     oracle_classifications,
-    oracle_relation,
     r_related,
     similar_type,
     type_sequence,
@@ -107,7 +106,6 @@ __all__ = [
     "j_related",
     "GreensClassification",
     "classify",
-    "oracle_relation",
     "oracle_classifications",
     # census
     "MaskProfile",

@@ -86,19 +86,6 @@ class Config:
     n_max_closure: int = 6
     subset_search_budget: int = 10_000_000
     output_format: str = "json"
-    threads: int | str = "auto"
-
-
-def _parse_threads(raw: str) -> int | str:
-    if raw == "auto":
-        return "auto"
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"threads must be a positive integer or 'auto', got {raw!r}") from None
-    if value < 1:
-        raise UsageError(f"threads must be a positive integer or 'auto', got {raw!r}")
-    return value
 
 
 def _env_config() -> Config:
@@ -127,9 +114,6 @@ def _env_config() -> Config:
                 f"{_ENV_PREFIX}FORMAT must be one of {', '.join(_FORMATS)}, got {raw!r}"
             )
         cfg = replace(cfg, output_format=raw)
-    raw = os.environ.get(_ENV_PREFIX + "THREADS")
-    if raw is not None:
-        cfg = replace(cfg, threads=_parse_threads(raw))
     return cfg
 
 
@@ -147,8 +131,6 @@ def _resolve_config(args: argparse.Namespace) -> Config:
         cfg = replace(cfg, **{attr: flag_value})
     if args.format is not None:
         cfg = replace(cfg, output_format=args.format)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=_parse_threads(args.threads))
     return cfg
 
 
@@ -579,13 +561,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=_FORMATS,
         default=None,
         help="output format (default json; csv only for enumerate/classify)",
-    )
-    common.add_argument(
-        "--threads",
-        default=None,
-        metavar="N|auto",
-        help="worker count; accepted for interface stability -- every "
-        "algorithm here is deterministic and the output does not depend on it",
     )
     common.add_argument(
         "--n-max-enumerate",

@@ -1,26 +1,35 @@
 """Green's relations on IEnd(P_n) and PAut(P_n).
 
-The fast predicates use the structural characterizations: L is image
-equality together with a·b⁻¹ being a partial automorphism, R is domain
-equality together with a⁻¹·b being one, H is their meet, and J compares the
-*types* of the maximal image intervals up to reversal.
+Each relation is equality of a canonical key read off the structural
+characterizations.  One block key, the set of runs ``x.img[lo:hi+1]`` over
+the maximal domain intervals of x, each normalized against its reversal,
+serves both L and R:
 
-The type of a maximal image interval j under a is the sequence of sizes of
-the maximal domain intervals mapping into j, listed in the order of their
-images inside j.  Two elements are J-related exactly when there is a
-bijection between their image intervals matching each type up to reversal;
-since types are invariant under that pairing we simply compare multisets of
-reversal-normalized types.
+* L is image equality with a·b⁻¹ a partial automorphism.  The runs of a
+  member are monotone, so with x = a the key is the set of block images,
+  and equal keys are exactly L.
+* R is domain equality with a⁻¹·b a partial automorphism.  With x = a⁻¹
+  the key lists, per maximal image interval of a, its preimages in image
+  order up to reversal: exactly what a⁻¹·b must carry onto the maximal
+  image intervals of b.
+* H pairs the two keys.
+* J compares the *types* of the maximal image intervals up to reversal.
+  The type of a maximal image interval j under a is the sequence of sizes
+  of the maximal domain intervals mapping into j, in the order of their
+  images inside j.  a J b exactly when a bijection between the image
+  intervals matches each type up to reversal, so the key is the sorted
+  tuple of reversal-normalized types.
 
-``oracle_relation`` implements the raw definitions instead -- equality of
-principal left/right/two-sided ideals inside an explicitly enumerated
-monoid -- and exists so the predicates can be checked against it.
+The keys are the production path: ``classify`` checks membership once per
+element and groups by key, and the pairwise predicates compare keys.
+``oracle_classifications`` implements the raw definitions instead --
+equality of principal left/right/two-sided ideals inside an explicitly
+enumerated monoid -- and is the independent reference for the keys.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .path_core import (
     PartialInjection,
@@ -31,7 +40,6 @@ from .path_core import (
     image_intervals,
     inverse,
     is_iend,
-    is_paut,
     maximal_intervals,
 )
 
@@ -43,17 +51,15 @@ __all__ = [
     "r_related",
     "h_related",
     "j_related",
-    "l_related_interval_images",
     "GreensClassification",
     "classify",
-    "oracle_relation",
+    "oracle_classifications",
 ]
 
 
 def _require_members(*elements: PartialInjection) -> None:
-    n = elements[0].n
     for a in elements:
-        if a.n != n:
+        if a.n != elements[0].n:
             raise ValueError("elements live on different paths")
         if not is_iend(a):
             raise ValueError(f"{format_element(a)} is not an injective partial endomorphism")
@@ -65,9 +71,12 @@ def type_sequence(a: PartialInjection, j: tuple[int, int]) -> tuple[int, ...]:
     _require_members(a)
     if j not in image_intervals(a):
         raise ValueError(f"{j} is not a maximal image interval of {format_element(a)}")
+    return _type_sequence(a, j)
+
+
+def _type_sequence(a: PartialInjection, j: tuple[int, int]) -> tuple[int, ...]:
     lo, hi = j
-    preimage = [x for x, y in a.pairs if lo <= y <= hi]
-    blocks = maximal_intervals(preimage)
+    blocks = maximal_intervals(x for x, y in enumerate(a.img) if lo <= y <= hi)
     ordered = sorted(blocks, key=lambda block: block_image(a, block))
     return tuple(b_hi - b_lo + 1 for b_lo, b_hi in ordered)
 
@@ -78,32 +87,65 @@ def canonical_type(t: Sequence[int]) -> tuple[int, ...]:
     return min(t, t[::-1])
 
 
-def _type_multiset(a: PartialInjection) -> Counter:
-    return Counter(canonical_type(type_sequence(a, j)) for j in image_intervals(a))
+# -- canonical keys ----------------------------------------------------------
+# They assume membership in IEnd(P_n), which every public entry point checks
+# with ``_require_members`` before reading a key.
+
+
+def _block_key(a: PartialInjection) -> frozenset[tuple[int, ...]]:
+    """Reversal-normalized image runs of the maximal domain intervals."""
+    img = a.img
+    return frozenset(
+        min(run, run[::-1]) for run in (img[lo : hi + 1] for lo, hi in domain_intervals(a))
+    )
+
+
+def _r_key(a: PartialInjection) -> Hashable:
+    return _block_key(inverse(a))
+
+
+def _h_key(a: PartialInjection) -> Hashable:
+    return _block_key(a), _r_key(a)
+
+
+def _j_key(a: PartialInjection) -> Hashable:
+    return tuple(sorted(canonical_type(_type_sequence(a, j)) for j in image_intervals(a)))
+
+
+_KEYS: dict[str, Callable[[PartialInjection], Hashable]] = {
+    "L": _block_key,
+    "R": _r_key,
+    "H": _h_key,
+    "J": _j_key,
+}
+
+
+def _same_key(
+    key: Callable[[PartialInjection], Hashable], a: PartialInjection, b: PartialInjection
+) -> bool:
+    _require_members(a, b)
+    return key(a) == key(b)
 
 
 def similar_type(a: PartialInjection, b: PartialInjection) -> bool:
     """True iff the image intervals of a and b carry the same multiset of
     types up to reversal."""
-    _require_members(a, b)
-    return _type_multiset(a) == _type_multiset(b)
+    return _same_key(_j_key, a, b)
 
 
 def l_related(a: PartialInjection, b: PartialInjection) -> bool:
     """a L b in IEnd(P_n): equal images and a·b⁻¹ ∈ PAut(P_n)."""
-    _require_members(a, b)
-    return a.image_set() == b.image_set() and is_paut(compose(a, inverse(b)))
+    return _same_key(_block_key, a, b)
 
 
 def r_related(a: PartialInjection, b: PartialInjection) -> bool:
     """a R b in IEnd(P_n): equal domains and a⁻¹·b ∈ PAut(P_n)."""
-    _require_members(a, b)
-    return a.domain_set() == b.domain_set() and is_paut(compose(inverse(a), b))
+    return _same_key(_r_key, a, b)
 
 
 def h_related(a: PartialInjection, b: PartialInjection) -> bool:
     """a H b: both L- and R-related."""
-    return l_related(a, b) and r_related(a, b)
+    return _same_key(_h_key, a, b)
 
 
 def j_related(a: PartialInjection, b: PartialInjection) -> bool:
@@ -111,26 +153,7 @@ def j_related(a: PartialInjection, b: PartialInjection) -> bool:
     return similar_type(a, b)
 
 
-def l_related_interval_images(a: PartialInjection, b: PartialInjection) -> bool:
-    """The interval-image form of the L characterization: the maximal domain
-    intervals of a and of b have the same set of images.  Kept as an
-    independent route for cross-checking ``l_related``."""
-    _require_members(a, b)
-
-    def block_images(x: PartialInjection) -> frozenset[tuple[int, int]]:
-        return frozenset(block_image(x, block) for block in domain_intervals(x))
-
-    return block_images(a) == block_images(b)
-
-
 # -- classification ----------------------------------------------------------
-
-_PREDICATES = {
-    "L": l_related,
-    "R": r_related,
-    "H": h_related,
-    "J": j_related,
-}
 
 
 @dataclass(frozen=True)
@@ -148,28 +171,33 @@ class GreensClassification:
         return frozenset(frozenset(c) for c in self.classes)
 
 
-def _sorted_partition(relation: str, classes: Iterable[Iterable[PartialInjection]]) -> GreensClassification:
-    normalized = [tuple(sorted(c, key=format_element)) for c in classes]
-    normalized.sort(key=lambda c: format_element(c[0]))
-    return GreensClassification(relation=relation, classes=tuple(normalized))
+def _partition_by_key(
+    relation: str,
+    elements: Iterable[PartialInjection],
+    key: Callable[[PartialInjection], Hashable],
+) -> GreensClassification:
+    """Group ``elements`` by ``key``; members of a class and the classes
+    themselves are sorted by text form, so the result does not depend on the
+    input order."""
+    by_key: dict[Hashable, list[PartialInjection]] = {}
+    for a in elements:
+        by_key.setdefault(key(a), []).append(a)
+    classes = [tuple(sorted(c, key=format_element)) for c in by_key.values()]
+    classes.sort(key=lambda c: format_element(c[0]))
+    return GreensClassification(relation=relation, classes=tuple(classes))
 
 
 def classify(elements: Iterable[PartialInjection], relation: str) -> GreensClassification:
-    """Partition ``elements`` by the structural predicate for ``relation``
-    (one of L, R, H, J)."""
+    """Partition ``elements`` by the canonical key of ``relation`` (one of
+    L, R, H, J).  Every element must be a member of IEnd(P_n) for one
+    common n; otherwise ``ValueError``."""
     try:
-        related = _PREDICATES[relation]
+        key = _KEYS[relation]
     except KeyError:
         raise ValueError(f"unknown relation {relation!r}; expected one of L, R, H, J") from None
-    classes: list[list[PartialInjection]] = []
-    for a in elements:
-        for cls in classes:
-            if related(a, cls[0]):
-                cls.append(a)
-                break
-        else:
-            classes.append([a])
-    return _sorted_partition(relation, classes)
+    elements = list(elements)
+    _require_members(*elements)
+    return _partition_by_key(relation, elements, key)
 
 
 def _ideal_tables(
@@ -214,34 +242,21 @@ def oracle_classifications(
 
     out: dict[str, GreensClassification] = {}
     for rel in wanted:
-        key: dict[PartialInjection, object]
+        key: dict[PartialInjection, Hashable]
         if rel == "L":
-            key = dict(left_key)
+            key = left_key
         elif rel == "R":
-            key = dict(right_key)
+            key = right_key
         elif rel == "H":
             key = {a: (left_key[a], right_key[a]) for a in elements}
         else:
-            # The two-sided ideal depends on a only through aM¹, so compute
-            # each union once per distinct right ideal, and union distinct
-            # left ideals rather than one per element.
-            two_sided_of: dict[frozenset, frozenset] = {}
-            key = {}
-            for a in elements:
-                rk = right_key[a]
-                cached = two_sided_of.get(rk)
-                if cached is None:
-                    distinct_left = {left_key[x] for x in rk}
-                    cached = frozenset().union(*distinct_left)
-                    two_sided_of[rk] = cached
-                key[a] = cached
-        by_key: dict[object, list[PartialInjection]] = {}
-        for a in elements:
-            by_key.setdefault(key[a], []).append(a)
-        out[rel] = _sorted_partition(rel, by_key.values())
+            # The two-sided ideal M¹aM¹ is the union of the left ideals of
+            # aM¹, so it depends on a only through aM¹: take one union per
+            # distinct right ideal, over distinct left ideals.
+            two_sided = {
+                rk: frozenset().union(*{left_key[x] for x in rk})
+                for rk in set(right_key.values())
+            }
+            key = {a: two_sided[right_key[a]] for a in elements}
+        out[rel] = _partition_by_key(rel, elements, key.__getitem__)
     return out
-
-
-def oracle_relation(monoid: Iterable[PartialInjection], relation: str) -> GreensClassification:
-    """Partition by equality of principal ideals; see ``oracle_classifications``."""
-    return oracle_classifications(monoid, (relation,))[relation]

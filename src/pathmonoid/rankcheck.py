@@ -93,6 +93,36 @@ def alphabet_elements(family: str, n: int) -> list[PartialInjection]:
     return [make_generator(sym, n) for sym in symbols]
 
 
+def _saturate(
+    gens: list[PartialInjection],
+    n: int,
+    *,
+    within: MonoidSet | None = None,
+    max_size: int | None = None,
+) -> set[PartialInjection] | None:
+    """Closure of ``gens`` and the identity under right multiplication, or
+    ``None`` as soon as a fresh product leaves ``within``.  Refuses once
+    more than ``max_size`` elements are found."""
+    seen: set[PartialInjection] = {identity(n), *gens}
+    frontier = list(seen)
+    while frontier:
+        fresh: list[PartialInjection] = []
+        for x in frontier:
+            for g in gens:
+                y = compose(x, g)
+                if y not in seen:
+                    if within is not None and y not in within:
+                        return None
+                    seen.add(y)
+                    fresh.append(y)
+            if max_size is not None and len(seen) > max_size:
+                raise ResourceRefused(
+                    f"closure exceeded the configured bound of {max_size} elements"
+                )
+        frontier = fresh
+    return seen
+
+
 def closure(
     gens: Iterable[PartialInjection], n: int, *, max_size: int | None = None
 ) -> MonoidSet:
@@ -107,27 +137,7 @@ def closure(
         if g.n != n:
             raise ValueError(f"generator on n={g.n} does not match n={n}")
         gen_list.append(g)
-    seen: set[PartialInjection] = {identity(n), *gen_list}
-    if max_size is not None and len(seen) > max_size:
-        raise ResourceRefused(
-            f"closure exceeded the configured bound of {max_size} elements"
-        )
-    frontier = list(seen)
-    while frontier:
-        fresh: list[PartialInjection] = []
-        for x in frontier:
-            for g in gen_list:
-                y = compose(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    if max_size is not None and len(seen) > max_size:
-                        raise ResourceRefused(
-                            f"closure exceeded the configured bound of "
-                            f"{max_size} elements"
-                        )
-                    fresh.append(y)
-        frontier = fresh
-    return MonoidSet(n, frozenset(seen))
+    return MonoidSet(n, frozenset(_saturate(gen_list, n, max_size=max_size)))
 
 
 def is_generating(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
@@ -143,20 +153,8 @@ def is_generating(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
         if g not in target:
             return False
         gen_list.append(g)
-    seen: set[PartialInjection] = {identity(target.n), *gen_list}
-    frontier = list(seen)
-    while frontier:
-        fresh: list[PartialInjection] = []
-        for x in frontier:
-            for g in gen_list:
-                y = compose(x, g)
-                if y not in seen:
-                    if y not in target:
-                        return False
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return len(seen) == len(target)
+    seen = _saturate(gen_list, target.n, within=target)
+    return seen is not None and len(seen) == len(target)
 
 
 def is_irredundant(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:

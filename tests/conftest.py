@@ -7,6 +7,7 @@ checked against something that cannot share their bugs.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
@@ -24,14 +25,14 @@ def all_partial_injections(n: int) -> Iterator[PartialInjection]:
                 yield PartialInjection(n, list(zip(dom, img)))
 
 
+def _edges_to_edges(mapping: dict[int, int]) -> bool:
+    """Every path edge {x, x+1} inside the domain maps to a path edge."""
+    return all(abs(mapping[x] - mapping[x + 1]) == 1 for x in mapping if x + 1 in mapping)
+
+
 def edge_oracle_is_iend(a: PartialInjection) -> bool:
     """Edge-by-edge endomorphism test: every domain edge maps to an edge."""
-    mapping = dict(a.pairs)
-    for x in range(1, a.n):
-        if x in mapping and x + 1 in mapping:
-            if abs(mapping[x] - mapping[x + 1]) != 1:
-                return False
-    return True
+    return _edges_to_edges(dict(a.pairs))
 
 
 def naive_compose(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -41,6 +42,58 @@ def naive_compose(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 def naive_inverse(a: dict[int, int]) -> dict[int, int]:
     return {y: x for x, y in a.items()}
+
+
+# -- the paper's pairwise forms of Green's relations, on plain dicts ---------
+
+
+def _naive_is_paut(mapping: dict[int, int]) -> bool:
+    """Both the map and its inverse send path edges to path edges."""
+    return _edges_to_edges(mapping) and _edges_to_edges(naive_inverse(mapping))
+
+
+def _runs(points: Iterable[int]) -> list[list[int]]:
+    """Maximal runs of consecutive integers, in increasing order."""
+    runs: list[list[int]] = []
+    for p in sorted(points):
+        if runs and p == runs[-1][-1] + 1:
+            runs[-1].append(p)
+        else:
+            runs.append([p])
+    return runs
+
+
+def _naive_types(mapping: dict[int, int]) -> Counter:
+    """Multiset of reversal-normalized types of the maximal image intervals."""
+    types: Counter = Counter()
+    for interval in _runs(mapping.values()):
+        blocks = _runs(x for x, y in mapping.items() if y in interval)
+        blocks.sort(key=lambda block: min(mapping[x] for x in block))
+        t = tuple(len(block) for block in blocks)
+        types[min(t, t[::-1])] += 1
+    return types
+
+
+def reference_l_related(a: PartialInjection, b: PartialInjection) -> bool:
+    """Equal images, and a·b⁻¹ is a partial automorphism."""
+    da, db = dict(a.pairs), dict(b.pairs)
+    same_image = set(da.values()) == set(db.values())
+    return same_image and _naive_is_paut(naive_compose(da, naive_inverse(db)))
+
+
+def reference_r_related(a: PartialInjection, b: PartialInjection) -> bool:
+    """Equal domains, and a⁻¹·b is a partial automorphism."""
+    da, db = dict(a.pairs), dict(b.pairs)
+    return set(da) == set(db) and _naive_is_paut(naive_compose(naive_inverse(da), db))
+
+
+def reference_h_related(a: PartialInjection, b: PartialInjection) -> bool:
+    return reference_l_related(a, b) and reference_r_related(a, b)
+
+
+def reference_j_related(a: PartialInjection, b: PartialInjection) -> bool:
+    """Similar type: the image intervals carry the same types up to reversal."""
+    return _naive_types(dict(a.pairs)) == _naive_types(dict(b.pairs))
 
 
 def naive_generator(sym: Symbol, n: int) -> dict[int, int]:

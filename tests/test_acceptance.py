@@ -154,8 +154,8 @@ def test_06_greens_predicates_match_ideal_oracle():
         for _family, enumerate_family, ns in scopes:
             for n in ns:
                 monoid = enumerate_family(n)
-                oracle = oracle_classifications(monoid, ("L", "R", "J"))
-                for relation in ("L", "R", "J"):
+                oracle = oracle_classifications(monoid, ("L", "R", "H", "J"))
+                for relation in ("L", "R", "H", "J"):
                     assert classify(monoid, relation).as_sets() == oracle[relation].as_sets()
         # For path automorphisms, the J-partition is exactly the partition by
         # multiset of image-interval sizes.

@@ -266,17 +266,6 @@ class TestConfig:
         assert code == 3
         assert err.startswith("error (resource-refused):")
 
-    def test_threads_flag_does_not_change_output(self, capsys):
-        _, base, _ = run(capsys, "enumerate", "--n", "3", "--family", "iend")
-        _, threaded, _ = run(
-            capsys, "enumerate", "--n", "3", "--family", "iend", "--threads", "4"
-        )
-        assert base == threaded
-
-    def test_bad_threads_value(self, capsys):
-        code, _, err = run(capsys, "count", "--n", "2", "--threads", "0")
-        assert code == 2
-
 
 class TestDeterminism:
     @pytest.mark.parametrize(

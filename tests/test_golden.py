@@ -27,6 +27,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 CASES: dict[str, tuple[str, ...]] = {
     "selftest-n5": ("selftest", "--n", "5"),
     "classify-n5-iend-H": ("classify", "--n", "5", "--family", "iend", "--relation", "H"),
+    "classify-n5-iend-R": ("classify", "--n", "5", "--family", "iend", "--relation", "R"),
+    "classify-n6-paut-L-text": ("classify", "--n", "6", "--family", "paut", "--relation", "L", "--format", "text"),
     "classify-n4-paut-J-csv": ("classify", "--n", "4", "--family", "paut", "--relation", "J", "--format", "csv"),
     "verify-rank-n6-iend": ("verify-rank", "--n", "6", "--family", "iend"),
     "verify-rank-n5-paut-text": ("verify-rank", "--n", "5", "--family", "paut", "--format", "text"),

@@ -15,16 +15,31 @@ from pathmonoid import (
     h_related,
     image_intervals,
     inverse,
+    is_iend,
     j_related,
     l_related,
     oracle_classifications,
-    oracle_relation,
     parse_element,
     r_related,
     similar_type,
     type_sequence,
 )
-from pathmonoid.greens import canonical_type, l_related_interval_images
+from pathmonoid import greens
+from pathmonoid.greens import canonical_type
+
+from conftest import (
+    reference_h_related,
+    reference_j_related,
+    reference_l_related,
+    reference_r_related,
+)
+
+REFERENCES = (
+    (l_related, reference_l_related),
+    (r_related, reference_r_related),
+    (h_related, reference_h_related),
+    (j_related, reference_j_related),
+)
 
 
 class TestTypeSequence:
@@ -69,11 +84,13 @@ class TestPairwisePredicates:
                 for b in m:
                     assert h_related(a, b) == (l_related(a, b) and r_related(a, b))
 
-    def test_l_related_interval_route_agrees(self):
-        for m in (enumerate_iend(4),):
-            for a in m:
-                for b in m:
-                    assert l_related(a, b) == l_related_interval_images(a, b)
+    @pytest.mark.parametrize("family", ("paut", "iend"))
+    def test_predicates_match_pairwise_references(self, family):
+        m = enumerate_paut(4) if family == "paut" else enumerate_iend(4)
+        for a in m:
+            for b in m:
+                for predicate, reference in REFERENCES:
+                    assert predicate(a, b) == reference(a, b), (predicate.__name__, a, b)
 
     def test_predicates_are_symmetric_on_members(self):
         m = enumerate_iend(3)
@@ -96,6 +113,11 @@ class TestPairwisePredicates:
             l_related(bad, good)
         with pytest.raises(ValueError):
             r_related(good, PartialInjection(5, [(1, 1)]))
+        for predicate, _ in REFERENCES:
+            with pytest.raises(ValueError):
+                predicate(good, bad)
+            with pytest.raises(ValueError):
+                predicate(good, PartialInjection(5, [(1, 1)]))
 
 
 class TestClassify:
@@ -114,6 +136,29 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(enumerate_paut(3), "D")
 
+    @pytest.mark.parametrize("relation", ("L", "R", "H", "J"))
+    def test_rejects_non_members(self, relation):
+        with pytest.raises(ValueError):
+            classify([PartialInjection(4, [(1, 1), (2, 4)])], relation)
+        with pytest.raises(ValueError):
+            classify([PartialInjection(4, [(1, 1)]), PartialInjection(5, [(1, 1)])], relation)
+
+    @pytest.mark.parametrize("relation", ("L", "R", "H", "J"))
+    def test_checks_membership_once_per_element(self, relation, monkeypatch):
+        m = enumerate_iend(5)
+        checked: Counter = Counter()
+
+        def counting_is_iend(a):
+            checked[a] += 1
+            return is_iend(a)
+
+        monkeypatch.setattr(greens, "is_iend", counting_is_iend)
+        classify(m, relation)
+        assert sum(checked.values()) == len(checked) == len(m) == 458
+
+    def test_empty_input(self):
+        assert classify([], "H").classes == ()
+
     def test_known_class_counts_small(self):
         m = enumerate_iend(3)
         assert len(classify(m, "L").classes) == 10
@@ -130,16 +175,12 @@ class TestOracle:
         for relation in ("L", "R", "H", "J"):
             assert classify(elements, relation).as_sets() == oracle[relation].as_sets()
 
-    def test_single_relation_wrapper(self):
-        m = enumerate_iend(3)
-        assert oracle_relation(m, "J").as_sets() == classify(m, "J").as_sets()
-
     def test_oracle_rejects_non_closed_input(self):
         # {id restricted to {1}} alone is closed; adding a non-composable
         # partner whose products escape the set is not.
         m = [PartialInjection(3, [(1, 2), (2, 3)]), PartialInjection(3, [(1, 1)])]
         with pytest.raises(ValueError):
-            oracle_relation(m, "L")
+            oracle_classifications(m, ("L",))
 
     def test_oracle_rejects_unknown_relation(self):
         with pytest.raises(ValueError):
@@ -156,5 +197,5 @@ class TestOracle:
                     Counter(hi - lo + 1 for lo, hi in image_intervals(a)).items()
                 )
                 by_multiset.setdefault(key, set()).add(a)
-            oracle = oracle_relation(elements, "J").as_sets()
+            oracle = oracle_classifications(elements, ("J",))["J"].as_sets()
             assert frozenset(frozenset(v) for v in by_multiset.values()) == oracle
