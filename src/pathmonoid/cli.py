@@ -35,26 +35,20 @@ from .census import (
     count_paut,
     enumerate_iend,
     enumerate_paut,
-    iend_contribution,
     mask_to_string,
-    paut_contribution,
 )
 from .errors import ResourceRefused
 from .factorize import factor_iend, factor_paut
 from .genwords import (
-    alphabet_iend,
-    alphabet_paut,
     eval_word,
     expand_symbol,
     expand_word,
     format_symbol,
     format_word,
-    legal_symbols,
     make_generator,
     parse_symbol,
 )
 from .greens import classify as classify_elements
-from .greens import oracle_classifications
 from .path_core import (
     PartialInjection,
     element_from_json_dict,
@@ -438,102 +432,24 @@ def _cmd_verify_rank(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, 
     return Rendering(payload=payload, text_lines=tuple(lines)), code
 
 
-def _selftest_counts(n: int, cfg: Config) -> tuple[str, bool]:
-    for k in range(1, n + 1):
-        if count_paut(k) != len(enumerate_paut(k, n_max=cfg.n_max_enumerate)):
-            return f"n=1..{n}", False
-        if count_iend(k) != len(enumerate_iend(k, n_max=cfg.n_max_enumerate)):
-            return f"n=1..{n}", False
-    return f"n=1..{n}", True
-
-
-def _roundtrip_family(
-    elements: Sequence[PartialInjection],
-    factor: Callable[[PartialInjection], object],
-    letters: frozenset,
-    n: int,
-) -> bool:
-    bound = 4 * n * n
-    for a in elements:
-        word = factor(a)
-        if len(word) > bound:
-            return False
-        expanded = expand_word(word)
-        if not set(expanded.letters) <= letters:
-            return False
-        if eval_word(expanded) != a:
-            return False
-    return True
-
-
-def _selftest_roundtrips(n: int, cfg: Config) -> tuple[str, bool]:
-    paut_hi = min(n, 6)
-    iend_hi = min(n, 5)
-    scope = f"paut n=3..{paut_hi}, iend n=3..{iend_hi}"
-    if paut_hi < 3:
-        return "none (needs n >= 3)", True
-    for k in range(3, paut_hi + 1):
-        letters = frozenset(alphabet_paut(k))
-        if not _roundtrip_family(
-            enumerate_paut(k, n_max=cfg.n_max_enumerate), factor_paut, letters, k
-        ):
-            return scope, False
-    for k in range(3, iend_hi + 1):
-        letters = frozenset(alphabet_iend(k))
-        if not _roundtrip_family(
-            enumerate_iend(k, n_max=cfg.n_max_enumerate), factor_iend, letters, k
-        ):
-            return scope, False
-    return scope, True
-
-
-def _selftest_identities(n: int, cfg: Config) -> tuple[str, bool]:
-    hi = min(n, 10)
-    if hi < 3:
-        return "none (needs n >= 3)", True
-    scope = f"n=3..{hi}"
-    for k in range(3, hi + 1):
-        for symbol in legal_symbols(k):
-            if eval_word(expand_symbol(symbol, k)) != make_generator(symbol, k):
-                return scope, False
-    return scope, True
-
-
-def _selftest_greens(n: int, cfg: Config) -> tuple[str, bool]:
-    hi = min(n, 5, cfg.n_max_closure)
-    if hi < 3:
-        return "none (needs n >= 3)", True
-    scope = f"n=3..{hi}, both families"
-    for k in range(3, hi + 1):
-        for enumerate_family in (enumerate_paut, enumerate_iend):
-            elements = enumerate_family(k, n_max=cfg.n_max_enumerate)
-            oracle = oracle_classifications(elements)
-            for relation in ("L", "R", "H", "J"):
-                direct = classify_elements(elements, relation)
-                if direct.as_sets() != oracle[relation].as_sets():
-                    return scope, False
-    return scope, True
-
-
-_SELFTEST_SUITES = (
-    ("counts-match-enumeration", _selftest_counts),
-    ("factorization-round-trip", _selftest_roundtrips),
-    ("expansion-identities", _selftest_identities),
-    ("greens-oracle", _selftest_greens),
-)
-
-
 def _cmd_selftest(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
+    # Imported here so that the other subcommands do not load the checks.
+    from .selftest import run_suites
+
     _require_positive_n(args.n)
     _refuse_above(args.n, cfg.n_max_enumerate, "n_max_enumerate")
     suites = []
     lines = []
-    all_ok = True
-    for name, runner in _SELFTEST_SUITES:
-        scope, passed = runner(args.n, cfg)
-        suites.append({"name": name, "scope": scope, "passed": passed})
-        lines.append(f"{'PASS' if passed else 'FAIL'} {name} ({scope})")
-        all_ok = all_ok and passed
+    for name, scope, counterexample in run_suites(args.n, n_max_closure=cfg.n_max_closure):
+        passed = counterexample is None
+        suite = {"name": name, "scope": scope, "passed": passed}
+        line = f"{'PASS' if passed else 'FAIL'} {name} ({scope})"
+        if not passed:
+            suite["counterexample"] = counterexample
+            line += f": {counterexample}"
+        suites.append(suite)
+        lines.append(line)
+    all_ok = all(suite["passed"] for suite in suites)
     lines.append("OK" if all_ok else "FAILED")
     payload = {"n": args.n, "suites": suites, "ok": all_ok}
     code = EXIT_OK if all_ok else EXIT_VERIFICATION_FAILURE

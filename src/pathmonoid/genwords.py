@@ -280,11 +280,20 @@ def alphabet_iend(n: int) -> tuple[Symbol, ...]:
 # -- expansion ---------------------------------------------------------------
 
 
+def _is_base_letter(sym: Symbol, n: int) -> bool:
+    """Whether ``sym`` is a letter of B(n), without building the alphabet."""
+    if sym.kind == "a":
+        # A(3) keeps a(2).
+        return sym.j == 0 and 1 <= sym.i <= max(n - 2, 2)
+    if sym.kind == "b":
+        return sym.j == 0 and 2 <= sym.i <= (n + 1) // 2
+    return sym == tau()
+
+
 @lru_cache(maxsize=None)
 def _expand(kind: str, i: int, j: int, n: int) -> tuple[Symbol, ...]:
-    base = set(alphabet_iend(n))
     sym = Symbol(kind, i, j)
-    if sym in base:
+    if _is_base_letter(sym, n):
         return (sym,)
 
     def rec(s: Symbol) -> tuple[Symbol, ...]:

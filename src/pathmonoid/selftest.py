@@ -1,0 +1,124 @@
+"""Dual-route checks, shared by ``pathmonoid selftest`` and the test suite.
+
+Each check compares two independent routes to one result at one n (and
+family): None when they agree, else a text naming the first counterexample.
+"""
+from __future__ import annotations
+
+from functools import partial
+from typing import Iterator
+
+from .census import count_iend, count_paut, enumerate_iend, enumerate_paut
+from .factorize import factor_iend, factor_paut
+from .genwords import (
+    Symbol,
+    Word,
+    alphabet_iend,
+    alphabet_paut,
+    eval_word,
+    expand_symbol,
+    expand_word,
+    format_symbol,
+    format_word,
+    legal_symbols,
+    make_generator,
+)
+from .greens import classify, oracle_classifications
+from .path_core import PartialInjection, format_element
+
+
+def _enumerate(family: str, n: int) -> list[PartialInjection]:
+    # The caller has bounded n already, so n is also the enumeration bound.
+    return (enumerate_paut if family == "paut" else enumerate_iend)(n, n_max=n)
+
+
+def check_counts(n: int) -> str | None:
+    """The closed-form counts at n against the enumeration sizes."""
+    for family, count in (("paut", count_paut), ("iend", count_iend)):
+        counted, listed = count(n), len(_enumerate(family, n))
+        if counted != listed:
+            return f"{family} n={n}: the count is {counted}, the enumeration lists {listed}"
+    return None
+
+
+def _word_fault(word: Word, alphabet: frozenset[Symbol], target: PartialInjection) -> str | None:
+    """What is wrong with a word meant to spell ``target`` over ``alphabet``."""
+    if stray := set(word.letters) - alphabet:
+        return f"uses {' '.join(map(format_symbol, sorted(stray)))}, outside the alphabet"
+    if (value := eval_word(word)) != target:
+        return f"evaluates to {format_element(value)}"
+    return None
+
+
+def check_round_trip(family: str, n: int) -> str | None:
+    """Every element of the family at n (n >= 3) factors into at most 4n²
+    letters, whose expansion over the family's alphabet evaluates back."""
+    factor = factor_paut if family == "paut" else factor_iend
+    alphabet = frozenset(alphabet_paut(n) if family == "paut" else alphabet_iend(n))
+    for a in _enumerate(family, n):
+        word = factor(a)
+        if len(word) > 4 * n * n:
+            fault = f"has {len(word)} letters, above 4n^2"
+        elif fault := _word_fault(expand_word(word), alphabet, a):
+            fault = f"expands to a word that {fault}"
+        else:
+            continue
+        return f"{family} element {format_element(a)}: word '{format_word(word)}' {fault}"
+    return None
+
+
+def check_expansions(n: int) -> str | None:
+    """Every legal symbol at n (n >= 3) expands into B(n), into A(n) unless
+    it is some b(i), and the expansion evaluates to the generator."""
+    automorphism_base, base = frozenset(alphabet_paut(n)), frozenset(alphabet_iend(n))
+    for symbol in legal_symbols(n):
+        word = expand_symbol(symbol, n)
+        alphabet = base if symbol.kind == "b" else automorphism_base
+        if fault := _word_fault(word, alphabet, make_generator(symbol, n)):
+            return f"n={n} symbol {format_symbol(symbol)}: expansion '{format_word(word)}' {fault}"
+    return None
+
+
+def check_greens(family: str, n: int) -> str | None:
+    """The key-based ``classify`` against the ideal oracle on the family at
+    n, for L, R, H and J."""
+    elements = _enumerate(family, n)
+    for relation, expected in oracle_classifications(elements).items():
+        keyed = classify(elements, relation)
+        if keyed.as_sets() != expected.as_sets():
+            by_key, by_oracle = (
+                {a: frozenset(c) for c in p.classes for a in c} for p in (keyed, expected)
+            )
+            a = next(a for a in elements if by_key.get(a) != by_oracle[a])
+            b = min(by_key.get(a, frozenset()) ^ by_oracle[a], key=format_element)
+            route = "the key" if b in by_key.get(a, ()) else "the ideal oracle"
+            return (
+                f"{family} n={n} relation {relation}: {format_element(a)} and "
+                f"{format_element(b)} share a class only by {route}"
+            )
+    return None
+
+
+def run_suites(n: int, *, n_max_closure: int) -> Iterator[tuple[str, str, str | None]]:
+    """Each suite's name, scope and first counterexample (None if it passed);
+    the Green's suite stops at ``n_max_closure``."""
+    paut_hi, iend_hi, symbol_hi = min(n, 6), min(n, 5), min(n, 10)
+    greens_hi = min(n, 5, n_max_closure)
+    suites = (
+        ("counts-match-enumeration", f"n=1..{n}", [
+            partial(check_counts, k) for k in range(1, n + 1)]),
+        ("factorization-round-trip", f"paut n=3..{paut_hi}, iend n=3..{iend_hi}", [
+            partial(check_round_trip, family, k)
+            for family, hi in (("paut", paut_hi), ("iend", iend_hi))
+            for k in range(3, hi + 1)]),
+        ("expansion-identities", f"n=3..{symbol_hi}", [
+            partial(check_expansions, k) for k in range(3, symbol_hi + 1)]),
+        ("greens-oracle", f"n=3..{greens_hi}, both families", [
+            partial(check_greens, family, k)
+            for k in range(3, greens_hi + 1)
+            for family in ("paut", "iend")]),
+    )
+    for name, scope, checks in suites:
+        if not checks:
+            scope = "none (needs n >= 3)"
+        yield name, scope, next(filter(None, (check() for check in checks)), None)

@@ -23,21 +23,13 @@ from pathmonoid import (
     elements_with_domain,
     enumerate_iend,
     enumerate_paut,
-    eval_word,
     exhaustive_min_size,
-    expand_symbol,
-    expand_word,
-    factor_iend,
-    factor_paut,
     iend_monoid,
     image_intervals,
     is_iend,
     is_irredundant,
     is_paut,
-    legal_symbols,
-    make_generator,
     mask_profile,
-    oracle_classifications,
     paut_monoid,
     rank_formula,
     verify_rank,
@@ -48,6 +40,12 @@ from pathmonoid.rankcheck import (
     corank_one_non_automorphisms_have_end_deleted_image,
     end_deleted_domain_elements_are_automorphisms,
     lower_bound_witnesses,
+)
+from pathmonoid.selftest import (
+    check_counts,
+    check_expansions,
+    check_greens,
+    check_round_trip,
 )
 
 from conftest import all_partial_injections, edge_oracle_is_iend
@@ -78,8 +76,7 @@ def test_01_closed_form_counts_match_enumeration():
     with criterion(1):
         start = time.monotonic()
         for n in range(1, 9):
-            assert count_paut(n) == len(enumerate_paut(n))
-            assert count_iend(n) == len(enumerate_iend(n))
+            assert check_counts(n) is None
         # Anchor values from the reference listings of the small monoids.
         assert count_paut(1) == 2
         assert count_paut(2) == 7 == count_iend(2)
@@ -111,52 +108,23 @@ def test_03_alphabets_generate_full_monoids():
 def test_04_factorization_round_trip():
     with criterion(4):
         for n in range(3, 7):
-            base = set(alphabet_paut(n))
-            for a in enumerate_paut(n):
-                word = factor_paut(a)
-                assert len(word) <= 4 * n * n
-                expanded = expand_word(word)
-                assert set(expanded.letters) <= base
-                assert eval_word(expanded) == a
+            assert check_round_trip("paut", n) is None
         for n in range(3, 6):
-            base = set(alphabet_iend(n))
-            for b in enumerate_iend(n):
-                word = factor_iend(b)
-                assert len(word) <= 4 * n * n
-                expanded = expand_word(word)
-                assert set(expanded.letters) <= base
-                assert eval_word(expanded) == b
+            assert check_round_trip("iend", n) is None
 
 
 def test_05_generator_expansion_identities():
     with criterion(5):
-        checked = 0
         for n in range(3, 11):
-            base = set(alphabet_iend(n))
-            automorphism_base = set(alphabet_paut(n))
-            for sym in legal_symbols(n):
-                word = expand_symbol(sym, n)
-                letters = set(word.letters)
-                assert letters <= base
-                if sym.kind != "b":
-                    assert letters <= automorphism_base
-                assert eval_word(word) == make_generator(sym, n)
-                checked += 1
-        assert checked > 0
+            assert check_expansions(n) is None
 
 
 def test_06_greens_predicates_match_ideal_oracle():
     with criterion(6):
-        scopes = (
-            ("iend", enumerate_iend, range(3, 6)),
-            ("paut", enumerate_paut, range(3, 7)),
-        )
-        for _family, enumerate_family, ns in scopes:
-            for n in ns:
-                monoid = enumerate_family(n)
-                oracle = oracle_classifications(monoid, ("L", "R", "H", "J"))
-                for relation in ("L", "R", "H", "J"):
-                    assert classify(monoid, relation).as_sets() == oracle[relation].as_sets()
+        for n in range(3, 6):
+            assert check_greens("iend", n) is None
+        for n in range(3, 7):
+            assert check_greens("paut", n) is None
         # For path automorphisms, the J-partition is exactly the partition by
         # multiset of image-interval sizes.
         for n in range(3, 7):

@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import json
 import time
+from functools import partial
 
 import pytest
 
+from pathmonoid import GreensClassification, Word, count_iend, selftest
 from pathmonoid.cli import MAX_WORD_WORK, main
+from pathmonoid.selftest import (
+    check_counts,
+    check_expansions,
+    check_greens,
+    check_round_trip,
+)
 
 
 def run(capsys, *argv):
@@ -217,22 +225,53 @@ class TestVerifyRank:
         assert json.loads(err)["error"]["code"] == "resource-refused"
 
 
-class TestSelftest:
-    def test_passes_at_n3(self, capsys):
-        code, out, _ = run(capsys, "selftest", "--n", "3", "--format", "text")
-        assert code == 0
-        assert out.count("PASS") == 4 and "FAIL" not in out
+def _one_class(elements, relation):
+    return GreensClassification(relation, (tuple(elements),))
 
+
+# One planted fault per suite: the name selftest looks it up by, the faulty
+# stand-in, the check it breaks first and how that check's text starts.
+PLANTED_FAULTS = {
+    "counts-match-enumeration": (
+        "count_iend", lambda n: count_iend(n) + 1, partial(check_counts, 1), "iend n=1:"),
+    "factorization-round-trip": (
+        "factor_paut", lambda a: Word(a.n, ()), partial(check_round_trip, "paut", 3),
+        "paut element n=3;"),
+    "expansion-identities": (
+        "expand_symbol", lambda sym, n: Word(n, ()), partial(check_expansions, 3),
+        "n=3 symbol tau:"),
+    "greens-oracle": (
+        "classify", _one_class, partial(check_greens, "paut", 3), "paut n=3 relation L:"),
+}
+
+
+class TestSelftest:
     def test_json_payload(self, capsys):
         code, out, _ = run(capsys, "selftest", "--n", "2")
         payload = json.loads(out)
         assert code == 0 and payload["ok"] is True
-        assert [s["name"] for s in payload["suites"]] == [
-            "counts-match-enumeration",
-            "factorization-round-trip",
-            "expansion-identities",
-            "greens-oracle",
-        ]
+        assert [s["name"] for s in payload["suites"]] == list(PLANTED_FAULTS)
+
+    @pytest.mark.parametrize("suite", PLANTED_FAULTS)
+    def test_planted_fault_names_its_counterexample(self, suite, capsys, monkeypatch):
+        name, fault, check, named = PLANTED_FAULTS[suite]
+        monkeypatch.setattr(selftest, name, fault)
+        counterexample = check()
+        assert counterexample.startswith(named)
+
+        code, out, _ = run(capsys, "selftest", "--n", "4")
+        assert code == 1
+        for entry in json.loads(out)["suites"]:
+            if entry["name"] == suite:
+                scope = entry["scope"]
+                assert entry == {"name": suite, "scope": scope, "passed": False,
+                                 "counterexample": counterexample}
+            else:
+                assert list(entry) == ["name", "scope", "passed"] and entry["passed"]
+
+        code, out, _ = run(capsys, "selftest", "--n", "4", "--format", "text")
+        failed = [line for line in out.splitlines() if not line.startswith("PASS ")]
+        assert code == 1 and failed == [f"FAIL {suite} ({scope}): {counterexample}", "FAILED"]
 
 
 class TestConfig:

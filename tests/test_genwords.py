@@ -26,7 +26,9 @@ from pathmonoid import (
     parse_symbol,
     parse_word,
 )
+from pathmonoid import genwords
 from pathmonoid.genwords import (
+    _is_base_letter,
     alpha,
     alpha_star,
     beta,
@@ -37,6 +39,7 @@ from pathmonoid.genwords import (
     rho_plus,
     tau,
 )
+from pathmonoid.selftest import check_expansions
 
 
 class TestMakeGenerator:
@@ -205,14 +208,7 @@ class TestTextFormat:
 class TestExpansion:
     @pytest.mark.parametrize("n", range(3, 7))
     def test_every_legal_symbol_expands_correctly(self, n):
-        base = set(alphabet_iend(n))
-        paut_base = set(alphabet_paut(n))
-        for sym in legal_symbols(n):
-            word = expand_symbol(sym, n)
-            assert set(word.letters) <= base, (n, sym)
-            if sym.kind != "b":
-                assert set(word.letters) <= paut_base, (n, sym)
-            assert eval_word(word) == make_generator(sym, n), (n, sym)
+        assert check_expansions(n) is None
 
     def test_expand_word_concatenates(self):
         w = Word(5, (eps_star(1, 4), beta(4)))
@@ -221,9 +217,19 @@ class TestExpansion:
         assert eval_word(expanded) == eval_word(w)
 
     def test_base_letters_expand_to_themselves(self):
-        for n in (3, 5):
-            for sym in alphabet_iend(n):
+        for n in range(3, 13):
+            base = set(alphabet_iend(n))
+            for sym in legal_symbols(n):
+                assert _is_base_letter(sym, n) == (sym in base), (n, sym)
+            for sym in base:
                 assert expand_symbol(sym, n).letters == (sym,)
+
+    def test_expansion_does_not_build_the_alphabet(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(genwords, "alphabet_iend", calls.append)
+        genwords._expand.cache_clear()
+        expand_symbol(rho_minus(2, 5), 50_000)
+        assert calls == []
 
     def test_canonical_eps_star(self):
         assert canonical_eps_star(0, 7, 6) == tau()

