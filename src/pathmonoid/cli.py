@@ -12,7 +12,8 @@ selftest     run the oracle suites
 
 Configuration comes from flags, then ``PATHMONOID_*`` environment
 variables, then defaults.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 refused resource bound.  In JSON mode, runtime errors are
+2 usage error, 3 refused resource bound, 4 internal error (a broken
+invariant, raised as ``RuntimeError``).  In JSON mode, runtime errors are
 reported as ``{"error": {"code", "message"}}`` objects on stderr.
 """
 
@@ -40,6 +41,7 @@ from .census import (
 from .errors import ResourceRefused
 from .factorize import factor_iend, factor_paut
 from .genwords import (
+    MAX_EXPANSION_LENGTH,
     eval_word,
     expand_symbol,
     expand_word,
@@ -63,6 +65,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
+EXIT_INTERNAL = 4
 
 _ENV_PREFIX = "PATHMONOID_"
 _FORMATS = ("json", "text", "csv")
@@ -200,18 +203,19 @@ def _peek_element_n(raw: str) -> int | None:
         return None
 
 
-# Largest up-front work estimate ``factor`` and ``expand`` accept (up to
-# n = 292): the 4n² letters of the factorization step bound, each composed
-# at a cost of n.
+# Largest up-front work estimate ``factor`` and ``expand`` accept: a word's
+# letter count times n, the cost of one composition.  ``factor`` counts the
+# 4n² letters of the factorization step bound (up to n = 292), ``expand``
+# the longest expansion of any symbol (up to n = 1,020,408).
 MAX_WORD_WORK = 10**8
 
 
-def _refuse_word_work(n: int) -> None:
-    work = 4 * n**3
+def _refuse_word_work(n: int, letters: int) -> None:
+    work = letters * n
     if work > MAX_WORD_WORK:
         raise ResourceRefused(
-            f"n={n} needs an estimated {work} steps (4n^2 letters, n per composition), "
-            f"above the bound of {MAX_WORD_WORK}"
+            f"n={n} needs an estimated {work} steps ({letters} letters, "
+            f"n per composition), above the bound of {MAX_WORD_WORK}"
         )
 
 
@@ -320,7 +324,7 @@ def _cmd_classify(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int
 def _cmd_factor(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
     n = _peek_element_n(args.element)
     if n is not None:
-        _refuse_word_work(n)
+        _refuse_word_work(n, 4 * n * n)
     element = _parse_element_arg(args.element)
     if args.n is not None and args.n != element.n:
         raise UsageError(
@@ -361,7 +365,7 @@ def _cmd_factor(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
 
 def _cmd_expand(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
     _require_positive_n(args.n)
-    _refuse_word_work(args.n)
+    _refuse_word_work(args.n, MAX_EXPANSION_LENGTH)
     try:
         symbol = parse_symbol(args.symbol)
     except ValueError as exc:
@@ -427,6 +431,9 @@ def _cmd_verify_rank(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, 
     if witness.exhaustive_lower_bound is not None:
         lines.append(f"exhaustive_lower_bound {witness.exhaustive_lower_bound}")
         lines.append(f"subsets_searched {witness.subsets_searched}")
+    if witness.counterexample is not None:
+        payload["counterexample"] = witness.counterexample
+        lines.append(f"FAIL {witness.counterexample}")
     lines.append("ok" if witness.ok else "FAILED")
     code = EXIT_OK if witness.ok else EXIT_VERIFICATION_FAILURE
     return Rendering(payload=payload, text_lines=tuple(lines)), code
@@ -592,6 +599,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         _write_error("usage", str(exc), fmt, sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        _write_error("internal", str(exc), fmt, sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

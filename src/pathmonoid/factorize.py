@@ -50,6 +50,7 @@ class _Emitter:
         self.current = start
         self.bound = bound
         self.letters: list[Symbol] = []
+        self._generators: dict[Symbol, PartialInjection] = {}
 
     def emit(self, sym: Symbol) -> None:
         if len(self.letters) >= self.bound:
@@ -57,7 +58,10 @@ class _Emitter:
                 f"factorization exceeded the step bound of {self.bound} letters"
             )
         self.letters.append(sym)
-        self.current = compose(self.current, make_generator(sym, self.n))
+        g = self._generators.get(sym)
+        if g is None:
+            g = self._generators[sym] = make_generator(sym, self.n)
+        self.current = compose(self.current, g)
 
 
 def _repair_block_order(

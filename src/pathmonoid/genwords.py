@@ -290,6 +290,13 @@ def _is_base_letter(sym: Symbol, n: int) -> bool:
     return sym == tau()
 
 
+# The longest word ``expand_symbol`` returns at any n: 98 letters, for
+# rm(2, j) once n >= 5 (37 at n = 3, 72 at n = 4).  The rules compare
+# indices only with the ends of the path, so the longest expansion stays the
+# same as n grows; tests check it for n = 3..20 and n = 100.
+MAX_EXPANSION_LENGTH = 98
+
+
 @lru_cache(maxsize=None)
 def _expand(kind: str, i: int, j: int, n: int) -> tuple[Symbol, ...]:
     sym = Symbol(kind, i, j)

@@ -2,16 +2,26 @@
 
 The shipped alphabets of :mod:`pathmonoid.genwords` are minimal generating
 sets of PAut(P_n) and IEnd(P_n).  This module provides the machinery for
-checking that computationally: breadth-first closure, generation and
-irredundancy tests, exhaustive minimality search where the subset count
-allows it, the closed-form rank values as reference constants, and the
-structural witness checks that back the rank lower bounds at sizes where
-exhaustive search is out of reach.
+checking that computationally: closure, generation and irredundancy tests,
+exhaustive minimality search where the subset count allows it, the
+closed-form rank values as reference constants, and the structural witness
+checks that back the rank lower bounds at sizes where exhaustive search is
+out of reach.
+
+One saturation loop, ``_saturate``, serves closure and the generation tests.
+It works on image tuples and expands elements in order of decreasing rank
+(the size of the domain).  Since rank(x·y) <= min(rank x, rank y), the
+elements of rank r in the closure are all known once the rank-r bucket is
+drained, so a candidate generating set that misses part of a rank layer of
+the target is rejected at that layer.  Every letter of A(n) and B(n) has
+rank n or n-1, so dropping one of them is detected within the top two
+layers, and most candidates of the exhaustive search fail as early.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
@@ -26,6 +36,7 @@ from .errors import ResourceRefused
 from .genwords import alphabet_iend, alphabet_paut, make_generator
 from .path_core import (
     PartialInjection,
+    _trusted,
     compose,
     format_element,
     identity,
@@ -66,6 +77,16 @@ class MonoidSet:
     def __iter__(self) -> Iterator[PartialInjection]:
         return iter(self.elements)
 
+    @cached_property
+    def _layers(self) -> tuple[frozenset[tuple[int, ...]], tuple[int, ...]]:
+        """The members' image tuples, and how many members have each rank
+        0..n; computed once per monoid for ``is_generating``."""
+        imgs = frozenset(a.img for a in self.elements)
+        sizes = [0] * (self.n + 1)
+        for y in imgs:
+            sizes[self.n + 1 - y.count(0)] += 1
+        return imgs, tuple(sizes)
+
     def is_closed(self) -> bool:
         """Exact closure test; quadratic, intended for small test monoids."""
         elems = self.elements
@@ -99,27 +120,37 @@ def _saturate(
     *,
     within: MonoidSet | None = None,
     max_size: int | None = None,
-) -> set[PartialInjection] | None:
-    """Closure of ``gens`` and the identity under right multiplication, or
-    ``None`` as soon as a fresh product leaves ``within``.  Refuses once
-    more than ``max_size`` elements are found."""
-    seen: set[PartialInjection] = {identity(n), *gens}
-    frontier = list(seen)
-    while frontier:
-        fresh: list[PartialInjection] = []
-        for x in frontier:
-            for g in gens:
-                y = compose(x, g)
+) -> set[tuple[int, ...]] | None:
+    """Image tuples of the closure of ``gens`` and the identity under right
+    multiplication, expanded one rank at a time from n down to 0 (see the
+    module docstring).  ``None`` as soon as the closure cannot be all of
+    ``within``: at a product outside it, or at a drained rank bucket smaller
+    than its layer of that rank.  Refuses once more than ``max_size``
+    elements are found."""
+    letters = list(dict.fromkeys(g.img for g in gens))
+    if within is not None:
+        members, layer_sizes = within._layers
+    ident = tuple(range(n + 1))
+    seen = {ident}
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n)] + [[ident]]
+    for r in range(n, -1, -1):
+        bucket = buckets[r]
+        # Products of the same rank are appended to the bucket being drained;
+        # iterating a list visits what is appended during the loop.
+        for x in bucket:
+            for g in letters:
+                y = tuple(map(g.__getitem__, x))
                 if y not in seen:
-                    if within is not None and y not in within:
+                    if within is not None and y not in members:
                         return None
                     seen.add(y)
-                    fresh.append(y)
+                    buckets[n + 1 - y.count(0)].append(y)
             if max_size is not None and len(seen) > max_size:
                 raise ResourceRefused(
                     f"closure exceeded the configured bound of {max_size} elements"
                 )
-        frontier = fresh
+        if within is not None and len(bucket) != layer_sizes[r]:
+            return None
     return seen
 
 
@@ -128,23 +159,23 @@ def closure(
 ) -> MonoidSet:
     """Least submonoid of I_n containing ``gens`` and the identity.
 
-    Breadth-first saturation: new elements are right-multiplied by every
-    generator until nothing fresh appears.  If the closure grows beyond
-    ``max_size`` the computation is refused rather than left to run on.
+    If the closure grows beyond ``max_size`` the computation is refused
+    rather than left to run on.
     """
     gen_list: list[PartialInjection] = []
     for g in gens:
         if g.n != n:
             raise ValueError(f"generator on n={g.n} does not match n={n}")
         gen_list.append(g)
-    return MonoidSet(n, frozenset(_saturate(gen_list, n, max_size=max_size)))
+    seen = _saturate(gen_list, n, max_size=max_size)
+    return MonoidSet(n, frozenset(map(_trusted, seen)))
 
 
 def is_generating(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
     """Whether ``gens`` generates exactly ``target``.
 
-    Saturates inside ``target``, exiting as soon as a product escapes it,
-    so failing candidates are rejected without computing their full closure.
+    Saturates inside ``target`` and gives up at the first product outside it
+    or the first rank layer left incomplete.
     """
     gen_list: list[PartialInjection] = []
     for g in gens:
@@ -157,16 +188,18 @@ def is_generating(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
     return seen is not None and len(seen) == len(target)
 
 
+def _first_redundant(gens: list[PartialInjection], target: MonoidSet) -> int | None:
+    """Index of the first letter whose removal leaves a generating set."""
+    for k in range(len(gens)):
+        if is_generating(gens[:k] + gens[k + 1 :], target):
+            return k
+    return None
+
+
 def is_irredundant(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
     """Whether ``gens`` generates ``target`` and no proper subset does."""
     gen_list = list(gens)
-    if not is_generating(gen_list, target):
-        return False
-    for k in range(len(gen_list)):
-        rest = gen_list[:k] + gen_list[k + 1 :]
-        if is_generating(rest, target):
-            return False
-    return True
+    return is_generating(gen_list, target) and _first_redundant(gen_list, target) is None
 
 
 def full_reversal(n: int) -> PartialInjection:
@@ -206,17 +239,17 @@ def exhaustive_min_size(
 ) -> bool:
     """True iff no k-subset of ``target`` generates it, i.e. rank > k.
 
-    Refuses when C(|target|, k) exceeds ``budget``.  Candidates omitting a
-    forced generator (see ``_forced_generators``) are skipped, which cuts
-    the search by a factor of roughly |target|/k without losing soundness.
+    Candidates omitting a forced generator (see ``_forced_generators``) are
+    skipped, which cuts the search by a factor of roughly |target|/k without
+    losing soundness.  Refuses when the candidates left to test,
+    ``subset_search_scope(target, k)``, exceed ``budget``.
     """
     if k < 0:
         raise ValueError(f"subset size must be nonnegative, got {k}")
-    size = len(target)
-    if comb(size, k) > budget:
+    scope = subset_search_scope(target, k)
+    if scope > budget:
         raise ResourceRefused(
-            f"searching C({size},{k}) candidate subsets exceeds the budget "
-            f"of {budget}"
+            f"searching {scope} candidate {k}-subsets exceeds the budget of {budget}"
         )
     forced = _forced_generators(target)
     if k < len(forced):
@@ -344,6 +377,7 @@ class RankWitness:
     witnesses: tuple[tuple[str, bool], ...]
     exhaustive_lower_bound: int | None = None
     subsets_searched: int | None = None
+    counterexample: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -356,6 +390,19 @@ class RankWitness:
         if self.exhaustive_lower_bound is not None:
             verdicts.append(self.exhaustive_lower_bound == self.formula_value)
         return all(verdicts)
+
+
+def _generation_counterexample(
+    letters: list[PartialInjection], target: MonoidSet
+) -> str:
+    """Why ``letters`` do not generate ``target``: the first member, in text
+    order, that their closure misses, or else the first product outside it."""
+    reached = set(map(_trusted, _saturate(letters, target.n)))
+    missed = min(map(format_element, target.elements - reached), default=None)
+    if missed is not None:
+        return f"{missed} is not generated"
+    stray = min(map(format_element, reached - target.elements))
+    return f"{stray} is generated but lies outside the monoid"
 
 
 def verify_rank(
@@ -373,6 +420,10 @@ def verify_rank(
     the lower-bound witness checks hold.  With ``exhaustive`` the subset
     search additionally establishes the rank as an exact lower bound,
     walking k downward until no k-subset generates.
+
+    When the alphabet does not generate, or a letter can be dropped, the
+    witness's ``counterexample`` names the first member missing from the
+    closure (in text order) or the first redundant letter.
     """
     if n < 3:
         raise ValueError(f"rank verification needs the alphabets (n >= 3), got n={n}")
@@ -383,7 +434,15 @@ def verify_rank(
     else:
         target = iend_monoid(n, n_max=n_max_enumerate)
     generates = is_generating(letters, target)
-    irredundant = generates and is_irredundant(letters, target)
+    redundant = _first_redundant(letters, target) if generates else None
+    counterexample = None
+    if not generates:
+        counterexample = _generation_counterexample(letters, target)
+    elif redundant is not None:
+        counterexample = (
+            f"letter {redundant + 1} of {len(letters)}, "
+            f"{format_element(letters[redundant])}, is redundant"
+        )
     witnesses = tuple(lower_bound_witnesses(n).items())
     lower_bound: int | None = None
     searched: int | None = None
@@ -402,8 +461,9 @@ def verify_rank(
         formula_value=formula,
         generating_set_size=len(letters),
         generates=generates,
-        irredundant=irredundant,
+        irredundant=generates and redundant is None,
         witnesses=witnesses,
         exhaustive_lower_bound=lower_bound,
         subsets_searched=searched,
+        counterexample=counterexample,
     )

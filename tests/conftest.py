@@ -96,6 +96,23 @@ def reference_j_related(a: PartialInjection, b: PartialInjection) -> bool:
     return _naive_types(dict(a.pairs)) == _naive_types(dict(b.pairs))
 
 
+def reference_closure(gens: Iterable[PartialInjection], n: int) -> frozenset[PartialInjection]:
+    """The identity and every product of ``gens``, by a plain breadth-first
+    search over dicts, with no rank order and no early exit."""
+    letters = [dict(g.pairs) for g in gens]
+    start = {x: x for x in range(1, n + 1)}
+    seen = {frozenset(start.items())}
+    queue = [start]
+    for x in queue:
+        for g in letters:
+            y = naive_compose(x, g)
+            key = frozenset(y.items())
+            if key not in seen:
+                seen.add(key)
+                queue.append(y)
+    return frozenset(PartialInjection(n, key) for key in seen)
+
+
 def naive_generator(sym: Symbol, n: int) -> dict[int, int]:
     """The generator named by a legal ``sym``, written out pair by pair from
     the definitions in ``pathmonoid.genwords``."""

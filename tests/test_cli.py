@@ -8,8 +8,9 @@ from functools import partial
 
 import pytest
 
-from pathmonoid import GreensClassification, Word, count_iend, selftest
+from pathmonoid import GreensClassification, Word, cli, count_iend, rankcheck, selftest
 from pathmonoid.cli import MAX_WORD_WORK, main
+from pathmonoid.genwords import MAX_EXPANSION_LENGTH
 from pathmonoid.selftest import (
     check_counts,
     check_expansions,
@@ -180,15 +181,22 @@ class TestWordWorkBound:
         assert code == 3 and out == ""
         error = json.loads(err)["error"]
         assert error["code"] == "resource-refused"
-        assert f"estimated {4 * 10**24} steps" in error["message"]
+        # factor: 4n² letters; expand: the longest expansion; n per letter.
+        letters = 4 * 10**16 if argv[0] == "factor" else MAX_EXPANSION_LENGTH
+        assert f"estimated {letters * 10**8} steps" in error["message"]
         assert f"bound of {MAX_WORD_WORK}" in error["message"]
 
     def test_edge_of_the_bound(self, capsys):
         assert 4 * 292**3 <= MAX_WORD_WORK < 4 * 293**3
-        code, out, _ = run(capsys, "expand", "--symbol", "b3", "--n", "292")
-        assert code == 0 and json.loads(out)["matches_generator"] is True
-        code, _, _ = run(capsys, "expand", "--symbol", "b3", "--n", "293")
+        code, _, _ = run(capsys, "factor", "--element", "n=293;1>1")
         assert code == 3
+        # expand has its own, far larger edge.
+        code, out, _ = run(capsys, "expand", "--symbol", "b3", "--n", "293")
+        assert code == 0 and json.loads(out)["matches_generator"] is True
+        top = MAX_WORD_WORK // MAX_EXPANSION_LENGTH
+        assert top == 1_020_408
+        code, _, err = run(capsys, "expand", "--symbol", "b3", "--n", str(top + 1))
+        assert code == 3 and f"{MAX_EXPANSION_LENGTH * (top + 1)} steps" in err
 
     def test_malformed_element_is_still_a_usage_error(self, capsys):
         code, _, err = run(capsys, "factor", "--element", '{"n": 1e400, "pairs": []}')
@@ -222,7 +230,66 @@ class TestVerifyRank:
             "--subset-search-budget", "1000",
         )
         assert code == 3
-        assert json.loads(err)["error"]["code"] == "resource-refused"
+        error = json.loads(err)["error"]
+        assert error["code"] == "resource-refused"
+        assert "searching 31375 candidate 3-subsets" in error["message"]
+
+    def test_budget_counts_the_subsets_searched(self, capsys):
+        # C(105, 3) = 187,460 subsets, but the forced reversal leaves C(104, 2).
+        code, out, _ = run(
+            capsys,
+            "verify-rank", "--n", "4", "--family", "iend", "--exhaustive",
+            "--subset-search-budget", "6000",
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"] is True
+        assert payload["subsets_searched"] == 5356
+        assert payload["exhaustive_lower_bound"] == 4
+
+    @pytest.mark.parametrize(
+        "fault,named",
+        [
+            (lambda letters: letters + letters[:1], "letter 1 of 5, n=4;1>4,2>3,3>2,4>1, is redundant"),
+            (lambda letters: letters[1:], "n=4;1>1,2>2 is not generated"),
+        ],
+        ids=["duplicated-letter", "missing-letter"],
+    )
+    def test_planted_fault_names_its_counterexample(self, capsys, monkeypatch, fault, named):
+        shipped = rankcheck.alphabet_elements
+        monkeypatch.setattr(
+            rankcheck, "alphabet_elements", lambda family, n: fault(shipped(family, n))
+        )
+        code, out, _ = run(capsys, "verify-rank", "--n", "4", "--family", "iend")
+        assert code == 1
+        assert json.loads(out)["counterexample"] == named
+        code, out, _ = run(
+            capsys, "verify-rank", "--n", "4", "--family", "iend", "--format", "text"
+        )
+        assert code == 1
+        assert out.splitlines()[-2:] == [f"FAIL {named}", "FAILED"]
+
+    def test_passing_run_has_no_counterexample(self, capsys):
+        code, out, _ = run(capsys, "verify-rank", "--n", "4", "--family", "paut")
+        assert code == 0 and "counterexample" not in json.loads(out)
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_broken_invariant_exits_4(self, capsys, monkeypatch, fmt):
+        def broken(a):
+            raise RuntimeError("block order repair selected an empty segment")
+
+        monkeypatch.setattr(cli, "factor_paut", broken)
+        code, out, err = run(capsys, "factor", "--element", "n=3;1>2", "--format", fmt)
+        assert code == cli.EXIT_INTERNAL == 4 and out == ""
+        if fmt == "json":
+            error = json.loads(err)["error"]
+            assert error == {
+                "code": "internal",
+                "message": "block order repair selected an empty segment",
+            }
+        else:
+            assert err == "error (internal): block order repair selected an empty segment\n"
 
 
 def _one_class(elements, relation):

@@ -17,6 +17,7 @@ from pathmonoid import (
     make_generator,
     parse_element,
 )
+from pathmonoid import factorize
 from pathmonoid.genwords import tau
 from pathmonoid.selftest import check_round_trip
 
@@ -40,6 +41,19 @@ class TestSmallCases:
         with pytest.raises(ValueError):
             factor_paut(iend_only)
         assert eval_word(expand_word(factor_iend(iend_only))) == iend_only
+
+    def test_each_letter_is_built_once(self, monkeypatch):
+        built = []
+
+        def counting(sym, n):
+            built.append(sym)
+            return make_generator(sym, n)
+
+        monkeypatch.setattr(factorize, "make_generator", counting)
+        a = parse_element("n=9;1>9,3>3,4>4,7>6,8>7")
+        word = factor_paut(a)
+        assert eval_word(word) == a
+        assert len(built) == len(set(built)) == len(set(word.letters)) < len(word)
 
     def test_step_bound_is_enforced(self):
         a = parse_element("n=5;1>3,3>5,5>1")

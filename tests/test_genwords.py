@@ -28,6 +28,7 @@ from pathmonoid import (
 )
 from pathmonoid import genwords
 from pathmonoid.genwords import (
+    MAX_EXPANSION_LENGTH,
     _is_base_letter,
     alpha,
     alpha_star,
@@ -230,6 +231,13 @@ class TestExpansion:
         genwords._expand.cache_clear()
         expand_symbol(rho_minus(2, 5), 50_000)
         assert calls == []
+
+    def test_longest_expansion(self):
+        for n in (*range(3, 21), 100):
+            longest = max(len(expand_symbol(sym, n)) for sym in legal_symbols(n))
+            assert longest == (MAX_EXPANSION_LENGTH if n >= 5 else {3: 37, 4: 72}[n]), n
+            if n >= 5:
+                assert len(expand_symbol(rho_minus(2, n), n)) == MAX_EXPANSION_LENGTH
 
     def test_canonical_eps_star(self):
         assert canonical_eps_star(0, 7, 6) == tau()

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from conftest import reference_closure
 
 from pathmonoid import (
     MonoidSet,
+    format_element,
     PartialInjection,
     ResourceRefused,
     closure,
@@ -21,6 +25,7 @@ from pathmonoid import (
     rank_formula,
     verify_rank,
 )
+from pathmonoid import rankcheck
 from pathmonoid.rankcheck import (
     RankWitness,
     alphabet_elements,
@@ -108,6 +113,84 @@ class TestIsGenerating:
         assert is_irredundant(alphabet_elements("iend", n), iend_monoid(n))
 
 
+MONOIDS = {"paut": paut_monoid, "iend": iend_monoid}
+FAMILY_CASES = [(family, n) for family in MONOIDS for n in (3, 4, 5)]
+
+
+def _saturation_cases(family, n):
+    """Generator lists for one target: the alphabet and its variants, and
+    seeded random subsets of the target, some with the alphabet added."""
+    target = MONOIDS[family](n)
+    letters = alphabet_elements(family, n)
+    pool = sorted(target, key=format_element)
+    rng = random.Random(f"{family}{n}")
+    # Elements of rank n and n-1, the two layers the alphabets live in.
+    top = [a for a in pool if len(a) == n]
+    corank_one = [a for a in pool if len(a) == n - 1]
+    # Outside the target: a b-letter for PAut, a non-monotone map for IEnd.
+    outsider = (
+        alphabet_elements("iend", n)[-1]
+        if family == "paut"
+        else PartialInjection(n, [(1, 1), (2, 3)])
+    )
+    cases = [
+        [],
+        [identity(n)],
+        letters,
+        letters + letters[:1],
+        letters[::-1] + letters,
+        [g for g in letters if len(g) != n],
+        [g for g in letters if len(g) != n - 1],
+        letters + [outsider],
+        [outsider],
+        top + corank_one,
+    ]
+    for k in range(len(letters)):
+        cases.append(letters[:k] + letters[k + 1 :])
+    for size in (1, 2, 3, 4, 6):
+        for _ in range(2):
+            cases.append(rng.sample(pool, size))
+            cases.append(letters + rng.sample(pool, size))
+    return target, cases
+
+
+class TestAgainstReferenceClosure:
+    """The rank-layered saturation against a plain breadth-first search."""
+
+    @pytest.mark.parametrize("family,n", FAMILY_CASES)
+    def test_closure_and_is_generating(self, family, n):
+        target, cases = _saturation_cases(family, n)
+        outcomes = set()
+        for gens in cases:
+            expected = reference_closure(gens, n)
+            assert closure(gens, n).elements == expected, gens
+            generates = expected == target.elements
+            assert is_generating(gens, target) is generates, gens
+            outcomes.add(generates)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("family,n", FAMILY_CASES)
+    def test_is_irredundant(self, family, n):
+        target, cases = _saturation_cases(family, n)
+        outcomes = set()
+        for gens in cases:
+            expected = reference_closure(gens, n) == target.elements and all(
+                reference_closure(gens[:k] + gens[k + 1 :], n) != target.elements
+                for k in range(len(gens))
+            )
+            assert is_irredundant(gens, target) is expected, gens
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("family,n", FAMILY_CASES)
+    def test_max_size_refusal_is_exact(self, family, n):
+        letters = alphabet_elements(family, n)
+        size = len(reference_closure(letters, n))
+        assert len(closure(letters, n, max_size=size)) == size
+        with pytest.raises(ResourceRefused):
+            closure(letters, n, max_size=size - 1)
+
+
 class TestExhaustiveMinSize:
     def test_no_single_element_generates_paut_p2(self):
         assert exhaustive_min_size(paut_monoid(2), 1) is True
@@ -128,8 +211,16 @@ class TestExhaustiveMinSize:
         assert subset_search_scope(iend_monoid(3), 3) == 300
 
     def test_budget_refusal(self):
-        with pytest.raises(ResourceRefused):
+        with pytest.raises(ResourceRefused, match="31375 candidate 3-subsets"):
             exhaustive_min_size(paut_monoid(5), 3, budget=1000)
+
+    def test_budget_counts_the_searched_scope(self):
+        # C(105, 3) = 187,460 subsets of IEnd(P_4), but only C(104, 2) are tested.
+        target = iend_monoid(4)
+        assert subset_search_scope(target, 3) == 5356
+        assert exhaustive_min_size(target, 3, budget=5356) is True
+        with pytest.raises(ResourceRefused, match="5356 candidate"):
+            exhaustive_min_size(target, 3, budget=5355)
 
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
@@ -225,6 +316,40 @@ class TestVerifyRank:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             verify_rank("paut", 2)
+
+    def test_passing_run_has_no_counterexample(self):
+        assert verify_rank("iend", 4).counterexample is None
+
+    def test_counterexample_names_the_first_redundant_letter(self, monkeypatch):
+        shipped = alphabet_elements("paut", 5)
+        monkeypatch.setattr(
+            rankcheck, "alphabet_elements", lambda family, n: shipped + shipped[1:2]
+        )
+        witness = verify_rank("paut", 5)
+        assert witness.generates and not witness.irredundant and not witness.ok
+        assert witness.counterexample == (
+            f"letter 2 of 5, {format_element(shipped[1])}, is redundant"
+        )
+
+    @pytest.mark.parametrize("family", ["paut", "iend"])
+    def test_counterexample_names_the_first_missed_member(self, monkeypatch, family):
+        letters = alphabet_elements(family, 5)[:-1]
+        monkeypatch.setattr(rankcheck, "alphabet_elements", lambda family, n: letters)
+        witness = verify_rank(family, 5)
+        assert not witness.generates and not witness.ok
+        target = MONOIDS[family](5).elements
+        missed = min(map(format_element, target - reference_closure(letters, 5)))
+        assert witness.counterexample == f"{missed} is not generated"
+
+    def test_counterexample_names_a_product_outside_the_monoid(self, monkeypatch):
+        # B(4) generates all of IEnd(P_4), which contains PAut(P_4).
+        letters = alphabet_elements("iend", 4)
+        monkeypatch.setattr(rankcheck, "alphabet_elements", lambda family, n: letters)
+        witness = verify_rank("paut", 4)
+        stray = min(
+            map(format_element, reference_closure(letters, 4) - paut_monoid(4).elements)
+        )
+        assert witness.counterexample == f"{stray} is generated but lies outside the monoid"
 
     def test_ok_detects_failures(self):
         witness = RankWitness(
