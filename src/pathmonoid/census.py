@@ -1,32 +1,40 @@
 """Exact counting and enumeration of PAut(P_n) and IEnd(P_n).
 
-Counting sums a closed-form contribution over all 2^n domain masks.  For a
-mask A (a subset of {1..n}, encoded with bit p-1 for vertex p) write
+One placement rule underlies all of it.  An element with a domain of r
+maximal intervals (blocks) and s vertices sends its blocks, in some order,
+onto r image intervals of the same sizes, each laid down in two
+orientations when its size is at least 2.  The image intervals of PAut
+keep at least ``gap = 1`` free vertex between each other (they stay
+maximal in the image); those of IEnd may touch (``gap = 0``).  By stars and
+bars the ordered image blocks fit on {1..n} in
 
-* r   -- number of maximal intervals (blocks) of A,
-* s   -- |A|,
-* T   -- number of blocks of size >= 2,
-* q1  -- C(n - s + 1, r): placements of r image blocks separated by gaps,
-* q2  -- C(n - s + r, r): placements allowing adjacent image blocks,
-* t_i -- r! * q_i: placements times the assignment of blocks to slots.
+    _slots(n, s, r, gap) = C(n - s + r - (r - 1) * gap, r)
 
-Each block of size >= 2 can be laid down in two orientations, so the mask
-contributes 2^T * t1 elements to PAut and 2^T * t2 to IEnd (the empty mask
-contributes exactly one element, the empty map).
+ways, which is 1 for the empty domain.  So a domain mask with r blocks, s
+vertices and T blocks of size >= 2 has 2^T * r! * _slots elements.
 
-Enumeration is constructive -- image blocks are placed explicitly, never
-filtered from the full symmetric inverse monoid -- so it doubles as an
-independent check of the closed form.
+``count_paut`` and ``count_iend`` group the masks by (r, s).  The domain
+blocks are maximal, so the same rule at gap 1 places them, in
+_slots(n, s, r, 1) = C(n - s + 1, r) ways, times h[r][s - r], the number of
+ways to split s into r block sizes weighted by 2^T.  h is the Pascal-like
+table h[r][m] = h[r][m-1] + h[r-1][m] + h[r-1][m-1] with h[0][0] = 1, so
+the sum has O(n^2) terms.  The sum over all 2^n masks (``count_by_mask``) is
+kept as the per-mask table and as the reference the closed form is checked
+against.
+
+Enumeration places the image blocks explicitly by the same rule, never
+filtering the full symmetric inverse monoid, so its size is a third,
+independent count.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, combinations, permutations, product
 from math import comb, factorial
-from typing import Iterator
+from operator import add
 
 from .errors import ResourceRefused
-from .path_core import PartialInjection, format_element, maximal_intervals
+from .path_core import PartialInjection, _trusted, format_element, maximal_intervals
 
 __all__ = [
     "MaskProfile",
@@ -50,7 +58,9 @@ DEFAULT_N_MAX_ENUMERATE = 8
 
 @dataclass(frozen=True)
 class MaskProfile:
-    """The counting data of one domain mask."""
+    """The counting data of one domain mask: its r blocks, s vertices and T
+    blocks of size >= 2; q1 and q2 are ``_slots`` at gap 1 (PAut) and 0
+    (IEnd), and t_i = r! * q_i."""
 
     n: int
     bits: int
@@ -81,34 +91,21 @@ def mask_to_string(n: int, bits: int) -> str:
     return "".join("1" if bits >> (p - 1) & 1 else "0" for p in range(1, n + 1))
 
 
+def _slots(n: int, s: int, r: int, gap: int) -> int:
+    """Placements of r ordered image blocks of total size s on {1..n},
+    at least ``gap`` free vertices apart."""
+    return comb(n - s + r - (r - 1) * gap, r)
+
+
 def mask_profile(n: int, bits: int) -> MaskProfile:
     """Compute (r, s, T, q1, q2, t1, t2) for one domain mask."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not 0 <= bits < 1 << n:
         raise ValueError(f"mask {bits:#x} out of range for n={n}")
-    r = s = T = 0
-    prev = False  # A(p-1), with the sentinel A(0) = 0
-    run = 0
-    for p in range(1, n + 1):
-        cur = bool(bits >> (p - 1) & 1)
-        if cur:
-            s += 1
-            run += 1
-            if not prev:
-                r += 1
-        else:
-            if run >= 2:
-                T += 1
-            run = 0
-        prev = cur
-    if run >= 2:
-        T += 1
-    if s == 0:
-        q1 = q2 = 1
-    else:
-        q1 = comb(n - s + 1, r)
-        q2 = comb(n - s + r, r)
+    runs = [len(run) for run in mask_to_string(n, bits).split("0") if run]
+    r, s, T = len(runs), sum(runs), sum(size >= 2 for size in runs)
+    q1, q2 = _slots(n, s, r, 1), _slots(n, s, r, 0)
     f = factorial(r)
     return MaskProfile(n=n, bits=bits, r=r, s=s, T=T, q1=q1, q2=q2, t1=f * q1, t2=f * q2)
 
@@ -123,14 +120,33 @@ def iend_contribution(profile: MaskProfile) -> int:
     return (1 << profile.T) * profile.t2
 
 
+def _count(n: int, gap: int) -> int:
+    """The (r, s) sum of the module docstring."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    # h[r][m]: ways to split r + m vertices into r ordered blocks, weighted
+    # by 2 per block of size >= 2.
+    h = [[1] + [0] * n]
+    for r in range(1, (n + 1) // 2 + 1):
+        prev, row = h[-1], [0] * (n + 1)
+        for m in range(n + 1):
+            row[m] = prev[m] + (row[m - 1] + prev[m - 1] if m else 0)
+        h.append(row)
+    return sum(
+        _slots(n, s, r, 1) * factorial(r) * _slots(n, s, r, gap) * h[r][s - r]
+        for r in range(len(h))
+        for s in range(r, n + 2 - max(r, 1))
+    )
+
+
 def count_paut(n: int) -> int:
-    """|PAut(P_n)|, exactly, by the closed form (cost 2^n masks)."""
-    return sum(paut_contribution(mask_profile(n, bits)) for bits in range(1 << n))
+    """|PAut(P_n)|, exactly, by the closed form (O(n^2) terms)."""
+    return _count(n, 1)
 
 
 def count_iend(n: int) -> int:
-    """|IEnd(P_n)|, exactly, by the closed form (cost 2^n masks)."""
-    return sum(iend_contribution(mask_profile(n, bits)) for bits in range(1 << n))
+    """|IEnd(P_n)|, exactly, by the closed form (O(n^2) terms)."""
+    return _count(n, 0)
 
 
 def count_by_mask(n: int) -> list[tuple[MaskProfile, int, int]]:
@@ -145,75 +161,40 @@ def count_by_mask(n: int) -> list[tuple[MaskProfile, int, int]]:
 # -- constructive enumeration -------------------------------------------------
 
 
-def _placements(slot_sizes: list[int], n: int, min_gap: int) -> Iterator[tuple[int, ...]]:
-    """Start positions for ordered blocks of the given sizes on {1..n}.
-
-    Consecutive blocks are separated by at least ``min_gap`` unused vertices
-    (0 lets image blocks touch, 1 keeps them maximal in the image).
-    """
-    r = len(slot_sizes)
-    if r == 0:
-        yield ()
-        return
-    # Minimal span still needed from slot i onward, to bound each start.
-    tail_span = [0] * (r + 1)
-    for i in range(r - 1, -1, -1):
-        extra = min_gap if i < r - 1 else 0
-        tail_span[i] = slot_sizes[i] + extra + tail_span[i + 1]
-
-    def rec(i: int, next_free: int) -> Iterator[tuple[int, ...]]:
-        if i == r:
-            yield ()
-            return
-        for start in range(next_free, n - tail_span[i] + 2):
-            for rest in rec(i + 1, start + slot_sizes[i] + min_gap):
-                yield (start, *rest)
-
-    yield from rec(0, 1)
-
-
 def elements_with_domain(
     n: int, domain: set[int] | frozenset[int], family: str
 ) -> list[PartialInjection]:
     """All members of the family whose domain is exactly ``domain``.
 
-    ``family`` is ``"paut"`` or ``"iend"``.  Blocks of the domain are mapped
-    to explicitly placed image intervals, each orientable when its size
-    allows, which realizes every element exactly once.
+    ``family`` is ``"paut"`` or ``"iend"``.  Each order of the domain blocks
+    is placed by ``_slots``' stars and bars, and each block of size >= 2 in
+    both orientations, which realizes every element exactly once.
     """
     if family not in ("paut", "iend"):
         raise ValueError(f"unknown family {family!r}")
-    min_gap = 1 if family == "paut" else 0
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    mask_from_set(n, domain)  # rejects vertices outside 1..n
     blocks = maximal_intervals(domain)
-    sizes = [hi - lo + 1 for lo, hi in blocks]
-    r = len(blocks)
+    gap = 1 if family == "paut" else 0
+    r, s = len(blocks), sum(hi - lo + 1 for lo, hi in blocks)
+    img = [0] * (n + 1)
     out: list[PartialInjection] = []
-    for assign in permutations(range(r)):
-        slot_sizes = [sizes[b] for b in assign]
-        slot_of = {b: slot for slot, b in enumerate(assign)}
-        for starts in _placements(slot_sizes, n, min_gap):
-            base: list[list[tuple[int, int]]] = []
-            flippable: list[int] = []
-            for b, (lo, hi) in enumerate(blocks):
-                slot = slot_of[b]
-                c = starts[slot]
-                size = sizes[b]
-                base.append([(lo + k, c + k) for k in range(size)])
-                if size >= 2:
-                    flippable.append(b)
-            for flip_mask in range(1 << len(flippable)):
-                pairs: list[tuple[int, int]] = []
-                flipped = {
-                    flippable[i] for i in range(len(flippable)) if flip_mask >> i & 1
-                }
-                for b, block_pairs in enumerate(base):
-                    if b in flipped:
-                        c = starts[slot_of[b]]
-                        top = c + sizes[b] - 1
-                        pairs.extend((x, top - (y - c)) for x, y in block_pairs)
-                    else:
-                        pairs.extend(block_pairs)
-                out.append(PartialInjection(n, pairs))
+    for order in permutations(blocks):
+        # Block k starts bars[k] + offsets[k]: past bars[k] - k free
+        # vertices, the k blocks before it and the k gaps after them.
+        offsets = list(accumulate((hi - lo + gap for lo, hi in order[:-1]), initial=1))
+        for bars in combinations(range(n - s + r - (r - 1) * gap), r):
+            orientations = [
+                (range(c, c + hi - lo + 1), range(c + hi - lo, c - 1, -1))
+                if hi > lo
+                else (range(c, c + 1),)
+                for (lo, hi), c in zip(order, map(add, bars, offsets))
+            ]
+            for images in product(*orientations):
+                for (lo, hi), image in zip(order, images):
+                    img[lo : hi + 1] = image
+                out.append(_trusted(tuple(img)))
     return out
 
 
@@ -225,8 +206,9 @@ def _enumerate_family(n: int, family: str, n_max: int) -> list[PartialInjection]
             f"enumeration at n={n} exceeds the configured bound n_max={n_max}"
         )
     elements: list[PartialInjection] = []
-    for bits in range(1 << n):
-        elements.extend(elements_with_domain(n, mask_to_set(n, bits), family))
+    for s in range(n + 1):
+        for domain in combinations(range(1, n + 1), s):
+            elements.extend(elements_with_domain(n, frozenset(domain), family))
     elements.sort(key=format_element)
     return elements
 

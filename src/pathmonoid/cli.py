@@ -203,20 +203,25 @@ def _peek_element_n(raw: str) -> int | None:
         return None
 
 
-# Largest up-front work estimate ``factor`` and ``expand`` accept: a word's
-# letter count times n, the cost of one composition.  ``factor`` counts the
-# 4n² letters of the factorization step bound (up to n = 292), ``expand``
-# the longest expansion of any symbol (up to n = 1,020,408).
+# Largest up-front work estimate ``factor``, ``expand`` and ``count`` accept.
+# ``factor`` and ``expand`` estimate a word's letter count times n, the cost
+# of one composition: ``factor`` counts the 4n² letters of the factorization
+# step bound (up to n = 292), ``expand`` the longest expansion of any symbol
+# (up to n = 1,020,408).  ``count`` estimates n³, for the O(n²) terms of the
+# closed form on numbers of O(n) digits (up to n = 464, under a second for
+# both families on a 2-core VM).
 MAX_WORD_WORK = 10**8
 
 
-def _refuse_word_work(n: int, letters: int) -> None:
-    work = letters * n
+def _refuse_work(n: int, work: int, how: str) -> None:
     if work > MAX_WORD_WORK:
         raise ResourceRefused(
-            f"n={n} needs an estimated {work} steps ({letters} letters, "
-            f"n per composition), above the bound of {MAX_WORD_WORK}"
+            f"n={n} needs an estimated {work} steps ({how}), above the bound of {MAX_WORD_WORK}"
         )
+
+
+def _refuse_word_work(n: int, letters: int) -> None:
+    _refuse_work(n, letters * n, f"{letters} letters, n per composition")
 
 
 def _require_positive_n(n: int) -> None:
@@ -236,6 +241,9 @@ def _refuse_above(n: int, bound: int, knob: str) -> None:
 
 def _cmd_count(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
     _require_positive_n(args.n)
+    if args.per_mask:
+        _refuse_above(args.n, cfg.n_max_enumerate, "n_max_enumerate")
+    _refuse_work(args.n, args.n**3, "n^3 for the closed form")
     family = args.family
     payload: dict = {"n": args.n, "family": family}
     lines = [f"n {args.n}"]
@@ -246,7 +254,6 @@ def _cmd_count(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
         payload["iend_count"] = count_iend(args.n)
         lines.append(f"iend_count {payload['iend_count']}")
     if args.per_mask:
-        _refuse_above(args.n, cfg.n_max_enumerate, "n_max_enumerate")
         rows = []
         for profile, paut_c, iend_c in count_by_mask(args.n):
             row = {

@@ -178,31 +178,21 @@ def make_generator(sym: Symbol, n: int) -> PartialInjection:
 
 
 def legal_symbols(n: int) -> Iterator[Symbol]:
-    """Every symbol with legal indices at this n, one family at a time.
-
-    The ranges mirror ``_check_symbol``: a admits the boundary conventions
-    a(0) and a(n+1), es admits 0 and n+1, and the shift symbols need an
-    open segment of length at least two between their indices.
-    """
-    yield tau()
-    for i in range(0, n + 2):
-        yield alpha(i)
-    for i in range(1, n + 1):
-        yield alpha_star(i)
-    for i in range(1, n + 1):
-        for j in range(i + 2, n + 1):
-            yield eps(i, j)
-    for i in range(0, n + 2):
-        for j in range(i + 2, n + 2):
-            yield eps_star(i, j)
-    for i in range(0, n + 1):
-        for j in range(i + 3, n + 1):
-            yield rho_plus(i, j)
-    for i in range(1, n + 2):
-        for j in range(i + 3, n + 2):
-            yield rho_minus(i, j)
-    for i in range(2, n):
-        yield beta(i)
+    """Every symbol with legal indices at this n, one kind at a time in the
+    order of ``_INDEX_RULES``, indices ascending; nothing for n < 1."""
+    if n < 1:
+        return
+    indices = range(n + 2)
+    for kind, rule in _INDEX_RULES.items():
+        if kind == "tau":
+            candidates = [(0, 0)]
+        elif kind in _PAIR_KINDS:
+            candidates = [(i, j) for i in indices for j in indices]
+        else:
+            candidates = [(i, 0) for i in indices]
+        for i, j in candidates:
+            if rule(i, j, n):
+                yield Symbol(kind, i, j)
 
 
 def canonical_eps_star(i: int, j: int, n: int) -> Symbol:

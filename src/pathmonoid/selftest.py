@@ -8,7 +8,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterator
 
-from .census import count_iend, count_paut, enumerate_iend, enumerate_paut
+from .census import count_by_mask, count_iend, count_paut, enumerate_iend, enumerate_paut
 from .factorize import factor_iend, factor_paut
 from .genwords import (
     Symbol,
@@ -33,11 +33,21 @@ def _enumerate(family: str, n: int) -> list[PartialInjection]:
 
 
 def check_counts(n: int) -> str | None:
-    """The closed-form counts at n against the enumeration sizes."""
-    for family, count in (("paut", count_paut), ("iend", count_iend)):
-        counted, listed = count(n), len(_enumerate(family, n))
-        if counted != listed:
-            return f"{family} n={n}: the count is {counted}, the enumeration lists {listed}"
+    """Three routes to each family's size at n: the closed form, the sum of
+    the per-mask table, and the length of the enumeration."""
+    table = count_by_mask(n)
+    for family, count, column in (("paut", count_paut, 1), ("iend", count_iend, 2)):
+        routes = {
+            "the closed form": count(n),
+            "the mask sum": sum(row[column] for row in table),
+            "the enumeration": len(_enumerate(family, n)),
+        }
+        values = list(routes.values())
+        if len(set(values)) > 1:
+            # The route outvoted by the other two, else the closed form.
+            odd = min(routes, key=lambda route: values.count(routes[route]))
+            others = ", ".join(f"{r} {v}" for r, v in routes.items() if r != odd)
+            return f"{family} n={n}: {odd} gives {routes[odd]}, against {others}"
     return None
 
 

@@ -51,7 +51,7 @@ from pathmonoid.selftest import (
 from conftest import all_partial_injections, edge_oracle_is_iend
 
 _DESCRIPTIONS = {
-    1: "closed-form counts equal enumeration sizes for n = 1..8",
+    1: "closed-form counts equal the mask sums and enumeration sizes for n = 1..8",
     2: "per-mask counts equal the closed-form mask contributions for n = 1..6",
     3: "the alphabets generate the full monoids by closure",
     4: "every element factors into a word that round-trips exactly",

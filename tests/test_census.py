@@ -27,11 +27,17 @@ from pathmonoid.selftest import check_counts
 
 from conftest import all_partial_injections
 
-# Frozen expected counts, n = 1..8.  Derived once from three independent
-# routes (closed form, constructive enumeration, naive filter of all
-# partial injections) agreeing exactly.
-PAUT_COUNTS = [2, 7, 22, 71, 252, 935, 3614, 14567]
-IEND_COUNTS = [2, 7, 26, 105, 458, 2127, 10450, 53937]
+# Frozen expected counts, n = 1..16.  Derived once from independent routes
+# agreeing exactly: the mask sum throughout, and for n = 1..8 constructive
+# enumeration and the naive filter of all partial injections.
+PAUT_COUNTS = [
+    2, 7, 22, 71, 252, 935, 3614, 14567, 60828, 262415, 1166782, 5334247,
+    25028732, 120328935, 591886958, 2975043959,
+]
+IEND_COUNTS = [
+    2, 7, 26, 105, 458, 2127, 10450, 53937, 291154, 1636535, 9548362, 57654233,
+    359439258, 2308682303, 15250157442, 103427157217,
+]
 
 
 class TestMasks:
@@ -66,17 +72,22 @@ class TestMasks:
 
 
 class TestCounts:
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_frozen_values(self, n):
         assert count_paut(n) == PAUT_COUNTS[n - 1]
         assert count_iend(n) == IEND_COUNTS[n - 1]
+
+    def test_rejects_nonpositive_n(self):
+        for count in (count_paut, count_iend):
+            with pytest.raises(ValueError):
+                count(0)
 
     def test_paut_never_exceeds_iend(self):
         for n in range(1, 13):
             assert count_paut(n) <= count_iend(n)
 
     def test_per_mask_table_sums_to_totals(self):
-        for n in range(1, 7):
+        for n in range(1, 15):
             table = count_by_mask(n)
             assert len(table) == 1 << n
             assert sum(p for _, p, _ in table) == count_paut(n)
@@ -121,6 +132,14 @@ class TestEnumeration:
                     key=str,
                 )
                 assert built == naive, (n, dom, family)
+
+    @pytest.mark.parametrize(
+        "n, domain", [(4, {0, 1}), (4, {2, 5}), (0, set())], ids=["vertex-0", "vertex-n+1", "n-0"]
+    )
+    def test_elements_with_domain_rejects_bad_input(self, n, domain):
+        for family in ("paut", "iend"):
+            with pytest.raises(ValueError):
+                elements_with_domain(n, frozenset(domain), family)
 
     def test_refuses_beyond_bound(self):
         with pytest.raises(ResourceRefused):

@@ -48,6 +48,31 @@ class TestCount:
         assert (mask_1101["r"], mask_1101["s"], mask_1101["T"]) == (2, 3, 1)
         assert mask_1101["paut_contribution"] == 4
 
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (("count", "--n", "24", "--per-mask"), "bound n_max_enumerate=8"),
+            (("count", "--n", "100000000"), f"estimated {10**24} steps"),
+        ],
+        ids=["per-mask-n24", "n1e8"],
+    )
+    def test_refused_before_counting(self, capsys, argv, bound):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "resource-refused" and bound in error["message"]
+
+    def test_edge_of_the_bound(self, capsys):
+        # The closed form is estimated at n³ steps.
+        assert 464**3 <= MAX_WORD_WORK < 465**3
+        code, out, _ = run(capsys, "count", "--n", "464")
+        assert code == 0 and json.loads(out)["iend_count"] > json.loads(out)["paut_count"] > 0
+        code, _, err = run(capsys, "count", "--n", "465")
+        assert code == 3
+        assert f"estimated {465**3} steps" in err and f"bound of {MAX_WORD_WORK}" in err
+
     def test_csv_not_available(self, capsys):
         code, _, err = run(capsys, "count", "--n", "2", "--format", "csv")
         assert code == 2

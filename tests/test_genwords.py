@@ -116,6 +116,8 @@ class TestMakeGenerator:
             assert len(set(symbols)) == len(symbols)
             for sym in symbols:
                 make_generator(sym, n)  # must not raise
+        for n in (0, -1):
+            assert list(legal_symbols(n)) == []
 
 
 class TestAlphabets:

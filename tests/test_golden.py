@@ -42,6 +42,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "expand-rp": ("expand", "--symbol", "rp1,5", "--n", "7"),
     "expand-b": ("expand", "--symbol", "b5", "--n", "7"),
     "count-n10": ("count", "--n", "10"),
+    "count-n16-iend": ("count", "--n", "16", "--family", "iend"),
     "count-n5-per-mask-text": ("count", "--n", "5", "--per-mask", "--format", "text"),
     "enumerate-n4-iend-text": ("enumerate", "--n", "4", "--family", "iend", "--format", "text"),
 }
