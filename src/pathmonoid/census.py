@@ -203,7 +203,7 @@ def _enumerate_family(n: int, family: str, n_max: int) -> list[PartialInjection]
         raise ValueError(f"n must be positive, got {n}")
     if n > n_max:
         raise ResourceRefused(
-            f"enumeration at n={n} exceeds the configured bound n_max={n_max}"
+            f"enumeration at n={n} is above the bound of {n_max}"
         )
     elements: list[PartialInjection] = []
     for s in range(n + 1):

@@ -10,8 +10,10 @@ expand       rewrite a generator symbol over the base alphabet
 verify-rank  check the rank of a family at one n
 selftest     run the oracle suites
 
-Configuration comes from flags, then ``PATHMONOID_*`` environment
-variables, then defaults.  Exit codes: 0 success, 1 verification failure,
+The only setting is the output format: ``--format``, else the
+``PATHMONOID_FORMAT`` environment variable, else json.  Every resource bound
+is fixed (see ``MAX_WORD_WORK`` and ``MAX_CLOSURE_N`` below, and the library
+constants they sit beside).  Exit codes: 0 success, 1 verification failure,
 2 usage error, 3 refused resource bound, 4 internal error (a broken
 invariant, raised as ``RuntimeError``).  In JSON mode, runtime errors are
 reported as ``{"error": {"code", "message"}}`` objects on stderr.
@@ -26,11 +28,12 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import __version__
 from .census import (
+    DEFAULT_N_MAX_ENUMERATE,
     count_by_mask,
     count_iend,
     count_paut,
@@ -39,7 +42,7 @@ from .census import (
     mask_to_string,
 )
 from .errors import ResourceRefused
-from .factorize import factor_iend, factor_paut
+from .factorize import factor_iend, factor_paut, word_length_bound
 from .genwords import (
     MAX_EXPANSION_LENGTH,
     eval_word,
@@ -67,7 +70,6 @@ EXIT_USAGE = 2
 EXIT_REFUSED = 3
 EXIT_INTERNAL = 4
 
-_ENV_PREFIX = "PATHMONOID_"
 _FORMATS = ("json", "text", "csv")
 
 
@@ -75,60 +77,11 @@ class UsageError(Exception):
     """Invalid input discovered after argument parsing."""
 
 
-@dataclass(frozen=True)
-class Config:
-    """Resolved runtime bounds and output settings."""
-
-    n_max_enumerate: int = 8
-    n_max_closure: int = 6
-    subset_search_budget: int = 10_000_000
-    output_format: str = "json"
-
-
-def _env_config() -> Config:
-    cfg = Config()
-    for attr, env_name in (
-        ("n_max_enumerate", "N_MAX_ENUMERATE"),
-        ("n_max_closure", "N_MAX_CLOSURE"),
-        ("subset_search_budget", "SUBSET_SEARCH_BUDGET"),
-    ):
-        raw = os.environ.get(_ENV_PREFIX + env_name)
-        if raw is None:
-            continue
-        try:
-            value = int(raw)
-        except ValueError:
-            raise UsageError(
-                f"{_ENV_PREFIX + env_name} must be an integer, got {raw!r}"
-            ) from None
-        if value < 1:
-            raise UsageError(f"{_ENV_PREFIX + env_name} must be positive, got {raw!r}")
-        cfg = replace(cfg, **{attr: value})
-    raw = os.environ.get(_ENV_PREFIX + "FORMAT")
-    if raw is not None:
-        if raw not in _FORMATS:
-            raise UsageError(
-                f"{_ENV_PREFIX}FORMAT must be one of {', '.join(_FORMATS)}, got {raw!r}"
-            )
-        cfg = replace(cfg, output_format=raw)
-    return cfg
-
-
-def _resolve_config(args: argparse.Namespace) -> Config:
-    cfg = _env_config()
-    for attr, flag_value in (
-        ("n_max_enumerate", args.n_max_enumerate),
-        ("n_max_closure", args.n_max_closure),
-        ("subset_search_budget", args.subset_search_budget),
-    ):
-        if flag_value is None:
-            continue
-        if flag_value < 1:
-            raise UsageError(f"--{attr.replace('_', '-')} must be positive, got {flag_value}")
-        cfg = replace(cfg, **{attr: flag_value})
-    if args.format is not None:
-        cfg = replace(cfg, output_format=args.format)
-    return cfg
+def _env_format() -> str:
+    raw = os.environ.get("PATHMONOID_FORMAT", "json")
+    if raw not in _FORMATS:
+        raise UsageError(f"PATHMONOID_FORMAT must be one of {', '.join(_FORMATS)}, got {raw!r}")
+    return raw
 
 
 # -- output --------------------------------------------------------------------
@@ -144,8 +97,7 @@ class Rendering:
     csv_rows: tuple[tuple, ...] | None = None
 
 
-def _write_output(result: Rendering, cfg: Config, out: io.TextIOBase) -> None:
-    fmt = cfg.output_format
+def _write_output(result: Rendering, fmt: str, out: io.TextIOBase) -> None:
     if fmt == "json":
         out.write(json.dumps(result.payload, indent=2) + "\n")
     elif fmt == "text":
@@ -206,11 +158,15 @@ def _peek_element_n(raw: str) -> int | None:
 # Largest up-front work estimate ``factor``, ``expand`` and ``count`` accept.
 # ``factor`` and ``expand`` estimate a word's letter count times n, the cost
 # of one composition: ``factor`` counts the 4n² letters of the factorization
-# step bound (up to n = 292), ``expand`` the longest expansion of any symbol
-# (up to n = 1,020,408).  ``count`` estimates n³, for the O(n²) terms of the
-# closed form on numbers of O(n) digits (up to n = 464, under a second for
-# both families on a 2-core VM).
+# step bound, ``factorize.word_length_bound`` (up to n = 292), ``expand`` the
+# longest expansion of any symbol (up to n = 1,020,408).  ``count`` estimates
+# n³, for the O(n²) terms of the closed form on numbers of O(n) digits (up to
+# n = 464, under a second for both families on a 2-core VM).
 MAX_WORD_WORK = 10**8
+
+# Largest n ``classify`` and ``verify-rank`` accept: both work on the whole
+# enumerated monoid (IEnd(P_6) has 2,127 elements).
+MAX_CLOSURE_N = 6
 
 
 def _refuse_work(n: int, work: int, how: str) -> None:
@@ -229,20 +185,18 @@ def _require_positive_n(n: int) -> None:
         raise UsageError(f"--n must be positive, got {n}")
 
 
-def _refuse_above(n: int, bound: int, knob: str) -> None:
+def _refuse_above(n: int, bound: int, what: str) -> None:
     if n > bound:
-        raise ResourceRefused(
-            f"n={n} exceeds the configured bound {knob}={bound}"
-        )
+        raise ResourceRefused(f"n={n} is above the bound of {bound} for {what}")
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
-def _cmd_count(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
+def _cmd_count(args: argparse.Namespace) -> tuple[Rendering, int]:
     _require_positive_n(args.n)
     if args.per_mask:
-        _refuse_above(args.n, cfg.n_max_enumerate, "n_max_enumerate")
+        _refuse_above(args.n, DEFAULT_N_MAX_ENUMERATE, "the per-mask table")
     _refuse_work(args.n, args.n**3, "n^3 for the closed form")
     family = args.family
     payload: dict = {"n": args.n, "family": family}
@@ -276,10 +230,10 @@ def _cmd_count(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
     return Rendering(payload=payload, text_lines=tuple(lines)), EXIT_OK
 
 
-def _cmd_enumerate(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[Rendering, int]:
     _require_positive_n(args.n)
     enumerate_family = enumerate_paut if args.family == "paut" else enumerate_iend
-    elements = enumerate_family(args.n, n_max=cfg.n_max_enumerate)
+    elements = enumerate_family(args.n)
     texts = [format_element(a) for a in elements]
     payload = {
         "n": args.n,
@@ -298,11 +252,11 @@ def _cmd_enumerate(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, in
     )
 
 
-def _cmd_classify(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
+def _cmd_classify(args: argparse.Namespace) -> tuple[Rendering, int]:
     _require_positive_n(args.n)
-    _refuse_above(args.n, cfg.n_max_closure, "n_max_closure")
+    _refuse_above(args.n, MAX_CLOSURE_N, "classify")
     enumerate_family = enumerate_paut if args.family == "paut" else enumerate_iend
-    elements = enumerate_family(args.n, n_max=cfg.n_max_enumerate)
+    elements = enumerate_family(args.n)
     relation = args.relation.upper()
     partition = classify_elements(elements, relation)
     classes = [[format_element(a) for a in cls] for cls in partition.classes]
@@ -328,10 +282,10 @@ def _cmd_classify(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int
     )
 
 
-def _cmd_factor(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
+def _cmd_factor(args: argparse.Namespace) -> tuple[Rendering, int]:
     n = _peek_element_n(args.element)
     if n is not None:
-        _refuse_word_work(n, 4 * n * n)
+        _refuse_word_work(n, word_length_bound(n))
     element = _parse_element_arg(args.element)
     if args.n is not None and args.n != element.n:
         raise UsageError(
@@ -370,7 +324,7 @@ def _cmd_factor(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
     return Rendering(payload=payload, text_lines=lines), code
 
 
-def _cmd_expand(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
+def _cmd_expand(args: argparse.Namespace) -> tuple[Rendering, int]:
     _require_positive_n(args.n)
     _refuse_word_work(args.n, MAX_EXPANSION_LENGTH)
     try:
@@ -402,17 +356,11 @@ def _cmd_expand(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
     return Rendering(payload=payload, text_lines=lines), code
 
 
-def _cmd_verify_rank(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
+def _cmd_verify_rank(args: argparse.Namespace) -> tuple[Rendering, int]:
     if args.n < 3:
         raise UsageError(f"verify-rank needs the alphabets, so --n must be >= 3, got {args.n}")
-    _refuse_above(args.n, cfg.n_max_closure, "n_max_closure")
-    witness = verify_rank(
-        args.family,
-        args.n,
-        exhaustive=args.exhaustive,
-        n_max_enumerate=cfg.n_max_enumerate,
-        subset_search_budget=cfg.subset_search_budget,
-    )
+    _refuse_above(args.n, MAX_CLOSURE_N, "verify-rank")
+    witness = verify_rank(args.family, args.n, exhaustive=args.exhaustive)
     payload = {
         "n": witness.n,
         "family": witness.family,
@@ -446,15 +394,15 @@ def _cmd_verify_rank(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, 
     return Rendering(payload=payload, text_lines=tuple(lines)), code
 
 
-def _cmd_selftest(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int]:
+def _cmd_selftest(args: argparse.Namespace) -> tuple[Rendering, int]:
     # Imported here so that the other subcommands do not load the checks.
     from .selftest import run_suites
 
     _require_positive_n(args.n)
-    _refuse_above(args.n, cfg.n_max_enumerate, "n_max_enumerate")
+    _refuse_above(args.n, DEFAULT_N_MAX_ENUMERATE, "selftest")
     suites = []
     lines = []
-    for name, scope, counterexample in run_suites(args.n, n_max_closure=cfg.n_max_closure):
+    for name, scope, counterexample in run_suites(args.n):
         passed = counterexample is None
         suite = {"name": name, "scope": scope, "passed": passed}
         line = f"{'PASS' if passed else 'FAIL'} {name} ({scope})"
@@ -470,7 +418,7 @@ def _cmd_selftest(args: argparse.Namespace, cfg: Config) -> tuple[Rendering, int
     return Rendering(payload=payload, text_lines=tuple(lines)), code
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace, Config], tuple[Rendering, int]]] = {
+_HANDLERS: dict[str, Callable[[argparse.Namespace], tuple[Rendering, int]]] = {
     "count": _cmd_count,
     "enumerate": _cmd_enumerate,
     "classify": _cmd_classify,
@@ -491,27 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=_FORMATS,
         default=None,
         help="output format (default json; csv only for enumerate/classify)",
-    )
-    common.add_argument(
-        "--n-max-enumerate",
-        type=int,
-        default=None,
-        metavar="K",
-        help="largest n for which explicit enumeration is attempted (default 8)",
-    )
-    common.add_argument(
-        "--n-max-closure",
-        type=int,
-        default=None,
-        metavar="K",
-        help="largest n for closure-sized work: classify, verify-rank (default 6)",
-    )
-    common.add_argument(
-        "--subset-search-budget",
-        type=int,
-        default=None,
-        metavar="B",
-        help="largest candidate-subset count for exhaustive rank search (default 10^7)",
     )
 
     parser = argparse.ArgumentParser(
@@ -567,35 +494,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _best_effort_format(argv: Sequence[str]) -> str:
-    """The output format for error objects, before config resolution."""
-    for index, token in enumerate(argv):
-        if token.startswith("--format="):
-            candidate = token.split("=", 1)[1]
-            if candidate in _FORMATS:
-                return candidate
-        if token == "--format" and index + 1 < len(argv):
-            candidate = argv[index + 1]
-            if candidate in _FORMATS:
-                return candidate
-    candidate = os.environ.get(_ENV_PREFIX + "FORMAT", "json")
-    return candidate if candidate in _FORMATS else "json"
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help/--version.
         return int(exc.code or 0)
-    fmt = _best_effort_format(argv)
+    fmt = "json"
     try:
-        cfg = _resolve_config(args)
-        fmt = cfg.output_format
-        result, code = _HANDLERS[args.command](args, cfg)
-        _write_output(result, cfg, sys.stdout)
+        fmt = args.format or _env_format()
+        result, code = _HANDLERS[args.command](args)
+        _write_output(result, fmt, sys.stdout)
         return code
     except UsageError as exc:
         _write_error("usage", str(exc), fmt, sys.stderr)

@@ -34,7 +34,12 @@ from .path_core import (
     is_paut,
 )
 
-__all__ = ["factor_paut", "factor_iend", "canonical_delta"]
+__all__ = ["factor_paut", "factor_iend", "canonical_delta", "word_length_bound"]
+
+
+def word_length_bound(n: int) -> int:
+    """The most letters ``factor_paut`` emits at n by default: 4n²."""
+    return 4 * n * n
 
 
 def _block_order(g: PartialInjection, blocks: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
@@ -123,12 +128,13 @@ def factor_paut(a: PartialInjection, *, step_bound: int | None = None) -> Word:
     """A word in {tau, a, es, rp, rm} letters evaluating to ``a``.
 
     ``a`` must be a partial automorphism.  The word length is bounded by
-    ``step_bound`` (default 4·n²); exceeding it raises RuntimeError.
+    ``step_bound`` (default ``word_length_bound(n)``, 4·n²); exceeding it
+    raises RuntimeError.
     """
     if not is_paut(a):
         raise ValueError(f"{format_element(a)} is not a partial automorphism")
     n = a.n
-    bound = 4 * n * n if step_bound is None else step_bound
+    bound = word_length_bound(n) if step_bound is None else step_bound
     blocks = domain_intervals(a)
 
     start = PartialInjection(n, [(x, x) for x, _ in a.pairs])

@@ -34,7 +34,6 @@ from typing import Callable, Hashable, Iterable, Sequence
 from .path_core import (
     PartialInjection,
     block_image,
-    compose,
     domain_intervals,
     format_element,
     image_intervals,
@@ -200,23 +199,25 @@ def classify(elements: Iterable[PartialInjection], relation: str) -> GreensClass
     return _partition_by_key(relation, elements, key)
 
 
-def _ideal_tables(
-    elements: list[PartialInjection],
-) -> tuple[
-    dict[PartialInjection, set[PartialInjection]],
-    dict[PartialInjection, set[PartialInjection]],
-]:
-    """Principal left and right ideals of every element, in one product sweep."""
-    universe = set(elements)
-    left: dict[PartialInjection, set[PartialInjection]] = {a: {a} for a in elements}
-    right: dict[PartialInjection, set[PartialInjection]] = {a: {a} for a in elements}
-    for a in elements:
-        for b in elements:
-            ab = compose(a, b)
-            if ab not in universe:
+_Img = tuple[int, ...]
+
+
+def _ideal_tables(imgs: list[_Img]) -> tuple[dict[_Img, set[_Img]], dict[_Img, set[_Img]]]:
+    """Principal left and right ideals of every element, in one product sweep
+    over image tuples (x·y maps v to y[x[v]])."""
+    if len(set(map(len, imgs))) > 1:
+        raise ValueError("elements live on different paths")
+    universe = set(imgs)
+    left: dict[_Img, set[_Img]] = {x: {x} for x in imgs}
+    right: dict[_Img, set[_Img]] = {x: {x} for x in imgs}
+    for x in imgs:
+        right_x = right[x]
+        for y in imgs:
+            xy = tuple(map(y.__getitem__, x))
+            if xy not in universe:
                 raise ValueError("input set is not closed under composition")
-            left[b].add(ab)
-            right[a].add(ab)
+            left[y].add(xy)
+            right_x.add(xy)
     return left, right
 
 
@@ -236,19 +237,20 @@ def oracle_classifications(
         if rel not in ("L", "R", "H", "J"):
             raise ValueError(f"oracle supports L, R, H, J; got {rel!r}")
     elements = list(dict.fromkeys(monoid))
-    left, right = _ideal_tables(elements)
-    left_key = {a: frozenset(left[a]) for a in elements}
-    right_key = {a: frozenset(right[a]) for a in elements}
+    imgs = [a.img for a in elements]
+    left, right = _ideal_tables(imgs)
+    left_key = {x: frozenset(left[x]) for x in imgs}
+    right_key = {x: frozenset(right[x]) for x in imgs}
 
     out: dict[str, GreensClassification] = {}
     for rel in wanted:
-        key: dict[PartialInjection, Hashable]
+        key: dict[_Img, Hashable]
         if rel == "L":
             key = left_key
         elif rel == "R":
             key = right_key
         elif rel == "H":
-            key = {a: (left_key[a], right_key[a]) for a in elements}
+            key = {x: (left_key[x], right_key[x]) for x in imgs}
         else:
             # The two-sided ideal M¹aM¹ is the union of the left ideals of
             # aM¹, so it depends on a only through aM¹: take one union per
@@ -257,6 +259,6 @@ def oracle_classifications(
                 rk: frozenset().union(*{left_key[x] for x in rk})
                 for rk in set(right_key.values())
             }
-            key = {a: two_sided[right_key[a]] for a in elements}
-        out[rel] = _partition_by_key(rel, elements, key.__getitem__)
+            key = {x: two_sided[right_key[x]] for x in imgs}
+        out[rel] = _partition_by_key(rel, elements, lambda a: key[a.img])
     return out

@@ -26,14 +26,9 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
-from .census import (
-    DEFAULT_N_MAX_ENUMERATE,
-    elements_with_domain,
-    enumerate_iend,
-    enumerate_paut,
-)
+from .census import elements_with_domain, enumerate_iend, enumerate_paut
 from .errors import ResourceRefused
-from .genwords import alphabet_iend, alphabet_paut, make_generator
+from .genwords import alphabet_iend, alphabet_paut, make_generator, tau
 from .path_core import (
     PartialInjection,
     _trusted,
@@ -93,14 +88,14 @@ class MonoidSet:
         return all(compose(a, b) in elems for a in elems for b in elems)
 
 
-def paut_monoid(n: int, *, n_max: int = DEFAULT_N_MAX_ENUMERATE) -> MonoidSet:
-    """All of PAut(P_n) as a MonoidSet.  Refuses n > ``n_max``."""
-    return MonoidSet(n, frozenset(enumerate_paut(n, n_max=n_max)))
+def paut_monoid(n: int) -> MonoidSet:
+    """All of PAut(P_n) as a MonoidSet.  Refuses what ``enumerate_paut`` does."""
+    return MonoidSet(n, frozenset(enumerate_paut(n)))
 
 
-def iend_monoid(n: int, *, n_max: int = DEFAULT_N_MAX_ENUMERATE) -> MonoidSet:
-    """All of IEnd(P_n) as a MonoidSet.  Refuses n > ``n_max``."""
-    return MonoidSet(n, frozenset(enumerate_iend(n, n_max=n_max)))
+def iend_monoid(n: int) -> MonoidSet:
+    """All of IEnd(P_n) as a MonoidSet.  Refuses what ``enumerate_iend`` does."""
+    return MonoidSet(n, frozenset(enumerate_iend(n)))
 
 
 def alphabet_elements(family: str, n: int) -> list[PartialInjection]:
@@ -147,7 +142,7 @@ def _saturate(
                     buckets[n + 1 - y.count(0)].append(y)
             if max_size is not None and len(seen) > max_size:
                 raise ResourceRefused(
-                    f"closure exceeded the configured bound of {max_size} elements"
+                    f"closure exceeded the bound of {max_size} elements"
                 )
         if within is not None and len(bucket) != layer_sizes[r]:
             return None
@@ -202,11 +197,6 @@ def is_irredundant(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
     return is_generating(gen_list, target) and _first_redundant(gen_list, target) is None
 
 
-def full_reversal(n: int) -> PartialInjection:
-    """The order-reversing automorphism x -> n+1-x."""
-    return PartialInjection(n, [(x, n + 1 - x) for x in range(1, n + 1)])
-
-
 def _forced_generators(target: MonoidSet) -> list[PartialInjection]:
     """Elements that every generating set of ``target`` must contain.
 
@@ -217,7 +207,7 @@ def _forced_generators(target: MonoidSet) -> list[PartialInjection]:
     """
     n = target.n
     ident = identity(n)
-    rev = full_reversal(n)
+    rev = make_generator(tau(), n)
     if rev == ident:
         return []
     full_domain = {a for a in target.elements if len(a) == n}
@@ -338,7 +328,7 @@ def lower_bound_witnesses(n: int) -> dict[str, bool]:
     iend_letters = alphabet_elements("iend", n)
     half = (n + 1) // 2
     checks: dict[str, bool] = {}
-    checks["reversal_in_alphabet"] = full_reversal(n) in paut_letters
+    checks["reversal_in_alphabet"] = make_generator(tau(), n) in paut_letters
 
     meets_every_class = True
     for i in range(1, half + 1):
@@ -405,21 +395,15 @@ def _generation_counterexample(
     return f"{stray} is generated but lies outside the monoid"
 
 
-def verify_rank(
-    family: str,
-    n: int,
-    *,
-    exhaustive: bool = False,
-    n_max_enumerate: int = DEFAULT_N_MAX_ENUMERATE,
-    subset_search_budget: int = DEFAULT_SUBSET_SEARCH_BUDGET,
-) -> RankWitness:
+def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness:
     """Check the rank value of the family at n against the shipped alphabet.
 
     Always verified: the alphabet's size equals the closed-form rank, it
     generates the enumerated monoid, no single letter can be dropped, and
     the lower-bound witness checks hold.  With ``exhaustive`` the subset
     search additionally establishes the rank as an exact lower bound,
-    walking k downward until no k-subset generates.
+    walking k downward until no k-subset generates; it refuses a k whose
+    scope is above ``DEFAULT_SUBSET_SEARCH_BUDGET``.
 
     When the alphabet does not generate, or a letter can be dropped, the
     witness's ``counterexample`` names the first member missing from the
@@ -429,10 +413,7 @@ def verify_rank(
         raise ValueError(f"rank verification needs the alphabets (n >= 3), got n={n}")
     letters = alphabet_elements(family, n)
     formula = rank_formula(family, n)
-    if family == "paut":
-        target = paut_monoid(n, n_max=n_max_enumerate)
-    else:
-        target = iend_monoid(n, n_max=n_max_enumerate)
+    target = paut_monoid(n) if family == "paut" else iend_monoid(n)
     generates = is_generating(letters, target)
     redundant = _first_redundant(letters, target) if generates else None
     counterexample = None
@@ -451,7 +432,7 @@ def verify_rank(
         k = formula - 1
         while k >= 1:
             searched += subset_search_scope(target, k)
-            if exhaustive_min_size(target, k, budget=subset_search_budget):
+            if exhaustive_min_size(target, k):
                 break
             k -= 1
         lower_bound = k + 1

@@ -9,7 +9,7 @@ from functools import partial
 from typing import Iterator
 
 from .census import count_by_mask, count_iend, count_paut, enumerate_iend, enumerate_paut
-from .factorize import factor_iend, factor_paut
+from .factorize import factor_iend, factor_paut, word_length_bound
 from .genwords import (
     Symbol,
     Word,
@@ -28,8 +28,7 @@ from .path_core import PartialInjection, format_element
 
 
 def _enumerate(family: str, n: int) -> list[PartialInjection]:
-    # The caller has bounded n already, so n is also the enumeration bound.
-    return (enumerate_paut if family == "paut" else enumerate_iend)(n, n_max=n)
+    return (enumerate_paut if family == "paut" else enumerate_iend)(n)
 
 
 def check_counts(n: int) -> str | None:
@@ -67,7 +66,7 @@ def check_round_trip(family: str, n: int) -> str | None:
     alphabet = frozenset(alphabet_paut(n) if family == "paut" else alphabet_iend(n))
     for a in _enumerate(family, n):
         word = factor(a)
-        if len(word) > 4 * n * n:
+        if len(word) > word_length_bound(n):
             fault = f"has {len(word)} letters, above 4n^2"
         elif fault := _word_fault(expand_word(word), alphabet, a):
             fault = f"expands to a word that {fault}"
@@ -109,11 +108,9 @@ def check_greens(family: str, n: int) -> str | None:
     return None
 
 
-def run_suites(n: int, *, n_max_closure: int) -> Iterator[tuple[str, str, str | None]]:
-    """Each suite's name, scope and first counterexample (None if it passed);
-    the Green's suite stops at ``n_max_closure``."""
-    paut_hi, iend_hi, symbol_hi = min(n, 6), min(n, 5), min(n, 10)
-    greens_hi = min(n, 5, n_max_closure)
+def run_suites(n: int) -> Iterator[tuple[str, str, str | None]]:
+    """Each suite's name, scope and first counterexample (None if it passed)."""
+    paut_hi, iend_hi, symbol_hi, greens_hi = min(n, 6), min(n, 5), min(n, 10), min(n, 5)
     suites = (
         ("counts-match-enumeration", f"n=1..{n}", [
             partial(check_counts, k) for k in range(1, n + 1)]),

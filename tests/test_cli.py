@@ -1,4 +1,4 @@
-"""Command-line interface: outputs, formats, configuration, exit codes."""
+"""Command-line interface: outputs, formats, fixed bounds, exit codes."""
 
 from __future__ import annotations
 
@@ -8,9 +8,10 @@ from functools import partial
 
 import pytest
 
-from pathmonoid import GreensClassification, Word, cli, count_iend, rankcheck, selftest
+from pathmonoid import GreensClassification, Word, cli, count_iend, count_paut, rankcheck, selftest
 from pathmonoid.cli import MAX_WORD_WORK, main
 from pathmonoid.genwords import MAX_EXPANSION_LENGTH
+from pathmonoid.rankcheck import DEFAULT_SUBSET_SEARCH_BUDGET
 from pathmonoid.selftest import (
     check_counts,
     check_expansions,
@@ -51,7 +52,7 @@ class TestCount:
     @pytest.mark.parametrize(
         "argv, bound",
         [
-            (("count", "--n", "24", "--per-mask"), "bound n_max_enumerate=8"),
+            (("count", "--n", "24", "--per-mask"), "bound of 8 for the per-mask table"),
             (("count", "--n", "100000000"), f"estimated {10**24} steps"),
         ],
         ids=["per-mask-n24", "n1e8"],
@@ -131,7 +132,7 @@ class TestClassify:
     def test_closure_cap_refusal(self, capsys):
         code, _, err = run(capsys, "classify", "--n", "7", "--family", "paut", "--relation", "L")
         assert code == 3
-        assert "n_max_closure" in json.loads(err)["error"]["message"]
+        assert json.loads(err)["error"]["message"] == "n=7 is above the bound of 6 for classify"
 
 
 class TestFactor:
@@ -249,23 +250,22 @@ class TestVerifyRank:
         assert code == 2
 
     def test_budget_refusal(self, capsys):
-        code, _, err = run(
-            capsys,
-            "verify-rank", "--n", "5", "--family", "paut", "--exhaustive",
-            "--subset-search-budget", "1000",
-        )
-        assert code == 3
+        # IEnd(P_5) has 458 elements; with the forced reversal the 5-subsets
+        # to search number C(457, 4), far above the budget.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify-rank", "--n", "5", "--family", "iend", "--exhaustive")
+        assert time.perf_counter() - start < 2.0
+        assert code == 3 and out == ""
         error = json.loads(err)["error"]
         assert error["code"] == "resource-refused"
-        assert "searching 31375 candidate 3-subsets" in error["message"]
+        assert error["message"] == (
+            f"searching 1793647310 candidate 5-subsets exceeds the budget of "
+            f"{DEFAULT_SUBSET_SEARCH_BUDGET}"
+        )
 
     def test_budget_counts_the_subsets_searched(self, capsys):
         # C(105, 3) = 187,460 subsets, but the forced reversal leaves C(104, 2).
-        code, out, _ = run(
-            capsys,
-            "verify-rank", "--n", "4", "--family", "iend", "--exhaustive",
-            "--subset-search-budget", "6000",
-        )
+        code, out, _ = run(capsys, "verify-rank", "--n", "4", "--family", "iend", "--exhaustive")
         payload = json.loads(out)
         assert code == 0 and payload["ok"] is True
         assert payload["subsets_searched"] == 5356
@@ -368,17 +368,23 @@ class TestSelftest:
 
 class TestConfig:
     def test_env_overrides_default(self, capsys, monkeypatch):
+        # The bounds are fixed: the former bound variables are ignored.
         monkeypatch.setenv("PATHMONOID_N_MAX_ENUMERATE", "3")
-        code, _, err = run(capsys, "enumerate", "--n", "4", "--family", "paut")
-        assert code == 3
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PATHMONOID_N_MAX_ENUMERATE", "3")
-        code, out, _ = run(
-            capsys, "enumerate", "--n", "4", "--family", "paut", "--n-max-enumerate", "5"
-        )
+        monkeypatch.setenv("PATHMONOID_N_MAX_CLOSURE", "3")
+        code, out, _ = run(capsys, "enumerate", "--n", "4", "--family", "paut")
+        assert code == 0 and json.loads(out)["count"] == 71
+        code, _, _ = run(capsys, "classify", "--n", "4", "--family", "paut", "--relation", "J")
         assert code == 0
-        assert json.loads(out)["count"] == 71
+        monkeypatch.setenv("PATHMONOID_N_MAX_ENUMERATE", "20")
+        code, _, err = run(capsys, "enumerate", "--n", "9", "--family", "paut")
+        assert code == 3 and "bound of 8" in err
+
+    def test_flag_overrides_env(self, capsys):
+        # The bound flags are gone: argparse rejects them as usage errors.
+        for flag in ("--n-max-enumerate", "--n-max-closure", "--subset-search-budget"):
+            code, out, err = run(capsys, "enumerate", "--n", "4", "--family", "paut", flag, "5")
+            assert code == 2 and out == ""
+            assert f"unrecognized arguments: {flag} 5" in err
 
     def test_env_format(self, capsys, monkeypatch):
         monkeypatch.setenv("PATHMONOID_FORMAT", "text")
@@ -388,14 +394,70 @@ class TestConfig:
 
     def test_bad_env_value(self, capsys, monkeypatch):
         monkeypatch.setenv("PATHMONOID_SUBSET_SEARCH_BUDGET", "lots")
-        code, _, err = run(capsys, "count", "--n", "2")
-        assert code == 2
+        code, _, _ = run(capsys, "count", "--n", "2")
+        assert code == 0
+        monkeypatch.setenv("PATHMONOID_FORMAT", "yaml")
+        code, out, err = run(capsys, "count", "--n", "2")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "usage" and "PATHMONOID_FORMAT" in err
 
     def test_error_objects_respect_env_format(self, capsys, monkeypatch):
         monkeypatch.setenv("PATHMONOID_FORMAT", "text")
         code, _, err = run(capsys, "enumerate", "--n", "9", "--family", "paut")
         assert code == 3
         assert err.startswith("error (resource-refused):")
+
+
+class TestFixedBounds:
+    """Each fixed bound runs the request at its edge and refuses one past it.
+    The subset budget's refusal is ``TestVerifyRank::test_budget_refusal``."""
+
+    @pytest.mark.parametrize(
+        "argv, check",
+        [
+            (("enumerate", "--n", "8", "--family", "paut"), lambda p: p["count"] == count_paut(8)),
+            (("count", "--n", "8", "--per-mask"), lambda p: len(p["per_mask"]) == 256),
+            (("classify", "--n", "6", "--family", "paut", "--relation", "J"),
+             lambda p: sum(map(len, p["classes"])) == count_paut(6)),
+            (("verify-rank", "--n", "5", "--family", "paut", "--exhaustive"),
+             lambda p: p["ok"] and p["subsets_searched"] == 31375),
+        ],
+        ids=["enumerate-n8", "per-mask-n8", "classify-n6", "exhaustive-paut-n5"],
+    )
+    def test_edge_runs(self, capsys, argv, check):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and check(json.loads(out))
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("enumerate", "--n", "9", "--family", "iend"), "enumeration at n=9 is above the bound of 8"),
+            (("count", "--n", "9", "--per-mask"), "n=9 is above the bound of 8 for the per-mask table"),
+            (("classify", "--n", "7", "--family", "iend", "--relation", "H"),
+             "n=7 is above the bound of 6 for classify"),
+            (("verify-rank", "--n", "7", "--family", "iend"),
+             "n=7 is above the bound of 6 for verify-rank"),
+            (("selftest", "--n", "9"), "n=9 is above the bound of 8 for selftest"),
+        ],
+        ids=["enumerate-n9", "per-mask-n9", "classify-n7", "verify-rank-n7", "selftest-n9"],
+    )
+    def test_one_past_the_edge_refused(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "resource-refused" and message in error["message"]
+
+    @pytest.mark.parametrize(
+        "command", ["count", "enumerate", "classify", "factor", "expand", "verify-rank", "selftest"]
+    )
+    def test_help_lists_no_bound_flag(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert "--format" in out
+        for flag in ("--n-max-enumerate", "--n-max-closure", "--subset-search-budget"):
+            assert flag not in out
 
 
 class TestDeterminism:

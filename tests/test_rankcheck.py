@@ -26,12 +26,12 @@ from pathmonoid import (
     verify_rank,
 )
 from pathmonoid import rankcheck
+from pathmonoid.genwords import make_generator, tau
 from pathmonoid.rankcheck import (
     RankWitness,
     alphabet_elements,
     corank_one_non_automorphisms_have_end_deleted_image,
     end_deleted_domain_elements_are_automorphisms,
-    full_reversal,
     point_deleted_class,
     subset_search_scope,
 )
@@ -40,7 +40,7 @@ from pathmonoid.rankcheck import (
 class TestMonoidSet:
     def test_requires_identity(self):
         with pytest.raises(ValueError):
-            MonoidSet(3, frozenset({full_reversal(3)}))
+            MonoidSet(3, frozenset({make_generator(tau(), 3)}))
 
     def test_requires_consistent_n(self):
         with pytest.raises(ValueError):
@@ -61,8 +61,8 @@ class TestMonoidSet:
 class TestClosure:
     def test_reversal_alone(self):
         for n in (2, 4):
-            got = closure([full_reversal(n)], n)
-            assert got.elements == frozenset({identity(n), full_reversal(n)})
+            got = closure([make_generator(tau(), n)], n)
+            assert got.elements == frozenset({identity(n), make_generator(tau(), n)})
 
     def test_empty_generators(self):
         assert closure([], 3).elements == frozenset({identity(3)})
@@ -93,7 +93,7 @@ class TestClosure:
 class TestIsGenerating:
     def test_examples(self):
         assert is_generating(alphabet_elements("paut", 4), paut_monoid(4))
-        assert not is_generating([full_reversal(3)], paut_monoid(3))
+        assert not is_generating([make_generator(tau(), 3)], paut_monoid(3))
 
     def test_non_members_cannot_generate(self):
         # A generator outside the target can never produce exactly it.
