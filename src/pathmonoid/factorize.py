@@ -20,10 +20,13 @@ yields a word over B(n) -- over A(n) for partial automorphisms.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 
-from .genwords import Symbol, Word, alpha, beta, canonical_eps_star, make_generator, rho_minus, rho_plus
+from .genwords import Symbol, Word, _trusted_word, alpha, beta, canonical_eps_star, make_generator
+from .genwords import rho_minus, rho_plus
 from .path_core import (
     PartialInjection,
+    _trusted,
     block_image,
     compose,
     domain_intervals,
@@ -42,20 +45,21 @@ def word_length_bound(n: int) -> int:
     return 4 * n * n
 
 
-def _block_order(g: PartialInjection, blocks: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+def _block_order(img: tuple[int, ...], blocks: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """Block indices sorted by where their images sit, left to right."""
-    return tuple(sorted(range(len(blocks)), key=lambda r: block_image(g, blocks[r])[0]))
+    lows = [min(img[lo : hi + 1]) for lo, hi in blocks]
+    return tuple(sorted(range(len(blocks)), key=lows.__getitem__))
 
 
 class _Emitter:
-    """Tracks the working element and enforces the emitted-letter bound."""
+    """Tracks the working image tuple and enforces the emitted-letter bound."""
 
-    def __init__(self, n: int, start: PartialInjection, bound: int):
+    def __init__(self, n: int, start: tuple[int, ...], bound: int):
         self.n = n
-        self.current = start
+        self.img = start
         self.bound = bound
         self.letters: list[Symbol] = []
-        self._generators: dict[Symbol, PartialInjection] = {}
+        self._generators: dict[Symbol, tuple[int, ...]] = {}
 
     def emit(self, sym: Symbol) -> None:
         if len(self.letters) >= self.bound:
@@ -65,8 +69,8 @@ class _Emitter:
         self.letters.append(sym)
         g = self._generators.get(sym)
         if g is None:
-            g = self._generators[sym] = make_generator(sym, self.n)
-        self.current = compose(self.current, g)
+            g = self._generators[sym] = make_generator(sym, self.n).img
+        self.img = itemgetter(*self.img)(g)
 
 
 def _repair_block_order(
@@ -81,12 +85,12 @@ def _repair_block_order(
     """
     n = em.n
     while True:
-        order = _block_order(em.current, blocks)
+        order = _block_order(em.img, blocks)
         if order == target_order:
             return
         s = next(p for p in range(len(blocks)) if order[p] != target_order[p])
-        t = block_image(em.current, blocks[order[s]])[0]
-        q = block_image(em.current, blocks[target_order[s]])[1]
+        t = block_image(em.img, blocks[order[s]])[0]
+        q = block_image(em.img, blocks[target_order[s]])[1]
         if not t <= q:
             raise RuntimeError("block order repair selected an empty segment")
         em.emit(canonical_eps_star(t - 1, q + 1, n))
@@ -136,33 +140,36 @@ def factor_paut(a: PartialInjection, *, step_bound: int | None = None) -> Word:
     n = a.n
     bound = word_length_bound(n) if step_bound is None else step_bound
     blocks = domain_intervals(a)
+    target = a.img
 
-    start = PartialInjection(n, [(x, x) for x, _ in a.pairs])
+    # The identity on Dom a.
+    start = tuple(x if y else 0 for x, y in enumerate(target))
     em = _Emitter(n, start, bound)
     # Domain restriction: a(i)^2 is the identity off vertex i.
     for i in range(1, n + 1):
-        if i not in a:
+        if not target[i]:
             em.emit(alpha(i))
             em.emit(alpha(i))
-    if em.current != start:
+    if em.img != start:
         raise RuntimeError("domain restriction letters disagree with the restricted identity")
 
-    target_order = _block_order(a, blocks)
+    target_order = _block_order(target, blocks)
     _repair_block_order(em, blocks, target_order)
 
-    while em.current != a:
-        order = _block_order(em.current, blocks)
+    while em.img != target:
+        cur = em.img
+        order = _block_order(cur, blocks)
         if order != target_order:
             raise RuntimeError("shift letters disturbed the block order")
         u = next(
             p
             for p, (lo, hi) in enumerate(blocks[r] for r in order)
-            if em.current.img[lo : hi + 1] != a.img[lo : hi + 1]
+            if cur[lo : hi + 1] != target[lo : hi + 1]
         )
         block = blocks[order[u]]
-        cur_lo, cur_hi = block_image(em.current, block)
-        tgt_lo, tgt_hi = block_image(a, block)
-        img = em.current.image_set()
+        cur_lo, cur_hi = block_image(cur, block)
+        tgt_lo, tgt_hi = block_image(target, block)
+        img = frozenset(cur) - {0}
         if (cur_lo, cur_hi) == (tgt_lo, tgt_hi):
             # Image in place; the restriction differs, so flip it in place.
             em.emit(canonical_eps_star(cur_lo - 1, cur_hi + 1, n))
@@ -171,22 +178,25 @@ def factor_paut(a: PartialInjection, *, step_bound: int | None = None) -> Word:
         else:
             floor = 0
             if u > 0:
-                floor = max(block_image(em.current, blocks[order[p]])[1] for p in range(u))
+                floor = max(block_image(cur, blocks[order[p]])[1] for p in range(u))
             em.emit(_shift_left_letter(img, cur_lo, cur_hi, floor, n))
-    return Word(n, tuple(em.letters))
+    # Every letter passed ``make_generator`` in ``_Emitter.emit``.
+    return _trusted_word(n, tuple(em.letters))
 
 
 def canonical_delta(b: PartialInjection) -> PartialInjection:
     """The packing automorphism for Im b: each maximal image interval is
     carried order-preservingly onto the leftmost free slots, consecutive
     intervals separated by exactly one gap."""
-    pairs: list[tuple[int, int]] = []
+    # The intervals already sit apart by at least one gap, so the packed
+    # ones fit in {1..n}.
+    img = [0] * (b.n + 1)
     offset = 1
     for lo, hi in image_intervals(b):
         size = hi - lo + 1
-        pairs.extend((lo + k, offset + k) for k in range(size))
+        img[lo : hi + 1] = range(offset, offset + size)
         offset += size + 1
-    return PartialInjection(b.n, pairs)
+    return _trusted(tuple(img))
 
 
 def factor_iend(b: PartialInjection, *, step_bound: int | None = None) -> Word:
@@ -216,8 +226,9 @@ def factor_iend(b: PartialInjection, *, step_bound: int | None = None) -> Word:
     cuts = sorted(packed[x] for x in junctions)
 
     # Spread the packed map at each cut; the result is a partial automorphism
-    # and the b-letters merge the pieces back together.
-    spread = PartialInjection(n, [(x, y + bisect_left(cuts, y)) for x, y in packed.pairs])
+    # and the b-letters merge the pieces back together.  Each cut joins two
+    # domain blocks, so the image still ends by |Dom b| + #blocks - 1 <= n.
+    spread = _trusted(tuple(y and y + bisect_left(cuts, y) for y in packed.img))
     if not is_paut(spread):
         raise RuntimeError("junction split did not produce a partial automorphism")
     merged = spread

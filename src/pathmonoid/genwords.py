@@ -39,7 +39,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from .path_core import PartialInjection, _trusted, identity
 
@@ -70,9 +71,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Symbol:
-    """One generator name; ``kind`` doubles as the text-format mnemonic."""
+class Symbol(NamedTuple):
+    """One generator name; ``kind`` doubles as the text-format mnemonic.  It
+    orders, hashes and compares equal as the plain tuple ``(kind, i, j)``."""
 
     kind: str
     i: int = 0
@@ -211,7 +212,9 @@ def canonical_eps_star(i: int, j: int, n: int) -> Symbol:
 
 @dataclass(frozen=True)
 class Word:
-    """A sequence of generator symbols over a fixed n, validated on creation."""
+    """A sequence of generator symbols over a fixed n.  The constructor and
+    ``parse_word`` check every letter; words built inside the package from
+    checked letters (``+``, ``expand_word``, factorization) skip the check."""
 
     n: int
     letters: tuple[Symbol, ...]
@@ -229,7 +232,16 @@ class Word:
     def __add__(self, other: "Word") -> "Word":
         if self.n != other.n:
             raise ValueError("cannot concatenate words over different n")
-        return Word(self.n, self.letters + other.letters)
+        return _trusted_word(self.n, self.letters + other.letters)
+
+
+def _trusted_word(n: int, letters: tuple[Symbol, ...]) -> Word:
+    """Wrap ``letters`` without checks; every letter must already be legal
+    at n (see ``_check_symbol``)."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "n", n)
+    object.__setattr__(word, "letters", letters)
+    return word
 
 
 def eval_symbols(letters: Iterable[Symbol], n: int) -> PartialInjection:
@@ -240,7 +252,7 @@ def eval_symbols(letters: Iterable[Symbol], n: int) -> PartialInjection:
         g = images.get(sym)
         if g is None:
             g = images[sym] = make_generator(sym, n).img
-        out = tuple(map(g.__getitem__, out))
+        out = itemgetter(*out)(g)
     return _trusted(out)
 
 
@@ -356,7 +368,8 @@ def expand_word(word: Word) -> Word:
     letters: list[Symbol] = []
     for sym in word.letters:
         letters.extend(_expand(sym.kind, sym.i, sym.j, n))
-    return Word(n, tuple(letters))
+    # Every leaf of ``_expand`` passed ``_is_base_letter``.
+    return _trusted_word(n, tuple(letters))
 
 
 # -- text form ----------------------------------------------------------------

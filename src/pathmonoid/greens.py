@@ -29,6 +29,7 @@ enumerated monoid -- and is the independent reference for the keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .path_core import (
@@ -76,7 +77,7 @@ def type_sequence(a: PartialInjection, j: tuple[int, int]) -> tuple[int, ...]:
 def _type_sequence(a: PartialInjection, j: tuple[int, int]) -> tuple[int, ...]:
     lo, hi = j
     blocks = maximal_intervals(x for x, y in enumerate(a.img) if lo <= y <= hi)
-    ordered = sorted(blocks, key=lambda block: block_image(a, block))
+    ordered = sorted(blocks, key=lambda block: block_image(a.img, block))
     return tuple(b_hi - b_lo + 1 for b_lo, b_hi in ordered)
 
 
@@ -212,8 +213,9 @@ def _ideal_tables(imgs: list[_Img]) -> tuple[dict[_Img, set[_Img]], dict[_Img, s
     right: dict[_Img, set[_Img]] = {x: {x} for x in imgs}
     for x in imgs:
         right_x = right[x]
+        x_then = itemgetter(*x)
         for y in imgs:
-            xy = tuple(map(y.__getitem__, x))
+            xy = x_then(y)
             if xy not in universe:
                 raise ValueError("input set is not closed under composition")
             left[y].add(xy)

@@ -17,6 +17,7 @@ empty map is ``"n=5;"``).
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -169,10 +170,14 @@ def _trusted(img: tuple[int, ...]) -> PartialInjection:
 
 
 def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
-    """Right-action composite: x -> b(a(x)) where both sides are defined."""
+    """Right-action composite: x -> b(a(x)) where both sides are defined.
+
+    The package's one composition idiom: on image tuples x·y is
+    ``itemgetter(*x)(y)``, always a tuple since len(x) = n+1 >= 2.  Loops
+    multiplying one x by many y build ``itemgetter(*x)`` once."""
     if a.n != b.n:
         raise ValueError(f"cannot compose maps on different paths (n={a.n} vs n={b.n})")
-    return _trusted(tuple(map(b.img.__getitem__, a.img)))
+    return _trusted(itemgetter(*a.img)(b.img))
 
 
 def inverse(a: PartialInjection) -> PartialInjection:
@@ -232,10 +237,10 @@ def image_intervals(a: PartialInjection) -> tuple[tuple[int, int], ...]:
     return maximal_intervals(y for y in a.img if y)
 
 
-def block_image(a: PartialInjection, block: tuple[int, int]) -> tuple[int, int]:
+def block_image(img: tuple[int, ...], block: tuple[int, int]) -> tuple[int, int]:
     """``(min, max)`` of the images of the domain block ``(lo, hi)``, an
-    interval inside Dom a."""
-    values = a.img[block[0] : block[1] + 1]
+    interval inside the domain of the image tuple ``img``."""
+    values = img[block[0] : block[1] + 1]
     return min(values), max(values)
 
 
@@ -267,7 +272,7 @@ def is_paut(a: PartialInjection) -> bool:
     for block in domain_intervals(a):
         if not _is_monotone_onto_interval(img[block[0] : block[1] + 1]):
             return False
-        if block_image(a, block) not in img_blocks:
+        if block_image(img, block) not in img_blocks:
             return False
     return True
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .census import elements_with_domain, enumerate_iend, enumerate_paut
@@ -133,8 +134,9 @@ def _saturate(
         # Products of the same rank are appended to the bucket being drained;
         # iterating a list visits what is appended during the loop.
         for x in bucket:
+            x_then = itemgetter(*x)
             for g in letters:
-                y = tuple(map(g.__getitem__, x))
+                y = x_then(g)
                 if y not in seen:
                     if within is not None and y not in members:
                         return None

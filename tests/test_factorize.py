@@ -6,6 +6,7 @@ import pytest
 
 from pathmonoid import (
     PartialInjection,
+    Word,
     canonical_delta,
     enumerate_iend,
     enumerate_paut,
@@ -92,6 +93,11 @@ class TestRoundTrips:
             assert eval_word(factor_iend(a)) == a
 
     def test_words_use_only_legal_letters(self):
-        # Word construction validates ranges, so this exercises it directly.
-        for a in enumerate_iend(4):
-            factor_iend(a)  # must not raise
+        # Factor and expand build their words without checks; rebuilding
+        # through the checking constructor re-checks every letter.
+        for factor, elements in ((factor_paut, enumerate_paut(5)), (factor_iend, enumerate_iend(5))):
+            for a in elements:
+                word = factor(a)
+                assert Word(word.n, word.letters) == word, a
+                base = expand_word(word)
+                assert Word(base.n, base.letters) == base, a

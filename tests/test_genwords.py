@@ -43,6 +43,36 @@ from pathmonoid.genwords import (
 from pathmonoid.selftest import check_expansions
 
 
+class TestSymbol:
+    def test_repr(self):
+        assert repr(alpha(1)) == "Symbol(kind='a', i=1, j=0)"
+        assert repr(eps_star(0, 4)) == "Symbol(kind='es', i=0, j=4)"
+
+    def test_order(self):
+        ordered = " ".join(format_symbol(sym) for sym in sorted(legal_symbols(3)))
+        assert ordered == (
+            "a0 a1 a2 a3 a4 as1 as2 as3 b2 e1,3 es0,2 es0,3 es0,4 es1,3 es1,4 es2,4 rm1,4 rp0,3 tau"
+        )
+
+    def test_immutable(self):
+        sym = alpha(1)
+        with pytest.raises(AttributeError):
+            sym.i = 2
+        with pytest.raises(AttributeError):
+            sym.extra = 2
+
+    def test_hash_and_equality_follow_the_fields(self):
+        symbols = list(legal_symbols(6))
+        assert len(set(symbols)) == len(symbols)
+        for sym in symbols:
+            twin = Symbol(sym.kind, sym.i, sym.j)
+            assert twin == sym and hash(twin) == hash(sym)
+        assert Symbol("a", 1) == Symbol("a", 1, 0) != Symbol("a", 2)
+        assert Symbol("e", 1, 3) != Symbol("es", 1, 3)
+        # Documented: a Symbol equals the plain tuple of its fields.
+        assert alpha(1) == ("a", 1, 0)
+
+
 class TestMakeGenerator:
     def test_tau(self):
         assert make_generator(tau(), 4) == PartialInjection(4, [(1, 4), (2, 3), (3, 2), (4, 1)])

@@ -39,6 +39,17 @@ CASES: dict[str, tuple[str, ...]] = {
         "factor", "--element", '{"n": 6, "pairs": [[1, 2], [2, 1], [4, 3], [6, 6]]}',
         "--alphabet", "derived", "--format", "text",
     ),
+    # Workload-size cases: n = 24, several domain blocks, some reversed.
+    "factor-n24-iend-base": (
+        "factor", "--element",
+        "n=24;1>10,2>11,3>12,4>13,6>14,7>15,8>16,11>5,12>4,13>3,14>2,18>23,19>24,21>20,22>19",
+        "--alphabet", "base",
+    ),
+    "factor-n24-paut-text": (
+        "factor", "--element",
+        "n=24;2>21,3>20,4>19,5>18,8>3,9>4,10>5,14>12,15>11,16>10,17>9,20>24,21>23",
+        "--format", "text",
+    ),
     "expand-rp": ("expand", "--symbol", "rp1,5", "--n", "7"),
     "expand-b": ("expand", "--symbol", "b5", "--n", "7"),
     "count-n10": ("count", "--n", "10"),

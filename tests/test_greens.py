@@ -167,10 +167,19 @@ class TestClassify:
 
 
 class TestOracle:
-    @pytest.mark.parametrize("n", (3, 4))
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
     @pytest.mark.parametrize("family", ("paut", "iend"))
     def test_predicates_match_ideals(self, n, family):
         assert check_greens(family, n) is None
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    @pytest.mark.parametrize("family", ("paut", "iend"))
+    def test_oracle_matches_pairwise_references(self, n, family):
+        m = enumerate_paut(n) if family == "paut" else enumerate_iend(n)
+        oracle = oracle_classifications(m)
+        for (_, reference), relation in zip(REFERENCES, ("L", "R", "H", "J")):
+            expected = frozenset(frozenset(b for b in m if reference(a, b)) for a in m)
+            assert oracle[relation].as_sets() == expected, relation
 
     def test_oracle_rejects_non_closed_input(self):
         # {id restricted to {1}} alone is closed; adding a non-composable

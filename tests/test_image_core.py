@@ -25,7 +25,7 @@ from pathmonoid import (
     legal_symbols,
     make_generator,
 )
-from pathmonoid.genwords import alpha, tau
+from pathmonoid.genwords import alpha, eval_symbols, tau
 
 
 def assert_well_formed(a: PartialInjection, expected: dict[int, int]) -> None:
@@ -77,6 +77,16 @@ class TestAgainstNaive:
     @given(words())
     def test_eval_word(self, word):
         assert_well_formed(eval_word(word), naive_eval(word.letters, word.n))
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_eval_symbols_every_short_word_at_tiny_n(self, n):
+        # An image tuple of length 2 or 3 is the shortest the composition
+        # kernel meets.
+        symbols = list(legal_symbols(n))
+        words = [()] + [(s,) for s in symbols]
+        words += [(s, t, u) for s in symbols for t in symbols for u in symbols]
+        for letters in words:
+            assert_well_formed(eval_symbols(letters, n), naive_eval(letters, n))
 
 
 class TestMappingViewEdges:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from conftest import reference_closure
@@ -167,6 +168,22 @@ class TestAgainstReferenceClosure:
             generates = expected == target.elements
             assert is_generating(gens, target) is generates, gens
             outcomes.add(generates)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("family,n", [(family, n) for family in MONOIDS for n in (1, 2)])
+    def test_closure_and_is_generating_tiny_n(self, family, n):
+        # No alphabets below n = 3; every set of at most three members.
+        target = MONOIDS[family](n)
+        pool = sorted(target, key=format_element)
+        outcomes = set()
+        for size in range(4):
+            for gens in combinations(pool, size):
+                gens = list(gens)
+                expected = reference_closure(gens, n)
+                assert closure(gens, n).elements == expected, gens
+                generates = expected == target.elements
+                assert is_generating(gens, target) is generates, gens
+                outcomes.add(generates)
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("family,n", FAMILY_CASES)
