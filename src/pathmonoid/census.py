@@ -50,10 +50,11 @@ __all__ = [
     "enumerate_paut",
     "enumerate_iend",
     "elements_with_domain",
-    "DEFAULT_N_MAX_ENUMERATE",
+    "MAX_ENUMERATE_N",
 ]
 
-DEFAULT_N_MAX_ENUMERATE = 8
+# Largest n ``enumerate_*`` accepts: IEnd(P_8) has 53,937 elements.
+MAX_ENUMERATE_N = 8
 
 
 @dataclass(frozen=True)
@@ -198,13 +199,11 @@ def elements_with_domain(
     return out
 
 
-def _enumerate_family(n: int, family: str, n_max: int) -> list[PartialInjection]:
+def _enumerate_family(n: int, family: str) -> list[PartialInjection]:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n > n_max:
-        raise ResourceRefused(
-            f"enumeration at n={n} is above the bound of {n_max}"
-        )
+    if n > MAX_ENUMERATE_N:
+        raise ResourceRefused(f"enumeration at n={n} is above the bound of {MAX_ENUMERATE_N}")
     elements: list[PartialInjection] = []
     for s in range(n + 1):
         for domain in combinations(range(1, n + 1), s):
@@ -213,11 +212,11 @@ def _enumerate_family(n: int, family: str, n_max: int) -> list[PartialInjection]
     return elements
 
 
-def enumerate_paut(n: int, *, n_max: int = DEFAULT_N_MAX_ENUMERATE) -> list[PartialInjection]:
-    """All of PAut(P_n), sorted by text form.  Refuses n > ``n_max``."""
-    return _enumerate_family(n, "paut", n_max)
+def enumerate_paut(n: int) -> list[PartialInjection]:
+    """All of PAut(P_n), sorted by text form.  Refuses n > ``MAX_ENUMERATE_N``."""
+    return _enumerate_family(n, "paut")
 
 
-def enumerate_iend(n: int, *, n_max: int = DEFAULT_N_MAX_ENUMERATE) -> list[PartialInjection]:
-    """All of IEnd(P_n), sorted by text form.  Refuses n > ``n_max``."""
-    return _enumerate_family(n, "iend", n_max)
+def enumerate_iend(n: int) -> list[PartialInjection]:
+    """All of IEnd(P_n), sorted by text form.  Refuses n > ``MAX_ENUMERATE_N``."""
+    return _enumerate_family(n, "iend")

@@ -10,13 +10,13 @@ expand       rewrite a generator symbol over the base alphabet
 verify-rank  check the rank of a family at one n
 selftest     run the oracle suites
 
-The only setting is the output format: ``--format``, else the
-``PATHMONOID_FORMAT`` environment variable, else json.  Every resource bound
-is fixed (see ``MAX_WORD_WORK`` and ``MAX_CLOSURE_N`` below, and the library
-constants they sit beside).  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 refused resource bound, 4 internal error (a broken
-invariant, raised as ``RuntimeError``).  In JSON mode, runtime errors are
-reported as ``{"error": {"code", "message"}}`` objects on stderr.
+The only setting is ``--format`` (default json).  Every resource bound is a
+constant where it is enforced: ``MAX_WORD_WORK`` and ``MAX_CLOSURE_N`` below,
+``census.MAX_ENUMERATE_N`` and ``rankcheck.MAX_SUBSETS``.  Exit codes:
+0 success, 1 verification failure, 2 usage error, 3 refused resource bound,
+4 internal error (a broken invariant, raised as ``RuntimeError``).  In JSON
+mode, runtime errors are reported as ``{"error": {"code", "message"}}``
+objects on stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .census import (
-    DEFAULT_N_MAX_ENUMERATE,
+    MAX_ENUMERATE_N,
     count_by_mask,
     count_iend,
     count_paut,
@@ -70,18 +69,8 @@ EXIT_USAGE = 2
 EXIT_REFUSED = 3
 EXIT_INTERNAL = 4
 
-_FORMATS = ("json", "text", "csv")
-
-
 class UsageError(Exception):
     """Invalid input discovered after argument parsing."""
-
-
-def _env_format() -> str:
-    raw = os.environ.get("PATHMONOID_FORMAT", "json")
-    if raw not in _FORMATS:
-        raise UsageError(f"PATHMONOID_FORMAT must be one of {', '.join(_FORMATS)}, got {raw!r}")
-    return raw
 
 
 # -- output --------------------------------------------------------------------
@@ -144,14 +133,15 @@ _ELEMENT_N_RE = re.compile(r"n=(\d+);")
 
 def _peek_element_n(raw: str) -> int | None:
     """The n of an element argument, read without building the element;
-    None when it cannot be read, so that the full parse reports the error."""
+    None unless it is a plain integer, so that the full parse reports it."""
     stripped = raw.strip()
     try:
         if stripped.startswith("{"):
-            return int(json.loads(stripped)["n"])
+            n = json.loads(stripped)["n"]
+            return n if type(n) is int else None
         m = _ELEMENT_N_RE.match(stripped)
         return int(m.group(1)) if m else None
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (KeyError, ValueError):
         return None
 
 
@@ -196,7 +186,7 @@ def _refuse_above(n: int, bound: int, what: str) -> None:
 def _cmd_count(args: argparse.Namespace) -> tuple[Rendering, int]:
     _require_positive_n(args.n)
     if args.per_mask:
-        _refuse_above(args.n, DEFAULT_N_MAX_ENUMERATE, "the per-mask table")
+        _refuse_above(args.n, MAX_ENUMERATE_N, "the per-mask table")
     _refuse_work(args.n, args.n**3, "n^3 for the closed form")
     family = args.family
     payload: dict = {"n": args.n, "family": family}
@@ -399,7 +389,7 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[Rendering, int]:
     from .selftest import run_suites
 
     _require_positive_n(args.n)
-    _refuse_above(args.n, DEFAULT_N_MAX_ENUMERATE, "selftest")
+    _refuse_above(args.n, MAX_ENUMERATE_N, "selftest")
     suites = []
     lines = []
     for name, scope, counterexample in run_suites(args.n):
@@ -436,8 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
-        choices=_FORMATS,
-        default=None,
+        choices=("json", "text", "csv"),
+        default="json",
         help="output format (default json; csv only for enumerate/classify)",
     )
 
@@ -501,9 +491,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help/--version.
         return int(exc.code or 0)
-    fmt = "json"
+    fmt = args.format
     try:
-        fmt = args.format or _env_format()
         result, code = _HANDLERS[args.command](args)
         _write_output(result, fmt, sys.stdout)
         return code

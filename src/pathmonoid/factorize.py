@@ -41,7 +41,7 @@ __all__ = ["factor_paut", "factor_iend", "canonical_delta", "word_length_bound"]
 
 
 def word_length_bound(n: int) -> int:
-    """The most letters ``factor_paut`` emits at n by default: 4n²."""
+    """The most letters ``factor_paut`` emits at n: 4n²."""
     return 4 * n * n
 
 
@@ -52,12 +52,12 @@ def _block_order(img: tuple[int, ...], blocks: tuple[tuple[int, int], ...]) -> t
 
 
 class _Emitter:
-    """Tracks the working image tuple and enforces the emitted-letter bound."""
+    """Tracks the working image tuple and enforces ``word_length_bound``."""
 
-    def __init__(self, n: int, start: tuple[int, ...], bound: int):
+    def __init__(self, n: int, start: tuple[int, ...]):
         self.n = n
         self.img = start
-        self.bound = bound
+        self.bound = word_length_bound(n)
         self.letters: list[Symbol] = []
         self._generators: dict[Symbol, tuple[int, ...]] = {}
 
@@ -128,23 +128,22 @@ def _shift_left_letter(img: frozenset[int], lo: int, hi: int, floor: int, n: int
     raise RuntimeError("no free pair available for a left shift")
 
 
-def factor_paut(a: PartialInjection, *, step_bound: int | None = None) -> Word:
+def factor_paut(a: PartialInjection) -> Word:
     """A word in {tau, a, es, rp, rm} letters evaluating to ``a``.
 
-    ``a`` must be a partial automorphism.  The word length is bounded by
-    ``step_bound`` (default ``word_length_bound(n)``, 4·n²); exceeding it
-    raises RuntimeError.
+    ``a`` must be a partial automorphism.  The word has at most
+    ``word_length_bound(n)`` = 4·n² letters; a longer one would be a broken
+    invariant and raises RuntimeError.
     """
     if not is_paut(a):
         raise ValueError(f"{format_element(a)} is not a partial automorphism")
     n = a.n
-    bound = word_length_bound(n) if step_bound is None else step_bound
     blocks = domain_intervals(a)
     target = a.img
 
     # The identity on Dom a.
     start = tuple(x if y else 0 for x, y in enumerate(target))
-    em = _Emitter(n, start, bound)
+    em = _Emitter(n, start)
     # Domain restriction: a(i)^2 is the identity off vertex i.
     for i in range(1, n + 1):
         if not target[i]:
@@ -199,7 +198,7 @@ def canonical_delta(b: PartialInjection) -> PartialInjection:
     return _trusted(tuple(img))
 
 
-def factor_iend(b: PartialInjection, *, step_bound: int | None = None) -> Word:
+def factor_iend(b: PartialInjection) -> Word:
     """A word in {tau, a, es, rp, rm, b} letters evaluating to ``b``.
 
     ``b`` must be an injective partial endomorphism; partial automorphisms
@@ -208,7 +207,7 @@ def factor_iend(b: PartialInjection, *, step_bound: int | None = None) -> Word:
     if not is_iend(b):
         raise ValueError(f"{format_element(b)} is not an injective partial endomorphism")
     if is_paut(b):
-        return factor_paut(b, step_bound=step_bound)
+        return factor_paut(b)
     n = b.n
     delta = canonical_delta(b)
     packed = compose(b, delta)
@@ -237,7 +236,7 @@ def factor_iend(b: PartialInjection, *, step_bound: int | None = None) -> Word:
     if compose(merged, inverse(delta)) != b:
         raise RuntimeError("junction decomposition failed to reassemble the input")
 
-    word = factor_paut(spread, step_bound=step_bound)
+    word = factor_paut(spread)
     word = word + Word(n, tuple(beta(c + 1) for c in cuts))
-    word = word + factor_paut(inverse(delta), step_bound=step_bound)
+    word = word + factor_paut(inverse(delta))
     return word

@@ -223,44 +223,33 @@ def _ideal_tables(imgs: list[_Img]) -> tuple[dict[_Img, set[_Img]], dict[_Img, s
     return left, right
 
 
-def oracle_classifications(
-    monoid: Iterable[PartialInjection],
-    relations: Iterable[str] = ("L", "R", "H", "J"),
-) -> dict[str, GreensClassification]:
-    """Partitions by equality of principal ideals, computed inside ``monoid``.
+def oracle_classifications(monoid: Iterable[PartialInjection]) -> dict[str, GreensClassification]:
+    """Partitions under L, R, H and J by equality of principal ideals,
+    computed inside ``monoid``.
 
     ``monoid`` must be finite and closed under composition.  L and R compare
     principal left/right ideals M¹a and aM¹; H intersects the two; J compares
     the two-sided ideals M¹aM¹, assembled as the union of the left ideals of
-    aM¹.  All requested relations share a single product sweep.
+    aM¹.  All four relations share a single product sweep.
     """
-    wanted = tuple(relations)
-    for rel in wanted:
-        if rel not in ("L", "R", "H", "J"):
-            raise ValueError(f"oracle supports L, R, H, J; got {rel!r}")
     elements = list(dict.fromkeys(monoid))
     imgs = [a.img for a in elements]
     left, right = _ideal_tables(imgs)
     left_key = {x: frozenset(left[x]) for x in imgs}
     right_key = {x: frozenset(right[x]) for x in imgs}
-
-    out: dict[str, GreensClassification] = {}
-    for rel in wanted:
-        key: dict[_Img, Hashable]
-        if rel == "L":
-            key = left_key
-        elif rel == "R":
-            key = right_key
-        elif rel == "H":
-            key = {x: (left_key[x], right_key[x]) for x in imgs}
-        else:
-            # The two-sided ideal M¹aM¹ is the union of the left ideals of
-            # aM¹, so it depends on a only through aM¹: take one union per
-            # distinct right ideal, over distinct left ideals.
-            two_sided = {
-                rk: frozenset().union(*{left_key[x] for x in rk})
-                for rk in set(right_key.values())
-            }
-            key = {x: two_sided[right_key[x]] for x in imgs}
-        out[rel] = _partition_by_key(rel, elements, lambda a: key[a.img])
-    return out
+    # The two-sided ideal M¹aM¹ is the union of the left ideals of aM¹, so it
+    # depends on a only through aM¹: take one union per distinct right ideal,
+    # over distinct left ideals.
+    two_sided = {
+        rk: frozenset().union(*{left_key[x] for x in rk}) for rk in set(right_key.values())
+    }
+    keys: dict[str, dict[_Img, Hashable]] = {
+        "L": left_key,
+        "R": right_key,
+        "H": {x: (left_key[x], right_key[x]) for x in imgs},
+        "J": {x: two_sided[right_key[x]] for x in imgs},
+    }
+    return {
+        rel: _partition_by_key(rel, elements, lambda a, key=key: key[a.img])
+        for rel, key in keys.items()
+    }

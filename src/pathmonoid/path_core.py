@@ -62,13 +62,14 @@ class PartialInjection:
     img: tuple[int, ...]
 
     def __init__(self, n: int, pairs: Mapping[int, int] | Iterable[tuple[int, int]]):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:  # bool is a subclass of int
             raise ValueError(f"n must be a positive integer, got {n!r}")
-        items = sorted(pairs.items()) if isinstance(pairs, Mapping) else sorted(pairs)
+        # Unsorted: sorting mixed vertex types would raise TypeError.
+        items = list(pairs.items()) if isinstance(pairs, Mapping) else list(pairs)
         defined: set[int] = set()
         seen_images: set[int] = set()
         for x, y in items:
-            if not (isinstance(x, int) and isinstance(y, int)):
+            if type(x) is not int or type(y) is not int:
                 raise ValueError(f"vertices must be integers, got ({x!r}, {y!r})")
             if not (1 <= x <= n and 1 <= y <= n):
                 raise ValueError(f"pair ({x}, {y}) out of range for n={n}")
@@ -313,10 +314,10 @@ def element_to_json_dict(a: PartialInjection) -> dict:
 
 
 def element_from_json_dict(obj: Mapping) -> PartialInjection:
-    """Inverse of :func:`element_to_json_dict`."""
+    """Inverse of :func:`element_to_json_dict`; coerces no value to int."""
     try:
-        n = int(obj["n"])
-        pairs = [(int(x), int(y)) for x, y in obj["pairs"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n = obj["n"]
+        pairs = [(x, y) for x, y in obj["pairs"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed element object: {obj!r}") from exc
     return PartialInjection(n, pairs)

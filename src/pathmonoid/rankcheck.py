@@ -39,7 +39,7 @@ from .path_core import (
     is_paut,
 )
 
-DEFAULT_SUBSET_SEARCH_BUDGET = 10_000_000
+MAX_SUBSETS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -111,18 +111,13 @@ def alphabet_elements(family: str, n: int) -> list[PartialInjection]:
 
 
 def _saturate(
-    gens: list[PartialInjection],
-    n: int,
-    *,
-    within: MonoidSet | None = None,
-    max_size: int | None = None,
+    gens: list[PartialInjection], n: int, *, within: MonoidSet | None = None
 ) -> set[tuple[int, ...]] | None:
     """Image tuples of the closure of ``gens`` and the identity under right
     multiplication, expanded one rank at a time from n down to 0 (see the
     module docstring).  ``None`` as soon as the closure cannot be all of
     ``within``: at a product outside it, or at a drained rank bucket smaller
-    than its layer of that rank.  Refuses once more than ``max_size``
-    elements are found."""
+    than its layer of that rank."""
     letters = list(dict.fromkeys(g.img for g in gens))
     if within is not None:
         members, layer_sizes = within._layers
@@ -142,29 +137,23 @@ def _saturate(
                         return None
                     seen.add(y)
                     buckets[n + 1 - y.count(0)].append(y)
-            if max_size is not None and len(seen) > max_size:
-                raise ResourceRefused(
-                    f"closure exceeded the bound of {max_size} elements"
-                )
         if within is not None and len(bucket) != layer_sizes[r]:
             return None
     return seen
 
 
-def closure(
-    gens: Iterable[PartialInjection], n: int, *, max_size: int | None = None
-) -> MonoidSet:
+def closure(gens: Iterable[PartialInjection], n: int) -> MonoidSet:
     """Least submonoid of I_n containing ``gens`` and the identity.
 
-    If the closure grows beyond ``max_size`` the computation is refused
-    rather than left to run on.
+    It has no bound of its own: its size is at most |I_n|, so n fixes the
+    cost, and the CLI saturates only at n <= ``cli.MAX_CLOSURE_N``.
     """
     gen_list: list[PartialInjection] = []
     for g in gens:
         if g.n != n:
             raise ValueError(f"generator on n={g.n} does not match n={n}")
         gen_list.append(g)
-    seen = _saturate(gen_list, n, max_size=max_size)
+    seen = _saturate(gen_list, n)
     return MonoidSet(n, frozenset(map(_trusted, seen)))
 
 
@@ -226,22 +215,20 @@ def subset_search_scope(target: MonoidSet, k: int) -> int:
     return comb(len(target) - len(forced), k - len(forced))
 
 
-def exhaustive_min_size(
-    target: MonoidSet, k: int, *, budget: int = DEFAULT_SUBSET_SEARCH_BUDGET
-) -> bool:
+def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
     """True iff no k-subset of ``target`` generates it, i.e. rank > k.
 
     Candidates omitting a forced generator (see ``_forced_generators``) are
     skipped, which cuts the search by a factor of roughly |target|/k without
     losing soundness.  Refuses when the candidates left to test,
-    ``subset_search_scope(target, k)``, exceed ``budget``.
+    ``subset_search_scope(target, k)``, exceed the fixed ``MAX_SUBSETS``.
     """
     if k < 0:
         raise ValueError(f"subset size must be nonnegative, got {k}")
     scope = subset_search_scope(target, k)
-    if scope > budget:
+    if scope > MAX_SUBSETS:
         raise ResourceRefused(
-            f"searching {scope} candidate {k}-subsets exceeds the budget of {budget}"
+            f"searching {scope} candidate {k}-subsets exceeds the budget of {MAX_SUBSETS}"
         )
     forced = _forced_generators(target)
     if k < len(forced):
@@ -405,7 +392,7 @@ def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness
     the lower-bound witness checks hold.  With ``exhaustive`` the subset
     search additionally establishes the rank as an exact lower bound,
     walking k downward until no k-subset generates; it refuses a k whose
-    scope is above ``DEFAULT_SUBSET_SEARCH_BUDGET``.
+    scope is above ``MAX_SUBSETS``.
 
     When the alphabet does not generate, or a letter can be dropped, the
     witness's ``counterexample`` names the first member missing from the

@@ -16,6 +16,7 @@ from pathmonoid import (
     is_paut,
     mask_profile,
 )
+from pathmonoid import census
 from pathmonoid.census import (
     iend_contribution,
     mask_from_set,
@@ -141,12 +142,14 @@ class TestEnumeration:
             with pytest.raises(ValueError):
                 elements_with_domain(n, frozenset(domain), family)
 
-    def test_refuses_beyond_bound(self):
+    def test_refuses_beyond_bound(self, monkeypatch):
         with pytest.raises(ResourceRefused):
             enumerate_paut(9)
-        with pytest.raises(ResourceRefused):
-            enumerate_iend(4, n_max=3)
-        assert len(enumerate_iend(4, n_max=4)) == IEND_COUNTS[3]
+        monkeypatch.setattr(census, "MAX_ENUMERATE_N", 3)
+        with pytest.raises(ResourceRefused, match="n=4 is above the bound of 3"):
+            enumerate_iend(4)
+        monkeypatch.setattr(census, "MAX_ENUMERATE_N", 4)
+        assert len(enumerate_iend(4)) == IEND_COUNTS[3]
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from functools import partial
 
 import pytest
 
+import pathmonoid
 from pathmonoid import GreensClassification, Word, cli, count_iend, count_paut, rankcheck, selftest
 from pathmonoid.cli import MAX_WORD_WORK, main
 from pathmonoid.genwords import MAX_EXPANSION_LENGTH
-from pathmonoid.rankcheck import DEFAULT_SUBSET_SEARCH_BUDGET
+from pathmonoid.rankcheck import MAX_SUBSETS
 from pathmonoid.selftest import (
     check_counts,
     check_expansions,
@@ -229,6 +231,24 @@ class TestWordWorkBound:
         assert code == 2
         assert json.loads(err)["error"]["code"] == "usage"
 
+    @pytest.mark.parametrize(
+        "element",
+        [
+            '{"n": 1e300, "pairs": []}',
+            '{"n": 3.9, "pairs": [[1.5, 1.2]]}',
+            '{"n": "3", "pairs": []}',
+            '{"n": true, "pairs": []}',
+        ],
+        ids=["n-1e300", "floats", "n-string", "n-bool"],
+    )
+    def test_json_numbers_are_not_coerced(self, capsys, element):
+        # 1e300 was once read as an int n and refused with a message of
+        # about 900 digits; 3.9 with [[1.5, 1.2]] was factored as n=3;1>1.
+        code, out, err = run(capsys, "factor", "--element", element)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "usage" and len(error["message"]) < 200
+
 
 class TestVerifyRank:
     def test_exhaustive_paut_p3(self, capsys):
@@ -260,7 +280,7 @@ class TestVerifyRank:
         assert error["code"] == "resource-refused"
         assert error["message"] == (
             f"searching 1793647310 candidate 5-subsets exceeds the budget of "
-            f"{DEFAULT_SUBSET_SEARCH_BUDGET}"
+            f"{MAX_SUBSETS}"
         )
 
     def test_budget_counts_the_subsets_searched(self, capsys):
@@ -367,45 +387,48 @@ class TestSelftest:
 
 
 class TestConfig:
-    def test_env_overrides_default(self, capsys, monkeypatch):
-        # The bounds are fixed: the former bound variables are ignored.
-        monkeypatch.setenv("PATHMONOID_N_MAX_ENUMERATE", "3")
-        monkeypatch.setenv("PATHMONOID_N_MAX_CLOSURE", "3")
-        code, out, _ = run(capsys, "enumerate", "--n", "4", "--family", "paut")
-        assert code == 0 and json.loads(out)["count"] == 71
-        code, _, _ = run(capsys, "classify", "--n", "4", "--family", "paut", "--relation", "J")
-        assert code == 0
-        monkeypatch.setenv("PATHMONOID_N_MAX_ENUMERATE", "20")
-        code, _, err = run(capsys, "enumerate", "--n", "9", "--family", "paut")
-        assert code == 3 and "bound of 8" in err
+    """``--format`` is the package's only setting."""
 
-    def test_flag_overrides_env(self, capsys):
-        # The bound flags are gone: argparse rejects them as usage errors.
+    def test_removed_settings_stay_removed(self, capsys, monkeypatch):
         for flag in ("--n-max-enumerate", "--n-max-closure", "--subset-search-budget"):
             code, out, err = run(capsys, "enumerate", "--n", "4", "--family", "paut", flag, "5")
             assert code == 2 and out == ""
             assert f"unrecognized arguments: {flag} 5" in err
+        argvs = [
+            ("enumerate", "--n", "4", "--family", "paut"),
+            ("classify", "--n", "4", "--family", "paut", "--relation", "J"),
+            ("verify-rank", "--n", "3", "--family", "iend", "--exhaustive"),
+            ("count", "--n", "2"),
+        ]
+        plain = [run(capsys, *argv) for argv in argvs]
+        for name, value in [
+            ("PATHMONOID_N_MAX_ENUMERATE", "3"),
+            ("PATHMONOID_N_MAX_CLOSURE", "3"),
+            ("PATHMONOID_SUBSET_SEARCH_BUDGET", "1"),
+            ("PATHMONOID_FORMAT", "text"),
+            ("PATHMONOID_FORMAT", "yaml"),
+        ]:
+            monkeypatch.setenv(name, value)
+            assert [run(capsys, *argv) for argv in argvs] == plain, (name, value)
+            monkeypatch.delenv(name)
 
-    def test_env_format(self, capsys, monkeypatch):
-        monkeypatch.setenv("PATHMONOID_FORMAT", "text")
-        code, out, _ = run(capsys, "count", "--n", "2", "--family", "paut")
-        assert code == 0
-        assert out.startswith("n 2")
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("PATHMONOID_SUBSET_SEARCH_BUDGET", "lots")
-        code, _, _ = run(capsys, "count", "--n", "2")
-        assert code == 0
-        monkeypatch.setenv("PATHMONOID_FORMAT", "yaml")
-        code, out, err = run(capsys, "count", "--n", "2")
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"]["code"] == "usage" and "PATHMONOID_FORMAT" in err
-
-    def test_error_objects_respect_env_format(self, capsys, monkeypatch):
-        monkeypatch.setenv("PATHMONOID_FORMAT", "text")
-        code, _, err = run(capsys, "enumerate", "--n", "9", "--family", "paut")
+    def test_error_objects_respect_format(self, capsys):
+        code, _, err = run(capsys, "enumerate", "--n", "9", "--family", "paut", "--format", "text")
         assert code == 3
         assert err.startswith("error (resource-refused):")
+
+    def test_library_functions_take_no_settings(self):
+        # A parameter with a default is a setting; only ``verify_rank``'s
+        # ``exhaustive`` has two callers that need different values
+        # (``verify-rank`` with and without ``--exhaustive``).
+        settings = [
+            f"{name}({param.name}=)"
+            for name in pathmonoid.__all__
+            if inspect.isfunction(getattr(pathmonoid, name))
+            for param in inspect.signature(getattr(pathmonoid, name)).parameters.values()
+            if param.default is not param.empty
+        ]
+        assert settings == ["verify_rank(exhaustive=)"]
 
 
 class TestFixedBounds:

@@ -56,10 +56,11 @@ class TestSmallCases:
         assert eval_word(word) == a
         assert len(built) == len(set(built)) == len(set(word.letters)) < len(word)
 
-    def test_step_bound_is_enforced(self):
+    def test_step_bound_is_enforced(self, monkeypatch):
         a = parse_element("n=5;1>3,3>5,5>1")
-        with pytest.raises(RuntimeError):
-            factor_paut(a, step_bound=1)
+        monkeypatch.setattr(factorize, "word_length_bound", lambda n: 1)
+        with pytest.raises(RuntimeError, match="step bound of 1 letters"):
+            factor_paut(a)
 
 
 class TestCanonicalDelta:

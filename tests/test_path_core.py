@@ -63,7 +63,10 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "n, pairs",
-        [(3, [(1, 0)]), (3, [(-1, 1)]), (3, [(1.0, 2)]), (3, [("1", 2)]), (2.0, []), (-1, [])],
+        [
+            (3, [(1, 0)]), (3, [(-1, 1)]), (3, [(1.0, 2)]), (3, [("1", 2)]), (2.0, []), (-1, []),
+            (3, [(True, 2)]), (3, [(1, True)]), (True, []), (3, [(1, 2), ("3", 1)]),
+        ],
     )
     def test_rejects_bad_vertices_and_n(self, n, pairs):
         with pytest.raises(ValueError):
@@ -187,6 +190,9 @@ class TestTextAndJson:
             {"n": 3, "pairs": [[1, 2], [3, 2]]},
             {"n": 3, "pairs": [["x", 2]]},
             {"n": float("inf"), "pairs": []},
+            {"n": 3.9, "pairs": [[1.5, 1.2]]}, {"n": 3.0, "pairs": []}, {"n": 3, "pairs": [[1.0, 2]]},
+            {"n": "3", "pairs": []}, {"n": 3, "pairs": [["1", 2]]},
+            {"n": True, "pairs": []}, {"n": 3, "pairs": [[True, 2]]},
         ],
     )
     def test_json_rejects_malformed(self, bad):

@@ -82,10 +82,6 @@ class TestClosure:
         first = closure(alphabet_elements("paut", 4), 4)
         assert closure(first.elements, 4).elements == first.elements
 
-    def test_max_size_refusal(self):
-        with pytest.raises(ResourceRefused):
-            closure(alphabet_elements("paut", 5), 5, max_size=100)
-
     def test_rejects_mixed_n(self):
         with pytest.raises(ValueError):
             closure([identity(4)], 3)
@@ -199,14 +195,6 @@ class TestAgainstReferenceClosure:
             outcomes.add(expected)
         assert outcomes == {True, False}
 
-    @pytest.mark.parametrize("family,n", FAMILY_CASES)
-    def test_max_size_refusal_is_exact(self, family, n):
-        letters = alphabet_elements(family, n)
-        size = len(reference_closure(letters, n))
-        assert len(closure(letters, n, max_size=size)) == size
-        with pytest.raises(ResourceRefused):
-            closure(letters, n, max_size=size - 1)
-
 
 class TestExhaustiveMinSize:
     def test_no_single_element_generates_paut_p2(self):
@@ -227,17 +215,20 @@ class TestExhaustiveMinSize:
         assert subset_search_scope(paut_monoid(3), 2) == 21
         assert subset_search_scope(iend_monoid(3), 3) == 300
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setattr(rankcheck, "MAX_SUBSETS", 1000)
         with pytest.raises(ResourceRefused, match="31375 candidate 3-subsets"):
-            exhaustive_min_size(paut_monoid(5), 3, budget=1000)
+            exhaustive_min_size(paut_monoid(5), 3)
 
-    def test_budget_counts_the_searched_scope(self):
+    def test_budget_counts_the_searched_scope(self, monkeypatch):
         # C(105, 3) = 187,460 subsets of IEnd(P_4), but only C(104, 2) are tested.
         target = iend_monoid(4)
         assert subset_search_scope(target, 3) == 5356
-        assert exhaustive_min_size(target, 3, budget=5356) is True
+        monkeypatch.setattr(rankcheck, "MAX_SUBSETS", 5356)
+        assert exhaustive_min_size(target, 3) is True
+        monkeypatch.setattr(rankcheck, "MAX_SUBSETS", 5355)
         with pytest.raises(ResourceRefused, match="5356 candidate"):
-            exhaustive_min_size(target, 3, budget=5355)
+            exhaustive_min_size(target, 3)
 
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
