@@ -389,11 +389,9 @@ class TestSelftest:
 class TestConfig:
     """``--format`` is the package's only setting."""
 
-    def test_removed_settings_stay_removed(self, capsys, monkeypatch):
-        for flag in ("--n-max-enumerate", "--n-max-closure", "--subset-search-budget"):
-            code, out, err = run(capsys, "enumerate", "--n", "4", "--family", "paut", flag, "5")
-            assert code == 2 and out == ""
-            assert f"unrecognized arguments: {flag} 5" in err
+    def test_env_overrides_default(self, capsys, monkeypatch):
+        # The bounds are fixed and ``--format`` has no environment fallback:
+        # the former PATHMONOID_* variables change nothing.
         argvs = [
             ("enumerate", "--n", "4", "--family", "paut"),
             ("classify", "--n", "4", "--family", "paut", "--relation", "J"),
@@ -411,6 +409,13 @@ class TestConfig:
             monkeypatch.setenv(name, value)
             assert [run(capsys, *argv) for argv in argvs] == plain, (name, value)
             monkeypatch.delenv(name)
+
+    def test_flag_overrides_env(self, capsys):
+        # The bound flags are gone: argparse rejects them as usage errors.
+        for flag in ("--n-max-enumerate", "--n-max-closure", "--subset-search-budget"):
+            code, out, err = run(capsys, "enumerate", "--n", "4", "--family", "paut", flag, "5")
+            assert code == 2 and out == ""
+            assert f"unrecognized arguments: {flag} 5" in err
 
     def test_error_objects_respect_format(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "9", "--family", "paut", "--format", "text")
