@@ -10,13 +10,14 @@ expand       rewrite a generator symbol over the base alphabet
 verify-rank  check the rank of a family at one n
 selftest     run the oracle suites
 
-The only setting is ``--format`` (default json).  Every resource bound is a
-constant where it is enforced: ``MAX_WORD_WORK`` and ``MAX_CLOSURE_N`` below,
+The only setting is ``--format`` (default json; csv for ``enumerate`` and
+``classify`` only).  Every resource bound is a constant where it is
+enforced: ``MAX_WORD_WORK`` and ``MAX_CLOSURE_N`` below,
 ``census.MAX_ENUMERATE_N`` and ``rankcheck.MAX_SUBSETS``.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 refused resource bound,
-4 internal error (a broken invariant, raised as ``RuntimeError``).  In JSON
-mode, runtime errors are reported as ``{"error": {"code", "message"}}``
-objects on stderr.
+0 success, 1 verification failure, 2 usage error (argparse's, or any
+``ValueError``), 3 refused resource bound, 4 internal error (a broken
+invariant, raised as ``RuntimeError``).  In JSON mode, runtime errors are
+reported as ``{"error": {"code", "message"}}`` objects on stderr.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import __version__
 from .census import (
@@ -55,11 +55,11 @@ from .genwords import (
 from .greens import classify as classify_elements
 from .path_core import (
     PartialInjection,
-    element_from_json_dict,
+    _read_element_json,
+    _read_element_text,
     format_element,
     is_iend,
     is_paut,
-    parse_element,
 )
 from .rankcheck import verify_rank
 
@@ -68,9 +68,6 @@ EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
 EXIT_INTERNAL = 4
-
-class UsageError(Exception):
-    """Invalid input discovered after argument parsing."""
 
 
 # -- output --------------------------------------------------------------------
@@ -93,11 +90,9 @@ def _write_output(result: Rendering, fmt: str, out: io.TextIOBase) -> None:
         for line in result.text_lines:
             out.write(line + "\n")
     else:
-        if result.csv_header is None:
-            raise UsageError("csv output is only available for enumerate and classify")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(result.csv_header)
-        writer.writerows(result.csv_rows or ())
+        writer.writerows(result.csv_rows)
 
 
 def _write_error(code: str, message: str, fmt: str, err: io.TextIOBase) -> None:
@@ -107,42 +102,15 @@ def _write_error(code: str, message: str, fmt: str, err: io.TextIOBase) -> None:
         err.write(f"error ({code}): {message}\n")
 
 
+def _lines(payload: dict, *keys: str) -> list[str]:
+    """``key value`` text lines for ``keys`` of ``payload``, bools lowercased."""
+    return [
+        f"{key} {str(payload[key]).lower() if type(payload[key]) is bool else payload[key]}"
+        for key in keys
+    ]
+
+
 # -- element and bound helpers ---------------------------------------------------
-
-
-def _parse_element_arg(raw: str) -> PartialInjection:
-    """Accept the text form or the JSON object form of an element."""
-    stripped = raw.strip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"element is not valid JSON: {exc}") from None
-        try:
-            return element_from_json_dict(obj)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    try:
-        return parse_element(stripped)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-_ELEMENT_N_RE = re.compile(r"n=(\d+);")
-
-
-def _peek_element_n(raw: str) -> int | None:
-    """The n of an element argument, read without building the element;
-    None unless it is a plain integer, so that the full parse reports it."""
-    stripped = raw.strip()
-    try:
-        if stripped.startswith("{"):
-            n = json.loads(stripped)["n"]
-            return n if type(n) is int else None
-        m = _ELEMENT_N_RE.match(stripped)
-        return int(m.group(1)) if m else None
-    except (KeyError, ValueError):
-        return None
 
 
 # Largest up-front work estimate ``factor``, ``expand`` and ``count`` accept.
@@ -172,12 +140,30 @@ def _refuse_word_work(n: int, letters: int) -> None:
 
 def _require_positive_n(n: int) -> None:
     if n < 1:
-        raise UsageError(f"--n must be positive, got {n}")
+        raise ValueError(f"--n must be positive, got {n}")
 
 
 def _refuse_above(n: int, bound: int, what: str) -> None:
     if n > bound:
         raise ResourceRefused(f"n={n} is above the bound of {bound} for {what}")
+
+
+def _read_element(raw: str) -> PartialInjection:
+    """An element argument in the text or the JSON object form.  Its n is
+    checked against the factorization work bound before it is built."""
+    stripped = raw.strip()
+    if stripped.startswith("{"):
+        try:
+            obj = json.loads(stripped)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"element is not valid JSON: {exc}") from None
+        n, pairs = _read_element_json(obj)
+    else:
+        n, pairs = _read_element_text(stripped)
+    # Anything but a plain int n is left for the constructor to reject.
+    if type(n) is int:
+        _refuse_word_work(n, word_length_bound(n))
+    return PartialInjection(n, pairs)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -190,13 +176,11 @@ def _cmd_count(args: argparse.Namespace) -> tuple[Rendering, int]:
     _refuse_work(args.n, args.n**3, "n^3 for the closed form")
     family = args.family
     payload: dict = {"n": args.n, "family": family}
-    lines = [f"n {args.n}"]
     if family in ("paut", "both"):
         payload["paut_count"] = count_paut(args.n)
-        lines.append(f"paut_count {payload['paut_count']}")
     if family in ("iend", "both"):
         payload["iend_count"] = count_iend(args.n)
-        lines.append(f"iend_count {payload['iend_count']}")
+    lines = _lines(payload, *(key for key in payload if key != "family"))
     if args.per_mask:
         rows = []
         for profile, paut_c, iend_c in count_by_mask(args.n):
@@ -273,14 +257,9 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[Rendering, int]:
 
 
 def _cmd_factor(args: argparse.Namespace) -> tuple[Rendering, int]:
-    n = _peek_element_n(args.element)
-    if n is not None:
-        _refuse_word_work(n, word_length_bound(n))
-    element = _parse_element_arg(args.element)
+    element = _read_element(args.element)
     if args.n is not None and args.n != element.n:
-        raise UsageError(
-            f"--n {args.n} disagrees with the element's n={element.n}"
-        )
+        raise ValueError(f"--n {args.n} disagrees with the element's n={element.n}")
     if is_paut(element):
         family = "paut"
         word = factor_paut(element)
@@ -288,7 +267,7 @@ def _cmd_factor(args: argparse.Namespace) -> tuple[Rendering, int]:
         family = "iend"
         word = factor_iend(element)
     else:
-        raise UsageError(
+        raise ValueError(
             "element is not an injective partial endomorphism of the path; "
             "nothing to factor"
         )
@@ -304,28 +283,17 @@ def _cmd_factor(args: argparse.Namespace) -> tuple[Rendering, int]:
         "length": len(word),
         "verified": verified,
     }
-    lines = (
-        f"element {payload['element']}",
-        f"word {payload['word']}",
-        f"length {payload['length']}",
-        f"verified {str(verified).lower()}",
-    )
+    lines = _lines(payload, "element", "word", "length", "verified")
     code = EXIT_OK if verified else EXIT_VERIFICATION_FAILURE
-    return Rendering(payload=payload, text_lines=lines), code
+    return Rendering(payload=payload, text_lines=tuple(lines)), code
 
 
 def _cmd_expand(args: argparse.Namespace) -> tuple[Rendering, int]:
     _require_positive_n(args.n)
     _refuse_word_work(args.n, MAX_EXPANSION_LENGTH)
-    try:
-        symbol = parse_symbol(args.symbol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    try:
-        word = expand_symbol(symbol, args.n)
-        generator = make_generator(symbol, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    symbol = parse_symbol(args.symbol)
+    word = expand_symbol(symbol, args.n)
+    generator = make_generator(symbol, args.n)
     evaluated = eval_word(word)
     matches = evaluated == generator
     payload = {
@@ -336,19 +304,14 @@ def _cmd_expand(args: argparse.Namespace) -> tuple[Rendering, int]:
         "evaluates_to": format_element(evaluated),
         "matches_generator": matches,
     }
-    lines = (
-        f"symbol {payload['symbol']}",
-        f"expansion {payload['expansion']}",
-        f"evaluates_to {payload['evaluates_to']}",
-        f"matches_generator {str(matches).lower()}",
-    )
+    lines = _lines(payload, "symbol", "expansion", "evaluates_to", "matches_generator")
     code = EXIT_OK if matches else EXIT_VERIFICATION_FAILURE
-    return Rendering(payload=payload, text_lines=lines), code
+    return Rendering(payload=payload, text_lines=tuple(lines)), code
 
 
 def _cmd_verify_rank(args: argparse.Namespace) -> tuple[Rendering, int]:
     if args.n < 3:
-        raise UsageError(f"verify-rank needs the alphabets, so --n must be >= 3, got {args.n}")
+        raise ValueError(f"verify-rank needs the alphabets, so --n must be >= 3, got {args.n}")
     _refuse_above(args.n, MAX_CLOSURE_N, "verify-rank")
     witness = verify_rank(args.family, args.n, exhaustive=args.exhaustive)
     payload = {
@@ -363,19 +326,13 @@ def _cmd_verify_rank(args: argparse.Namespace) -> tuple[Rendering, int]:
         "subsets_searched": witness.subsets_searched,
         "ok": witness.ok,
     }
-    lines = [
-        f"family {witness.family}",
-        f"n {witness.n}",
-        f"formula_value {witness.formula_value}",
-        f"generating_set_size {witness.generating_set_size}",
-        f"generates {str(witness.generates).lower()}",
-        f"irredundant {str(witness.irredundant).lower()}",
-    ]
-    for name, passed in witness.witnesses:
-        lines.append(f"witness {name} {str(passed).lower()}")
+    lines = _lines(
+        payload, "family", "n", "formula_value", "generating_set_size", "generates", "irredundant"
+    )
+    witnesses = payload["witnesses"]
+    lines += [f"witness {line}" for line in _lines(witnesses, *witnesses)]
     if witness.exhaustive_lower_bound is not None:
-        lines.append(f"exhaustive_lower_bound {witness.exhaustive_lower_bound}")
-        lines.append(f"subsets_searched {witness.subsets_searched}")
+        lines += _lines(payload, "exhaustive_lower_bound", "subsets_searched")
     if witness.counterexample is not None:
         payload["counterexample"] = witness.counterexample
         lines.append(f"FAIL {witness.counterexample}")
@@ -408,28 +365,16 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[Rendering, int]:
     return Rendering(payload=payload, text_lines=tuple(lines)), code
 
 
-_HANDLERS: dict[str, Callable[[argparse.Namespace], tuple[Rendering, int]]] = {
-    "count": _cmd_count,
-    "enumerate": _cmd_enumerate,
-    "classify": _cmd_classify,
-    "factor": _cmd_factor,
-    "expand": _cmd_expand,
-    "verify-rank": _cmd_verify_rank,
-    "selftest": _cmd_selftest,
-}
-
-
 # -- parser ----------------------------------------------------------------------
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    format_help = "output format (default json)"
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("json", "text", "csv"),
-        default="json",
-        help="output format (default json; csv only for enumerate/classify)",
-    )
+    common.add_argument("--format", choices=("json", "text"), default="json", help=format_help)
+    # Only the commands that list elements have rows to write as csv.
+    tabular = argparse.ArgumentParser(add_help=False)
+    tabular.add_argument("--format", choices=("json", "text", "csv"), default="json", help=format_help)
 
     parser = argparse.ArgumentParser(
         prog="pathmonoid",
@@ -440,21 +385,26 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("count", parents=[common], help="closed-form counts")
+    def command(name: str, run, help: str, parent=common) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[parent], help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("count", _cmd_count, "closed-form counts")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=("paut", "iend", "both"), default="both")
     p.add_argument("--per-mask", action="store_true", help="include the per-domain-mask table")
 
-    p = sub.add_parser("enumerate", parents=[common], help="list every element of a family")
+    p = command("enumerate", _cmd_enumerate, "list every element of a family", tabular)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=("paut", "iend"), required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="partition a family by a Green's relation")
+    p = command("classify", _cmd_classify, "partition a family by a Green's relation", tabular)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=("paut", "iend"), required=True)
     p.add_argument("--relation", choices=("L", "R", "H", "J", "l", "r", "h", "j"), required=True)
 
-    p = sub.add_parser("factor", parents=[common], help="factor an element into a generator word")
+    p = command("factor", _cmd_factor, "factor an element into a generator word")
     p.add_argument("--element", required=True, help="text form 'n=5;1>3,2>4' or JSON object form")
     p.add_argument("--n", type=int, default=None, help="optional cross-check against the element's n")
     p.add_argument(
@@ -465,11 +415,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "keep the derived segment/shift letters (derived)",
     )
 
-    p = sub.add_parser("expand", parents=[common], help="rewrite a symbol over the base alphabet")
+    p = command("expand", _cmd_expand, "rewrite a symbol over the base alphabet")
     p.add_argument("--symbol", required=True, help="e.g. es1,4 or rp0,5")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("verify-rank", parents=[common], help="check the rank of a family at one n")
+    p = command("verify-rank", _cmd_verify_rank, "check the rank of a family at one n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=("paut", "iend"), required=True)
     p.add_argument(
@@ -478,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="additionally search all smaller subsets (budgeted)",
     )
 
-    p = sub.add_parser("selftest", parents=[common], help="run the oracle suites")
+    p = command("selftest", _cmd_selftest, "run the oracle suites")
     p.add_argument("--n", type=int, required=True)
 
     return parser
@@ -493,12 +443,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     fmt = args.format
     try:
-        result, code = _HANDLERS[args.command](args)
+        result, code = args.run(args)
         _write_output(result, fmt, sys.stdout)
         return code
-    except UsageError as exc:
-        _write_error("usage", str(exc), fmt, sys.stderr)
-        return EXIT_USAGE
     except ResourceRefused as exc:
         _write_error("resource-refused", str(exc), fmt, sys.stderr)
         return EXIT_REFUSED

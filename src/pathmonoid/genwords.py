@@ -17,6 +17,9 @@ The generator families (all partial injections on {1..n}):
 Words are read left to right in the right action: ``eval_word`` of
 ``[u, v]`` is ``compose(u, v)``.
 
+A symbol's text form is its kind and, in ASCII digits, the number of
+indices ``_KINDS`` gives that kind: ``tau``, ``a3``, ``es1,4``.
+
 The shipped alphabets are A(n) = {tau, a(1), ..., a(n-2)} (with a(2) kept
 at n = 3) generating PAut(P_n), and B(n) = A(n) + {b(2), ..., b(ceil(n/2))}
 generating IEnd(P_n).  ``expand_symbol`` rewrites any legal symbol into a
@@ -112,35 +115,34 @@ def beta(i: int) -> Symbol:
     return Symbol("b", i)
 
 
-# Index ranges each symbol kind admits at a given n.
-_INDEX_RULES = {
-    "tau": lambda i, j, n: n >= 1,
-    "a": lambda i, j, n: 0 <= i <= n + 1,
-    "as": lambda i, j, n: 1 <= i <= n,
-    "e": lambda i, j, n: 1 <= i and i + 1 < j <= n,
-    "es": lambda i, j, n: 0 <= i and i + 1 < j <= n + 1,
-    "rp": lambda i, j, n: 0 <= i and i + 2 < j <= n,
-    "rm": lambda i, j, n: 1 <= i and i + 2 < j <= n + 1,
-    "b": lambda i, j, n: 2 <= i <= n - 1,
+# Each symbol kind: how many indices its text form writes (an unwritten
+# index is 0) and the index ranges it admits at a given n.
+_KINDS = {
+    "tau": (0, lambda i, j, n: n >= 1),
+    "a": (1, lambda i, j, n: 0 <= i <= n + 1),
+    "as": (1, lambda i, j, n: 1 <= i <= n),
+    "e": (2, lambda i, j, n: 1 <= i and i + 1 < j <= n),
+    "es": (2, lambda i, j, n: 0 <= i and i + 1 < j <= n + 1),
+    "rp": (2, lambda i, j, n: 0 <= i and i + 2 < j <= n),
+    "rm": (2, lambda i, j, n: 1 <= i and i + 2 < j <= n + 1),
+    "b": (1, lambda i, j, n: 2 <= i <= n - 1),
 }
 
 
 def _check_symbol(sym: Symbol, n: int) -> None:
-    rule = _INDEX_RULES.get(sym.kind)
-    if rule is None:
+    entry = _KINDS.get(sym.kind)
+    if entry is None:
         raise ValueError(f"unknown symbol kind {sym.kind!r}")
-    if not rule(sym.i, sym.j, n):
+    if not entry[1](sym.i, sym.j, n):
         raise ValueError(f"symbol {format_symbol(sym)} has indices out of range for n={n}")
 
 
 def _generator_image(kind: str, i: int, j: int, n: int) -> tuple[int, ...]:
     """The image tuple (see ``PartialInjection``) of a checked symbol."""
-    if kind == "tau":
-        return (0, *range(n, 0, -1))
-    if kind == "a":
+    if kind in ("tau", "a"):
         if i == n + 1:
             return tuple(range(n + 1))
-        # a(0) = tau falls out of the same formula.
+        # tau and a(0), both with i = 0, fall out of the same formula.
         return (*range(i), 0, *range(n, i, -1))
     if kind == "as":
         return (0, *range(i - 1, 0, -1), 0, *range(i + 1, n + 1))
@@ -180,20 +182,15 @@ def make_generator(sym: Symbol, n: int) -> PartialInjection:
 
 def legal_symbols(n: int) -> Iterator[Symbol]:
     """Every symbol with legal indices at this n, one kind at a time in the
-    order of ``_INDEX_RULES``, indices ascending; nothing for n < 1."""
+    order of ``_KINDS``, indices ascending; nothing for n < 1."""
     if n < 1:
         return
     indices = range(n + 2)
-    for kind, rule in _INDEX_RULES.items():
-        if kind == "tau":
-            candidates = [(0, 0)]
-        elif kind in _PAIR_KINDS:
-            candidates = [(i, j) for i in indices for j in indices]
-        else:
-            candidates = [(i, 0) for i in indices]
-        for i, j in candidates:
-            if rule(i, j, n):
-                yield Symbol(kind, i, j)
+    for kind, (count, rule) in _KINDS.items():
+        for i in indices if count else (0,):
+            for j in indices if count == 2 else (0,):
+                if rule(i, j, n):
+                    yield Symbol(kind, i, j)
 
 
 def canonical_eps_star(i: int, j: int, n: int) -> Symbol:
@@ -374,35 +371,29 @@ def expand_word(word: Word) -> Word:
 
 # -- text form ----------------------------------------------------------------
 
-_SYMBOL_RE = re.compile(r"^(tau|as|a|es|e|rp|rm|b)(?:(\d+)(?:,(\d+))?)?$")
-_PAIR_KINDS = {"e", "es", "rp", "rm"}
-_SINGLE_KINDS = {"a", "as", "b"}
+# A kind name and up to two ASCII indices; ``_KINDS`` says how many it takes.
+_SYMBOL_RE = re.compile(f"({'|'.join(_KINDS)})(?:([0-9]+)(?:,([0-9]+))?)?")
 
 
 def format_symbol(sym: Symbol) -> str:
-    if sym.kind == "tau":
-        return "tau"
-    if sym.kind in _PAIR_KINDS:
-        return f"{sym.kind}{sym.i},{sym.j}"
-    return f"{sym.kind}{sym.i}"
+    count = _KINDS[sym.kind][0]
+    return sym.kind + ",".join(str(index) for index in (sym.i, sym.j)[:count])
 
 
 def parse_symbol(text: str) -> Symbol:
-    m = _SYMBOL_RE.match(text)
+    m = _SYMBOL_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"malformed generator symbol {text!r}")
-    kind, si, sj = m.groups()
-    if kind == "tau":
-        if si is not None:
+    kind = m.group(1)
+    indices = [int(index) for index in m.groups()[1:] if index is not None]
+    count = _KINDS[kind][0]
+    if len(indices) != count:
+        if count == 0:
             raise ValueError(f"malformed generator symbol {text!r}")
-        return tau()
-    if kind in _SINGLE_KINDS:
-        if si is None or sj is not None:
+        if count == 1:
             raise ValueError(f"symbol {text!r} takes exactly one index")
-        return Symbol(kind, int(si))
-    if si is None or sj is None:
         raise ValueError(f"symbol {text!r} takes two indices")
-    return Symbol(kind, int(si), int(sj))
+    return Symbol(kind, *indices)
 
 
 def format_word(word: Word) -> str:

@@ -12,7 +12,7 @@ provided:
 
 Elements are stored as image tuples (see ``PartialInjection``).  The
 canonical text format is ``"n=5;1>3,2>4"`` (pairs sorted by domain; an
-empty map is ``"n=5;"``).
+empty map is ``"n=5;"``; ASCII digits only).
 """
 from __future__ import annotations
 
@@ -50,10 +50,10 @@ class PartialInjection:
     ``img``; ``pairs`` is the graph of the map sorted by ``x``.  Instances
     are hashable and compare by ``img``.
 
-    The constructor, ``parse_element`` and ``element_from_json_dict``
-    validate their input.  Results built inside the package (``compose``,
-    ``inverse``, generators and word evaluation) come from an image tuple
-    that is correct by construction and skip the checks.
+    The constructor validates its input; ``parse_element`` and
+    ``element_from_json_dict`` pass it what they read.  Results built
+    inside the package (``compose``, ``inverse``, generators and word
+    evaluation) come from image tuples correct by construction, unchecked.
     """
 
     __slots__ = ("n", "img", "_hash")
@@ -102,7 +102,7 @@ class PartialInjection:
     def get(self, x: int, default: int | None = None) -> int | None:
         # Index 0 holds the sentinel and negative indices wrap, so only
         # 1..n may reach the tuple.
-        if isinstance(x, int) and 0 < x <= self.n and self.img[x]:
+        if type(x) is int and 0 < x <= self.n and self.img[x]:  # not bool
             return self.img[x]
         return default
 
@@ -280,7 +280,7 @@ def is_paut(a: PartialInjection) -> bool:
 
 # -- text and JSON forms ----------------------------------------------------
 
-_ELEMENT_RE = re.compile(r"^n=(\d+);((?:\d+>\d+)(?:,\d+>\d+)*)?$")
+_ELEMENT_RE = re.compile(r"n=([0-9]+);((?:[0-9]+>[0-9]+)(?:,[0-9]+>[0-9]+)*)?")
 
 
 def format_element(a: PartialInjection) -> str:
@@ -289,23 +289,28 @@ def format_element(a: PartialInjection) -> str:
     return f"n={a.n};{body}"
 
 
-def parse_element(text: str) -> PartialInjection:
-    """Parse the text form produced by :func:`format_element`.
-
-    Raises ``ValueError`` on malformed input, out-of-range vertices, or
-    duplicated domain/image vertices.
-    """
-    m = _ELEMENT_RE.match(text.strip())
+def _read_element_text(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The ``(n, pairs)`` of the text form, read without building anything;
+    ``ValueError`` unless the text matches the form (ASCII digits only)."""
+    m = _ELEMENT_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"malformed element text: {text!r}")
-    n = int(m.group(1))
     body = m.group(2)
     pairs: list[tuple[int, int]] = []
     if body:
         for chunk in body.split(","):
             x, y = chunk.split(">")
             pairs.append((int(x), int(y)))
-    return PartialInjection(n, pairs)
+    return int(m.group(1)), pairs
+
+
+def parse_element(text: str) -> PartialInjection:
+    """Parse the text form produced by :func:`format_element`.
+
+    Raises ``ValueError`` on malformed input, out-of-range vertices, or
+    duplicated domain/image vertices.
+    """
+    return PartialInjection(*_read_element_text(text))
 
 
 def element_to_json_dict(a: PartialInjection) -> dict:
@@ -313,11 +318,15 @@ def element_to_json_dict(a: PartialInjection) -> dict:
     return {"n": a.n, "pairs": [[x, y] for x, y in a.pairs]}
 
 
-def element_from_json_dict(obj: Mapping) -> PartialInjection:
-    """Inverse of :func:`element_to_json_dict`; coerces no value to int."""
+def _read_element_json(obj: Mapping) -> tuple[object, list[tuple[object, object]]]:
+    """The ``(n, pairs)`` of the JSON object form, read without building
+    anything or coercing any value; the constructor checks the types."""
     try:
-        n = obj["n"]
-        pairs = [(x, y) for x, y in obj["pairs"]]
+        return obj["n"], [(x, y) for x, y in obj["pairs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed element object: {obj!r}") from exc
-    return PartialInjection(n, pairs)
+
+
+def element_from_json_dict(obj: Mapping) -> PartialInjection:
+    """Inverse of :func:`element_to_json_dict`; coerces no value to int."""
+    return PartialInjection(*_read_element_json(obj))

@@ -76,10 +76,25 @@ class TestCount:
         assert code == 3
         assert f"estimated {465**3} steps" in err and f"bound of {MAX_WORD_WORK}" in err
 
-    def test_csv_not_available(self, capsys):
-        code, _, err = run(capsys, "count", "--n", "2", "--format", "csv")
-        assert code == 2
-        assert "csv" in err
+    def test_csv_not_available(self, capsys, monkeypatch):
+        # Only enumerate and classify offer csv, so argparse refuses it for
+        # every other command before the command's library call.
+        def must_not_run(*args, **kwargs):
+            pytest.fail("the command ran before --format csv was refused")
+
+        for name in ("count_paut", "factor_paut", "expand_symbol", "verify_rank"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        monkeypatch.setattr(selftest, "run_suites", must_not_run)
+        for argv in [
+            ("count", "--n", "2"),
+            ("factor", "--element", "n=3;1>3,2>2,3>1"),
+            ("expand", "--symbol", "es1,4", "--n", "6"),
+            ("verify-rank", "--n", "3", "--family", "paut"),
+            ("selftest", "--n", "3"),
+        ]:
+            code, out, err = run(capsys, *argv, "--format", "csv")
+            assert code == 2 and out == "", argv
+            assert "csv" in err, argv
 
 
 class TestEnumerate:
@@ -192,6 +207,12 @@ class TestExpand:
         assert code == 2
         assert json.loads(err)["error"]["code"] == "usage"
 
+    def test_non_ascii_digit_symbol(self, capsys):
+        # "a٣" (Arabic-Indic 3) was once read as a3.
+        code, out, err = run(capsys, "expand", "--symbol", "a\u0663", "--n", "7")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "usage"
+
 
 class TestWordWorkBound:
     @pytest.mark.parametrize(
@@ -238,12 +259,14 @@ class TestWordWorkBound:
             '{"n": 3.9, "pairs": [[1.5, 1.2]]}',
             '{"n": "3", "pairs": []}',
             '{"n": true, "pairs": []}',
+            '{"n": 3, "pairs": ' + "[" * 100000 + "]" * 100000 + "}",
         ],
-        ids=["n-1e300", "floats", "n-string", "n-bool"],
+        ids=["n-1e300", "floats", "n-string", "n-bool", "deep-nesting"],
     )
     def test_json_numbers_are_not_coerced(self, capsys, element):
         # 1e300 was once read as an int n and refused with a message of
-        # about 900 digits; 3.9 with [[1.5, 1.2]] was factored as n=3;1>1.
+        # about 900 digits; 3.9 with [[1.5, 1.2]] was factored as n=3;1>1;
+        # nesting past the recursion limit was reported as an internal error.
         code, out, err = run(capsys, "factor", "--element", element)
         assert code == 2 and out == ""
         error = json.loads(err)["error"]

@@ -53,6 +53,11 @@ class TestSymbol:
         assert ordered == (
             "a0 a1 a2 a3 a4 as1 as2 as3 b2 e1,3 es0,2 es0,3 es0,4 es1,3 es1,4 es2,4 rm1,4 rp0,3 tau"
         )
+        # The yield order fixes which counterexample a failing suite names first.
+        assert " ".join(format_symbol(sym) for sym in legal_symbols(4)) == (
+            "tau a0 a1 a2 a3 a4 a5 as1 as2 as3 as4 e1,3 e1,4 e2,4 es0,2 es0,3 es0,4 es0,5 "
+            "es1,3 es1,4 es1,5 es2,4 es2,5 es3,5 rp0,3 rp0,4 rp1,4 rm1,4 rm1,5 rm2,5 b2 b3"
+        )
 
     def test_immutable(self):
         sym = alpha(1)
@@ -219,7 +224,14 @@ class TestTextFormat:
         assert parse_symbol(text) == sym
         assert format_symbol(sym) == text
 
-    @pytest.mark.parametrize("bad", ["", "zeta", "a", "e3", "es1", "tau2", "b1,2", "a-1"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "", "zeta", "a", "e3", "es1", "tau2", "b1,2", "a-1",
+            # Non-ASCII digits, and a trailing newline that ``$`` would allow.
+            "a\u0663", "es\uff11,\uff14", "a3\n",
+        ],
+    )
     def test_parse_symbol_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_symbol(bad)

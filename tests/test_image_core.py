@@ -92,7 +92,8 @@ class TestAgainstNaive:
 class TestMappingViewEdges:
     @pytest.mark.parametrize("a", [identity(4), PartialInjection(4, [(2, 3), (4, 1)])])
     def test_out_of_range_keys(self, a):
-        for x in (0, a.n + 1, -1):
+        # bool is a subclass of int, but not a vertex.
+        for x in (0, a.n + 1, -1, True, False):
             with pytest.raises(KeyError):
                 a[x]
             assert a.get(x) is None

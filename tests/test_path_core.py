@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pathmonoid
 from pathmonoid import (
     PartialInjection,
     compose,
@@ -25,6 +30,12 @@ from pathmonoid import (
 )
 
 from conftest import all_partial_injections, edge_oracle_is_iend, partial_injections
+
+try:  # Python 3.11+
+    from re import _compiler as sre_compile, _parser as sre_parse
+except ImportError:  # Python 3.10
+    import sre_compile
+    import sre_parse
 
 
 class TestConstruction:
@@ -169,6 +180,8 @@ class TestTextAndJson:
         [
             "", "n=5", "5;1>3", "n=5;1>3,", "n=5;1>6", "n=5;0>1", "n=5;1>2,1>3", "n=x;1>2",
             "n=5;1>2,3>2", "n=0;", "n=5;-1>2", "n=5;1>a",
+            # Fullwidth and Arabic-Indic digits: only ASCII digits are read.
+            "n=\uff13;1>1", "n=3;1>\u0661",
         ],
     )
     def test_parse_rejects_malformed(self, bad):
@@ -204,3 +217,34 @@ class TestTextAndJson:
     def test_round_trips(self, a):
         assert parse_element(format_element(a)) == a
         assert element_from_json_dict(element_to_json_dict(a)) == a
+
+
+def _one_character_nodes(subpattern):
+    """Every node of a parsed regular expression that matches one character."""
+    for op, av in subpattern:
+        if op in (sre_parse.LITERAL, sre_parse.NOT_LITERAL, sre_parse.ANY, sre_parse.IN):
+            yield op, av
+            continue
+        # Groups, repeats, branches and assertions hold their subpatterns in av.
+        for part in av if isinstance(av, (tuple, list)) else ():
+            for sub in part if isinstance(part, list) else [part]:
+                if isinstance(sub, sre_parse.SubPattern):
+                    yield from _one_character_nodes(sub)
+
+
+def test_patterns_read_ascii_digits_only():
+    # Every text form is written in ASCII digits; a pattern with a ``\d``,
+    # ``.`` or negated class somewhere also reads "３" or "١" there.
+    offenders = []
+    for info in pkgutil.iter_modules(pathmonoid.__path__):
+        module = importlib.import_module(f"pathmonoid.{info.name}")
+        for name, pattern in vars(module).items():
+            if not isinstance(pattern, re.Pattern):
+                continue
+            tree = sre_parse.parse(pattern.pattern, pattern.flags)
+            for node in _one_character_nodes(tree):
+                one = sre_compile.compile(sre_parse.SubPattern(tree.state, [node]), pattern.flags)
+                if any(one.fullmatch(digit) for digit in "\uff13\u0663\u0969"):
+                    offenders.append(f"{module.__name__}.{name}")
+                    break
+    assert offenders == []
