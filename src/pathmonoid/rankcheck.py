@@ -146,7 +146,7 @@ def closure(gens: Iterable[PartialInjection], n: int) -> MonoidSet:
     """Least submonoid of I_n containing ``gens`` and the identity.
 
     It has no bound of its own: its size is at most |I_n|, so n fixes the
-    cost, and the CLI saturates only at n <= ``cli.MAX_CLOSURE_N``.
+    cost, and the CLI saturates only at n <= ``census.MAX_ENUMERATE_N``.
     """
     gen_list: list[PartialInjection] = []
     for g in gens:
@@ -391,8 +391,8 @@ def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness
     generates the enumerated monoid, no single letter can be dropped, and
     the lower-bound witness checks hold.  With ``exhaustive`` the subset
     search additionally establishes the rank as an exact lower bound,
-    walking k downward until no k-subset generates; it refuses a k whose
-    scope is above ``MAX_SUBSETS``.
+    walking k downward until no k-subset generates.  It runs first, so a k
+    whose scope is above ``MAX_SUBSETS`` is refused before any saturation.
 
     When the alphabet does not generate, or a letter can be dropped, the
     witness's ``counterexample`` names the first member missing from the
@@ -403,17 +403,6 @@ def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness
     letters = alphabet_elements(family, n)
     formula = rank_formula(family, n)
     target = paut_monoid(n) if family == "paut" else iend_monoid(n)
-    generates = is_generating(letters, target)
-    redundant = _first_redundant(letters, target) if generates else None
-    counterexample = None
-    if not generates:
-        counterexample = _generation_counterexample(letters, target)
-    elif redundant is not None:
-        counterexample = (
-            f"letter {redundant + 1} of {len(letters)}, "
-            f"{format_element(letters[redundant])}, is redundant"
-        )
-    witnesses = tuple(lower_bound_witnesses(n).items())
     lower_bound: int | None = None
     searched: int | None = None
     if exhaustive:
@@ -425,6 +414,17 @@ def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness
                 break
             k -= 1
         lower_bound = k + 1
+    generates = is_generating(letters, target)
+    redundant = _first_redundant(letters, target) if generates else None
+    counterexample = None
+    if not generates:
+        counterexample = _generation_counterexample(letters, target)
+    elif redundant is not None:
+        counterexample = (
+            f"letter {redundant + 1} of {len(letters)}, "
+            f"{format_element(letters[redundant])}, is redundant"
+        )
+    witnesses = tuple(lower_bound_witnesses(n).items())
     return RankWitness(
         n=n,
         family=family,

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import json
+import pkgutil
+import re
 import time
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -147,9 +151,10 @@ class TestClassify:
         assert len(out.splitlines()) == 8  # header + 7 elements
 
     def test_closure_cap_refusal(self, capsys):
-        code, _, err = run(capsys, "classify", "--n", "7", "--family", "paut", "--relation", "L")
+        # classify has no bound of its own: the enumeration refuses first.
+        code, _, err = run(capsys, "classify", "--n", "9", "--family", "paut", "--relation", "L")
         assert code == 3
-        assert json.loads(err)["error"]["message"] == "n=7 is above the bound of 6 for classify"
+        assert json.loads(err)["error"]["message"] == "enumeration at n=9 is above the bound of 8"
 
 
 class TestFactor:
@@ -247,6 +252,24 @@ class TestWordWorkBound:
         code, _, err = run(capsys, "expand", "--symbol", "b3", "--n", str(top + 1))
         assert code == 3 and f"{MAX_EXPANSION_LENGTH * (top + 1)} steps" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("factor", "--element", f"n={'1' * 1500};1>1"),
+            ("factor", "--element", f"n={'1' * 4300};1>1"),
+            ("count", "--n", "1" * 2000),
+            ("expand", "--symbol", "b3", "--n", "1" * 4300),
+        ],
+        ids=["factor-1500-digits", "factor-4300-digits", "count-2000-digits", "expand-4300-digits"],
+    )
+    def test_refusal_of_a_many_digit_n_is_short(self, capsys, argv):
+        # Written in full, these estimates pass Python's 4,300-digit limit on
+        # formatting an int, and the refusal used to exit 2 as a usage error.
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "resource-refused" and len(error["message"]) < 200
+
     def test_malformed_element_is_still_a_usage_error(self, capsys):
         code, _, err = run(capsys, "factor", "--element", '{"n": 1e400, "pairs": []}')
         assert code == 2
@@ -288,13 +311,23 @@ class TestVerifyRank:
         assert code == 0 and payload["ok"] is True
         assert payload["exhaustive_lower_bound"] is None
 
-    def test_needs_n_at_least_3(self, capsys):
-        code, _, err = run(capsys, "verify-rank", "--n", "2", "--family", "paut")
-        assert code == 2
+    @pytest.mark.parametrize("exhaustive", [(), ("--exhaustive",)], ids=["plain", "exhaustive"])
+    @pytest.mark.parametrize("n", [2, 0, -4])
+    def test_needs_n_at_least_3(self, capsys, n, exhaustive):
+        code, out, err = run(capsys, "verify-rank", "--n", str(n), "--family", "paut", *exhaustive)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == (
+            f"rank verification needs the alphabets (n >= 3), got n={n}"
+        )
 
-    def test_budget_refusal(self, capsys):
+    def test_budget_refusal(self, capsys, monkeypatch):
         # IEnd(P_5) has 458 elements; with the forced reversal the 5-subsets
-        # to search number C(457, 4), far above the budget.
+        # to search number C(457, 4), far above the budget.  The search is
+        # sized before any generation check, so nothing is saturated.
+        def saturate(*args, **kwargs):
+            raise RuntimeError("saturated before the subset budget was checked")
+
+        monkeypatch.setattr(rankcheck, "_saturate", saturate)
         start = time.perf_counter()
         code, out, err = run(capsys, "verify-rank", "--n", "5", "--family", "iend", "--exhaustive")
         assert time.perf_counter() - start < 2.0
@@ -468,12 +501,15 @@ class TestFixedBounds:
         [
             (("enumerate", "--n", "8", "--family", "paut"), lambda p: p["count"] == count_paut(8)),
             (("count", "--n", "8", "--per-mask"), lambda p: len(p["per_mask"]) == 256),
-            (("classify", "--n", "6", "--family", "paut", "--relation", "J"),
-             lambda p: sum(map(len, p["classes"])) == count_paut(6)),
+            (("classify", "--n", "8", "--family", "paut", "--relation", "L"),
+             lambda p: p["class_count"] == 2**8 == len(p["classes"])
+             and sum(map(len, p["classes"])) == count_paut(8)),
+            (("verify-rank", "--n", "8", "--family", "iend"),
+             lambda p: p["ok"] is True and p["formula_value"] == 10),
             (("verify-rank", "--n", "5", "--family", "paut", "--exhaustive"),
              lambda p: p["ok"] and p["subsets_searched"] == 31375),
         ],
-        ids=["enumerate-n8", "per-mask-n8", "classify-n6", "exhaustive-paut-n5"],
+        ids=["enumerate-n8", "per-mask-n8", "classify-n8", "verify-rank-n8", "exhaustive-paut-n5"],
     )
     def test_edge_runs(self, capsys, argv, check):
         code, out, _ = run(capsys, *argv)
@@ -484,13 +520,22 @@ class TestFixedBounds:
         [
             (("enumerate", "--n", "9", "--family", "iend"), "enumeration at n=9 is above the bound of 8"),
             (("count", "--n", "9", "--per-mask"), "n=9 is above the bound of 8 for the per-mask table"),
-            (("classify", "--n", "7", "--family", "iend", "--relation", "H"),
-             "n=7 is above the bound of 6 for classify"),
-            (("verify-rank", "--n", "7", "--family", "iend"),
-             "n=7 is above the bound of 6 for verify-rank"),
+            (("classify", "--n", "9", "--family", "iend", "--relation", "H"),
+             "enumeration at n=9 is above the bound of 8"),
+            (("verify-rank", "--n", "9", "--family", "iend"),
+             "enumeration at n=9 is above the bound of 8"),
+            (("verify-rank", "--n", "8", "--family", "iend", "--exhaustive"),
+             f"exceeds the budget of {MAX_SUBSETS}"),
             (("selftest", "--n", "9"), "n=9 is above the bound of 8 for selftest"),
         ],
-        ids=["enumerate-n9", "per-mask-n9", "classify-n7", "verify-rank-n7", "selftest-n9"],
+        ids=[
+            "enumerate-n9",
+            "per-mask-n9",
+            "classify-n9",
+            "verify-rank-n9",
+            "exhaustive-iend-n8",
+            "selftest-n9",
+        ],
     )
     def test_one_past_the_edge_refused(self, capsys, argv, message):
         start = time.perf_counter()
@@ -499,6 +544,29 @@ class TestFixedBounds:
         assert code == 3 and out == ""
         error = json.loads(err)["error"]
         assert error["code"] == "resource-refused" and message in error["message"]
+
+    def test_readme_table_matches_the_code(self):
+        # The "defined as" column of README's "Fixed bounds" table names
+        # existing int constants, and every module that refuses work lists
+        # each of its MAX_* ints there.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Fixed bounds", 1)[1].split("\n#", 1)[0]
+        rows = [line.split("|") for line in section.splitlines() if line.startswith("|")]
+        listed = {name for row in rows for name in re.findall(r"`(\w+\.\w+)`", row[3])}
+        assert listed
+        for name in listed:
+            module, constant = name.split(".")
+            value = getattr(importlib.import_module(f"pathmonoid.{module}"), constant, None)
+            assert type(value) is int, name
+        bounds = set()
+        for info in pkgutil.iter_modules(pathmonoid.__path__):
+            source = inspect.getsource(importlib.import_module(f"pathmonoid.{info.name}"))
+            if "raise ResourceRefused" in source:
+                bounds |= {
+                    f"{info.name}.{name}" for name in re.findall(r"^(MAX_\w+) = ", source, re.M)
+                }
+        assert "cli.MAX_WORD_WORK" in bounds
+        assert bounds <= listed
 
     @pytest.mark.parametrize(
         "command", ["count", "enumerate", "classify", "factor", "expand", "verify-rank", "selftest"]

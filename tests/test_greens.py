@@ -13,6 +13,7 @@ from pathmonoid import (
     enumerate_iend,
     enumerate_paut,
     h_related,
+    image_intervals,
     inverse,
     is_iend,
     j_related,
@@ -164,6 +165,27 @@ class TestClassify:
         assert len(classify(m, "L").classes) == 10
         assert len(classify(m, "R").classes) == 9
         assert len(classify(m, "J").classes) == 6
+
+    @pytest.mark.parametrize("relation", ("L", "R", "H", "J"))
+    @pytest.mark.parametrize("n", (7, 8))
+    def test_paut_matches_inverse_monoid_partitions(self, n, relation):
+        # PAut(P_n) is an inverse monoid, so a L b iff im a = im b, a R b iff
+        # dom a = dom b, and H is both (Howie 1995, ch. 5); J is the
+        # partition by the multiset of image-interval sizes, as in test_06.
+        keys = {
+            "L": lambda a: a.image_set(),
+            "R": lambda a: a.domain_set(),
+            "H": lambda a: (a.image_set(), a.domain_set()),
+            "J": lambda a: frozenset(
+                Counter(hi - lo + 1 for lo, hi in image_intervals(a)).items()
+            ),
+        }
+        m = enumerate_paut(n)
+        blocks: dict = {}
+        for a in m:
+            blocks.setdefault(keys[relation](a), set()).add(a)
+        expected = frozenset(frozenset(block) for block in blocks.values())
+        assert classify(m, relation).as_sets() == expected
 
 
 class TestOracle:
