@@ -389,10 +389,10 @@ def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness
 
     Always verified: the alphabet's size equals the closed-form rank, it
     generates the enumerated monoid, no single letter can be dropped, and
-    the lower-bound witness checks hold.  With ``exhaustive`` the subset
-    search additionally establishes the rank as an exact lower bound,
-    walking k downward until no k-subset generates.  It runs first, so a k
-    whose scope is above ``MAX_SUBSETS`` is refused before any saturation.
+    the lower-bound witness checks hold.  With ``exhaustive`` a subset
+    search walks k downward until no k-subset generates, an exact lower
+    bound.  An n past the enumeration bound, or a k whose scope is above
+    ``MAX_SUBSETS``, is refused before the alphabet is built or saturated.
 
     When the alphabet does not generate, or a letter can be dropped, the
     witness's ``counterexample`` names the first member missing from the
@@ -400,7 +400,6 @@ def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness
     """
     if n < 3:
         raise ValueError(f"rank verification needs the alphabets (n >= 3), got n={n}")
-    letters = alphabet_elements(family, n)
     formula = rank_formula(family, n)
     target = paut_monoid(n) if family == "paut" else iend_monoid(n)
     lower_bound: int | None = None
@@ -414,6 +413,7 @@ def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness
                 break
             k -= 1
         lower_bound = k + 1
+    letters = alphabet_elements(family, n)
     generates = is_generating(letters, target)
     redundant = _first_redundant(letters, target) if generates else None
     counterexample = None

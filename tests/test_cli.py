@@ -339,6 +339,22 @@ class TestVerifyRank:
             f"{MAX_SUBSETS}"
         )
 
+    def test_budget_refusal_at_the_enumeration_bound(self, capsys, monkeypatch):
+        # IEnd(P_8) is enumerated (53,937 elements, not instant) to size the
+        # 9-subsets, C(53936, 8) with the forced reversal; nothing is saturated.
+        def saturate(*args, **kwargs):
+            raise RuntimeError("saturated before the subset budget was checked")
+
+        monkeypatch.setattr(rankcheck, "_saturate", saturate)
+        code, out, err = run(capsys, "verify-rank", "--n", "8", "--family", "iend", "--exhaustive")
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "resource-refused"
+        assert error["message"] == (
+            f"searching 1775349616172371733948662312499890 candidate 9-subsets "
+            f"exceeds the budget of {MAX_SUBSETS}"
+        )
+
     def test_budget_counts_the_subsets_searched(self, capsys):
         # C(105, 3) = 187,460 subsets, but the forced reversal leaves C(104, 2).
         code, out, _ = run(capsys, "verify-rank", "--n", "4", "--family", "iend", "--exhaustive")
@@ -524,8 +540,10 @@ class TestFixedBounds:
              "enumeration at n=9 is above the bound of 8"),
             (("verify-rank", "--n", "9", "--family", "iend"),
              "enumeration at n=9 is above the bound of 8"),
-            (("verify-rank", "--n", "8", "--family", "iend", "--exhaustive"),
-             f"exceeds the budget of {MAX_SUBSETS}"),
+            (("verify-rank", "--n", "100000000", "--family", "paut"),
+             "enumeration at n=100000000 is above the bound of 8"),
+            (("verify-rank", "--n", "100000000", "--family", "iend", "--exhaustive"),
+             "enumeration at n=100000000 is above the bound of 8"),
             (("selftest", "--n", "9"), "n=9 is above the bound of 8 for selftest"),
         ],
         ids=[
@@ -533,11 +551,18 @@ class TestFixedBounds:
             "per-mask-n9",
             "classify-n9",
             "verify-rank-n9",
-            "exhaustive-iend-n8",
+            "verify-rank-n1e8",
+            "exhaustive-n1e8",
             "selftest-n9",
         ],
     )
-    def test_one_past_the_edge_refused(self, capsys, argv, message):
+    def test_one_past_the_edge_refused(self, capsys, monkeypatch, argv, message):
+        # No refusal here may build an alphabet first: at n = 10^8 that
+        # alone would take n^2 memory.
+        def alphabet(*args):
+            raise RuntimeError("alphabet built before the enumeration bound was checked")
+
+        monkeypatch.setattr(rankcheck, "alphabet_elements", alphabet)
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 2.0
