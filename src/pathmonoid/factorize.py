@@ -155,30 +155,26 @@ def factor_paut(a: PartialInjection) -> Word:
     target_order = _block_order(target, blocks)
     _repair_block_order(em, blocks, target_order)
 
-    while em.img != target:
-        cur = em.img
-        order = _block_order(cur, blocks)
-        if order != target_order:
-            raise RuntimeError("shift letters disturbed the block order")
-        u = next(
-            p
-            for p, (lo, hi) in enumerate(blocks[r] for r in order)
-            if cur[lo : hi + 1] != target[lo : hi + 1]
-        )
-        block = blocks[order[u]]
-        cur_lo, cur_hi = block_image(cur, block)
+    # Place the blocks left to right.  A letter for a block moves only image
+    # points above ``floor``, the target top of the block placed before it,
+    # and keeps the block order, so a placed block never moves again.
+    floor = 0
+    for block in (blocks[r] for r in target_order):
+        lo, hi = block
         tgt_lo, tgt_hi = block_image(target, block)
-        img = frozenset(cur) - {0}
-        if (cur_lo, cur_hi) == (tgt_lo, tgt_hi):
-            # Image in place; the restriction differs, so flip it in place.
-            em.emit(canonical_eps_star(cur_lo - 1, cur_hi + 1, n))
-        elif cur_lo < tgt_lo:
-            em.emit(_shift_right_letter(img, cur_lo, cur_hi, n))
-        else:
-            floor = 0
-            if u > 0:
-                floor = max(block_image(cur, blocks[order[p]])[1] for p in range(u))
-            em.emit(_shift_left_letter(img, cur_lo, cur_hi, floor, n))
+        while em.img[lo : hi + 1] != target[lo : hi + 1]:
+            cur_lo, cur_hi = block_image(em.img, block)
+            img = frozenset(em.img) - {0}
+            if (cur_lo, cur_hi) == (tgt_lo, tgt_hi):
+                # Image in place; the orientation differs, so flip it in place.
+                em.emit(canonical_eps_star(cur_lo - 1, cur_hi + 1, n))
+            elif cur_lo < tgt_lo:
+                em.emit(_shift_right_letter(img, cur_lo, cur_hi, n))
+            else:
+                em.emit(_shift_left_letter(img, cur_lo, cur_hi, floor, n))
+        floor = tgt_hi
+    if em.img != target:
+        raise RuntimeError("shift letters disturbed the block order")
     # Every letter passed ``make_generator`` in ``_Emitter.emit``.
     return _trusted_word(n, tuple(em.letters))
 

@@ -176,15 +176,13 @@ def _partition_by_key(
     elements: Iterable[PartialInjection],
     key: Callable[[PartialInjection], Hashable],
 ) -> GreensClassification:
-    """Group ``elements`` by ``key``; members of a class and the classes
-    themselves are sorted by text form, so the result does not depend on the
-    input order."""
+    """Group ``elements`` by ``key``, read in text-form order: members of a
+    class come out in text order and the classes in the order of their first
+    member, so the result does not depend on the input order."""
     by_key: dict[Hashable, list[PartialInjection]] = {}
-    for a in elements:
+    for a in sorted(elements, key=format_element):
         by_key.setdefault(key(a), []).append(a)
-    classes = [tuple(sorted(c, key=format_element)) for c in by_key.values()]
-    classes.sort(key=lambda c: format_element(c[0]))
-    return GreensClassification(relation=relation, classes=tuple(classes))
+    return GreensClassification(relation=relation, classes=tuple(map(tuple, by_key.values())))
 
 
 def classify(elements: Iterable[PartialInjection], relation: str) -> GreensClassification:

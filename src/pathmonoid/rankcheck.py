@@ -316,31 +316,16 @@ def lower_bound_witnesses(n: int) -> dict[str, bool]:
     paut_letters = alphabet_elements("paut", n)
     iend_letters = alphabet_elements("iend", n)
     half = (n + 1) // 2
-    checks: dict[str, bool] = {}
-    checks["reversal_in_alphabet"] = make_generator(tau(), n) in paut_letters
-
-    meets_every_class = True
-    for i in range(1, half + 1):
-        members = set(point_deleted_class(n, i))
-        if not any(a in members for a in paut_letters):
-            meets_every_class = False
-    checks["alphabet_meets_point_deleted_classes"] = meets_every_class
-
-    two_letters = True
-    size_sixteen = True
-    for i in range(3, n // 2 + 1):
-        members = point_deleted_class(n, i)
-        member_set = set(members)
-        if sum(1 for a in paut_letters if a in member_set) < 2:
-            two_letters = False
-        if len(members) != 16:
-            size_sixteen = False
-    checks["inner_classes_have_two_letters"] = two_letters
-    checks["inner_class_size_sixteen"] = size_sixteen
-
-    outside = sum(1 for a in iend_letters if not is_paut(a))
-    checks["enough_letters_outside_automorphisms"] = outside >= half - 1
-    return checks
+    classes = {i: set(point_deleted_class(n, i)) for i in range(1, half + 1)}
+    letters_in = {i: sum(a in members for a in paut_letters) for i, members in classes.items()}
+    inner = range(3, n // 2 + 1)
+    return {
+        "reversal_in_alphabet": make_generator(tau(), n) in paut_letters,
+        "alphabet_meets_point_deleted_classes": all(letters_in.values()),
+        "inner_classes_have_two_letters": all(letters_in[i] >= 2 for i in inner),
+        "inner_class_size_sixteen": all(len(classes[i]) == 16 for i in inner),
+        "enough_letters_outside_automorphisms": sum(not is_paut(a) for a in iend_letters) >= half - 1,
+    }
 
 
 @dataclass(frozen=True)

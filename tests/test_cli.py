@@ -631,6 +631,19 @@ class TestUsage:
         code, _, _ = run(capsys, "enumerate", "--n", "3")
         assert code == 2
 
-    def test_nonpositive_n(self, capsys):
-        code, _, err = run(capsys, "count", "--n", "0")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("count", "--n", "0"), id="count"),
+            pytest.param(("count", "--n", "-3", "--per-mask"), id="count-per-mask"),
+            pytest.param(("enumerate", "--n", "0", "--family", "paut"), id="enumerate"),
+            pytest.param(("classify", "--n", "-2", "--family", "iend", "--relation", "H"), id="classify"),
+            pytest.param(("expand", "--symbol", "a0", "--n", "0"), id="expand-a0"),
+            pytest.param(("expand", "--symbol", "tau", "--n", "-4"), id="expand-tau"),
+            pytest.param(("selftest", "--n", "0"), id="selftest"),
+        ],
+    )
+    def test_nonpositive_n(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
         assert code == 2
+        assert json.loads(err)["error"]["code"] == "usage"

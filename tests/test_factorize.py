@@ -8,6 +8,7 @@ from pathmonoid import (
     PartialInjection,
     Word,
     canonical_delta,
+    domain_intervals,
     enumerate_iend,
     enumerate_paut,
     eval_word,
@@ -21,6 +22,8 @@ from pathmonoid import (
 from pathmonoid import factorize
 from pathmonoid.genwords import tau
 from pathmonoid.selftest import check_round_trip
+
+from test_golden import WORDS_FILE, WORDS_N, factor_words
 
 
 class TestSmallCases:
@@ -62,6 +65,37 @@ class TestSmallCases:
         with pytest.raises(RuntimeError, match="step bound of 1 letters"):
             factor_paut(a)
 
+    def test_block_order_is_not_recomputed_per_letter(self, monkeypatch):
+        # The n = 24 partial automorphism of the golden cases: 4 domain blocks,
+        # some reversed, dozens of shift letters.
+        a = parse_element("n=24;2>21,3>20,4>19,5>18,8>3,9>4,10>5,14>12,15>11,16>10,17>9,20>24,21>23")
+        block_order = factorize._block_order
+        calls = []
+
+        def counting(img, blocks):
+            calls.append(img)
+            return block_order(img, blocks)
+
+        monkeypatch.setattr(factorize, "_block_order", counting)
+        word = factor_paut(a)
+        assert eval_word(word) == a
+        assert len(calls) <= len(domain_intervals(a)) + 1 < len(word)
+
+    @pytest.mark.parametrize(
+        ("text", "match"),
+        [
+            # tau places the second block but throws the first one to the
+            # right end: only the end check can see it.
+            pytest.param("n=6;1>1,3>4", "shift letters disturbed the block order", id="end-check"),
+            # tau toggles both blocks back and forth until the step bound.
+            pytest.param("n=4;1>1,3>4", "step bound", id="step-bound"),
+        ],
+    )
+    def test_a_wrong_shift_letter_raises(self, monkeypatch, text, match):
+        monkeypatch.setattr(factorize, "_shift_right_letter", lambda *args: tau())
+        with pytest.raises(RuntimeError, match=match):
+            factor_paut(parse_element(text))
+
 
 class TestCanonicalDelta:
     def test_example(self):
@@ -92,6 +126,11 @@ class TestRoundTrips:
             assert eval_word(factor_paut(a)) == a
         for a in enumerate_iend(n):
             assert eval_word(factor_iend(a)) == a
+
+    def test_words_match_the_golden_list(self):
+        # Pins every word, not only its value: a rewrite of the factorization
+        # that changes a single letter shows here.
+        assert factor_words(WORDS_N) == WORDS_FILE.read_text()
 
     def test_words_use_only_legal_letters(self):
         # Factor and expand build their words without checks; rebuilding

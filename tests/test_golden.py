@@ -3,10 +3,12 @@
 Each case runs ``pathmonoid.cli.main`` in-process and compares its exit code
 and standard output with the committed file ``tests/golden/<name>.out``.
 Refactors that must not change behaviour are gated on this test, including
-any iteration order that leaks into the output.
+any iteration order that leaks into the output.  ``tests/golden/factor-words-iend-n5.txt``
+holds the ``factor_iend`` word of every element of IEnd(P_5), one
+``element word`` line each; ``tests/test_factorize.py`` compares against it.
 
-To rewrite the expected files after an intended output change, run from the
-repository root::
+To rewrite the expected files after an intended output change, including the
+word list, run from the repository root::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,9 +22,12 @@ from pathlib import Path
 
 import pytest
 
+from pathmonoid import enumerate_iend, factor_iend, format_element, format_word
 from pathmonoid.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+WORDS_N = 5
+WORDS_FILE = GOLDEN_DIR / f"factor-words-iend-n{WORDS_N}.txt"
 
 CASES: dict[str, tuple[str, ...]] = {
     "selftest-n5": ("selftest", "--n", "5"),
@@ -67,6 +72,13 @@ def run_case(argv: tuple[str, ...]) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
+def factor_words(n: int) -> str:
+    """One ``element word`` line per element of IEnd(P_n), in enumeration order."""
+    return "".join(
+        f"{format_element(a)} {format_word(factor_iend(a))}".rstrip() + "\n" for a in enumerate_iend(n)
+    )
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
     expected = (GOLDEN_DIR / f"{name}.out").read_bytes()
@@ -78,3 +90,5 @@ if __name__ == "__main__":
     for case_name, case_argv in CASES.items():
         (GOLDEN_DIR / f"{case_name}.out").write_bytes(run_case(case_argv).encode())
         print(f"wrote {case_name}", file=sys.stderr)
+    WORDS_FILE.write_text(factor_words(WORDS_N))
+    print(f"wrote {WORDS_FILE.stem}", file=sys.stderr)

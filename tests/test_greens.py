@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
@@ -132,6 +133,17 @@ class TestClassify:
             assert texts == sorted(texts)
         firsts = [cls[0].format() for cls in part.classes]
         assert firsts == sorted(firsts)
+
+    def test_input_order_does_not_leak(self):
+        # The goldens feed enumeration order only.
+        m = sorted(enumerate_iend(5), key=lambda a: a.format())
+        shuffled = list(m)
+        random.Random(5).shuffle(shuffled)
+        oracle, oracle_shuffled = oracle_classifications(m), oracle_classifications(shuffled)
+        for relation in ("L", "R", "H", "J"):
+            classes = classify(m, relation).classes
+            assert classify(shuffled, relation).classes == classes, relation
+            assert oracle_shuffled[relation].classes == oracle[relation].classes == classes, relation
 
     def test_rejects_unknown_relation(self):
         with pytest.raises(ValueError):

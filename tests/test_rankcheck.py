@@ -277,6 +277,40 @@ class TestWitnesses:
         report = lower_bound_witnesses(n)
         assert all(report.values()), report
 
+    def test_each_class_check_can_fail(self, monkeypatch):
+        # n = 7: A_1..A_4 are checked for a letter, A_3 also for two letters
+        # and for 16 members.  Each patch breaks exactly one check.
+        n = 7
+        letters = alphabet_elements("paut", n)
+        a3 = set(point_deleted_class(n, 3))
+
+        def failing(key):
+            report = lower_bound_witnesses(n)
+            assert [k for k, ok in report.items() if not ok] == [key]
+
+        def a1_without_letters(m, i):
+            members = point_deleted_class(m, i)
+            return [a for a in members if a not in letters] if i == 1 else members
+
+        monkeypatch.setattr(rankcheck, "point_deleted_class", a1_without_letters)
+        failing("alphabet_meets_point_deleted_classes")
+
+        def a3_with_identity(m, i):
+            members = point_deleted_class(m, i)
+            return members + [identity(m)] if i == 3 else members
+
+        monkeypatch.setattr(rankcheck, "point_deleted_class", a3_with_identity)
+        failing("inner_class_size_sixteen")
+
+        monkeypatch.undo()
+        one_a3_letter = [a for a in letters if a not in a3] + [next(a for a in letters if a in a3)]
+        monkeypatch.setattr(
+            rankcheck,
+            "alphabet_elements",
+            lambda family, m: one_a3_letter if family == "paut" else alphabet_elements(family, m),
+        )
+        failing("inner_classes_have_two_letters")
+
     def test_witness_report_keys_are_stable(self):
         assert list(lower_bound_witnesses(4)) == [
             "reversal_in_alphabet",
