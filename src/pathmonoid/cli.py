@@ -42,7 +42,7 @@ from .census import (
     mask_to_string,
 )
 from .errors import ResourceRefused
-from .factorize import factor_iend, factor_paut, word_length_bound
+from .factorize import factor_iend, word_length_bound
 from .genwords import (
     MAX_EXPANSION_LENGTH,
     eval_word,
@@ -59,7 +59,6 @@ from .path_core import (
     _read_element_json,
     _read_element_text,
     format_element,
-    is_iend,
     is_paut,
 )
 from .rankcheck import verify_rank
@@ -255,24 +254,15 @@ def _cmd_factor(args: argparse.Namespace) -> tuple[Rendering, int]:
     element = _read_element(args.element)
     if args.n is not None and args.n != element.n:
         raise ValueError(f"--n {args.n} disagrees with the element's n={element.n}")
-    if is_paut(element):
-        family = "paut"
-        word = factor_paut(element)
-    elif is_iend(element):
-        family = "iend"
-        word = factor_iend(element)
-    else:
-        raise ValueError(
-            "element is not an injective partial endomorphism of the path; "
-            "nothing to factor"
-        )
+    # factor_iend refuses non-members and hands PAut members to factor_paut.
+    word = factor_iend(element)
     if args.alphabet == "base":
         word = expand_word(word)
     verified = eval_word(word) == element
     payload = {
         "n": element.n,
         "element": format_element(element),
-        "family": family,
+        "family": "paut" if is_paut(element) else "iend",
         "alphabet": args.alphabet,
         "word": format_word(word),
         "length": len(word),

@@ -115,17 +115,19 @@ def _shift_right_letter(img: frozenset[int], lo: int, hi: int, n: int) -> Symbol
     raise RuntimeError("no free pair available for a right shift")
 
 
-def _shift_left_letter(img: frozenset[int], lo: int, hi: int, floor: int, n: int) -> Symbol:
-    """One letter moving the image block [lo, hi] one step left, never
-    touching image points at or below ``floor``."""
-    for j in range(lo - 1, floor, -1):
-        if j in img or (j - 1 >= 1 and j - 1 in img):
-            continue
-        if j <= hi - 2:
-            return rho_plus(j - 1, hi)
-        # j == lo - 1 forces lo == hi: an isolated point with lo-2, lo-1 free.
-        return canonical_eps_star(lo - 2, lo + 1, n)
-    raise RuntimeError("no free pair available for a left shift")
+def _shift_left_letter(lo: int, hi: int, n: int) -> Symbol:
+    """One letter moving the image block [lo, hi] one step left.
+
+    ``factor_paut`` places the blocks left to right in target order, and
+    target image intervals sit at least one point apart, so nothing lies
+    between the placed blocks and a block that still has to move left:
+    image point lo - 1 is free, and lo - 2 is free or is 0, the left end.
+    A block of two or more points slides down by rp(lo-2, hi); a single
+    point is swapped with lo - 1 by the two-point reversal es(lo-2, lo+1).
+    """
+    if lo < hi:
+        return rho_plus(lo - 2, hi)
+    return canonical_eps_star(lo - 2, lo + 1, n)
 
 
 def factor_paut(a: PartialInjection) -> Word:
@@ -156,23 +158,20 @@ def factor_paut(a: PartialInjection) -> Word:
     _repair_block_order(em, blocks, target_order)
 
     # Place the blocks left to right.  A letter for a block moves only image
-    # points above ``floor``, the target top of the block placed before it,
-    # and keeps the block order, so a placed block never moves again.
-    floor = 0
+    # points above the target top of the block placed before it, and keeps
+    # the block order, so a placed block never moves again.
     for block in (blocks[r] for r in target_order):
         lo, hi = block
         tgt_lo, tgt_hi = block_image(target, block)
         while em.img[lo : hi + 1] != target[lo : hi + 1]:
             cur_lo, cur_hi = block_image(em.img, block)
-            img = frozenset(em.img) - {0}
             if (cur_lo, cur_hi) == (tgt_lo, tgt_hi):
                 # Image in place; the orientation differs, so flip it in place.
                 em.emit(canonical_eps_star(cur_lo - 1, cur_hi + 1, n))
             elif cur_lo < tgt_lo:
-                em.emit(_shift_right_letter(img, cur_lo, cur_hi, n))
+                em.emit(_shift_right_letter(frozenset(em.img), cur_lo, cur_hi, n))
             else:
-                em.emit(_shift_left_letter(img, cur_lo, cur_hi, floor, n))
-        floor = tgt_hi
+                em.emit(_shift_left_letter(cur_lo, cur_hi, n))
     if em.img != target:
         raise RuntimeError("shift letters disturbed the block order")
     # Every letter passed ``make_generator`` in ``_Emitter.emit``.

@@ -360,7 +360,7 @@ def expand_symbol(sym: Symbol, n: int) -> Word:
 def expand_word(word: Word) -> Word:
     """Expand every letter; the result evaluates to the same element."""
     n = word.n
-    if word.letters and n < 3:
+    if n < 3:
         raise ValueError(f"expansion requires n >= 3, got n={n}")
     letters: list[Symbol] = []
     for sym in word.letters:

@@ -142,6 +142,10 @@ class TestEnumeration:
             with pytest.raises(ValueError):
                 elements_with_domain(n, frozenset(domain), family)
 
+    def test_elements_with_domain_rejects_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family 'foo'"):
+            elements_with_domain(3, {1}, "foo")
+
     def test_refuses_beyond_bound(self, monkeypatch):
         with pytest.raises(ResourceRefused):
             enumerate_paut(9)

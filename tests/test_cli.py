@@ -14,7 +14,17 @@ from pathlib import Path
 import pytest
 
 import pathmonoid
-from pathmonoid import GreensClassification, Word, cli, count_iend, count_paut, rankcheck, selftest
+from pathmonoid import (
+    GreensClassification,
+    Word,
+    cli,
+    count_iend,
+    count_paut,
+    enumerate_paut,
+    format_element,
+    rankcheck,
+    selftest,
+)
 from pathmonoid.cli import MAX_WORD_WORK, main
 from pathmonoid.genwords import MAX_EXPANSION_LENGTH
 from pathmonoid.rankcheck import MAX_SUBSETS
@@ -86,7 +96,7 @@ class TestCount:
         def must_not_run(*args, **kwargs):
             pytest.fail("the command ran before --format csv was refused")
 
-        for name in ("count_paut", "factor_paut", "expand_symbol", "verify_rank"):
+        for name in ("count_paut", "factor_iend", "expand_symbol", "verify_rank"):
             monkeypatch.setattr(cli, name, must_not_run)
         monkeypatch.setattr(selftest, "run_suites", must_not_run)
         for argv in [
@@ -191,7 +201,27 @@ class TestFactor:
     def test_non_member_is_usage_error(self, capsys):
         code, _, err = run(capsys, "factor", "--element", "n=4;1>1,2>4")
         assert code == 2
-        assert json.loads(err)["error"]["code"] == "usage"
+        assert json.loads(err)["error"] == {
+            "code": "usage",
+            "message": "n=4;1>1,2>4 is not an injective partial endomorphism",
+        }
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_below_n3_only_the_derived_alphabet(self, capsys, n):
+        # No base alphabet exists below n = 3, not even for the identity,
+        # whose derived word is empty.
+        for a in enumerate_paut(n):
+            element = format_element(a)
+            code, out, err = run(capsys, "factor", "--element", element)
+            assert code == 2 and out == "", element
+            assert json.loads(err)["error"] == {
+                "code": "usage",
+                "message": f"expansion requires n >= 3, got n={n}",
+            }
+            code, out, _ = run(capsys, "factor", "--element", element, "--alphabet", "derived")
+            payload = json.loads(out)
+            assert code == 0 and payload["verified"] is True, element
+            assert payload["alphabet"] == "derived" and payload["family"] == "paut"
 
     def test_malformed_element(self, capsys):
         code, _, err = run(capsys, "factor", "--element", "nonsense")
@@ -396,7 +426,7 @@ class TestInternalError:
         def broken(a):
             raise RuntimeError("block order repair selected an empty segment")
 
-        monkeypatch.setattr(cli, "factor_paut", broken)
+        monkeypatch.setattr(cli, "factor_iend", broken)
         code, out, err = run(capsys, "factor", "--element", "n=3;1>2", "--format", fmt)
         assert code == cli.EXIT_INTERNAL == 4 and out == ""
         if fmt == "json":

@@ -19,8 +19,8 @@ from pathmonoid import (
     make_generator,
     parse_element,
 )
-from pathmonoid import factorize
-from pathmonoid.genwords import tau
+from pathmonoid import factorize, selftest
+from pathmonoid.genwords import alpha_star, beta, eps_star, rho_plus, tau
 from pathmonoid.selftest import check_round_trip
 
 from test_golden import WORDS_FILE, WORDS_N, factor_words
@@ -97,6 +97,44 @@ class TestSmallCases:
             factor_paut(parse_element(text))
 
 
+class TestLeftShift:
+    def test_letters(self):
+        # A block slides down by rp; a single point swaps with its left
+        # neighbour by es, named as(3) at the left end.
+        assert factorize._shift_left_letter(4, 6, 8) == rho_plus(2, 6)
+        assert factorize._shift_left_letter(2, 3, 8) == rho_plus(0, 3)
+        assert factorize._shift_left_letter(5, 5, 8) == eps_star(3, 6)
+        assert factorize._shift_left_letter(2, 2, 8) == alpha_star(3)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_two_points_below_the_block_are_free(self, monkeypatch, n):
+        # Each left-shift letter is emitted while image point lo - 1 is free
+        # and lo - 2 is free or is 0, so it moves no point but the block's.
+        shift_left_letter, emit = factorize._shift_left_letter, factorize._Emitter.emit
+        pending, seen = [], set()
+
+        def recording(lo, hi, n):
+            pending.append((lo, hi))
+            return shift_left_letter(lo, hi, n)
+
+        def checking(em, sym):
+            if pending:
+                lo, hi = pending.pop()
+                assert lo - 1 not in em.img, (em.img, lo, hi)
+                assert lo == 2 or lo - 2 not in em.img, (em.img, lo, hi)
+                seen.add((lo == 2, lo == hi))
+            emit(em, sym)
+
+        monkeypatch.setattr(factorize, "_shift_left_letter", recording)
+        monkeypatch.setattr(factorize._Emitter, "emit", checking)
+        for a in enumerate_paut(n):
+            assert eval_word(factor_paut(a)) == a
+        assert not pending
+        if n >= 5:
+            # Blocks and single points, at the left end and away from it.
+            assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 class TestCanonicalDelta:
     def test_example(self):
         # Image {2,3,6} packs to an order-preserving automorphism image.
@@ -126,6 +164,21 @@ class TestRoundTrips:
             assert eval_word(factor_paut(a)) == a
         for a in enumerate_iend(n):
             assert eval_word(factor_iend(a)) == a
+
+    def test_check_names_a_word_above_the_step_bound(self, monkeypatch):
+        monkeypatch.setattr(selftest, "factor_paut", lambda a: Word(a.n, (tau(),) * 37))
+        fault = check_round_trip("paut", 3)
+        assert fault.startswith("paut element n=3;") and fault.endswith(
+            "has 37 letters, above 4n^2"
+        )
+
+    def test_check_names_a_letter_outside_the_alphabet(self, monkeypatch):
+        # b(2) is a letter of B(3), not of A(3).
+        monkeypatch.setattr(selftest, "factor_paut", lambda a: Word(a.n, (beta(2),)))
+        fault = check_round_trip("paut", 3)
+        assert fault.startswith("paut element n=3;") and fault.endswith(
+            "word 'b2' expands to a word that uses b2, outside the alphabet"
+        )
 
     def test_words_match_the_golden_list(self):
         # Pins every word, not only its value: a rewrite of the factorization

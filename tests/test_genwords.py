@@ -145,6 +145,10 @@ class TestMakeGenerator:
             with pytest.raises(ValueError):
                 make_generator(sym, n)
 
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown symbol kind 'zz'"):
+            make_generator(Symbol("zz"), 3)
+
     def test_legal_symbols_agree_with_validation(self):
         for n in (3, 4, 6):
             symbols = list(legal_symbols(n))
@@ -195,6 +199,9 @@ class TestWords:
 
     def test_empty_word_is_identity(self):
         assert eval_word(Word(4, ())) == identity(4)
+
+    def test_iterates_over_its_letters(self):
+        assert list(Word(3, (tau(), alpha(1)))) == [tau(), alpha(1)]
 
     def test_concatenation_is_homomorphic(self):
         u = Word(5, (alpha(2), eps(1, 3)))
@@ -292,6 +299,13 @@ class TestExpansion:
     def test_expansion_needs_alphabets(self):
         with pytest.raises(ValueError):
             expand_symbol(tau(), 2)
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_empty_word_expansion_needs_alphabets(self, n):
+        # The empty word has no letter to expand, but there is still no
+        # base alphabet below n = 3 to write it over.
+        with pytest.raises(ValueError, match=f"expansion requires n >= 3, got n={n}"):
+            expand_word(Word(n, ()))
 
 
 @settings(max_examples=60)

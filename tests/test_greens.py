@@ -14,6 +14,7 @@ from pathmonoid import (
     enumerate_iend,
     enumerate_paut,
     h_related,
+    identity,
     image_intervals,
     inverse,
     is_iend,
@@ -178,6 +179,10 @@ class TestClassify:
         assert len(classify(m, "R").classes) == 9
         assert len(classify(m, "J").classes) == 6
 
+    def test_class_count(self):
+        part = classify(enumerate_iend(3), "R")
+        assert part.class_count == len(part.classes) == 9
+
     @pytest.mark.parametrize("relation", ("L", "R", "H", "J"))
     @pytest.mark.parametrize("n", (7, 8))
     def test_paut_matches_inverse_monoid_partitions(self, n, relation):
@@ -221,3 +226,7 @@ class TestOracle:
         m = [PartialInjection(3, [(1, 2), (2, 3)]), PartialInjection(3, [(1, 1)])]
         with pytest.raises(ValueError):
             oracle_classifications(m)
+
+    def test_oracle_rejects_mixed_n(self):
+        with pytest.raises(ValueError, match="elements live on different paths"):
+            oracle_classifications([identity(3), identity(4)])

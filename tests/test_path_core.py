@@ -51,6 +51,16 @@ class TestConstruction:
         with pytest.raises(KeyError):
             a[3]
 
+    def test_immutable(self):
+        a = identity(3)
+        with pytest.raises(AttributeError, match="immutable"):
+            a.n = 4
+        assert a.n == 3
+
+    def test_equal_only_to_elements(self):
+        assert (identity(3) == "x") is False
+        assert identity(3) != "n=3;1>1,2>2,3>3"
+
     def test_domain_and_image(self):
         a = PartialInjection(5, [(1, 3), (4, 2)])
         assert a.domain() == (1, 4)
@@ -174,6 +184,9 @@ class TestTextAndJson:
     def test_parse(self):
         assert parse_element("n=5;1>3,2>4") == PartialInjection(5, [(1, 3), (2, 4)])
         assert parse_element("n=5;") == empty_map(5)
+
+    def test_parse_as_a_static_method(self):
+        assert PartialInjection.parse("n=5;1>3,2>4") == PartialInjection(5, [(1, 3), (2, 4)])
 
     @pytest.mark.parametrize(
         "bad",

@@ -27,7 +27,7 @@ from pathmonoid import (
     verify_rank,
 )
 from pathmonoid import rankcheck
-from pathmonoid.genwords import make_generator, tau
+from pathmonoid.genwords import alpha, make_generator, tau
 from pathmonoid.rankcheck import (
     RankWitness,
     alphabet_elements,
@@ -91,6 +91,19 @@ class TestIsGenerating:
     def test_examples(self):
         assert is_generating(alphabet_elements("paut", 4), paut_monoid(4))
         assert not is_generating([make_generator(tau(), 3)], paut_monoid(3))
+
+    def test_rejects_a_generator_on_another_n(self):
+        with pytest.raises(ValueError, match="generator on n=4 does not match n=3"):
+            is_generating([identity(4)], paut_monoid(3))
+
+    def test_stops_at_a_product_outside_a_non_closed_target(self):
+        # a(1)² = the identity on {2, 3} is not in the target, so the
+        # saturation gives up at that product.
+        fold = make_generator(alpha(1), 3)
+        target = MonoidSet(3, frozenset({identity(3), fold}))
+        assert not target.is_closed()
+        assert rankcheck._saturate([fold], 3, within=target) is None
+        assert is_generating([fold], target) is False
 
     def test_non_members_cannot_generate(self):
         # A generator outside the target can never produce exactly it.
@@ -230,6 +243,14 @@ class TestExhaustiveMinSize:
         with pytest.raises(ResourceRefused, match="5356 candidate"):
             exhaustive_min_size(target, 3)
 
+    def test_k_below_the_forced_generators(self):
+        # The reversal is forced in PAut(P_3), so no 0-subset is a candidate.
+        assert subset_search_scope(paut_monoid(3), 0) == 0
+        assert exhaustive_min_size(paut_monoid(3), 0) is True
+
+    def test_nothing_forced_without_the_reversal(self):
+        assert rankcheck._forced_generators(closure([make_generator(alpha(1), 4)], 4)) == []
+
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
             exhaustive_min_size(paut_monoid(2), -1)
@@ -260,6 +281,10 @@ class TestRankFormula:
         with pytest.raises(ValueError):
             rank_formula("pend", 3)
 
+    def test_alphabet_elements_rejects_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family 'foo'"):
+            alphabet_elements("foo", 4)
+
 
 class TestWitnesses:
     def test_point_deleted_class_size(self):
@@ -267,6 +292,10 @@ class TestWitnesses:
         assert len(point_deleted_class(6, 3)) == 16
         assert len(point_deleted_class(8, 3)) == 16
         assert len(point_deleted_class(8, 4)) == 16
+
+    def test_point_deleted_class_rejects_bad_vertex(self):
+        with pytest.raises(ValueError, match="vertex 0 out of range for n=4"):
+            point_deleted_class(4, 0)
 
     def test_point_deleted_class_mirror(self):
         # A_i and A_{n+1-i} are the same class.
