@@ -24,7 +24,9 @@ against.
 
 Enumeration places the image blocks explicitly by the same rule, never
 filtering the full symmetric inverse monoid, so its size is a third,
-independent count.
+independent count.  Text order, the order of every listing, is imposed by
+``enumerate_paut`` and ``enumerate_iend`` alone; callers that only collect a
+set take ``_enumerate_family``'s placement order unsorted.
 """
 from __future__ import annotations
 
@@ -35,23 +37,6 @@ from operator import add
 
 from .errors import ResourceRefused
 from .path_core import PartialInjection, _trusted, format_element, maximal_intervals
-
-__all__ = [
-    "MaskProfile",
-    "mask_profile",
-    "mask_to_string",
-    "mask_from_set",
-    "mask_to_set",
-    "paut_contribution",
-    "iend_contribution",
-    "count_paut",
-    "count_iend",
-    "count_by_mask",
-    "enumerate_paut",
-    "enumerate_iend",
-    "elements_with_domain",
-    "MAX_ENUMERATE_N",
-]
 
 # Largest n ``enumerate_*`` accepts: IEnd(P_8) has 53,937 elements.
 MAX_ENUMERATE_N = 8
@@ -200,6 +185,7 @@ def elements_with_domain(
 
 
 def _enumerate_family(n: int, family: str) -> list[PartialInjection]:
+    """Every member of the family at n, in placement order."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > MAX_ENUMERATE_N:
@@ -208,15 +194,18 @@ def _enumerate_family(n: int, family: str) -> list[PartialInjection]:
     for s in range(n + 1):
         for domain in combinations(range(1, n + 1), s):
             elements.extend(elements_with_domain(n, frozenset(domain), family))
-    elements.sort(key=format_element)
     return elements
 
 
 def enumerate_paut(n: int) -> list[PartialInjection]:
     """All of PAut(P_n), sorted by text form.  Refuses n > ``MAX_ENUMERATE_N``."""
-    return _enumerate_family(n, "paut")
+    elements = _enumerate_family(n, "paut")
+    elements.sort(key=format_element)
+    return elements
 
 
 def enumerate_iend(n: int) -> list[PartialInjection]:
     """All of IEnd(P_n), sorted by text form.  Refuses n > ``MAX_ENUMERATE_N``."""
-    return _enumerate_family(n, "iend")
+    elements = _enumerate_family(n, "iend")
+    elements.sort(key=format_element)
+    return elements

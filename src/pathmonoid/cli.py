@@ -34,6 +34,7 @@ from typing import Sequence
 from . import __version__
 from .census import (
     MAX_ENUMERATE_N,
+    _enumerate_family,
     count_by_mask,
     count_iend,
     count_paut,
@@ -223,10 +224,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Rendering, int]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[Rendering, int]:
-    enumerate_family = enumerate_paut if args.family == "paut" else enumerate_iend
-    elements = enumerate_family(args.n)
     relation = args.relation.upper()
-    partition = classify_elements(elements, relation)
+    # classify sorts its input by text form itself.
+    partition = classify_elements(_enumerate_family(args.n, args.family), relation)
     classes = [[format_element(a) for a in cls] for cls in partition.classes]
     payload = {
         "n": args.n,

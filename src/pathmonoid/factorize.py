@@ -37,8 +37,6 @@ from .path_core import (
     is_paut,
 )
 
-__all__ = ["factor_paut", "factor_iend", "canonical_delta", "word_length_bound"]
-
 
 def word_length_bound(n: int) -> int:
     """The most letters ``factor_paut`` emits at n: 4n²."""

@@ -47,32 +47,6 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .path_core import PartialInjection, _trusted, identity
 
-__all__ = [
-    "Symbol",
-    "tau",
-    "alpha",
-    "alpha_star",
-    "eps",
-    "eps_star",
-    "rho_plus",
-    "rho_minus",
-    "beta",
-    "Word",
-    "make_generator",
-    "eval_word",
-    "eval_symbols",
-    "alphabet_paut",
-    "alphabet_iend",
-    "expand_symbol",
-    "expand_word",
-    "legal_symbols",
-    "canonical_eps_star",
-    "format_symbol",
-    "parse_symbol",
-    "format_word",
-    "parse_word",
-]
-
 
 class Symbol(NamedTuple):
     """One generator name; ``kind`` doubles as the text-format mnemonic.  It

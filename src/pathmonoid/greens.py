@@ -43,19 +43,6 @@ from .path_core import (
     maximal_intervals,
 )
 
-__all__ = [
-    "type_sequence",
-    "canonical_type",
-    "similar_type",
-    "l_related",
-    "r_related",
-    "h_related",
-    "j_related",
-    "GreensClassification",
-    "classify",
-    "oracle_classifications",
-]
-
 
 def _require_members(*elements: PartialInjection) -> None:
     for a in elements:
@@ -173,14 +160,14 @@ class GreensClassification:
 
 def _partition_by_key(
     relation: str,
-    elements: Iterable[PartialInjection],
+    elements: list[PartialInjection],
     key: Callable[[PartialInjection], Hashable],
 ) -> GreensClassification:
-    """Group ``elements`` by ``key``, read in text-form order: members of a
-    class come out in text order and the classes in the order of their first
-    member, so the result does not depend on the input order."""
+    """Group ``elements``, which the caller has put in text-form order, by
+    ``key``: members of a class come out in text order and the classes in
+    the order of their first member, whatever order the caller was given."""
     by_key: dict[Hashable, list[PartialInjection]] = {}
-    for a in sorted(elements, key=format_element):
+    for a in elements:
         by_key.setdefault(key(a), []).append(a)
     return GreensClassification(relation=relation, classes=tuple(map(tuple, by_key.values())))
 
@@ -195,6 +182,7 @@ def classify(elements: Iterable[PartialInjection], relation: str) -> GreensClass
         raise ValueError(f"unknown relation {relation!r}; expected one of L, R, H, J") from None
     elements = list(elements)
     _require_members(*elements)
+    elements.sort(key=format_element)
     return _partition_by_key(relation, elements, key)
 
 
@@ -230,7 +218,7 @@ def oracle_classifications(monoid: Iterable[PartialInjection]) -> dict[str, Gree
     the two-sided ideals M¹aM¹, assembled as the union of the left ideals of
     aM¹.  All four relations share a single product sweep.
     """
-    elements = list(dict.fromkeys(monoid))
+    elements = sorted(set(monoid), key=format_element)
     imgs = [a.img for a in elements]
     left, right = _ideal_tables(imgs)
     left_key = {x: frozenset(left[x]) for x in imgs}

@@ -20,25 +20,6 @@ import re
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
-__all__ = [
-    "PartialInjection",
-    "compose",
-    "inverse",
-    "identity",
-    "empty_map",
-    "restrict",
-    "maximal_intervals",
-    "domain_intervals",
-    "image_intervals",
-    "block_image",
-    "is_iend",
-    "is_paut",
-    "format_element",
-    "parse_element",
-    "element_to_json_dict",
-    "element_from_json_dict",
-]
-
 
 class PartialInjection:
     """An immutable injective partial map on {1, ..., n}.

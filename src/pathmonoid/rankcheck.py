@@ -27,7 +27,7 @@ from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .census import elements_with_domain, enumerate_iend, enumerate_paut
+from .census import MAX_ENUMERATE_N, _enumerate_family, count_iend, count_paut, elements_with_domain
 from .errors import ResourceRefused
 from .genwords import alphabet_iend, alphabet_paut, make_generator, tau
 from .path_core import (
@@ -91,12 +91,12 @@ class MonoidSet:
 
 def paut_monoid(n: int) -> MonoidSet:
     """All of PAut(P_n) as a MonoidSet.  Refuses what ``enumerate_paut`` does."""
-    return MonoidSet(n, frozenset(enumerate_paut(n)))
+    return MonoidSet(n, frozenset(_enumerate_family(n, "paut")))
 
 
 def iend_monoid(n: int) -> MonoidSet:
     """All of IEnd(P_n) as a MonoidSet.  Refuses what ``enumerate_iend`` does."""
-    return MonoidSet(n, frozenset(enumerate_iend(n)))
+    return MonoidSet(n, frozenset(_enumerate_family(n, "iend")))
 
 
 def alphabet_elements(family: str, n: int) -> list[PartialInjection]:
@@ -215,6 +215,13 @@ def subset_search_scope(target: MonoidSet, k: int) -> int:
     return comb(len(target) - len(forced), k - len(forced))
 
 
+def _refuse_scope(scope: int, k: int) -> None:
+    if scope > MAX_SUBSETS:
+        raise ResourceRefused(
+            f"searching {scope} candidate {k}-subsets exceeds the budget of {MAX_SUBSETS}"
+        )
+
+
 def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
     """True iff no k-subset of ``target`` generates it, i.e. rank > k.
 
@@ -225,17 +232,11 @@ def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
     """
     if k < 0:
         raise ValueError(f"subset size must be nonnegative, got {k}")
-    scope = subset_search_scope(target, k)
-    if scope > MAX_SUBSETS:
-        raise ResourceRefused(
-            f"searching {scope} candidate {k}-subsets exceeds the budget of {MAX_SUBSETS}"
-        )
+    _refuse_scope(subset_search_scope(target, k), k)
     forced = _forced_generators(target)
     if k < len(forced):
         return True
-    pool = sorted(
-        (a for a in target.elements if a not in forced), key=format_element
-    )
+    pool = [a for a in target.elements if a not in forced]
     for combo in combinations(pool, k - len(forced)):
         if is_generating(forced + list(combo), target):
             return False
@@ -376,8 +377,9 @@ def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness
     generates the enumerated monoid, no single letter can be dropped, and
     the lower-bound witness checks hold.  With ``exhaustive`` a subset
     search walks k downward until no k-subset generates, an exact lower
-    bound.  An n past the enumeration bound, or a k whose scope is above
-    ``MAX_SUBSETS``, is refused before the alphabet is built or saturated.
+    bound.  An n past the enumeration bound, or a first (largest) search
+    whose scope is above ``MAX_SUBSETS``, is refused before the monoid is
+    enumerated: the scope follows from the closed-form count.
 
     When the alphabet does not generate, or a letter can be dropped, the
     witness's ``counterexample`` names the first member missing from the
@@ -386,6 +388,9 @@ def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness
     if n < 3:
         raise ValueError(f"rank verification needs the alphabets (n >= 3), got n={n}")
     formula = rank_formula(family, n)
+    if exhaustive and n <= MAX_ENUMERATE_N:
+        count = count_paut(n) if family == "paut" else count_iend(n)
+        _refuse_scope(comb(count - 1, formula - 2), formula - 1)
     target = paut_monoid(n) if family == "paut" else iend_monoid(n)
     lower_bound: int | None = None
     searched: int | None = None

@@ -8,7 +8,9 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterator
 
-from .census import count_by_mask, count_iend, count_paut, enumerate_iend, enumerate_paut
+from .census import (
+    _enumerate_family, count_by_mask, count_iend, count_paut, enumerate_iend, enumerate_paut
+)
 from .factorize import factor_iend, factor_paut, word_length_bound
 from .genwords import (
     Symbol,
@@ -39,7 +41,7 @@ def check_counts(n: int) -> str | None:
         routes = {
             "the closed form": count(n),
             "the mask sum": sum(row[column] for row in table),
-            "the enumeration": len(_enumerate(family, n)),
+            "the enumeration": len(_enumerate_family(n, family)),
         }
         values = list(routes.values())
         if len(set(values)) > 1:

@@ -16,7 +16,7 @@ from pathmonoid import (
     is_paut,
     mask_profile,
 )
-from pathmonoid import census
+from pathmonoid import census, cli, iend_monoid, paut_monoid, verify_rank
 from pathmonoid.census import (
     iend_contribution,
     mask_from_set,
@@ -158,3 +158,43 @@ class TestEnumeration:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             enumerate_paut(0)
+
+
+class TestTextOrder:
+    """Only the listings sort by text form; callers that collect the
+    elements into a set, or only count them, skip the sort."""
+
+    @pytest.fixture
+    def format_calls(self, monkeypatch):
+        calls = []
+
+        def counting_format(a):
+            calls.append(a)
+            return a.format()
+
+        monkeypatch.setattr(census, "format_element", counting_format)
+        return calls
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: paut_monoid(6),
+            lambda: iend_monoid(6),
+            lambda: verify_rank("iend", 5),
+            lambda: check_counts(6),
+            lambda: cli.main(["classify", "--n", "5", "--family", "iend", "--relation", "H"]),
+        ],
+        ids=["paut-monoid", "iend-monoid", "verify-rank", "check-counts", "cli-classify"],
+    )
+    def test_set_builders_do_not_sort(self, format_calls, capsys, build):
+        build()
+        assert len(format_calls) == 0
+
+    def test_enumeration_sorts_once(self, format_calls):
+        enumerate_iend(6)
+        assert len(format_calls) == IEND_COUNTS[5] == 2127
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_monoids_hold_the_enumeration(self, n):
+        assert paut_monoid(n).elements == frozenset(enumerate_paut(n))
+        assert iend_monoid(n).elements == frozenset(enumerate_iend(n))

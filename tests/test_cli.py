@@ -370,13 +370,15 @@ class TestVerifyRank:
         )
 
     def test_budget_refusal_at_the_enumeration_bound(self, capsys, monkeypatch):
-        # IEnd(P_8) is enumerated (53,937 elements, not instant) to size the
-        # 9-subsets, C(53936, 8) with the forced reversal; nothing is saturated.
-        def saturate(*args, **kwargs):
-            raise RuntimeError("saturated before the subset budget was checked")
+        # The 9-subsets of IEnd(P_8) number C(53936, 8) with the forced
+        # reversal; the closed-form count sizes them, so nothing is enumerated.
+        def enumerate_family(*args, **kwargs):
+            raise RuntimeError("enumerated before the subset budget was checked")
 
-        monkeypatch.setattr(rankcheck, "_saturate", saturate)
+        monkeypatch.setattr(rankcheck, "_enumerate_family", enumerate_family)
+        start = time.perf_counter()
         code, out, err = run(capsys, "verify-rank", "--n", "8", "--family", "iend", "--exhaustive")
+        assert time.perf_counter() - start < 2.0
         assert code == 3 and out == ""
         error = json.loads(err)["error"]
         assert error["code"] == "resource-refused"
@@ -536,6 +538,18 @@ class TestConfig:
             if param.default is not param.empty
         ]
         assert settings == ["verify_rank(exhaustive=)"]
+
+    def test_the_package_all_is_the_one_declaration(self):
+        # A submodule's own ``__all__`` is read by nothing (no module
+        # star-imports another) and drifts from the package's list.
+        declaring = [
+            info.name
+            for info in pkgutil.iter_modules(pathmonoid.__path__)
+            if "__all__" in vars(importlib.import_module(f"pathmonoid.{info.name}"))
+        ]
+        assert declaring == []
+        assert len(set(pathmonoid.__all__)) == len(pathmonoid.__all__)
+        assert [name for name in pathmonoid.__all__ if not hasattr(pathmonoid, name)] == []
 
 
 class TestFixedBounds:

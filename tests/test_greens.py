@@ -220,6 +220,19 @@ class TestOracle:
             expected = frozenset(frozenset(b for b in m if reference(a, b)) for a in m)
             assert oracle[relation].as_sets() == expected, relation
 
+    def test_oracle_sorts_once(self, monkeypatch):
+        # One sort of the deduplicated elements serves L, R, H and J.
+        m = enumerate_iend(4)
+        calls = []
+
+        def counting_format(a):
+            calls.append(a)
+            return a.format()
+
+        monkeypatch.setattr(greens, "format_element", counting_format)
+        oracle_classifications(m)
+        assert len(calls) == len(m) == 105
+
     def test_oracle_rejects_non_closed_input(self):
         # {id restricted to {1}} alone is closed; adding a non-composable
         # partner whose products escape the set is not.

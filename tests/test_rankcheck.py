@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from conftest import reference_closure
@@ -14,6 +15,8 @@ from pathmonoid import (
     PartialInjection,
     ResourceRefused,
     closure,
+    count_iend,
+    count_paut,
     enumerate_iend,
     enumerate_paut,
     exhaustive_min_size,
@@ -248,6 +251,10 @@ class TestExhaustiveMinSize:
         assert subset_search_scope(paut_monoid(3), 0) == 0
         assert exhaustive_min_size(paut_monoid(3), 0) is True
 
+    def test_nothing_forced_when_the_reversal_is_the_identity(self):
+        assert rankcheck._forced_generators(paut_monoid(1)) == []
+        assert subset_search_scope(paut_monoid(1), 1) == 2
+
     def test_nothing_forced_without_the_reversal(self):
         assert rankcheck._forced_generators(closure([make_generator(alpha(1), 4)], 4)) == []
 
@@ -387,6 +394,26 @@ class TestVerifyRank:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             verify_rank("paut", 2)
+
+    @pytest.mark.parametrize("family", ["paut", "iend"])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_first_search_is_sized_by_the_closed_form(self, family, n):
+        # verify_rank refuses on C(count - 1, formula - 2) before enumerating:
+        # the search of k = formula - 1 with the reversal forced.
+        count = (count_paut if family == "paut" else count_iend)(n)
+        formula = rank_formula(family, n)
+        target = MONOIDS[family](n)
+        assert comb(count - 1, formula - 2) == subset_search_scope(target, formula - 1)
+
+    def test_walk_steps_down_past_a_generating_size(self, monkeypatch):
+        # With a formula one too high, 3-subsets of PAut(P_4) generate, so
+        # the walk goes on to k = 2, where none does.
+        formula = rank_formula
+        monkeypatch.setattr(rankcheck, "rank_formula", lambda family, n: formula(family, n) + 1)
+        witness = verify_rank("paut", 4, exhaustive=True)
+        assert witness.exhaustive_lower_bound == 3
+        assert witness.subsets_searched == comb(70, 2) + comb(70, 1) == 2485
+        assert not witness.ok
 
     def test_passing_run_has_no_counterexample(self):
         assert verify_rank("iend", 4).counterexample is None
