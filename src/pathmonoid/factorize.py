@@ -137,6 +137,11 @@ def factor_paut(a: PartialInjection) -> Word:
     """
     if not is_paut(a):
         raise ValueError(f"{format_element(a)} is not a partial automorphism")
+    return _factor_paut(a)
+
+
+def _factor_paut(a: PartialInjection) -> Word:
+    """``factor_paut`` for an ``a`` already known to be a partial automorphism."""
     n = a.n
     blocks = domain_intervals(a)
     target = a.img
@@ -195,12 +200,12 @@ def factor_iend(b: PartialInjection) -> Word:
     """A word in {tau, a, es, rp, rm, b} letters evaluating to ``b``.
 
     ``b`` must be an injective partial endomorphism; partial automorphisms
-    delegate directly to :func:`factor_paut`.
+    are factored as :func:`factor_paut` does.
     """
     if not is_iend(b):
         raise ValueError(f"{format_element(b)} is not an injective partial endomorphism")
     if is_paut(b):
-        return factor_paut(b)
+        return _factor_paut(b)
     n = b.n
     delta = canonical_delta(b)
     packed = compose(b, delta)
@@ -229,7 +234,8 @@ def factor_iend(b: PartialInjection) -> Word:
     if compose(merged, inverse(delta)) != b:
         raise RuntimeError("junction decomposition failed to reassemble the input")
 
-    word = factor_paut(spread)
-    word = word + Word(n, tuple(beta(c + 1) for c in cuts))
-    word = word + factor_paut(inverse(delta))
+    # spread and every b(c + 1) are checked above; inverse(delta) is an automorphism.
+    word = _factor_paut(spread)
+    word = word + _trusted_word(n, tuple(beta(c + 1) for c in cuts))
+    word = word + _factor_paut(inverse(delta))
     return word

@@ -103,11 +103,19 @@ _KINDS = {
 }
 
 
-def _check_symbol(sym: Symbol, n: int) -> None:
-    entry = _KINDS.get(sym.kind)
+def _kind_entry(kind: str) -> tuple:
+    """The ``_KINDS`` entry of ``kind``; ``ValueError`` for an unknown kind."""
+    entry = _KINDS.get(kind)
     if entry is None:
-        raise ValueError(f"unknown symbol kind {sym.kind!r}")
-    if not entry[1](sym.i, sym.j, n):
+        raise ValueError(f"unknown symbol kind {kind!r}")
+    return entry
+
+
+def _check_symbol(sym: Symbol, n: int) -> None:
+    rule = _kind_entry(sym.kind)[1]
+    if type(sym.i) is not int or type(sym.j) is not int:  # bool is a subclass of int
+        raise ValueError(f"symbol indices must be integers, got ({sym.i!r}, {sym.j!r})")
+    if not rule(sym.i, sym.j, n):
         raise ValueError(f"symbol {format_symbol(sym)} has indices out of range for n={n}")
 
 
@@ -350,7 +358,7 @@ _SYMBOL_RE = re.compile(f"({'|'.join(_KINDS)})(?:([0-9]+)(?:,([0-9]+))?)?")
 
 
 def format_symbol(sym: Symbol) -> str:
-    count = _KINDS[sym.kind][0]
+    count = _kind_entry(sym.kind)[0]
     return sym.kind + ",".join(str(index) for index in (sym.i, sym.j)[:count])
 
 

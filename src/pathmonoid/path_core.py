@@ -7,8 +7,8 @@ provided:
 
 * ``is_iend`` -- injective partial endomorphisms: every maximal interval of
   the domain maps monotonically onto an interval.
-* ``is_paut`` -- partial automorphisms: as above, and each such image is a
-  *maximal* interval of the image set.
+* ``is_paut`` -- partial automorphisms: as above, and the image set has as
+  many maximal intervals as the domain, so no two block images touch.
 
 Elements are stored as image tuples (see ``PartialInjection``).  The
 canonical text format is ``"n=5;1>3,2>4"`` (pairs sorted by domain; an
@@ -247,16 +247,9 @@ def is_iend(a: PartialInjection) -> bool:
 
 
 def is_paut(a: PartialInjection) -> bool:
-    """Membership in PAut(P_n): as ``is_iend``, with every block image a
-    *maximal* interval of the image set."""
-    img = a.img
-    img_blocks = set(image_intervals(a))
-    for block in domain_intervals(a):
-        if not _is_monotone_onto_interval(img[block[0] : block[1] + 1]):
-            return False
-        if block_image(img, block) not in img_blocks:
-            return False
-    return True
+    """Membership in PAut(P_n): as ``is_iend``, and no two block images
+    touch, so Im a has one maximal interval per domain block."""
+    return is_iend(a) and len(image_intervals(a)) == len(domain_intervals(a))
 
 
 # -- text and JSON forms ----------------------------------------------------

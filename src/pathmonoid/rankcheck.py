@@ -76,7 +76,7 @@ class MonoidSet:
     @cached_property
     def _layers(self) -> tuple[frozenset[tuple[int, ...]], tuple[int, ...]]:
         """The members' image tuples, and how many members have each rank
-        0..n; computed once per monoid for ``is_generating``."""
+        0..n; computed once per monoid for ``_saturate`` and ``_forced_generators``."""
         imgs = frozenset(a.img for a in self.elements)
         sizes = [0] * (self.n + 1)
         for y in imgs:
@@ -194,15 +194,12 @@ def _forced_generators(target: MonoidSet) -> list[PartialInjection]:
     When the identity and the full reversal are the only full-domain members,
     the reversal is forced: a product with any proper partial factor is
     itself proper, and full-domain products of the remaining elements only
-    ever yield the identity.
+    ever yield the identity.  The identity is always a member, and at n = 1
+    it is the reversal, so this holds when rank n has two members, one the reversal.
     """
-    n = target.n
-    ident = identity(n)
-    rev = make_generator(tau(), n)
-    if rev == ident:
-        return []
-    full_domain = {a for a in target.elements if len(a) == n}
-    if full_domain == {ident, rev}:
+    members, layer_sizes = target._layers
+    rev = make_generator(tau(), target.n)
+    if layer_sizes[target.n] == 2 and rev.img in members:
         return [rev]
     return []
 
@@ -230,8 +227,8 @@ def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
     losing soundness.  Refuses when the candidates left to test,
     ``subset_search_scope(target, k)``, exceed the fixed ``MAX_SUBSETS``.
     """
-    if k < 0:
-        raise ValueError(f"subset size must be nonnegative, got {k}")
+    if not 0 <= k <= len(target):
+        raise ValueError(f"subset size must be between 0 and {len(target)}, got {k}")
     _refuse_scope(subset_search_scope(target, k), k)
     forced = _forced_generators(target)
     if k < len(forced):

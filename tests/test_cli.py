@@ -21,7 +21,9 @@ from pathmonoid import (
     count_iend,
     count_paut,
     enumerate_paut,
+    factorize,
     format_element,
+    path_core,
     rankcheck,
     selftest,
 )
@@ -222,6 +224,27 @@ class TestFactor:
             payload = json.loads(out)
             assert code == 0 and payload["verified"] is True, element
             assert payload["alphabet"] == "derived" and payload["family"] == "paut"
+
+    @pytest.mark.parametrize(
+        "element,family,most",
+        [("n=6;1>1,2>2,4>5", "paut", 2), ("n=5;1>1,3>2", "iend", 3)],
+    )
+    def test_membership_is_decided_once_per_entry(self, capsys, monkeypatch, element, family, most):
+        # One is_paut in factor_iend, one on the split of an IEnd member,
+        # one for the "family" label; factor_paut's own check is not repeated.
+        calls = []
+
+        def counting_is_paut(a):
+            calls.append(a)
+            return path_core.is_paut(a)
+
+        monkeypatch.setattr(factorize, "is_paut", counting_is_paut)
+        monkeypatch.setattr(cli, "is_paut", counting_is_paut)
+        code, out, _ = run(capsys, "factor", "--element", element)
+        payload = json.loads(out)
+        assert code == 0 and payload["verified"] is True
+        assert payload["family"] == family
+        assert len(calls) <= most
 
     def test_malformed_element(self, capsys):
         code, _, err = run(capsys, "factor", "--element", "nonsense")

@@ -148,6 +148,27 @@ class TestMakeGenerator:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown symbol kind 'zz'"):
             make_generator(Symbol("zz"), 3)
+        with pytest.raises(ValueError, match="unknown symbol kind 'zz'"):
+            format_symbol(Symbol("zz"))
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda sym: make_generator(sym, 5),
+            lambda sym: Word(5, (sym,)),
+            lambda sym: expand_symbol(sym, 5),
+        ],
+        ids=["make_generator", "Word", "expand_symbol"],
+    )
+    @pytest.mark.parametrize(
+        "sym",
+        [Symbol("a", True), Symbol("a", 1.5), Symbol("es", 1, 4.0), Symbol("b", 2, False)],
+        ids=["bool", "float", "float-j", "bool-unwritten-j"],
+    )
+    def test_rejects_non_integer_indices(self, check, sym):
+        # A bool index would print as "aTrue", which parse_word cannot read.
+        with pytest.raises(ValueError, match="symbol indices must be integers"):
+            check(sym)
 
     def test_legal_symbols_agree_with_validation(self):
         for n in (3, 4, 6):

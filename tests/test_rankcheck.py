@@ -212,6 +212,15 @@ class TestAgainstReferenceClosure:
         assert outcomes == {True, False}
 
 
+def _forced_by_full_domain_scan(target):
+    """The reference: the reversal is forced when it and the identity are
+    the only full-domain members and differ."""
+    n = target.n
+    ident, rev = identity(n), make_generator(tau(), n)
+    full_domain = {a for a in target.elements if len(a) == n}
+    return [rev] if rev != ident and full_domain == {ident, rev} else []
+
+
 class TestExhaustiveMinSize:
     def test_no_single_element_generates_paut_p2(self):
         assert exhaustive_min_size(paut_monoid(2), 1) is True
@@ -261,6 +270,46 @@ class TestExhaustiveMinSize:
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
             exhaustive_min_size(paut_monoid(2), -1)
+
+    def test_rejects_k_above_the_monoid_size(self):
+        # The 7-element PAut(P_2) generates itself, so no k > 7 can say
+        # "rank > k"; there is no 8-subset to test.
+        target = paut_monoid(2)
+        assert exhaustive_min_size(target, 7) is False
+        with pytest.raises(ValueError, match="between 0 and 7, got 8"):
+            exhaustive_min_size(target, 8)
+
+    @pytest.mark.parametrize("family", MONOIDS)
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+    def test_forced_generators_of_the_families(self, family, n):
+        target = MONOIDS[family](n)
+        assert rankcheck._forced_generators(target) == _forced_by_full_domain_scan(target)
+
+    @pytest.mark.parametrize("family,n", FAMILY_CASES)
+    def test_forced_generators_of_closures(self, family, n):
+        for gens in _saturation_cases(family, n)[1]:
+            target = closure(gens, n)
+            expected = _forced_by_full_domain_scan(target)
+            assert rankcheck._forced_generators(target) == expected, target
+
+    def test_repeated_searches_reread_no_member(self):
+        class CountingSet(frozenset):
+            passes = 0
+
+            def __iter__(self):
+                CountingSet.passes += 1
+                return super().__iter__()
+
+        target = MonoidSet(3, CountingSet(paut_monoid(3).elements))
+        assert subset_search_scope(target, 2) == 21
+        CountingSet.passes = 0
+        for k in range(4):
+            subset_search_scope(target, k)
+        assert exhaustive_min_size(target, 0) is True
+        assert CountingSet.passes == 0
+        # The candidate pool is the one pass over the members.
+        assert exhaustive_min_size(target, 2) is True
+        assert CountingSet.passes == 1
 
     def test_trivial_monoid_has_rank_zero(self):
         trivial = MonoidSet(3, frozenset({identity(3)}))
