@@ -118,9 +118,10 @@ def _lines(payload: dict, *keys: str) -> list[str]:
 # ``factor`` and ``expand`` estimate a word's letter count times n, the cost
 # of one composition: ``factor`` counts the 4n² letters of the factorization
 # step bound, ``factorize.word_length_bound`` (up to n = 292), ``expand`` the
-# longest expansion of any symbol (up to n = 1,020,408).  ``count`` estimates
-# n³, for the O(n²) terms of the closed form on numbers of O(n) digits (up to
-# n = 464, under a second for both families on a 2-core VM).
+# longest expansion of any symbol plus 2 per bit of n, for the n pairs it
+# builds and prints (up to n = 1,923,076).  ``count`` estimates n³, for the
+# O(n²) terms of the closed form on numbers of O(n) digits (up to n = 464,
+# under a second for both families on a 2-core VM).
 MAX_WORD_WORK = 10**8
 
 
@@ -274,7 +275,8 @@ def _cmd_factor(args: argparse.Namespace) -> tuple[Rendering, int]:
 
 
 def _cmd_expand(args: argparse.Namespace) -> tuple[Rendering, int]:
-    _refuse_word_work(args.n, MAX_EXPANSION_LENGTH)
+    letters = MAX_EXPANSION_LENGTH + 2 * args.n.bit_length()
+    _refuse_work(args.n, letters * args.n, f"{MAX_EXPANSION_LENGTH} letters, 2 per bit of n, n each")
     symbol = parse_symbol(args.symbol)
     word = expand_symbol(symbol, args.n)
     generator = make_generator(symbol, args.n)

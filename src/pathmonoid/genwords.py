@@ -27,15 +27,15 @@ word over B(n) -- over A(n) unless the symbol is some b(i) -- using the
 identities
 
     a(i)    = tau a(n-i+1)^2 tau                  (i = n-1, n)
-    as(i)   = a(i) tau a(n-i+1) tau a(i)
+    as(i)   = tau a(n-i+1) tau
     e(i,j)  = a(i)^2 a(j)^2
-    es(i,j) = e(i,j) as(j) as(j-i) as(j)
-    rp(i,j) = a(i)^2 a(i+1)^2 a(j+1)^2 es(i,j+1) es(i,j)
-    rm(i,j) = a(i-1)^2 a(j-1)^2 a(j)^2 es(i-1,j) es(i,j)
+    es(i,j) = a(i) a(n+i+1-j) a(i)                (j >= i+3; es(i,i+2) = e(i,i+2))
+    rp(i,j) = a(i) a(n+i-j) a(n+i-j+1) a(i)
+    rm(i,j) = a(i-1) a(n+i-j+1) a(n+i-j) a(i-1)
     b(i)    = tau b(n-i+1) as(n)                  (i > ceil(n/2))
 
-applied recursively, with the boundary conventions for a(0), a(n+1) and
-es at 0 / n+1 substituted first.
+with a(0) = tau, a(n+1) the empty word, and the boundary names of es at
+0 / n+1 substituted first.  No expansion is longer than 10 letters.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .path_core import PartialInjection, _trusted, identity
+from .path_core import PartialInjection, _check_n, _trusted, identity
 
 
 class Symbol(NamedTuple):
@@ -112,9 +112,11 @@ def _kind_entry(kind: str) -> tuple:
 
 
 def _check_symbol(sym: Symbol, n: int) -> None:
-    rule = _kind_entry(sym.kind)[1]
+    count, rule = _kind_entry(sym.kind)
     if type(sym.i) is not int or type(sym.j) is not int:  # bool is a subclass of int
         raise ValueError(f"symbol indices must be integers, got ({sym.i!r}, {sym.j!r})")
+    if any((sym.i, sym.j)[count:]):
+        raise ValueError(f"symbol {tuple(sym)} sets an index its kind does not take")
     if not rule(sym.i, sym.j, n):
         raise ValueError(f"symbol {format_symbol(sym)} has indices out of range for n={n}")
 
@@ -156,9 +158,7 @@ def _generator_image(kind: str, i: int, j: int, n: int) -> tuple[int, ...]:
 def make_generator(sym: Symbol, n: int) -> PartialInjection:
     """The partial injection named by ``sym`` on {1..n}."""
     _check_symbol(sym, n)
-    # a(0) and a(n+1) pass the index check at n <= 0 too.
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_n(n)  # a(0) and a(n+1) pass the index check at n <= 0 too.
     return _trusted(_generator_image(sym.kind, sym.i, sym.j, n))
 
 
@@ -265,17 +265,17 @@ def _is_base_letter(sym: Symbol, n: int) -> bool:
     """Whether ``sym`` is a letter of B(n), without building the alphabet."""
     if sym.kind == "a":
         # A(3) keeps a(2).
-        return sym.j == 0 and 1 <= sym.i <= max(n - 2, 2)
+        return 1 <= sym.i <= max(n - 2, 2)
     if sym.kind == "b":
-        return sym.j == 0 and 2 <= sym.i <= (n + 1) // 2
-    return sym == tau()
+        return 2 <= sym.i <= (n + 1) // 2
+    return sym.kind == "tau"
 
 
-# The longest word ``expand_symbol`` returns at any n: 98 letters, for
-# rm(2, j) once n >= 5 (37 at n = 3, 72 at n = 4).  The rules compare
-# indices only with the ends of the path, so the longest expansion stays the
-# same as n grows; tests check it for n = 3..20 and n = 100.
-MAX_EXPANSION_LENGTH = 98
+# The longest word ``expand_symbol`` returns at any n: 10 letters, for
+# e(i, j) with j >= n-1, whose a(j) folds through the reversal.  No rule
+# reads n except through the fold, so the bound holds at every n; tests
+# check it for n = 3..40 and n = 100.
+MAX_EXPANSION_LENGTH = 10
 
 
 @lru_cache(maxsize=None)
@@ -284,13 +284,10 @@ def _expand(kind: str, i: int, j: int, n: int) -> tuple[Symbol, ...]:
     if _is_base_letter(sym, n):
         return (sym,)
 
-    def rec(s: Symbol) -> tuple[Symbol, ...]:
-        return _expand(s.kind, s.i, s.j, n)
-
     def seq(*symbols: Symbol) -> tuple[Symbol, ...]:
         out: list[Symbol] = []
         for s in symbols:
-            out.extend(rec(s))
+            out.extend(_expand(s.kind, s.i, s.j, n))
         return tuple(out)
 
     if kind == "a":
@@ -301,34 +298,22 @@ def _expand(kind: str, i: int, j: int, n: int) -> tuple[Symbol, ...]:
         # i is n-1 or n here; fold through the reversal.
         return seq(tau(), alpha(n - i + 1), alpha(n - i + 1), tau())
     if kind == "as":
-        return seq(alpha(i), tau(), alpha(n - i + 1), tau(), alpha(i))
+        return seq(tau(), alpha(n - i + 1), tau())
     if kind == "e":
         return seq(alpha(i), alpha(i), alpha(j), alpha(j))
     if kind == "es":
         named = canonical_eps_star(i, j, n)
         if named.kind != "es":
-            return rec(named)
-        return seq(eps(i, j), alpha_star(j), alpha_star(j - i), alpha_star(j))
+            return seq(named)
+        if j == i + 2:
+            return seq(eps(i, j))
+        return seq(alpha(i), alpha(n + i + 1 - j), alpha(i))
     if kind == "rp":
-        return seq(
-            alpha(i), alpha(i),
-            alpha(i + 1), alpha(i + 1),
-            alpha(j + 1), alpha(j + 1),
-            canonical_eps_star(i, j + 1, n),
-            canonical_eps_star(i, j, n),
-        )
+        return seq(alpha(i), alpha(n + i - j), alpha(n + i - j + 1), alpha(i))
     if kind == "rm":
-        return seq(
-            alpha(i - 1), alpha(i - 1),
-            alpha(j - 1), alpha(j - 1),
-            alpha(j), alpha(j),
-            canonical_eps_star(i - 1, j, n),
-            canonical_eps_star(i, j, n),
-        )
-    if kind == "b":
-        # i > ceil(n/2) here; reflect to the low half.
-        return seq(tau(), beta(n - i + 1), alpha_star(n))
-    raise ValueError(f"cannot expand symbol kind {kind!r}")
+        return seq(alpha(i - 1), alpha(n + i - j + 1), alpha(n + i - j), alpha(i - 1))
+    # b(i) with i > ceil(n/2); reflect to the low half.
+    return seq(tau(), beta(n - i + 1), alpha_star(n))
 
 
 def expand_symbol(sym: Symbol, n: int) -> Word:

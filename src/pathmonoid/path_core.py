@@ -43,8 +43,7 @@ class PartialInjection:
     img: tuple[int, ...]
 
     def __init__(self, n: int, pairs: Mapping[int, int] | Iterable[tuple[int, int]]):
-        if type(n) is not int or n < 1:  # bool is a subclass of int
-            raise ValueError(f"n must be a positive integer, got {n!r}")
+        _check_n(n)
         # Unsorted: sorting mixed vertex types would raise TypeError.
         items = list(pairs.items()) if isinstance(pairs, Mapping) else list(pairs)
         defined: set[int] = set()
@@ -143,6 +142,11 @@ def _init(a: PartialInjection, img: tuple[int, ...]) -> None:
     object.__setattr__(a, "_hash", hash(img))
 
 
+def _check_n(n: int) -> None:
+    if type(n) is not int or n < 1:  # bool is a subclass of int
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+
+
 def _trusted(img: tuple[int, ...]) -> PartialInjection:
     """Wrap an image tuple without checks; ``img`` must already be a valid
     injective image tuple with ``img[0] == 0`` and length at least 2."""
@@ -174,7 +178,8 @@ def inverse(a: PartialInjection) -> PartialInjection:
 
 def identity(n: int) -> PartialInjection:
     """The identity map on all of {1..n}."""
-    return PartialInjection(n, [(x, x) for x in range(1, n + 1)])
+    _check_n(n)
+    return _trusted(tuple(range(n + 1)))
 
 
 def empty_map(n: int) -> PartialInjection:

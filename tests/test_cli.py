@@ -288,8 +288,9 @@ class TestWordWorkBound:
         assert code == 3 and out == ""
         error = json.loads(err)["error"]
         assert error["code"] == "resource-refused"
-        # factor: 4n² letters; expand: the longest expansion; n per letter.
-        letters = 4 * 10**16 if argv[0] == "factor" else MAX_EXPANSION_LENGTH
+        # factor: 4n² letters; expand: the longest expansion plus 2 per bit
+        # of n, for the pairs it prints; n per letter.
+        letters = 4 * 10**16 if argv[0] == "factor" else MAX_EXPANSION_LENGTH + 2 * 27
         assert f"estimated {letters * 10**8} steps" in error["message"]
         assert f"bound of {MAX_WORD_WORK}" in error["message"]
 
@@ -300,10 +301,12 @@ class TestWordWorkBound:
         # expand has its own, far larger edge.
         code, out, _ = run(capsys, "expand", "--symbol", "b3", "--n", "293")
         assert code == 0 and json.loads(out)["matches_generator"] is True
-        top = MAX_WORD_WORK // MAX_EXPANSION_LENGTH
-        assert top == 1_020_408
+        # The longest expansion plus 2 per bit of n; both sides have 21 bits.
+        top, letters = 1_923_076, MAX_EXPANSION_LENGTH + 2 * 21
+        assert top.bit_length() == (top + 1).bit_length() == 21
+        assert top * letters <= MAX_WORD_WORK < (top + 1) * letters
         code, _, err = run(capsys, "expand", "--symbol", "b3", "--n", str(top + 1))
-        assert code == 3 and f"{MAX_EXPANSION_LENGTH * (top + 1)} steps" in err
+        assert code == 3 and f"{letters * (top + 1)} steps" in err
 
     @pytest.mark.parametrize(
         "argv",

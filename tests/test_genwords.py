@@ -151,7 +151,7 @@ class TestMakeGenerator:
         with pytest.raises(ValueError, match="unknown symbol kind 'zz'"):
             format_symbol(Symbol("zz"))
 
-    @pytest.mark.parametrize(
+    _checks = pytest.mark.parametrize(
         "check",
         [
             lambda sym: make_generator(sym, 5),
@@ -160,6 +160,8 @@ class TestMakeGenerator:
         ],
         ids=["make_generator", "Word", "expand_symbol"],
     )
+
+    @_checks
     @pytest.mark.parametrize(
         "sym",
         [Symbol("a", True), Symbol("a", 1.5), Symbol("es", 1, 4.0), Symbol("b", 2, False)],
@@ -168,6 +170,18 @@ class TestMakeGenerator:
     def test_rejects_non_integer_indices(self, check, sym):
         # A bool index would print as "aTrue", which parse_word cannot read.
         with pytest.raises(ValueError, match="symbol indices must be integers"):
+            check(sym)
+
+    @_checks
+    @pytest.mark.parametrize(
+        "sym",
+        [Symbol("a", 1, 9), Symbol("tau", 5), Symbol("tau", 0, 2), Symbol("as", 2, 3), Symbol("b", 2, 1)],
+        ids=["a-j", "tau-i", "tau-j", "as-j", "b-j"],
+    )
+    def test_rejects_unwritten_indices(self, check, sym):
+        # a(1, 9) used to expand to a word for the identity on 2..5, and
+        # tau(5) printed as "tau", which parse_word reads as another symbol.
+        with pytest.raises(ValueError, match="sets an index its kind does not take"):
             check(sym)
 
     def test_legal_symbols_agree_with_validation(self):
@@ -279,9 +293,11 @@ class TestTextFormat:
 
 
 class TestExpansion:
-    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("n", range(3, 41))
     def test_every_legal_symbol_expands_correctly(self, n):
+        # Over A(n), or B(n) for b, and evaluating to the generator.
         assert check_expansions(n) is None
+        assert all(len(expand_symbol(sym, n)) <= MAX_EXPANSION_LENGTH for sym in legal_symbols(n))
 
     def test_expand_word_concatenates(self):
         w = Word(5, (eps_star(1, 4), beta(4)))
@@ -305,11 +321,12 @@ class TestExpansion:
         assert calls == []
 
     def test_longest_expansion(self):
+        assert MAX_EXPANSION_LENGTH == 10
         for n in (*range(3, 21), 100):
             longest = max(len(expand_symbol(sym, n)) for sym in legal_symbols(n))
-            assert longest == (MAX_EXPANSION_LENGTH if n >= 5 else {3: 37, 4: 72}[n]), n
-            if n >= 5:
-                assert len(expand_symbol(rho_minus(2, n), n)) == MAX_EXPANSION_LENGTH
+            assert longest == MAX_EXPANSION_LENGTH, n
+            # e(i, j) with j >= n-1: a(j) folds through the reversal.
+            assert len(expand_symbol(eps(1, n), n)) == MAX_EXPANSION_LENGTH
 
     def test_canonical_eps_star(self):
         assert canonical_eps_star(0, 7, 6) == tau()

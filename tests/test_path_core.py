@@ -113,6 +113,15 @@ class TestAlgebra:
         assert compose(e, a) == a == compose(a, e)
         assert compose(z, a) == z == compose(a, z)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_identity_matches_the_checked_constructor(self, n):
+        assert identity(n).img == PartialInjection(n, [(x, x) for x in range(1, n + 1)]).img
+
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0])
+    def test_identity_rejects_a_bad_n(self, n):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            identity(n)
+
     def test_mul_operator_matches_compose(self):
         a = PartialInjection(4, [(1, 2), (2, 1)])
         b = PartialInjection(4, [(2, 4)])
