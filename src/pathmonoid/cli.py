@@ -116,8 +116,8 @@ def _lines(payload: dict, *keys: str) -> list[str]:
 
 # Largest up-front work estimate ``factor``, ``expand`` and ``count`` accept.
 # ``factor`` and ``expand`` estimate a word's letter count times n, the cost
-# of one composition: ``factor`` counts the 4n² letters of the factorization
-# step bound, ``factorize.word_length_bound`` (up to n = 292), ``expand`` the
+# of one composition: ``factor`` counts the 5n+1 letters of the factorization
+# step bound, ``factorize.word_length_bound`` (up to n = 4,472), ``expand`` the
 # longest expansion of any symbol plus 2 per bit of n, for the n pairs it
 # builds and prints (up to n = 1,923,076).  ``count`` estimates n³, for the
 # O(n²) terms of the closed form on numbers of O(n) digits (up to n = 464,
@@ -397,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("base", "derived"),
         default="base",
         help="emit letters of the generating alphabet (base, default) or "
-        "keep the derived segment/shift letters (derived)",
+        "keep the derived segment-reversal letters (derived)",
     )
 
     p = command("expand", _cmd_expand, "rewrite a symbol over the base alphabet")

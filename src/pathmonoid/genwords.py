@@ -112,6 +112,7 @@ def _kind_entry(kind: str) -> tuple:
 
 
 def _check_symbol(sym: Symbol, n: int) -> None:
+    _check_n(n)  # a(0) and a(n+1) would pass the index rules at n <= 0.
     count, rule = _kind_entry(sym.kind)
     if type(sym.i) is not int or type(sym.j) is not int:  # bool is a subclass of int
         raise ValueError(f"symbol indices must be integers, got ({sym.i!r}, {sym.j!r})")
@@ -158,15 +159,15 @@ def _generator_image(kind: str, i: int, j: int, n: int) -> tuple[int, ...]:
 def make_generator(sym: Symbol, n: int) -> PartialInjection:
     """The partial injection named by ``sym`` on {1..n}."""
     _check_symbol(sym, n)
-    _check_n(n)  # a(0) and a(n+1) pass the index check at n <= 0 too.
     return _trusted(_generator_image(sym.kind, sym.i, sym.j, n))
 
 
 def legal_symbols(n: int) -> Iterator[Symbol]:
     """Every symbol with legal indices at this n, one kind at a time in the
-    order of ``_KINDS``, indices ascending; nothing for n < 1."""
-    if n < 1:
+    order of ``_KINDS``, indices ascending; nothing for an int n < 1."""
+    if type(n) is int and n < 1:
         return
+    _check_n(n)
     indices = range(n + 2)
     for kind, (count, rule) in _KINDS.items():
         for i in indices if count else (0,):
@@ -199,6 +200,7 @@ class Word:
     letters: tuple[Symbol, ...]
 
     def __post_init__(self) -> None:
+        _check_n(self.n)
         for sym in self.letters:
             _check_symbol(sym, self.n)
 

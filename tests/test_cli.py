@@ -28,6 +28,7 @@ from pathmonoid import (
     selftest,
 )
 from pathmonoid.cli import MAX_WORD_WORK, main
+from pathmonoid.factorize import word_length_bound
 from pathmonoid.genwords import MAX_EXPANSION_LENGTH
 from pathmonoid.rankcheck import MAX_SUBSETS
 from pathmonoid.selftest import (
@@ -288,18 +289,26 @@ class TestWordWorkBound:
         assert code == 3 and out == ""
         error = json.loads(err)["error"]
         assert error["code"] == "resource-refused"
-        # factor: 4n² letters; expand: the longest expansion plus 2 per bit
-        # of n, for the pairs it prints; n per letter.
-        letters = 4 * 10**16 if argv[0] == "factor" else MAX_EXPANSION_LENGTH + 2 * 27
-        assert f"estimated {letters * 10**8} steps" in error["message"]
+        # factor: the step bound; expand: the longest expansion plus 2 per
+        # bit of n, for the pairs it prints; n per letter.
+        n = 10**8
+        letters = word_length_bound(n) if argv[0] == "factor" else MAX_EXPANSION_LENGTH + 2 * n.bit_length()
+        assert f"estimated {letters * n} steps" in error["message"]
         assert f"bound of {MAX_WORD_WORK}" in error["message"]
 
     def test_edge_of_the_bound(self, capsys):
-        assert 4 * 292**3 <= MAX_WORD_WORK < 4 * 293**3
-        code, _, _ = run(capsys, "factor", "--element", "n=293;1>1")
-        assert code == 3
+        # factor's edge: the largest n whose step bound, n per letter, fits.
+        edge = 1
+        while (edge + 1) * word_length_bound(edge + 1) <= MAX_WORD_WORK:
+            edge += 1
+        # The identity factors to the empty word, so the edge itself runs fast.
+        text = f"n={edge};" + ",".join(f"{x}>{x}" for x in range(1, edge + 1))
+        code, out, _ = run(capsys, "factor", "--element", text)
+        assert code == 0 and json.loads(out)["length"] == 0
+        code, _, err = run(capsys, "factor", "--element", f"n={edge + 1};1>1")
+        assert code == 3 and f"{(edge + 1) * word_length_bound(edge + 1)} steps" in err
         # expand has its own, far larger edge.
-        code, out, _ = run(capsys, "expand", "--symbol", "b3", "--n", "293")
+        code, out, _ = run(capsys, "expand", "--symbol", "b3", "--n", str(edge + 1))
         assert code == 0 and json.loads(out)["matches_generator"] is True
         # The longest expansion plus 2 per bit of n; both sides have 21 bits.
         top, letters = 1_923_076, MAX_EXPANSION_LENGTH + 2 * 21

@@ -2,28 +2,39 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from pathmonoid import (
     PartialInjection,
     Word,
     canonical_delta,
-    domain_intervals,
+    compose,
     enumerate_iend,
     enumerate_paut,
     eval_word,
     expand_word,
     factor_iend,
     factor_paut,
+    format_element,
     identity,
+    inverse,
+    is_paut,
     make_generator,
+    maximal_intervals,
     parse_element,
 )
 from pathmonoid import factorize, selftest
-from pathmonoid.genwords import alpha_star, beta, eps_star, rho_plus, tau
+from pathmonoid.factorize import word_length_bound
+from pathmonoid.genwords import beta, canonical_eps_star, tau
 from pathmonoid.selftest import check_round_trip
 
 from test_golden import WORDS_FILE, WORDS_N, factor_words
+
+# The n = 24 partial automorphism of the golden cases: 4 domain blocks,
+# some reversed.
+N24_PAUT = "n=24;2>21,3>20,4>19,5>18,8>3,9>4,10>5,14>12,15>11,16>10,17>9,20>24,21>23"
 
 
 class TestSmallCases:
@@ -65,74 +76,74 @@ class TestSmallCases:
         with pytest.raises(RuntimeError, match="step bound of 1 letters"):
             factor_paut(a)
 
-    def test_block_order_is_not_recomputed_per_letter(self, monkeypatch):
-        # The n = 24 partial automorphism of the golden cases: 4 domain blocks,
-        # some reversed, dozens of shift letters.
-        a = parse_element("n=24;2>21,3>20,4>19,5>18,8>3,9>4,10>5,14>12,15>11,16>10,17>9,20>24,21>23")
-        block_order = factorize._block_order
-        calls = []
-
-        def counting(img, blocks):
-            calls.append(img)
-            return block_order(img, blocks)
-
-        monkeypatch.setattr(factorize, "_block_order", counting)
-        word = factor_paut(a)
-        assert eval_word(word) == a
-        assert len(calls) <= len(domain_intervals(a)) + 1 < len(word)
-
     @pytest.mark.parametrize(
-        ("text", "match"),
+        ("corrupt", "packed"),
         [
-            # tau places the second block but throws the first one to the
-            # right end: only the end check can see it.
-            pytest.param("n=6;1>1,3>4", "shift letters disturbed the block order", id="end-check"),
-            # tau toggles both blocks back and forth until the step bound.
-            pytest.param("n=4;1>1,3>4", "step bound", id="step-bound"),
+            # The first pack spends five reversals on a·delta, the second
+            # starts at the sixth.
+            pytest.param(1, lambda a: compose(a, canonical_delta(a)), id="first-pack"),
+            pytest.param(6, canonical_delta, id="second-pack"),
         ],
     )
-    def test_a_wrong_shift_letter_raises(self, monkeypatch, text, match):
-        monkeypatch.setattr(factorize, "_shift_right_letter", lambda *args: tau())
-        with pytest.raises(RuntimeError, match=match):
-            factor_paut(parse_element(text))
+    def test_a_wrong_reversal_raises(self, monkeypatch, corrupt, packed):
+        a = parse_element(N24_PAUT)
+        calls = []
+
+        def corrupted(i, j, n):
+            # One reversal stops a point short of the block's far end.
+            calls.append((i, j))
+            return canonical_eps_star(i, j - 1 if len(calls) == corrupt else j, n)
+
+        monkeypatch.setattr(factorize, "canonical_eps_star", corrupted)
+        with pytest.raises(RuntimeError, match=f"did not pack {format_element(packed(a))}$"):
+            factor_paut(a)
 
 
-class TestLeftShift:
-    def test_letters(self):
-        # A block slides down by rp; a single point swaps with its left
-        # neighbour by es, named as(3) at the left end.
-        assert factorize._shift_left_letter(4, 6, 8) == rho_plus(2, 6)
-        assert factorize._shift_left_letter(2, 3, 8) == rho_plus(0, 3)
-        assert factorize._shift_left_letter(5, 5, 8) == eps_star(3, 6)
-        assert factorize._shift_left_letter(2, 2, 8) == alpha_star(3)
+def _random_member(rng: random.Random, n: int, family: str) -> PartialInjection:
+    """A random element of PAut(P_n), or of IEnd(P_n) with some block images
+    touching: the domain blocks placed in shuffled order and orientation."""
+    domain = [x for x in range(1, n + 1) if rng.random() < 0.7]
+    blocks = [list(range(lo, hi + 1)) for lo, hi in maximal_intervals(domain)]
+    rng.shuffle(blocks)
+    gaps = [1 if family == "paut" else rng.randint(0, 1) for _ in blocks]
+    spare = [0] * (len(blocks) + 1)
+    for _ in range(n - len(domain) - sum(gaps[:-1])):
+        spare[rng.randrange(len(spare))] += 1
+    pairs, top = [], spare[0]
+    for block, gap, extra in zip(blocks, gaps, spare[1:]):
+        if rng.random() < 0.5:
+            block.reverse()
+        pairs += [(x, top + k) for k, x in enumerate(block, 1)]
+        top += len(block) + gap + extra
+    return PartialInjection(n, pairs)
 
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_two_points_below_the_block_are_free(self, monkeypatch, n):
-        # Each left-shift letter is emitted while image point lo - 1 is free
-        # and lo - 2 is free or is 0, so it moves no point but the block's.
-        shift_left_letter, emit = factorize._shift_left_letter, factorize._Emitter.emit
-        pending, seen = [], set()
 
-        def recording(lo, hi, n):
-            pending.append((lo, hi))
-            return shift_left_letter(lo, hi, n)
+class TestWordLength:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_word_is_within_the_bound(self, n):
+        letters = set()
+        for factor, elements in ((factor_paut, enumerate_paut(n)), (factor_iend, enumerate_iend(n))):
+            for a in elements:
+                word = factor(a)
+                assert len(word) <= word_length_bound(n), a
+                letters.update(word.letters)
+        # Every letter but the merging b(i) is its own inverse, so a pack
+        # read backwards spells the inverse of what it packs.
+        for sym in letters - {beta(i) for i in range(n)}:
+            g = make_generator(sym, n)
+            assert inverse(g) == g, sym
 
-        def checking(em, sym):
-            if pending:
-                lo, hi = pending.pop()
-                assert lo - 1 not in em.img, (em.img, lo, hi)
-                assert lo == 2 or lo - 2 not in em.img, (em.img, lo, hi)
-                seen.add((lo == 2, lo == hi))
-            emit(em, sym)
-
-        monkeypatch.setattr(factorize, "_shift_left_letter", recording)
-        monkeypatch.setattr(factorize._Emitter, "emit", checking)
-        for a in enumerate_paut(n):
-            assert eval_word(factor_paut(a)) == a
-        assert not pending
-        if n >= 5:
-            # Blocks and single points, at the left end and away from it.
-            assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    @pytest.mark.parametrize("n", (24, 100, 400))
+    def test_random_words_are_within_the_bound(self, n):
+        rng = random.Random(n)
+        pauts = [_random_member(rng, n, "paut") for _ in range(10)]
+        iends = [_random_member(rng, n, "iend") for _ in range(10)]
+        assert all(map(is_paut, pauts)) and not all(map(is_paut, iends))
+        for factor, elements in ((factor_paut, pauts), (factor_iend, iends)):
+            for a in elements:
+                word = factor(a)
+                assert len(word) <= word_length_bound(n), a
+                assert eval_word(word) == a
 
 
 class TestCanonicalDelta:
@@ -169,7 +180,7 @@ class TestRoundTrips:
         monkeypatch.setattr(selftest, "factor_paut", lambda a: Word(a.n, (tau(),) * 37))
         fault = check_round_trip("paut", 3)
         assert fault.startswith("paut element n=3;") and fault.endswith(
-            "has 37 letters, above 4n^2"
+            "has 37 letters, above 5n+1"
         )
 
     def test_check_names_a_letter_outside_the_alphabet(self, monkeypatch):

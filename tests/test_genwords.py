@@ -193,6 +193,24 @@ class TestMakeGenerator:
         for n in (0, -1):
             assert list(legal_symbols(n)) == []
 
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda n: make_generator(tau(), n),
+            lambda n: Word(n, (tau(),)),
+            lambda n: Word(n, ()),
+            lambda n: expand_symbol(tau(), n),
+            lambda n: list(legal_symbols(n)),
+        ],
+        ids=["make_generator", "Word", "empty-Word", "expand_symbol", "legal_symbols"],
+    )
+    @pytest.mark.parametrize("n", [5.0, "5", True], ids=["float", "str", "bool"])
+    def test_rejects_a_non_integer_n(self, check, n):
+        # expand_symbol(tau(), 5.0) used to return a word over n = 5.0, and a
+        # str n raised TypeError from a comparison.
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            check(n)
+
 
 class TestAlphabets:
     def test_paut_alphabet_small(self):
