@@ -36,7 +36,7 @@ from math import comb, factorial
 from operator import add
 
 from .errors import ResourceRefused
-from .path_core import PartialInjection, _trusted, format_element, maximal_intervals
+from .path_core import PartialInjection, _check_n, _trusted, format_element, maximal_intervals
 
 # Largest n ``enumerate_*`` accepts: IEnd(P_8) has 53,937 elements.
 MAX_ENUMERATE_N = 8
@@ -85,8 +85,7 @@ def _slots(n: int, s: int, r: int, gap: int) -> int:
 
 def mask_profile(n: int, bits: int) -> MaskProfile:
     """Compute (r, s, T, q1, q2, t1, t2) for one domain mask."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_n(n)
     if not 0 <= bits < 1 << n:
         raise ValueError(f"mask {bits:#x} out of range for n={n}")
     runs = [len(run) for run in mask_to_string(n, bits).split("0") if run]
@@ -108,8 +107,7 @@ def iend_contribution(profile: MaskProfile) -> int:
 
 def _count(n: int, gap: int) -> int:
     """The (r, s) sum of the module docstring."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_n(n)
     # h[r][m]: ways to split r + m vertices into r ordered blocks, weighted
     # by 2 per block of size >= 2.
     h = [[1] + [0] * n]
@@ -137,6 +135,7 @@ def count_iend(n: int) -> int:
 
 def count_by_mask(n: int) -> list[tuple[MaskProfile, int, int]]:
     """Per-mask table of (profile, paut contribution, iend contribution)."""
+    _check_n(n)
     table = []
     for bits in range(1 << n):
         prof = mask_profile(n, bits)
@@ -158,8 +157,7 @@ def elements_with_domain(
     """
     if family not in ("paut", "iend"):
         raise ValueError(f"unknown family {family!r}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_n(n)
     mask_from_set(n, domain)  # rejects vertices outside 1..n
     blocks = maximal_intervals(domain)
     gap = 1 if family == "paut" else 0
@@ -186,8 +184,7 @@ def elements_with_domain(
 
 def _enumerate_family(n: int, family: str) -> list[PartialInjection]:
     """Every member of the family at n, in placement order."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_n(n)
     if n > MAX_ENUMERATE_N:
         raise ResourceRefused(f"enumeration at n={n} is above the bound of {MAX_ENUMERATE_N}")
     elements: list[PartialInjection] = []

@@ -116,8 +116,8 @@ def _lines(payload: dict, *keys: str) -> list[str]:
 
 # Largest up-front work estimate ``factor``, ``expand`` and ``count`` accept.
 # ``factor`` and ``expand`` estimate a word's letter count times n, the cost
-# of one composition: ``factor`` counts the 5n+1 letters of the factorization
-# step bound, ``factorize.word_length_bound`` (up to n = 4,472), ``expand`` the
+# of one composition: ``factor`` counts the 3n+1 letters of the factorization
+# step bound, ``factorize.word_length_bound`` (up to n = 5,773), ``expand`` the
 # longest expansion of any symbol plus 2 per bit of n, for the n pairs it
 # builds and prints (up to n = 1,923,076).  ``count`` estimates n³, for the
 # O(n²) terms of the closed form on numbers of O(n) digits (up to n = 464,
@@ -255,7 +255,7 @@ def _cmd_factor(args: argparse.Namespace) -> tuple[Rendering, int]:
     element = _read_element(args.element)
     if args.n is not None and args.n != element.n:
         raise ValueError(f"--n {args.n} disagrees with the element's n={element.n}")
-    # factor_iend refuses non-members and hands PAut members to factor_paut.
+    # factor_iend refuses non-members and factors both families by one rule.
     word = factor_iend(element)
     if args.alphabet == "base":
         word = expand_word(word)

@@ -122,34 +122,43 @@ def _check_symbol(sym: Symbol, n: int) -> None:
         raise ValueError(f"symbol {format_symbol(sym)} has indices out of range for n={n}")
 
 
+@lru_cache(maxsize=1)
+def _identity_image(n: int) -> tuple[int, ...]:
+    """(0, 1, ..., n), held for the last n: every generator image at n is
+    built from its entries, so no two images hold separate int objects for
+    one vertex (CPython caches only the ints up to 256)."""
+    return tuple(range(n + 1))
+
+
 def _generator_image(kind: str, i: int, j: int, n: int) -> tuple[int, ...]:
     """The image tuple (see ``PartialInjection``) of a checked symbol."""
+    v = _identity_image(n)
     if kind in ("tau", "a"):
         if i == n + 1:
-            return tuple(range(n + 1))
+            return v
         # tau and a(0), both with i = 0, fall out of the same formula.
-        return (*range(i), 0, *range(n, i, -1))
+        return (*v[:i], 0, *v[n:i:-1])
     if kind == "as":
-        return (0, *range(i - 1, 0, -1), 0, *range(i + 1, n + 1))
+        return (0, *v[i - 1 : 0 : -1], 0, *v[i + 1 :])
     if kind == "b":
-        return (*range(i), 0, *range(i, n))
-    img = list(range(n + 1))
+        return (*v[:i], 0, *v[i:n])
+    img = list(v)
     if kind == "e":
         img[i] = img[j] = 0
     elif kind == "es":
         # The boundary conventions need no case: index 0 is the sentinel
         # slot and n+1 lies past the end, so nothing leaves the domain.
-        img[i + 1 : j] = range(j - 1, i, -1)
+        img[i + 1 : j] = v[j - 1 : i : -1]
         img[i] = 0
         if j <= n:
             img[j] = 0
     elif kind == "rp":
-        img[i + 2 : j + 1] = range(i + 1, j)
+        img[i + 2 : j + 1] = v[i + 1 : j]
         img[i] = img[i + 1] = 0
         if j + 1 <= n:
             img[j + 1] = 0
     else:  # rm
-        img[i : j - 1] = range(i + 1, j)
+        img[i : j - 1] = v[i + 1 : j]
         img[i - 1] = img[j - 1] = 0
         if j <= n:
             img[j] = 0
@@ -247,6 +256,7 @@ def eval_word(word: Word) -> PartialInjection:
 
 def alphabet_paut(n: int) -> tuple[Symbol, ...]:
     """A(n), the shipped generating set of PAut(P_n); defined for n >= 3."""
+    _check_n(n)
     if n < 3:
         raise ValueError(f"the alphabet is defined for n >= 3, got n={n}")
     if n == 3:

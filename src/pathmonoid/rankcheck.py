@@ -32,6 +32,7 @@ from .errors import ResourceRefused
 from .genwords import alphabet_iend, alphabet_paut, make_generator, tau
 from .path_core import (
     PartialInjection,
+    _check_n,
     _trusted,
     compose,
     format_element,
@@ -246,8 +247,7 @@ def rank_formula(family: str, n: int) -> int:
     paut: 2, 2, 3 for n = 1, 2, 3 and n-1 for n >= 4.
     iend: 2, 2, 4 for n = 1, 2, 3 and n + ceil(n/2) - 2 for n >= 4.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_n(n)
     if family == "paut":
         return (2, 2, 3)[n - 1] if n <= 3 else n - 1
     if family == "iend":

@@ -62,14 +62,16 @@ def _word_fault(word: Word, alphabet: frozenset[Symbol], target: PartialInjectio
 
 
 def check_round_trip(family: str, n: int) -> str | None:
-    """Every element of the family at n (n >= 3) factors into at most 5n+1
-    letters, whose expansion over the family's alphabet evaluates back."""
+    """Every element of the family at n (n >= 3) factors into at most
+    ``word_length_bound(n)`` = 3n+1 letters, whose expansion over the
+    family's alphabet evaluates back."""
     factor = factor_paut if family == "paut" else factor_iend
     alphabet = frozenset(alphabet_paut(n) if family == "paut" else alphabet_iend(n))
+    bound = word_length_bound(n)
     for a in _enumerate(family, n):
         word = factor(a)
-        if len(word) > word_length_bound(n):
-            fault = f"has {len(word)} letters, above 5n+1"
+        if len(word) > bound:
+            fault = f"has {len(word)} letters, above the bound of {bound}"
         elif fault := _word_fault(expand_word(word), alphabet, a):
             fault = f"expands to a word that {fault}"
         else:

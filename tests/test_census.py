@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from pathmonoid import (
     ResourceRefused,
+    alphabet_paut,
     count_by_mask,
     count_iend,
     count_paut,
@@ -15,6 +18,7 @@ from pathmonoid import (
     is_iend,
     is_paut,
     mask_profile,
+    rank_formula,
 )
 from pathmonoid import census, cli, iend_monoid, paut_monoid, verify_rank
 from pathmonoid.census import (
@@ -82,6 +86,24 @@ class TestCounts:
         for count in (count_paut, count_iend):
             with pytest.raises(ValueError):
                 count(0)
+
+    @pytest.mark.parametrize(
+        ("call", "n"),
+        [
+            (count_paut, 2.0), (count_paut, True), (count_iend, "3"), (enumerate_paut, 3.0),
+            (enumerate_paut, True), (count_by_mask, 2.0), (alphabet_paut, "5"),
+            (partial(rank_formula, "paut"), 4.0),
+        ],
+        ids=[
+            "count_paut-float", "count_paut-bool", "count_iend-str", "enumerate_paut-float",
+            "enumerate_paut-bool", "count_by_mask-float", "alphabet_paut-str", "rank_formula-float",
+        ],
+    )
+    def test_rejects_a_non_integer_n(self, call, n):
+        # Each used to raise TypeError or answer for the int the value
+        # stands for: count_paut(True) gave 2, rank_formula("paut", 4.0) 3.0.
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            call(n)
 
     def test_paut_never_exceeds_iend(self):
         for n in range(1, 13):

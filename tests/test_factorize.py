@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -35,6 +36,9 @@ from test_golden import WORDS_FILE, WORDS_N, factor_words
 # The n = 24 partial automorphism of the golden cases: 4 domain blocks,
 # some reversed.
 N24_PAUT = "n=24;2>21,3>20,4>19,5>18,8>3,9>4,10>5,14>12,15>11,16>10,17>9,20>24,21>23"
+# An n = 8 member of IEnd outside PAut, with one cut: the images of 4..5
+# start right after those of 1..2.
+IEND_N8 = "n=8;1>3,2>4,4>5,5>6,7>1"
 
 
 class TestSmallCases:
@@ -65,10 +69,13 @@ class TestSmallCases:
             return make_generator(sym, n)
 
         monkeypatch.setattr(factorize, "make_generator", counting)
-        a = parse_element("n=9;1>9,3>3,4>4,7>6,8>7")
-        word = factor_paut(a)
-        assert eval_word(word) == a
-        assert len(built) == len(set(built)) == len(set(word.letters)) < len(word)
+        # The IEnd member's b letter shares the one cache too.
+        for factor, element in ((factor_paut, "n=9;1>9,3>3,4>4,7>6,8>7"), (factor_iend, IEND_N8)):
+            built.clear()
+            a = parse_element(element)
+            word = factor(a)
+            assert eval_word(word) == a
+            assert len(built) == len(set(built)) == len(set(word.letters)) < len(word)
 
     def test_step_bound_is_enforced(self, monkeypatch):
         a = parse_element("n=5;1>3,3>5,5>1")
@@ -97,6 +104,29 @@ class TestSmallCases:
         monkeypatch.setattr(factorize, "canonical_eps_star", corrupted)
         with pytest.raises(RuntimeError, match=f"did not pack {format_element(packed(a))}$"):
             factor_paut(a)
+
+    def test_a_wrong_merging_letter_raises(self, monkeypatch):
+        # The one cut of IEND_N8 is at packed image 5; b(6) leaves a gap.
+        a = parse_element(IEND_N8)
+        monkeypatch.setattr(factorize, "beta", lambda i: beta(i + 1))
+        packed = compose(a, canonical_delta(a))
+        with pytest.raises(RuntimeError, match=f"did not reach {format_element(packed)}$"):
+            factor_iend(a)
+
+
+class TestMemory:
+    def test_generator_images_share_their_vertices(self):
+        # Every a(i) image held by the per-request cache refers to the one
+        # identity tuple's ints: about 8 MB at n = 1000, where a fresh int
+        # per entry took about 31 MB.
+        a = parse_element("n=1000;1>1000")
+        tracemalloc.start()
+        try:
+            factor_paut(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
 
 
 def _random_member(rng: random.Random, n: int, family: str) -> PartialInjection:
@@ -180,7 +210,7 @@ class TestRoundTrips:
         monkeypatch.setattr(selftest, "factor_paut", lambda a: Word(a.n, (tau(),) * 37))
         fault = check_round_trip("paut", 3)
         assert fault.startswith("paut element n=3;") and fault.endswith(
-            "has 37 letters, above 5n+1"
+            "has 37 letters, above the bound of 10"
         )
 
     def test_check_names_a_letter_outside_the_alphabet(self, monkeypatch):
