@@ -21,11 +21,10 @@ yields a word over B(n) -- over A(n) for partial automorphisms.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .genwords import Symbol, Word, _trusted_word, alpha, beta, canonical_eps_star, make_generator
+from .genwords import Symbol, Word, _image, _trusted_word, alpha, beta, canonical_eps_star
 from .path_core import (
     PartialInjection,
     _trusted,
@@ -52,17 +51,17 @@ def word_length_bound(n: int) -> int:
     return 3 * n + 1
 
 
-def _walk(img: tuple[int, ...], letters: Iterable[Symbol], image_of: Callable) -> tuple[int, ...]:
-    """The image tuple ``img`` carried through ``letters``."""
+def _walk(img: tuple[int, ...], letters: Iterable[Symbol], n: int) -> tuple[int, ...]:
+    """The image tuple ``img`` carried through ``letters`` at n."""
     for sym in letters:
-        img = itemgetter(*img)(image_of(sym))
+        img = itemgetter(*img)(_image(*sym, n))
     return img
 
 
-def _pack(x: PartialInjection, img: tuple[int, ...], image_of: Callable) -> list[Symbol]:
+def _pack(x: PartialInjection, img: tuple[int, ...], blocks: Iterable[tuple[int, int]]) -> list[Symbol]:
     """Reversal letters carrying the working image tuple ``img``, the
     identity on Dom x, to x, whose image blocks are packed from 1 with
-    single gaps; ``image_of`` gives a letter's image tuple.
+    single gaps; ``blocks`` are the maximal intervals of Dom x.
 
     The blocks are placed in image order.  ``front`` is the gap after the
     blocks already placed; the unplaced images lie above it and no two
@@ -73,13 +72,13 @@ def _pack(x: PartialInjection, img: tuple[int, ...], image_of: Callable) -> list
     n = x.n
     letters: list[Symbol] = []
     front = 0
-    for lo, hi in sorted(domain_intervals(x), key=lambda block: x.img[block[0]]):
+    for lo, hi in sorted(blocks, key=lambda block: x.img[block[0]]):
         for _ in range(2):
             if img[lo : hi + 1] == x.img[lo : hi + 1]:
                 break
             sym = canonical_eps_star(front, max(img[lo : hi + 1]) + 1, n)
             letters.append(sym)
-            img = itemgetter(*img)(image_of(sym))
+            img = itemgetter(*img)(_image(*sym, n))
         front += hi - lo + 2
     if img != x.img:
         raise RuntimeError(f"reversal letters did not pack {format_element(x)}")
@@ -90,37 +89,35 @@ def _factor(a: PartialInjection) -> Word:
     """The word of a known member ``a`` of IEnd(P_n); each step walks on
     from the last, so the end checks of the steps cover the whole word."""
     n = a.n
-    # One cache for the request: each letter is built once, for every step.
-    image_of = lru_cache(maxsize=None)(lambda sym: make_generator(sym, n).img)
     # Restrict: a(i)^2 is the identity off vertex i.
     letters = [alpha(i) for i in range(1, n + 1) if not a.img[i] for _ in range(2)]
-    img = _walk(identity(n).img, letters, image_of)
+    img = _walk(identity(n).img, letters, n)
     # Pack: open one gap at each cut of a·δ; b(i) closes the gap at i.
+    # a, packed and spread all have the domain blocks of a.
+    blocks = domain_intervals(a)
     delta = canonical_delta(a)
     packed = compose(a, delta)
     spread_img = list(packed.img)
     merge: list[Symbol] = []
     top = -1  # the top image of the block before, in packed coordinates
-    for lo_y, hi_y, lo, hi in sorted(
-        block_image(packed.img, block) + block for block in domain_intervals(packed)
-    ):
+    for lo_y, hi_y, lo, hi in sorted(block_image(packed.img, block) + block for block in blocks):
         if lo_y == top + 1:
             merge.append(beta(lo_y))
         spread_img[lo : hi + 1] = (y + len(merge) for y in spread_img[lo : hi + 1])
         top = hi_y
     spread = _trusted(tuple(spread_img))
-    letters += _pack(spread, img, image_of)
+    letters += _pack(spread, img, blocks)
     # Merge.
-    if _walk(spread.img, merge, image_of) != packed.img:
+    if _walk(spread.img, merge, n) != packed.img:
         raise RuntimeError(f"merging letters did not reach {format_element(packed)}")
     letters += merge
     # Unpack: δ's pack read backwards.
     on_image = tuple(v if y else 0 for v, y in enumerate(delta.img))
-    letters += _pack(delta, on_image, image_of)[::-1]
+    letters += _pack(delta, on_image, domain_intervals(delta))[::-1]
     bound = word_length_bound(n)
     if len(letters) > bound:
         raise RuntimeError(f"factorization exceeded the step bound of {bound} letters")
-    # Every letter passed ``make_generator`` in a walk.
+    # Every letter passed the checked image cache ``genwords._image`` in a walk.
     return _trusted_word(n, tuple(letters))
 
 

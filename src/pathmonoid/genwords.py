@@ -36,6 +36,11 @@ identities
 
 with a(0) = tau, a(n+1) the empty word, and the boundary names of es at
 0 / n+1 substituted first.  No expansion is longer than 10 letters.
+
+Each generator image is checked and built once per process, in one cache
+that ``make_generator``, ``eval_symbols`` and factorization share.  After a
+request it keeps at most 4096 images, about 8·(n+1) bytes each: the image
+tuple's pointers, as the ints are those of one shared identity tuple.
 """
 from __future__ import annotations
 
@@ -165,10 +170,23 @@ def _generator_image(kind: str, i: int, j: int, n: int) -> tuple[int, ...]:
     return tuple(img)
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _image(kind: str, i: int, j: int, n: int) -> tuple[int, ...]:
+    """The image tuple of the symbol ``(kind, i, j)`` at n, checked and built
+    once per process; every caller that needs a letter's image asks here.
+    ``typed`` keeps ``True`` and ``1.0`` from reading the entry of ``1``, so
+    no symbol skips its check."""
+    _check_symbol(Symbol(kind, i, j), n)
+    return _generator_image(kind, i, j, n)
+
+
 def make_generator(sym: Symbol, n: int) -> PartialInjection:
     """The partial injection named by ``sym`` on {1..n}."""
-    _check_symbol(sym, n)
-    return _trusted(_generator_image(sym.kind, sym.i, sym.j, n))
+    try:
+        return _trusted(_image(*sym, n))
+    except TypeError:  # an unhashable index or n never reaches the check
+        _check_symbol(sym, n)
+        raise
 
 
 def legal_symbols(n: int) -> Iterator[Symbol]:
@@ -237,12 +255,8 @@ def _trusted_word(n: int, letters: tuple[Symbol, ...]) -> Word:
 def eval_symbols(letters: Iterable[Symbol], n: int) -> PartialInjection:
     """Evaluate ``letters`` left to right under the right action."""
     out = identity(n).img
-    images: dict[Symbol, tuple[int, ...]] = {}
     for sym in letters:
-        g = images.get(sym)
-        if g is None:
-            g = images[sym] = make_generator(sym, n).img
-        out = itemgetter(*out)(g)
+        out = itemgetter(*out)(_image(*sym, n))
     return _trusted(out)
 
 

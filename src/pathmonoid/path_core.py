@@ -231,30 +231,28 @@ def block_image(img: tuple[int, ...], block: tuple[int, int]) -> tuple[int, int]
     return min(values), max(values)
 
 
-def _is_monotone_onto_interval(values: tuple[int, ...]) -> bool:
-    """True iff ``values`` (distinct) is consecutive ascending or descending."""
-    if len(values) <= 1:
-        return True
-    step = values[1] - values[0]
-    if step not in (1, -1):
-        return False
-    return all(values[i + 1] - values[i] == step for i in range(1, len(values) - 1))
+def _blocks_map_onto_intervals(img: tuple[int, ...], blocks: Iterable[tuple[int, int]]) -> bool:
+    """True iff each domain block ``(lo, hi)`` of the image tuple ``img``
+    maps onto an interval, consecutive ascending or descending."""
+    for lo, hi in blocks:
+        if hi > lo:
+            step = img[lo + 1] - img[lo]
+            if step not in (1, -1) or any(img[x + 1] - img[x] != step for x in range(lo + 1, hi)):
+                return False
+    return True
 
 
 def is_iend(a: PartialInjection) -> bool:
     """Membership in IEnd(P_n): each maximal domain interval maps onto an
     interval, order-preservingly or order-reversingly."""
-    img = a.img
-    for lo, hi in domain_intervals(a):
-        if not _is_monotone_onto_interval(img[lo : hi + 1]):
-            return False
-    return True
+    return _blocks_map_onto_intervals(a.img, domain_intervals(a))
 
 
 def is_paut(a: PartialInjection) -> bool:
     """Membership in PAut(P_n): as ``is_iend``, and no two block images
     touch, so Im a has one maximal interval per domain block."""
-    return is_iend(a) and len(image_intervals(a)) == len(domain_intervals(a))
+    blocks = domain_intervals(a)
+    return _blocks_map_onto_intervals(a.img, blocks) and len(image_intervals(a)) == len(blocks)
 
 
 # -- text and JSON forms ----------------------------------------------------

@@ -26,9 +26,9 @@ from pathmonoid import (
     maximal_intervals,
     parse_element,
 )
-from pathmonoid import factorize, selftest
+from pathmonoid import factorize, genwords, selftest
 from pathmonoid.factorize import word_length_bound
-from pathmonoid.genwords import beta, canonical_eps_star, tau
+from pathmonoid.genwords import Symbol, alpha, beta, canonical_eps_star, eps_star, eval_symbols, tau
 from pathmonoid.selftest import check_round_trip
 
 from test_golden import WORDS_FILE, WORDS_N, factor_words
@@ -62,20 +62,27 @@ class TestSmallCases:
         assert eval_word(expand_word(factor_iend(iend_only))) == iend_only
 
     def test_each_letter_is_built_once(self, monkeypatch):
+        # Factor and eval share the one checked image cache, so each
+        # distinct (letter, n) is built once across both steps.
         built = []
+        build = genwords._generator_image
 
-        def counting(sym, n):
-            built.append(sym)
-            return make_generator(sym, n)
+        def counting(kind, i, j, n):
+            built.append((kind, i, j, n))
+            return build(kind, i, j, n)
 
-        monkeypatch.setattr(factorize, "make_generator", counting)
+        monkeypatch.setattr(genwords, "_generator_image", counting)
         # The IEnd member's b letter shares the one cache too.
         for factor, element in ((factor_paut, "n=9;1>9,3>3,4>4,7>6,8>7"), (factor_iend, IEND_N8)):
+            genwords._image.cache_clear()
             built.clear()
             a = parse_element(element)
             word = factor(a)
-            assert eval_word(word) == a
-            assert len(built) == len(set(built)) == len(set(word.letters)) < len(word)
+            base = expand_word(word)
+            assert eval_word(base) == a
+            letters = {(*sym, a.n) for sym in word.letters + base.letters}
+            assert len(built) == len(set(built)) == len(letters) < len(word) + len(base)
+            assert set(built) == letters
 
     def test_step_bound_is_enforced(self, monkeypatch):
         a = parse_element("n=5;1>3,3>5,5>1")
@@ -114,12 +121,35 @@ class TestSmallCases:
             factor_iend(a)
 
 
+class TestImageCache:
+    def test_a_cached_image_skips_no_check(self, monkeypatch):
+        assert callable(genwords._image.cache_clear)
+        # True equals 1 and hashes as 1: only a typed cache keeps these
+        # two entries from answering for a bool index or n.
+        make_generator(alpha(1), 5)
+        make_generator(alpha(1), 1)
+        for bad in (
+            lambda: make_generator(Symbol("a", True), 5),
+            lambda: make_generator(alpha(1), True),
+            lambda: eval_symbols([Symbol("a", True)], 5),
+            lambda: Word(5, (Symbol("a", True),)),
+            lambda: make_generator(Symbol("a", [1]), 5),
+        ):
+            with pytest.raises(ValueError):
+                bad()
+        # A factor walk checks each letter it emits: es(i, i+1) is illegal.
+        monkeypatch.setattr(factorize, "canonical_eps_star", lambda i, j, n: eps_star(i, i + 1))
+        with pytest.raises(ValueError, match="out of range"):
+            factor_paut(parse_element(N24_PAUT))
+
+
 class TestMemory:
     def test_generator_images_share_their_vertices(self):
-        # Every a(i) image held by the per-request cache refers to the one
-        # identity tuple's ints: about 8 MB at n = 1000, where a fresh int
-        # per entry took about 31 MB.
+        # Every a(i) image held by the process's image cache refers to the
+        # one identity tuple's ints: about 8 MB at n = 1000, where a fresh
+        # int per entry took about 31 MB.
         a = parse_element("n=1000;1>1000")
+        genwords._image.cache_clear()
         tracemalloc.start()
         try:
             factor_paut(a)
