@@ -253,8 +253,6 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[Rendering, int]:
 
 def _cmd_factor(args: argparse.Namespace) -> tuple[Rendering, int]:
     element = _read_element(args.element)
-    if args.n is not None and args.n != element.n:
-        raise ValueError(f"--n {args.n} disagrees with the element's n={element.n}")
     # factor_iend refuses non-members and factors both families by one rule.
     word = factor_iend(element)
     if args.alphabet == "base":
@@ -391,7 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("factor", _cmd_factor, "factor an element into a generator word")
     p.add_argument("--element", required=True, help="text form 'n=5;1>3,2>4' or JSON object form")
-    p.add_argument("--n", type=int, default=None, help="optional cross-check against the element's n")
     p.add_argument(
         "--alphabet",
         choices=("base", "derived"),

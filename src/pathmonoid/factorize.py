@@ -8,11 +8,14 @@ b of IEnd(P_n) as a word by one rule, restrict, pack, merge, then unpack:
 The idempotents a(i)^2 restrict the identity to Dom b.  ``_pack`` carries
 the identity on a domain onto a map whose image blocks are packed from 1
 with single gaps, by segment reversals: here onto spread, which is b·δ with
-one gap opened at each cut (where a block's image starts right after the
-previous block's).  The merging letters β, one b(i) per cut, close those
-gaps and give b·δ.  Each reversal letter is its own inverse, so δ's word
-read backwards spells δ⁻¹ on Im δ.  A partial automorphism has no cuts, so
-its word uses {tau, a, as, es} only; other members add their b letters.
+one gap opened at each cut, where a domain block ends inside a maximal
+image interval of b (read off the preimage runs by the J key's rule,
+``path_core.split_blocks``).  The merging letters β, one b(i) per cut,
+close those gaps and give b·δ.  Each reversal letter is its own inverse,
+so δ's word read backwards spells δ⁻¹ on Im δ.  A partial automorphism has
+no cuts, so its word uses {tau, a, as, es} only; other members add their b
+letters.  Each step walks its letters with ``eval_word``'s walk and checks
+its end.
 
 Every emitted letter is legal for the ambient n, and emitted es letters are
 boundary-normalized (es(0, n+1) is emitted as tau, es(0, j) as as(j),
@@ -21,21 +24,21 @@ yields a word over B(n) -- over A(n) for partial automorphisms.
 """
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable
 
-from .genwords import Symbol, Word, _image, _trusted_word, alpha, beta, canonical_eps_star
+from .genwords import Symbol, Word, _trusted_word, _walk, alpha, beta, canonical_eps_star
 from .path_core import (
     PartialInjection,
     _trusted,
-    block_image,
     compose,
     domain_intervals,
     format_element,
     identity,
     image_intervals,
+    inverse,
     is_iend,
     is_paut,
+    split_blocks,
 )
 
 
@@ -49,13 +52,6 @@ def word_length_bound(n: int) -> int:
     2(n-s) + 4r - c <= 3n+1 (add 3(s-r) >= 0 and n-s+1-r >= 0).
     """
     return 3 * n + 1
-
-
-def _walk(img: tuple[int, ...], letters: Iterable[Symbol], n: int) -> tuple[int, ...]:
-    """The image tuple ``img`` carried through ``letters`` at n."""
-    for sym in letters:
-        img = itemgetter(*img)(_image(*sym, n))
-    return img
 
 
 def _pack(x: PartialInjection, img: tuple[int, ...], blocks: Iterable[tuple[int, int]]) -> list[Symbol]:
@@ -78,7 +74,7 @@ def _pack(x: PartialInjection, img: tuple[int, ...], blocks: Iterable[tuple[int,
                 break
             sym = canonical_eps_star(front, max(img[lo : hi + 1]) + 1, n)
             letters.append(sym)
-            img = itemgetter(*img)(_image(*sym, n))
+            img = _walk(img, (sym,), n)
         front += hi - lo + 2
     if img != x.img:
         raise RuntimeError(f"reversal letters did not pack {format_element(x)}")
@@ -92,28 +88,32 @@ def _factor(a: PartialInjection) -> Word:
     # Restrict: a(i)^2 is the identity off vertex i.
     letters = [alpha(i) for i in range(1, n + 1) if not a.img[i] for _ in range(2)]
     img = _walk(identity(n).img, letters, n)
-    # Pack: open one gap at each cut of a·δ; b(i) closes the gap at i.
+    # Pack: open one gap at each cut of a·δ, where a domain block ends
+    # inside a maximal image interval of a; b(i) closes the gap at i.
     # a, packed and spread all have the domain blocks of a.
-    blocks = domain_intervals(a)
     delta = canonical_delta(a)
     packed = compose(a, delta)
-    spread_img = list(packed.img)
+    image_blocks = domain_intervals(delta)  # the maximal intervals of Im a
+    preimages = inverse(a).img
+    spread_img = [0] * (n + 1)
     merge: list[Symbol] = []
-    top = -1  # the top image of the block before, in packed coordinates
-    for lo_y, hi_y, lo, hi in sorted(block_image(packed.img, block) + block for block in blocks):
-        if lo_y == top + 1:
-            merge.append(beta(lo_y))
-        spread_img[lo : hi + 1] = (y + len(merge) for y in spread_img[lo : hi + 1])
-        top = hi_y
+    for lo, hi in image_blocks:
+        y = delta.img[lo]  # in packed coordinates
+        for k, block in enumerate(split_blocks(preimages[lo : hi + 1])):
+            if k:
+                merge.append(beta(y))
+            for x in block:
+                spread_img[x] = y + len(merge)
+                y += 1
     spread = _trusted(tuple(spread_img))
-    letters += _pack(spread, img, blocks)
+    letters += _pack(spread, img, domain_intervals(a))
     # Merge.
     if _walk(spread.img, merge, n) != packed.img:
         raise RuntimeError(f"merging letters did not reach {format_element(packed)}")
     letters += merge
     # Unpack: δ's pack read backwards.
     on_image = tuple(v if y else 0 for v, y in enumerate(delta.img))
-    letters += _pack(delta, on_image, domain_intervals(delta))[::-1]
+    letters += _pack(delta, on_image, image_blocks)[::-1]
     bound = word_length_bound(n)
     if len(letters) > bound:
         raise RuntimeError(f"factorization exceeded the step bound of {bound} letters")

@@ -138,15 +138,16 @@ def _identity_image(n: int) -> tuple[int, ...]:
 def _generator_image(kind: str, i: int, j: int, n: int) -> tuple[int, ...]:
     """The image tuple (see ``PartialInjection``) of a checked symbol."""
     v = _identity_image(n)
-    if kind in ("tau", "a"):
-        if i == n + 1:
-            return v
-        # tau and a(0), both with i = 0, fall out of the same formula.
-        return (*v[:i], 0, *v[n:i:-1])
-    if kind == "as":
-        return (0, *v[i - 1 : 0 : -1], 0, *v[i + 1 :])
+    if kind == "a" and i == n + 1:
+        return v
     if kind == "b":
         return (*v[:i], 0, *v[i:n])
+    # The boundary reversals are es letters: tau and a(i) are es(i, n+1)
+    # (tau has i = 0, as a(0) does) and as(i) is es(0, i).
+    if kind in ("tau", "a"):
+        kind, j = "es", n + 1
+    elif kind == "as":
+        kind, i, j = "es", 0, i
     img = list(v)
     if kind == "e":
         img[i] = img[j] = 0
@@ -227,6 +228,8 @@ class Word:
     letters: tuple[Symbol, ...]
 
     def __post_init__(self) -> None:
+        # A list of letters would leave the word unhashable and break ``+``.
+        object.__setattr__(self, "letters", tuple(self.letters))
         _check_n(self.n)
         for sym in self.letters:
             _check_symbol(sym, self.n)
@@ -252,12 +255,16 @@ def _trusted_word(n: int, letters: tuple[Symbol, ...]) -> Word:
     return word
 
 
+def _walk(img: tuple[int, ...], letters: Iterable[Symbol], n: int) -> tuple[int, ...]:
+    """The image tuple ``img`` carried through ``letters`` at n."""
+    for sym in letters:
+        img = itemgetter(*img)(_image(*sym, n))
+    return img
+
+
 def eval_symbols(letters: Iterable[Symbol], n: int) -> PartialInjection:
     """Evaluate ``letters`` left to right under the right action."""
-    out = identity(n).img
-    for sym in letters:
-        out = itemgetter(*out)(_image(*sym, n))
-    return _trusted(out)
+    return _trusted(_walk(identity(n).img, letters, n))
 
 
 def eval_word(word: Word) -> PartialInjection:
@@ -344,10 +351,7 @@ def _expand(kind: str, i: int, j: int, n: int) -> tuple[Symbol, ...]:
 
 def expand_symbol(sym: Symbol, n: int) -> Word:
     """Rewrite ``sym`` as a word over the base alphabet B(n) (n >= 3)."""
-    _check_symbol(sym, n)
-    if n < 3:
-        raise ValueError(f"expansion requires n >= 3, got n={n}")
-    return Word(n, _expand(sym.kind, sym.i, sym.j, n))
+    return expand_word(Word(n, (sym,)))
 
 
 def expand_word(word: Word) -> Word:

@@ -3,7 +3,7 @@
 Each relation is equality of a canonical key read off the structural
 characterizations.  One block key, the set of runs ``x.img[lo:hi+1]`` over
 the maximal domain intervals of x, each normalized against its reversal,
-serves both L and R:
+serves L, R, H and J:
 
 * L is image equality with a·b⁻¹ a partial automorphism.  The runs of a
   member are monotone, so with x = a the key is the set of block images,
@@ -16,9 +16,11 @@ serves both L and R:
 * J compares the *types* of the maximal image intervals up to reversal.
   The type of a maximal image interval j under a is the sequence of sizes
   of the maximal domain intervals mapping into j, in the order of their
-  images inside j.  a J b exactly when a bijection between the image
-  intervals matches each type up to reversal, so the key is the sorted
-  tuple of reversal-normalized types.
+  images inside j.  It is read off the run of j in the R key: a domain
+  block ends wherever two consecutive preimages are not adjacent
+  (``path_core.split_blocks``).  a J b exactly when a bijection between
+  the image intervals matches each type up to reversal, so the key is the
+  sorted tuple of reversal-normalized types.
 
 The keys are the production path: ``classify`` checks membership once per
 element and groups by key, and the pairwise predicates compare keys.
@@ -34,13 +36,12 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 from .path_core import (
     PartialInjection,
-    block_image,
     domain_intervals,
     format_element,
     image_intervals,
     inverse,
     is_iend,
-    maximal_intervals,
+    split_blocks,
 )
 
 
@@ -58,14 +59,13 @@ def type_sequence(a: PartialInjection, j: tuple[int, int]) -> tuple[int, ...]:
     _require_members(a)
     if j not in image_intervals(a):
         raise ValueError(f"{j} is not a maximal image interval of {format_element(a)}")
-    return _type_sequence(a, j)
-
-
-def _type_sequence(a: PartialInjection, j: tuple[int, int]) -> tuple[int, ...]:
     lo, hi = j
-    blocks = maximal_intervals(x for x, y in enumerate(a.img) if lo <= y <= hi)
-    ordered = sorted(blocks, key=lambda block: block_image(a.img, block))
-    return tuple(b_hi - b_lo + 1 for b_lo, b_hi in ordered)
+    return _type(inverse(a).img[lo : hi + 1])
+
+
+def _type(run: tuple[int, ...]) -> tuple[int, ...]:
+    """The type of the maximal image interval whose preimage run is ``run``."""
+    return tuple(map(len, split_blocks(run)))
 
 
 def canonical_type(t: Sequence[int]) -> tuple[int, ...]:
@@ -79,12 +79,15 @@ def canonical_type(t: Sequence[int]) -> tuple[int, ...]:
 # with ``_require_members`` before reading a key.
 
 
+def _runs(x: PartialInjection) -> list[tuple[int, ...]]:
+    """The image runs ``x.img[lo:hi+1]`` of the maximal domain intervals."""
+    img = x.img
+    return [img[lo : hi + 1] for lo, hi in domain_intervals(x)]
+
+
 def _block_key(a: PartialInjection) -> frozenset[tuple[int, ...]]:
     """Reversal-normalized image runs of the maximal domain intervals."""
-    img = a.img
-    return frozenset(
-        min(run, run[::-1]) for run in (img[lo : hi + 1] for lo, hi in domain_intervals(a))
-    )
+    return frozenset(min(run, run[::-1]) for run in _runs(a))
 
 
 def _r_key(a: PartialInjection) -> Hashable:
@@ -96,7 +99,7 @@ def _h_key(a: PartialInjection) -> Hashable:
 
 
 def _j_key(a: PartialInjection) -> Hashable:
-    return tuple(sorted(canonical_type(_type_sequence(a, j)) for j in image_intervals(a)))
+    return tuple(sorted(canonical_type(_type(run)) for run in _runs(inverse(a))))
 
 
 _KEYS: dict[str, Callable[[PartialInjection], Hashable]] = {

@@ -224,11 +224,14 @@ def image_intervals(a: PartialInjection) -> tuple[tuple[int, int], ...]:
     return maximal_intervals(y for y in a.img if y)
 
 
-def block_image(img: tuple[int, ...], block: tuple[int, int]) -> tuple[int, int]:
-    """``(min, max)`` of the images of the domain block ``(lo, hi)``, an
-    interval inside the domain of the image tuple ``img``."""
-    values = img[block[0] : block[1] + 1]
-    return min(values), max(values)
+def split_blocks(run: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The domain blocks, in image order, that the preimage run
+    ``inverse(a).img[lo : hi + 1]`` of a maximal image interval (lo, hi) of a
+    member a of IEnd(P_n) passes through.  Blocks map monotonically and lie
+    two or more apart, so one ends wherever two consecutive preimages are
+    not adjacent."""
+    cuts = [k for k in range(1, len(run)) if run[k] - run[k - 1] not in (1, -1)]
+    return [run[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(run)])]
 
 
 def _blocks_map_onto_intervals(img: tuple[int, ...], blocks: Iterable[tuple[int, int]]) -> bool:

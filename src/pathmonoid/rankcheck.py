@@ -112,14 +112,20 @@ def alphabet_elements(family: str, n: int) -> list[PartialInjection]:
 
 
 def _saturate(
-    gens: list[PartialInjection], n: int, *, within: MonoidSet | None = None
+    gens: Iterable[PartialInjection], n: int, *, within: MonoidSet | None = None
 ) -> set[tuple[int, ...]] | None:
     """Image tuples of the closure of ``gens`` and the identity under right
     multiplication, expanded one rank at a time from n down to 0 (see the
     module docstring).  ``None`` as soon as the closure cannot be all of
-    ``within``: at a product outside it, or at a drained rank bucket smaller
-    than its layer of that rank."""
-    letters = list(dict.fromkeys(g.img for g in gens))
+    ``within``: at a product outside it (identity·g, the first product of
+    each letter g, checks that g is a member), or at a drained rank bucket
+    smaller than its layer of that rank, so a result is all of ``within``.
+    ``ValueError`` for a generator on another n."""
+    letters: dict[tuple[int, ...], None] = {}
+    for g in gens:
+        if g.n != n:
+            raise ValueError(f"generator on n={g.n} does not match n={n}")
+        letters[g.img] = None
     if within is not None:
         members, layer_sizes = within._layers
     ident = tuple(range(n + 1))
@@ -149,13 +155,7 @@ def closure(gens: Iterable[PartialInjection], n: int) -> MonoidSet:
     It has no bound of its own: its size is at most |I_n|, so n fixes the
     cost, and the CLI saturates only at n <= ``census.MAX_ENUMERATE_N``.
     """
-    gen_list: list[PartialInjection] = []
-    for g in gens:
-        if g.n != n:
-            raise ValueError(f"generator on n={g.n} does not match n={n}")
-        gen_list.append(g)
-    seen = _saturate(gen_list, n)
-    return MonoidSet(n, frozenset(map(_trusted, seen)))
+    return MonoidSet(n, frozenset(map(_trusted, _saturate(gens, n))))
 
 
 def is_generating(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
@@ -164,15 +164,7 @@ def is_generating(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
     Saturates inside ``target`` and gives up at the first product outside it
     or the first rank layer left incomplete.
     """
-    gen_list: list[PartialInjection] = []
-    for g in gens:
-        if g.n != target.n:
-            raise ValueError(f"generator on n={g.n} does not match n={target.n}")
-        if g not in target:
-            return False
-        gen_list.append(g)
-    seen = _saturate(gen_list, target.n, within=target)
-    return seen is not None and len(seen) == len(target)
+    return _saturate(gens, target.n, within=target) is not None
 
 
 def _first_redundant(gens: list[PartialInjection], target: MonoidSet) -> int | None:

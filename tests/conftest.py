@@ -63,15 +63,20 @@ def _runs(points: Iterable[int]) -> list[list[int]]:
     return runs
 
 
-def _naive_types(mapping: dict[int, int]) -> Counter:
-    """Multiset of reversal-normalized types of the maximal image intervals."""
-    types: Counter = Counter()
+def naive_type_sequences(mapping: dict[int, int]) -> dict[tuple[int, int], tuple[int, ...]]:
+    """The type of each maximal image interval ``(lo, hi)``: the sizes of
+    the domain runs mapping into it, ordered by their least image."""
+    types: dict[tuple[int, int], tuple[int, ...]] = {}
     for interval in _runs(mapping.values()):
         blocks = _runs(x for x, y in mapping.items() if y in interval)
         blocks.sort(key=lambda block: min(mapping[x] for x in block))
-        t = tuple(len(block) for block in blocks)
-        types[min(t, t[::-1])] += 1
+        types[interval[0], interval[-1]] = tuple(len(block) for block in blocks)
     return types
+
+
+def _naive_types(mapping: dict[int, int]) -> Counter:
+    """Multiset of reversal-normalized types of the maximal image intervals."""
+    return Counter(min(t, t[::-1]) for t in naive_type_sequences(mapping).values())
 
 
 def reference_l_related(a: PartialInjection, b: PartialInjection) -> bool:

@@ -196,11 +196,6 @@ class TestFactor:
         assert code == 0 and payload["verified"] is True
         assert payload["alphabet"] == "derived"
 
-    def test_n_cross_check(self, capsys):
-        code, _, err = run(capsys, "factor", "--element", "n=3;1>1", "--n", "4")
-        assert code == 2
-        assert "disagrees" in json.loads(err)["error"]["message"]
-
     def test_non_member_is_usage_error(self, capsys):
         code, _, err = run(capsys, "factor", "--element", "n=4;1>1,2>4")
         assert code == 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
 
@@ -19,6 +20,7 @@ from pathmonoid import (
     factor_iend,
     factor_paut,
     format_element,
+    format_word,
     identity,
     inverse,
     is_paut,
@@ -255,6 +257,20 @@ class TestRoundTrips:
         # Pins every word, not only its value: a rewrite of the factorization
         # that changes a single letter shows here.
         assert factor_words(WORDS_N) == WORDS_FILE.read_text()
+
+    @pytest.mark.parametrize(
+        "factor, enumerate_family, digest",
+        [
+            (factor_paut, enumerate_paut, "9c8cb512bc1ea92ea51e5df1f8336394ea1170d98159baaba051f82d17ca8dd9"),
+            (factor_iend, enumerate_iend, "2a409ec5d38631bdaa74642186c7412014e52ef2880d52f17366e759d6a6739d"),
+        ],
+        ids=["paut", "iend"],
+    )
+    def test_n7_words_match_their_hash(self, factor, enumerate_family, digest):
+        # Pins every word of both families at n = 7, PAut's included, which
+        # the golden list (IEnd at n = 5) does not reach.
+        text = "".join(format_word(factor(a)) + "\n" for a in enumerate_family(7))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_words_use_only_legal_letters(self):
         # Factor and expand build their words without checks; rebuilding

@@ -265,6 +265,13 @@ class TestWords:
         with pytest.raises(ValueError):
             Word(4, ()) + Word(5, ())
 
+    def test_a_list_of_letters_is_stored_as_a_tuple(self):
+        # A stored list left the word unhashable, and ``+`` raised TypeError.
+        w = Word(5, [tau()])
+        assert w.letters == (tau(),) and w == Word(5, (tau(),))
+        assert hash(w) == hash(Word(5, (tau(),)))
+        assert (w + w).letters == (tau(), tau())
+
 
 class TestTextFormat:
     @pytest.mark.parametrize(

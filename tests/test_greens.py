@@ -31,6 +31,8 @@ from pathmonoid.greens import canonical_type
 from pathmonoid.selftest import check_greens
 
 from conftest import (
+    _naive_types,
+    naive_type_sequences,
     reference_h_related,
     reference_j_related,
     reference_l_related,
@@ -66,6 +68,22 @@ class TestTypeSequence:
         assert similar_type(a, b)
         c = parse_element("n=5;1>2,2>3,4>5")
         assert not similar_type(a, c)
+
+    @pytest.mark.parametrize("n", (6, 7))
+    def test_block_ends_match_the_per_interval_rule(self, n):
+        # The keys split each preimage run where two consecutive preimages
+        # are not adjacent; the reference finds the domain runs mapping into
+        # each interval and sorts them by image.  The ideal oracle stops at
+        # n = 5, so this is the check of J at n = 6 and 7.
+        elements = enumerate_iend(n)
+        naive_classes: dict[frozenset, set[PartialInjection]] = {}
+        for a in elements:
+            mapping = dict(a.pairs)
+            naive = naive_type_sequences(mapping)
+            assert {j: type_sequence(a, j) for j in image_intervals(a)} == naive, a
+            naive_classes.setdefault(frozenset(_naive_types(mapping).items()), set()).add(a)
+        expected = frozenset(map(frozenset, naive_classes.values()))
+        assert classify(elements, "J").as_sets() == expected
 
 
 class TestPairwisePredicates:

@@ -112,6 +112,10 @@ class TestIsGenerating:
         # A generator outside the target can never produce exactly it.
         beta_letter = alphabet_elements("iend", 4)[-1]
         assert not is_generating([beta_letter], paut_monoid(4))
+        # With a generating set beside it, identity·g is the product that
+        # leaves the target.
+        letters = alphabet_elements("paut", 4) + [beta_letter]
+        assert rankcheck._saturate(letters, 4, within=paut_monoid(4)) is None
 
     @pytest.mark.parametrize("n", (4, 5, 6))
     def test_paut_alphabet_irredundant(self, n):
