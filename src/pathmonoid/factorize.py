@@ -5,11 +5,12 @@ b of IEnd(P_n) as a word by one rule, restrict, pack, merge, then unpack:
 
     b = id_Dom b · spread · β · δ⁻¹,        δ = canonical_delta(b).
 
+δ packs the maximal intervals of Im b, read once as those of Dom b⁻¹.
 The idempotents a(i)^2 restrict the identity to Dom b.  ``_pack`` carries
 the identity on a domain onto a map whose image blocks are packed from 1
 with single gaps, by segment reversals: here onto spread, which is b·δ with
 one gap opened at each cut, where a domain block ends inside a maximal
-image interval of b (read off the preimage runs by the J key's rule,
+image interval of b (read off its run in b⁻¹ by the J key's rule,
 ``path_core.split_blocks``).  The merging letters β, one b(i) per cut,
 close those gaps and give b·δ.  Each reversal letter is its own inverse,
 so δ's word read backwards spells δ⁻¹ on Im δ.  A partial automorphism has
@@ -91,15 +92,15 @@ def _factor(a: PartialInjection) -> Word:
     # Pack: open one gap at each cut of a·δ, where a domain block ends
     # inside a maximal image interval of a; b(i) closes the gap at i.
     # a, packed and spread all have the domain blocks of a.
-    delta = canonical_delta(a)
+    inv = inverse(a)
+    image_blocks = domain_intervals(inv)  # Im a = Dom a⁻¹
+    delta = _delta(n, image_blocks)
     packed = compose(a, delta)
-    image_blocks = domain_intervals(delta)  # the maximal intervals of Im a
-    preimages = inverse(a).img
     spread_img = [0] * (n + 1)
     merge: list[Symbol] = []
     for lo, hi in image_blocks:
         y = delta.img[lo]  # in packed coordinates
-        for k, block in enumerate(split_blocks(preimages[lo : hi + 1])):
+        for k, block in enumerate(split_blocks(inv.img[lo : hi + 1])):
             if k:
                 merge.append(beta(y))
             for x in block:
@@ -137,11 +138,15 @@ def canonical_delta(b: PartialInjection) -> PartialInjection:
     """The packing automorphism for Im b: each maximal image interval is
     carried order-preservingly onto the leftmost free slots, consecutive
     intervals separated by exactly one gap."""
-    # The intervals already sit apart by at least one gap, so the packed
-    # ones fit in {1..n}.
-    img = [0] * (b.n + 1)
+    return _delta(b.n, image_intervals(b))
+
+
+def _delta(n: int, intervals: Iterable[tuple[int, int]]) -> PartialInjection:
+    """``canonical_delta`` at n from the maximal image intervals, in order;
+    they already sit apart by at least one gap, so the packed ones fit."""
+    img = [0] * (n + 1)
     offset = 1
-    for lo, hi in image_intervals(b):
+    for lo, hi in intervals:
         size = hi - lo + 1
         img[lo : hi + 1] = range(offset, offset + size)
         offset += size + 1

@@ -37,10 +37,10 @@ identities
 with a(0) = tau, a(n+1) the empty word, and the boundary names of es at
 0 / n+1 substituted first.  No expansion is longer than 10 letters.
 
-Each generator image is checked and built once per process, in one cache
-that ``make_generator``, ``eval_symbols`` and factorization share.  After a
-request it keeps at most 4096 images, about 8·(n+1) bytes each: the image
-tuple's pointers, as the ints are those of one shared identity tuple.
+Two per-symbol caches live for the process, each bounded at 4096 entries.
+One checks and builds each generator image once for ``make_generator``,
+``eval_symbols`` and factorization, at about 8·(n+1) bytes, as the ints are
+those of one shared identity tuple; the other holds each symbol's expansion.
 """
 from __future__ import annotations
 
@@ -311,7 +311,7 @@ def _is_base_letter(sym: Symbol, n: int) -> bool:
 MAX_EXPANSION_LENGTH = 10
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _expand(kind: str, i: int, j: int, n: int) -> tuple[Symbol, ...]:
     sym = Symbol(kind, i, j)
     if _is_base_letter(sym, n):

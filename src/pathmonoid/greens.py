@@ -38,7 +38,6 @@ from .path_core import (
     PartialInjection,
     domain_intervals,
     format_element,
-    image_intervals,
     inverse,
     is_iend,
     split_blocks,
@@ -57,10 +56,10 @@ def type_sequence(a: PartialInjection, j: tuple[int, int]) -> tuple[int, ...]:
     """Sizes of the maximal domain intervals mapping into the maximal image
     interval ``j = (lo, hi)``, ordered by where their images sit inside j."""
     _require_members(a)
-    if j not in image_intervals(a):
+    inv = inverse(a)
+    if j not in domain_intervals(inv):  # Im a = Dom a⁻¹
         raise ValueError(f"{j} is not a maximal image interval of {format_element(a)}")
-    lo, hi = j
-    return _type(inverse(a).img[lo : hi + 1])
+    return _type(inv.img[j[0] : j[1] + 1])
 
 
 def _type(run: tuple[int, ...]) -> tuple[int, ...]:
@@ -81,8 +80,7 @@ def canonical_type(t: Sequence[int]) -> tuple[int, ...]:
 
 def _runs(x: PartialInjection) -> list[tuple[int, ...]]:
     """The image runs ``x.img[lo:hi+1]`` of the maximal domain intervals."""
-    img = x.img
-    return [img[lo : hi + 1] for lo, hi in domain_intervals(x)]
+    return [x.img[lo : hi + 1] for lo, hi in domain_intervals(x)]
 
 
 def _block_key(a: PartialInjection) -> frozenset[tuple[int, ...]]:

@@ -2,13 +2,13 @@
 
 The vertices of the path are 1, 2, ..., n, with an edge between i and i+1.
 Elements here are injective partial maps; composition acts on the right, so
-``x`` under ``compose(a, b)`` is ``b(a(x))``.  Two membership predicates are
-provided:
+``x`` under ``compose(a, b)`` is ``b(a(x))``.  The membership predicates
+are the paper's definitions, by adjacency:
 
-* ``is_iend`` -- injective partial endomorphisms: every maximal interval of
-  the domain maps monotonically onto an interval.
-* ``is_paut`` -- partial automorphisms: as above, and the image set has as
-  many maximal intervals as the domain, so no two block images touch.
+* ``is_iend`` -- injective partial endomorphisms: every edge {x, x+1} inside
+  the domain maps to an edge.  An injective map cannot step back, so each
+  maximal domain interval maps monotonically onto an interval.
+* ``is_paut`` -- partial automorphisms: a and a⁻¹ both send edges to edges.
 
 Elements are stored as image tuples (see ``PartialInjection``).  The
 canonical text format is ``"n=5;1>3,2>4"`` (pairs sorted by domain; an
@@ -193,35 +193,37 @@ def restrict(a: PartialInjection, keep: Iterable[int]) -> PartialInjection:
     return PartialInjection(a.n, [(x, y) for x, y in a.pairs if x in keep_set])
 
 
-def maximal_intervals(points: Iterable[int]) -> tuple[tuple[int, int], ...]:
-    """Decompose a set of integers into maximal runs of consecutive values.
-
-    Returns ``((lo, hi), ...)`` in increasing order; ``maximal_intervals({2,3,5})``
-    is ``((2, 3), (5, 5))`` and the empty set yields ``()``.
-    """
-    ordered = sorted(set(points))
-    if not ordered:
-        return ()
+def _runs(ordered: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """Maximal runs ``(lo, hi)`` of the increasing integers ``ordered``.  The
+    inner loop drains the iterator, so the outer one runs at most once."""
     runs: list[tuple[int, int]] = []
-    lo = prev = ordered[0]
-    for p in ordered[1:]:
-        if p == prev + 1:
-            prev = p
-            continue
-        runs.append((lo, prev))
-        lo = prev = p
-    runs.append((lo, prev))
+    points = iter(ordered)
+    for lo in points:
+        hi = lo
+        for p in points:
+            if p != hi + 1:
+                runs.append((lo, hi))
+                lo = p
+            hi = p
+        runs.append((lo, hi))
     return tuple(runs)
 
 
+def maximal_intervals(points: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """The maximal runs ``((lo, hi), ...)`` of consecutive values of a set of
+    integers, in increasing order: ``maximal_intervals({2,3,5})`` is
+    ``((2, 3), (5, 5))`` and the empty set yields ``()``."""
+    return _runs(sorted(set(points)))
+
+
 def domain_intervals(a: PartialInjection) -> tuple[tuple[int, int], ...]:
-    """Maximal intervals of Dom a, in increasing order."""
-    return maximal_intervals(x for x, y in enumerate(a.img) if y)
+    """Maximal intervals of Dom a, in increasing order: the defined slots' runs."""
+    return _runs(x for x, y in enumerate(a.img) if y)
 
 
 def image_intervals(a: PartialInjection) -> tuple[tuple[int, int], ...]:
-    """Maximal intervals of Im a, in increasing order."""
-    return maximal_intervals(y for y in a.img if y)
+    """Maximal intervals of Im a, in increasing order; Im a = Dom a⁻¹."""
+    return domain_intervals(inverse(a))
 
 
 def split_blocks(run: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -234,28 +236,20 @@ def split_blocks(run: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [run[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(run)])]
 
 
-def _blocks_map_onto_intervals(img: tuple[int, ...], blocks: Iterable[tuple[int, int]]) -> bool:
-    """True iff each domain block ``(lo, hi)`` of the image tuple ``img``
-    maps onto an interval, consecutive ascending or descending."""
-    for lo, hi in blocks:
-        if hi > lo:
-            step = img[lo + 1] - img[lo]
-            if step not in (1, -1) or any(img[x + 1] - img[x] != step for x in range(lo + 1, hi)):
-                return False
+def is_iend(a: PartialInjection) -> bool:
+    """Membership in IEnd(P_n): |a(x+1) - a(x)| = 1 wherever both are
+    defined, so every edge inside Dom a maps to an edge."""
+    prev = 0  # img[0] is the sentinel 0, so vertex 1 has no left edge to check
+    for y in a.img:
+        if prev and y and y - prev not in (1, -1):
+            return False
+        prev = y
     return True
 
 
-def is_iend(a: PartialInjection) -> bool:
-    """Membership in IEnd(P_n): each maximal domain interval maps onto an
-    interval, order-preservingly or order-reversingly."""
-    return _blocks_map_onto_intervals(a.img, domain_intervals(a))
-
-
 def is_paut(a: PartialInjection) -> bool:
-    """Membership in PAut(P_n): as ``is_iend``, and no two block images
-    touch, so Im a has one maximal interval per domain block."""
-    blocks = domain_intervals(a)
-    return _blocks_map_onto_intervals(a.img, blocks) and len(image_intervals(a)) == len(blocks)
+    """Membership in PAut(P_n): a and its inverse both send edges to edges."""
+    return is_iend(a) and is_iend(inverse(a))
 
 
 # -- text and JSON forms ----------------------------------------------------

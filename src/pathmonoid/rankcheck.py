@@ -184,11 +184,10 @@ def is_irredundant(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
 def _forced_generators(target: MonoidSet) -> list[PartialInjection]:
     """Elements that every generating set of ``target`` must contain.
 
-    When the identity and the full reversal are the only full-domain members,
-    the reversal is forced: a product with any proper partial factor is
-    itself proper, and full-domain products of the remaining elements only
-    ever yield the identity.  The identity is always a member, and at n = 1
-    it is the reversal, so this holds when rank n has two members, one the reversal.
+    When rank n has two members, the identity and the full reversal, the
+    reversal is forced: a product with a proper partial factor is proper,
+    and the other full-domain products give only the identity.  PAut(P_n)
+    and IEnd(P_n), n >= 2, are such (the path has two automorphisms).
     """
     members, layer_sizes = target._layers
     rev = make_generator(tau(), target.n)
@@ -197,12 +196,14 @@ def _forced_generators(target: MonoidSet) -> list[PartialInjection]:
     return []
 
 
+def _scope(size: int, forced: int, k: int) -> int:
+    """How many k-subsets of ``size`` members hold the ``forced`` ones."""
+    return comb(size - forced, k - forced) if k >= forced else 0
+
+
 def subset_search_scope(target: MonoidSet, k: int) -> int:
     """Number of candidate k-subsets ``exhaustive_min_size`` will test."""
-    forced = _forced_generators(target)
-    if k < len(forced):
-        return 0
-    return comb(len(target) - len(forced), k - len(forced))
+    return _scope(len(target), len(_forced_generators(target)), k)
 
 
 def _refuse_scope(scope: int, k: int) -> None:
@@ -222,8 +223,8 @@ def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
     """
     if not 0 <= k <= len(target):
         raise ValueError(f"subset size must be between 0 and {len(target)}, got {k}")
-    _refuse_scope(subset_search_scope(target, k), k)
     forced = _forced_generators(target)
+    _refuse_scope(_scope(len(target), len(forced), k), k)
     if k < len(forced):
         return True
     pool = [a for a in target.elements if a not in forced]
@@ -259,29 +260,6 @@ def point_deleted_class(n: int, i: int) -> list[PartialInjection]:
     for dom in sorted({full - {i}, full - {n + 1 - i}}, key=sorted):
         out.extend(elements_with_domain(n, dom, "paut"))
     return out
-
-
-def end_deleted_domain_elements_are_automorphisms(n: int) -> bool:
-    """Injective endomorphisms defined everywhere but one endpoint are
-    partial automorphisms."""
-    full = frozenset(range(1, n + 1))
-    for dom in (full - {n}, full - {1}):
-        for a in elements_with_domain(n, dom, "iend"):
-            if not is_paut(a):
-                return False
-    return True
-
-
-def corank_one_non_automorphisms_have_end_deleted_image(n: int) -> bool:
-    """Injective endomorphisms on n-1 vertices that are not automorphisms
-    all have image {1..n-1} or {2..n}."""
-    full = frozenset(range(1, n + 1))
-    end_deleted = (full - {n}, full - {1})
-    for i in range(1, n + 1):
-        for a in elements_with_domain(n, full - {i}, "iend"):
-            if not is_paut(a) and a.image_set() not in end_deleted:
-                return False
-    return True
 
 
 def lower_bound_witnesses(n: int) -> dict[str, bool]:
@@ -368,7 +346,8 @@ def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness
     search walks k downward until no k-subset generates, an exact lower
     bound.  An n past the enumeration bound, or a first (largest) search
     whose scope is above ``MAX_SUBSETS``, is refused before the monoid is
-    enumerated: the scope follows from the closed-form count.
+    enumerated: the scope follows from the closed-form count, as the
+    reversal is forced (``_forced_generators``).
 
     When the alphabet does not generate, or a letter can be dropped, the
     witness's ``counterexample`` names the first member missing from the
@@ -379,7 +358,7 @@ def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness
     formula = rank_formula(family, n)
     if exhaustive and n <= MAX_ENUMERATE_N:
         count = count_paut(n) if family == "paut" else count_iend(n)
-        _refuse_scope(comb(count - 1, formula - 2), formula - 1)
+        _refuse_scope(_scope(count, 1, formula - 1), formula - 1)
     target = paut_monoid(n) if family == "paut" else iend_monoid(n)
     lower_bound: int | None = None
     searched: int | None = None

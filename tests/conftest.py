@@ -1,8 +1,11 @@
 """Shared naive oracles and strategies for the test suite.
 
-The oracles here are deliberately brute-force and independent of the
-library's own interval-based logic, so the fast implementations are
-checked against something that cannot share their bugs.
+The oracles here are deliberately brute-force, on plain dicts.  The edge
+oracle is the paper's definition, the same rule as the library's membership
+predicates, so the independent check of membership is the census's
+placement enumeration (``TestEnumeration::test_matches_naive_filter``); the
+block rule below, which reads membership off the maximal intervals, is a
+second reference.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
-from pathmonoid import PartialInjection, Symbol
+from pathmonoid import PartialInjection, Symbol, elements_with_domain, is_paut
 
 
 def all_partial_injections(n: int) -> Iterator[PartialInjection]:
@@ -63,6 +66,25 @@ def _runs(points: Iterable[int]) -> list[list[int]]:
     return runs
 
 
+def reference_is_iend(a: PartialInjection) -> bool:
+    """The block rule: each maximal domain interval maps monotonically onto
+    an interval, ascending or descending."""
+    mapping = dict(a.pairs)
+    for block in _runs(mapping):
+        images = [mapping[x] for x in block]
+        up = [images[0] + k for k in range(len(block))]
+        down = [images[0] - k for k in range(len(block))]
+        if images not in (up, down):
+            return False
+    return True
+
+
+def reference_is_paut(a: PartialInjection) -> bool:
+    """The block rule, and Im a has one maximal interval per domain block."""
+    mapping = dict(a.pairs)
+    return reference_is_iend(a) and len(_runs(mapping.values())) == len(_runs(mapping))
+
+
 def naive_type_sequences(mapping: dict[int, int]) -> dict[tuple[int, int], tuple[int, ...]]:
     """The type of each maximal image interval ``(lo, hi)``: the sizes of
     the domain runs mapping into it, ordered by their least image."""
@@ -99,6 +121,32 @@ def reference_h_related(a: PartialInjection, b: PartialInjection) -> bool:
 def reference_j_related(a: PartialInjection, b: PartialInjection) -> bool:
     """Similar type: the image intervals carry the same types up to reversal."""
     return _naive_types(dict(a.pairs)) == _naive_types(dict(b.pairs))
+
+
+# -- lemmas on the rank-(n-1) layer, checked by tests ------------------------
+
+
+def end_deleted_domain_elements_are_automorphisms(n: int) -> bool:
+    """Injective endomorphisms defined everywhere but one endpoint are
+    partial automorphisms."""
+    full = frozenset(range(1, n + 1))
+    for dom in (full - {n}, full - {1}):
+        for a in elements_with_domain(n, dom, "iend"):
+            if not is_paut(a):
+                return False
+    return True
+
+
+def corank_one_non_automorphisms_have_end_deleted_image(n: int) -> bool:
+    """Injective endomorphisms on n-1 vertices that are not automorphisms
+    all have image {1..n-1} or {2..n}."""
+    full = frozenset(range(1, n + 1))
+    end_deleted = (full - {n}, full - {1})
+    for i in range(1, n + 1):
+        for a in elements_with_domain(n, full - {i}, "iend"):
+            if not is_paut(a) and a.image_set() not in end_deleted:
+                return False
+    return True
 
 
 def reference_closure(gens: Iterable[PartialInjection], n: int) -> frozenset[PartialInjection]:

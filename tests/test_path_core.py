@@ -29,7 +29,12 @@ from pathmonoid import (
     restrict,
 )
 
-from conftest import all_partial_injections, edge_oracle_is_iend, partial_injections
+from conftest import (
+    _runs,
+    all_partial_injections,
+    edge_oracle_is_iend,
+    partial_injections,
+)
 
 try:  # Python 3.11+
     from re import _compiler as sre_compile, _parser as sre_parse
@@ -159,6 +164,19 @@ class TestIntervals:
         assert domain_intervals(a) == ((1, 2), (4, 4))
         assert image_intervals(a) == ((2, 2), (5, 6))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_domain_and_image_intervals_match_runs(self, n):
+        def ends(runs):
+            return tuple((run[0], run[-1]) for run in runs)
+
+        for a in all_partial_injections(n):
+            assert domain_intervals(a) == ends(_runs(a.domain()))
+            assert image_intervals(a) == ends(_runs(a.image()))
+
+    @given(st.lists(st.integers(min_value=-20, max_value=20)))
+    def test_maximal_intervals_match_runs(self, points):
+        assert maximal_intervals(points) == tuple((r[0], r[-1]) for r in _runs(set(points)))
+
 
 class TestMembership:
     def test_blockwise_examples(self):
@@ -252,6 +270,22 @@ def _one_character_nodes(subpattern):
             for sub in part if isinstance(part, list) else [part]:
                 if isinstance(sub, sre_parse.SubPattern):
                     yield from _one_character_nodes(sub)
+
+
+def test_every_cache_is_bounded():
+    # A functools cache with no maxsize grows with every request that a
+    # long-lived process serves.
+    unbounded = []
+    for info in pkgutil.iter_modules(pathmonoid.__path__):
+        module = importlib.import_module(f"pathmonoid.{info.name}")
+        owners = [module, *(v for v in vars(module).values() if isinstance(v, type))]
+        for owner in owners:
+            for name, value in vars(owner).items():
+                value = getattr(value, "__func__", value)
+                parameters = getattr(value, "cache_parameters", None)
+                if parameters is not None and parameters()["maxsize"] is None:
+                    unbounded.append(f"{module.__name__}.{name}")
+    assert unbounded == []
 
 
 def test_patterns_read_ascii_digits_only():

@@ -7,7 +7,11 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from conftest import reference_closure
+from conftest import (
+    corank_one_non_automorphisms_have_end_deleted_image,
+    end_deleted_domain_elements_are_automorphisms,
+    reference_closure,
+)
 
 from pathmonoid import (
     MonoidSet,
@@ -34,8 +38,6 @@ from pathmonoid.genwords import alpha, make_generator, tau
 from pathmonoid.rankcheck import (
     RankWitness,
     alphabet_elements,
-    corank_one_non_automorphisms_have_end_deleted_image,
-    end_deleted_domain_elements_are_automorphisms,
     point_deleted_class,
     subset_search_scope,
 )
