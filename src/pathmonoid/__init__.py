@@ -43,7 +43,6 @@ from .greens import (
     l_related,
     oracle_classifications,
     r_related,
-    similar_type,
     type_sequence,
 )
 from .path_core import (
@@ -99,7 +98,6 @@ __all__ = [
     "element_from_json_dict",
     # greens
     "type_sequence",
-    "similar_type",
     "l_related",
     "r_related",
     "h_related",

@@ -36,7 +36,7 @@ from math import comb, factorial
 from operator import add
 
 from .errors import ResourceRefused
-from .path_core import PartialInjection, _check_n, _trusted, format_element, maximal_intervals
+from .path_core import PartialInjection, _check_n, _runs, _trusted, format_element
 
 # Largest n ``enumerate_*`` accepts: IEnd(P_8) has 53,937 elements.
 MAX_ENUMERATE_N = 8
@@ -62,14 +62,18 @@ class MaskProfile:
 def mask_from_set(n: int, points: set[int] | frozenset[int]) -> int:
     bits = 0
     for p in points:
+        if type(p) is not int:  # bool is a subclass of int
+            raise ValueError(f"vertices must be integers, got {p!r}")
         if not 1 <= p <= n:
             raise ValueError(f"vertex {p} out of range for n={n}")
         bits |= 1 << (p - 1)
     return bits
 
 
-def mask_to_set(n: int, bits: int) -> frozenset[int]:
-    return frozenset(p for p in range(1, n + 1) if bits >> (p - 1) & 1)
+def _blocks(n: int, bits: int) -> tuple[tuple[int, int], ...]:
+    """The blocks ``(lo, hi)`` of a domain mask: the maximal intervals of its
+    set bits, in increasing order."""
+    return _runs(p for p in range(1, n + 1) if bits >> (p - 1) & 1)
 
 
 def mask_to_string(n: int, bits: int) -> str:
@@ -86,10 +90,12 @@ def _slots(n: int, s: int, r: int, gap: int) -> int:
 def mask_profile(n: int, bits: int) -> MaskProfile:
     """Compute (r, s, T, q1, q2, t1, t2) for one domain mask."""
     _check_n(n)
+    if type(bits) is not int:  # bool is a subclass of int
+        raise ValueError(f"a mask must be an integer, got {bits!r}")
     if not 0 <= bits < 1 << n:
         raise ValueError(f"mask {bits:#x} out of range for n={n}")
-    runs = [len(run) for run in mask_to_string(n, bits).split("0") if run]
-    r, s, T = len(runs), sum(runs), sum(size >= 2 for size in runs)
+    sizes = [hi - lo + 1 for lo, hi in _blocks(n, bits)]
+    r, s, T = len(sizes), sum(sizes), sum(size >= 2 for size in sizes)
     q1, q2 = _slots(n, s, r, 1), _slots(n, s, r, 0)
     f = factorial(r)
     return MaskProfile(n=n, bits=bits, r=r, s=s, T=T, q1=q1, q2=q2, t1=f * q1, t2=f * q2)
@@ -158,8 +164,7 @@ def elements_with_domain(
     if family not in ("paut", "iend"):
         raise ValueError(f"unknown family {family!r}")
     _check_n(n)
-    mask_from_set(n, domain)  # rejects vertices outside 1..n
-    blocks = maximal_intervals(domain)
+    blocks = _blocks(n, mask_from_set(n, domain))
     gap = 1 if family == "paut" else 0
     r, s = len(blocks), sum(hi - lo + 1 for lo, hi in blocks)
     img = [0] * (n + 1)

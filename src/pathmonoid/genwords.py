@@ -22,7 +22,9 @@ indices ``_KINDS`` gives that kind: ``tau``, ``a3``, ``es1,4``.
 
 The shipped alphabets are A(n) = {tau, a(1), ..., a(n-2)} (with a(2) kept
 at n = 3) generating PAut(P_n), and B(n) = A(n) + {b(2), ..., b(ceil(n/2))}
-generating IEnd(P_n).  ``expand_symbol`` rewrites any legal symbol into a
+generating IEnd(P_n); one table, ``_BASE_KINDS``, holds these index ranges
+for both alphabets and for the expansion's base-letter test.
+``expand_symbol`` rewrites any legal symbol into a
 word over B(n) -- over A(n) unless the symbol is some b(i) -- using the
 identities
 
@@ -39,7 +41,7 @@ with a(0) = tau, a(n+1) the empty word, and the boundary names of es at
 
 Two per-symbol caches live for the process, each bounded at 4096 entries.
 One checks and builds each generator image once for ``make_generator``,
-``eval_symbols`` and factorization, at about 8·(n+1) bytes, as the ints are
+``eval_word`` and factorization, at about 8·(n+1) bytes, as the ints are
 those of one shared identity tuple; the other holds each symbol's expansion.
 """
 from __future__ import annotations
@@ -80,14 +82,6 @@ def eps(i: int, j: int) -> Symbol:
 
 def eps_star(i: int, j: int) -> Symbol:
     return Symbol("es", i, j)
-
-
-def rho_plus(i: int, j: int) -> Symbol:
-    return Symbol("rp", i, j)
-
-
-def rho_minus(i: int, j: int) -> Symbol:
-    return Symbol("rm", i, j)
 
 
 def beta(i: int) -> Symbol:
@@ -262,46 +256,48 @@ def _walk(img: tuple[int, ...], letters: Iterable[Symbol], n: int) -> tuple[int,
     return img
 
 
-def eval_symbols(letters: Iterable[Symbol], n: int) -> PartialInjection:
-    """Evaluate ``letters`` left to right under the right action."""
-    return _trusted(_walk(identity(n).img, letters, n))
-
-
 def eval_word(word: Word) -> PartialInjection:
     """Evaluate left to right under the right action."""
-    return eval_symbols(word.letters, word.n)
+    return _trusted(_walk(identity(word.n).img, word.letters, word.n))
 
 
 # -- alphabets ---------------------------------------------------------------
 
 
-def alphabet_paut(n: int) -> tuple[Symbol, ...]:
-    """A(n), the shipped generating set of PAut(P_n); defined for n >= 3."""
+# The base letters (see the module docstring): each kind's indices in B(n).
+# A(n) is the tau and a letters.
+_BASE_KINDS = {
+    "tau": lambda n: range(1),
+    "a": lambda n: range(1, max(n - 2, 2) + 1),
+    "b": lambda n: range(2, (n + 1) // 2 + 1),
+}
+
+
+def _alphabet(n: int, kinds: tuple[str, ...]) -> tuple[Symbol, ...]:
     _check_n(n)
     if n < 3:
         raise ValueError(f"the alphabet is defined for n >= 3, got n={n}")
-    if n == 3:
-        return (tau(), alpha(1), alpha(2))
-    return (tau(), *(alpha(i) for i in range(1, n - 1)))
+    return tuple(Symbol(kind, i) for kind in kinds for i in _BASE_KINDS[kind](n))
+
+
+def alphabet_paut(n: int) -> tuple[Symbol, ...]:
+    """A(n), the shipped generating set of PAut(P_n); defined for n >= 3."""
+    return _alphabet(n, ("tau", "a"))
 
 
 def alphabet_iend(n: int) -> tuple[Symbol, ...]:
     """B(n), the shipped generating set of IEnd(P_n); defined for n >= 3."""
-    top = (n + 1) // 2
-    return alphabet_paut(n) + tuple(beta(i) for i in range(2, top + 1))
+    return _alphabet(n, ("tau", "a", "b"))
 
 
 # -- expansion ---------------------------------------------------------------
 
 
 def _is_base_letter(sym: Symbol, n: int) -> bool:
-    """Whether ``sym`` is a letter of B(n), without building the alphabet."""
-    if sym.kind == "a":
-        # A(3) keeps a(2).
-        return 1 <= sym.i <= max(n - 2, 2)
-    if sym.kind == "b":
-        return 2 <= sym.i <= (n + 1) // 2
-    return sym.kind == "tau"
+    """Whether the legal ``sym`` is a letter of B(n), without building the
+    alphabet."""
+    indices = _BASE_KINDS.get(sym.kind)
+    return indices is not None and sym.i in indices(n)
 
 
 # The longest word ``expand_symbol`` returns at any n: 10 letters, for

@@ -68,7 +68,9 @@ def _type(run: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def canonical_type(t: Sequence[int]) -> tuple[int, ...]:
-    """Reversal-normalized form of a type sequence."""
+    """Reversal-normalized form of a sequence: the lesser of it and its
+    reversal.  It normalizes the types of the J key and the block image
+    runs of the L and R keys."""
     t = tuple(t)
     return min(t, t[::-1])
 
@@ -78,14 +80,14 @@ def canonical_type(t: Sequence[int]) -> tuple[int, ...]:
 # with ``_require_members`` before reading a key.
 
 
-def _runs(x: PartialInjection) -> list[tuple[int, ...]]:
+def _block_images(x: PartialInjection) -> list[tuple[int, ...]]:
     """The image runs ``x.img[lo:hi+1]`` of the maximal domain intervals."""
     return [x.img[lo : hi + 1] for lo, hi in domain_intervals(x)]
 
 
 def _block_key(a: PartialInjection) -> frozenset[tuple[int, ...]]:
     """Reversal-normalized image runs of the maximal domain intervals."""
-    return frozenset(min(run, run[::-1]) for run in _runs(a))
+    return frozenset(map(canonical_type, _block_images(a)))
 
 
 def _r_key(a: PartialInjection) -> Hashable:
@@ -97,7 +99,7 @@ def _h_key(a: PartialInjection) -> Hashable:
 
 
 def _j_key(a: PartialInjection) -> Hashable:
-    return tuple(sorted(canonical_type(_type(run)) for run in _runs(inverse(a))))
+    return tuple(sorted(canonical_type(_type(run)) for run in _block_images(inverse(a))))
 
 
 _KEYS: dict[str, Callable[[PartialInjection], Hashable]] = {
@@ -113,12 +115,6 @@ def _same_key(
 ) -> bool:
     _require_members(a, b)
     return key(a) == key(b)
-
-
-def similar_type(a: PartialInjection, b: PartialInjection) -> bool:
-    """True iff the image intervals of a and b carry the same multiset of
-    types up to reversal."""
-    return _same_key(_j_key, a, b)
 
 
 def l_related(a: PartialInjection, b: PartialInjection) -> bool:
@@ -137,8 +133,9 @@ def h_related(a: PartialInjection, b: PartialInjection) -> bool:
 
 
 def j_related(a: PartialInjection, b: PartialInjection) -> bool:
-    """a J b in IEnd(P_n): a and b have similar type."""
-    return similar_type(a, b)
+    """a J b in IEnd(P_n): a and b have similar type, that is, their image
+    intervals carry the same multiset of types up to reversal."""
+    return _same_key(_j_key, a, b)
 
 
 # -- classification ----------------------------------------------------------

@@ -101,12 +101,6 @@ class PartialInjection:
     def image(self) -> tuple[int, ...]:
         return tuple(sorted(y for y in self.img if y))
 
-    def domain_set(self) -> frozenset[int]:
-        return frozenset(self.domain())
-
-    def image_set(self) -> frozenset[int]:
-        return frozenset(self.img) - {0}
-
     # -- identity/equality -------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -118,22 +112,12 @@ class PartialInjection:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"PartialInjection.parse({format_element(self)!r})"
+        return f"parse_element({format_element(self)!r})"
 
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other: "PartialInjection") -> "PartialInjection":
         return compose(self, other)
-
-    def inverse(self) -> "PartialInjection":
-        return inverse(self)
-
-    @staticmethod
-    def parse(text: str) -> "PartialInjection":
-        return parse_element(text)
-
-    def format(self) -> str:
-        return format_element(self)
 
 
 def _init(a: PartialInjection, img: tuple[int, ...]) -> None:

@@ -221,8 +221,8 @@ def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
     losing soundness.  Refuses when the candidates left to test,
     ``subset_search_scope(target, k)``, exceed the fixed ``MAX_SUBSETS``.
     """
-    if not 0 <= k <= len(target):
-        raise ValueError(f"subset size must be between 0 and {len(target)}, got {k}")
+    if type(k) is not int or not 0 <= k <= len(target):  # bool is a subclass of int
+        raise ValueError(f"subset size must be an integer between 0 and {len(target)}, got {k!r}")
     forced = _forced_generators(target)
     _refuse_scope(_scope(len(target), len(forced), k), k)
     if k < len(forced):

@@ -15,16 +15,17 @@ from pathmonoid import (
     elements_with_domain,
     enumerate_iend,
     enumerate_paut,
+    format_element,
     is_iend,
     is_paut,
     mask_profile,
+    maximal_intervals,
     rank_formula,
 )
 from pathmonoid import census, cli, iend_monoid, paut_monoid, verify_rank
 from pathmonoid.census import (
     iend_contribution,
     mask_from_set,
-    mask_to_set,
     mask_to_string,
     paut_contribution,
 )
@@ -47,10 +48,10 @@ IEND_COUNTS = [
 
 class TestMasks:
     def test_mask_set_round_trip(self):
-        assert mask_to_set(4, 0b1011) == frozenset({1, 2, 4})
         assert mask_from_set(4, {1, 2, 4}) == 0b1011
         for bits in range(1 << 5):
-            assert mask_from_set(5, mask_to_set(5, bits)) == bits
+            points = {p for p, bit in enumerate(mask_to_string(5, bits), 1) if bit == "1"}
+            assert mask_from_set(5, points) == bits
 
     def test_mask_string_reads_left_to_right(self):
         # Position p of the string is vertex p's bit.
@@ -74,6 +75,21 @@ class TestMasks:
             mask_profile(0, 0)
         with pytest.raises(ValueError):
             mask_profile(3, 1 << 3)
+
+    @pytest.mark.parametrize("bits", [True, 2.0, "3", None], ids=["bool", "float", "str", "none"])
+    def test_profile_rejects_a_non_integer_mask(self, bits):
+        # True used to give a profile with bits=True; 2.0 raised TypeError.
+        with pytest.raises(ValueError, match="a mask must be an integer"):
+            mask_profile(3, bits)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_profile_counts_the_blocks_of_the_set_bits(self, n):
+        # The blocks of a mask are the maximal intervals of its set bits.
+        for bits in range(1 << n):
+            blocks = maximal_intervals(p for p in range(1, n + 1) if bits >> (p - 1) & 1)
+            sizes = [hi - lo + 1 for lo, hi in blocks]
+            prof = mask_profile(n, bits)
+            assert (prof.r, prof.s, prof.T) == (len(sizes), sum(sizes), sum(k > 1 for k in sizes))
 
 
 class TestCounts:
@@ -139,7 +155,7 @@ class TestEnumeration:
 
     def test_sorted_by_text_form(self):
         elements = enumerate_paut(4)
-        texts = [a.format() for a in elements]
+        texts = [format_element(a) for a in elements]
         assert texts == sorted(texts)
 
     def test_elements_with_domain_matches_filter(self):
@@ -150,16 +166,20 @@ class TestEnumeration:
                     (
                         a
                         for a in all_partial_injections(n)
-                        if a.domain_set() == frozenset(dom) and member(a)
+                        if a.domain() == tuple(sorted(dom)) and member(a)
                     ),
                     key=str,
                 )
                 assert built == naive, (n, dom, family)
 
     @pytest.mark.parametrize(
-        "n, domain", [(4, {0, 1}), (4, {2, 5}), (0, set())], ids=["vertex-0", "vertex-n+1", "n-0"]
+        "n, domain",
+        [(4, {0, 1}), (4, {2, 5}), (0, set()), (3, {True, 2}), (3, {1.0}), (3, {"1"}), (3, {None})],
+        ids=["vertex-0", "vertex-n+1", "n-0", "bool", "float", "str", "none"],
     )
     def test_elements_with_domain_rejects_bad_input(self, n, domain):
+        # {True, 2} used to read True as vertex 1 and give 4 elements; the
+        # other non-integer vertices raised TypeError.
         for family in ("paut", "iend"):
             with pytest.raises(ValueError):
                 elements_with_domain(n, frozenset(domain), family)
@@ -192,7 +212,7 @@ class TestTextOrder:
 
         def counting_format(a):
             calls.append(a)
-            return a.format()
+            return format_element(a)
 
         monkeypatch.setattr(census, "format_element", counting_format)
         return calls

@@ -30,7 +30,7 @@ from pathmonoid import (
 )
 from pathmonoid import factorize, genwords, selftest
 from pathmonoid.factorize import word_length_bound
-from pathmonoid.genwords import Symbol, alpha, beta, canonical_eps_star, eps_star, eval_symbols, tau
+from pathmonoid.genwords import Symbol, alpha, beta, canonical_eps_star, eps_star, tau
 from pathmonoid.selftest import check_round_trip
 
 from test_golden import WORDS_FILE, WORDS_N, factor_words
@@ -133,7 +133,7 @@ class TestImageCache:
         for bad in (
             lambda: make_generator(Symbol("a", True), 5),
             lambda: make_generator(alpha(1), True),
-            lambda: eval_symbols([Symbol("a", True)], 5),
+            lambda: eval_word(genwords._trusted_word(5, (Symbol("a", True),))),
             lambda: Word(5, (Symbol("a", True),)),
             lambda: make_generator(Symbol("a", [1]), 5),
         ):

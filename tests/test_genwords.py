@@ -36,8 +36,6 @@ from pathmonoid.genwords import (
     canonical_eps_star,
     eps,
     eps_star,
-    rho_minus,
-    rho_plus,
     tau,
 )
 from pathmonoid.selftest import check_expansions
@@ -116,10 +114,10 @@ class TestMakeGenerator:
             assert make_generator(eps_star(i, n + 1), n) == make_generator(alpha(i), n)
 
     def test_shifts(self):
-        assert make_generator(rho_plus(1, 4), 5) == PartialInjection(
+        assert make_generator(Symbol("rp", 1, 4), 5) == PartialInjection(
             5, [(3, 2), (4, 3)]
         )
-        assert make_generator(rho_minus(2, 5), 5) == PartialInjection(
+        assert make_generator(Symbol("rm", 2, 5), 5) == PartialInjection(
             5, [(2, 3), (3, 4)]
         )
 
@@ -137,8 +135,8 @@ class TestMakeGenerator:
             (eps(2, 3), 4),  # needs i+1 < j
             (eps(0, 3), 4),
             (eps_star(1, 7), 5),
-            (rho_plus(1, 3), 5),  # needs i+2 < j
-            (rho_minus(0, 4), 5),
+            (Symbol("rp", 1, 3), 5),  # needs i+2 < j
+            (Symbol("rm", 0, 4), 5),
             (beta(1), 5),
             (beta(5), 5),
         ):
@@ -282,8 +280,8 @@ class TestTextFormat:
             ("as3", alpha_star(3)),
             ("e1,4", eps(1, 4)),
             ("es1,4", eps_star(1, 4)),
-            ("rp0,5", rho_plus(0, 5)),
-            ("rm2,6", rho_minus(2, 6)),
+            ("rp0,5", Symbol("rp", 0, 5)),
+            ("rm2,6", Symbol("rm", 2, 6)),
             ("b3", beta(3)),
         ],
     )
@@ -342,7 +340,7 @@ class TestExpansion:
         calls = []
         monkeypatch.setattr(genwords, "alphabet_iend", calls.append)
         genwords._expand.cache_clear()
-        expand_symbol(rho_minus(2, 5), 50_000)
+        expand_symbol(Symbol("rm", 2, 5), 50_000)
         assert calls == []
 
     def test_longest_expansion(self):

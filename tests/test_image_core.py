@@ -25,7 +25,7 @@ from pathmonoid import (
     legal_symbols,
     make_generator,
 )
-from pathmonoid.genwords import alpha, eval_symbols, tau
+from pathmonoid.genwords import alpha, tau
 
 
 def assert_well_formed(a: PartialInjection, expected: dict[int, int]) -> None:
@@ -79,14 +79,14 @@ class TestAgainstNaive:
         assert_well_formed(eval_word(word), naive_eval(word.letters, word.n))
 
     @pytest.mark.parametrize("n", (1, 2))
-    def test_eval_symbols_every_short_word_at_tiny_n(self, n):
+    def test_eval_word_every_short_word_at_tiny_n(self, n):
         # An image tuple of length 2 or 3 is the shortest the composition
         # kernel meets.
         symbols = list(legal_symbols(n))
         words = [()] + [(s,) for s in symbols]
         words += [(s, t, u) for s in symbols for t in symbols for u in symbols]
         for letters in words:
-            assert_well_formed(eval_symbols(letters, n), naive_eval(letters, n))
+            assert_well_formed(eval_word(Word(n, letters)), naive_eval(letters, n))
 
 
 class TestMappingViewEdges:
@@ -106,9 +106,8 @@ class TestMappingViewEdges:
         assert a[2] == 5 and a.get(3) is None and 3 not in a and 4 in a
         assert len(a) == 2 and list(a) == [2, 4]
         assert a.domain() == (2, 4) and a.image() == (1, 5)
-        assert a.domain_set() == {2, 4} and a.image_set() == {1, 5}
 
     def test_empty_map_views(self):
         z = PartialInjection(3, [])
         assert z.img == (0, 0, 0, 0)
-        assert len(z) == 0 and z.pairs == () and z.image_set() == frozenset()
+        assert len(z) == 0 and z.pairs == () and z.domain() == z.image() == ()

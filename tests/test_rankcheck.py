@@ -285,6 +285,13 @@ class TestExhaustiveMinSize:
         with pytest.raises(ValueError, match="between 0 and 7, got 8"):
             exhaustive_min_size(target, 8)
 
+    @pytest.mark.parametrize("k", [True, 1.5, "2", None], ids=["bool", "float", "str", "none"])
+    def test_rejects_a_non_integer_k(self, k):
+        # True used to stand for k = 1 and answer True; the others raised
+        # TypeError.
+        with pytest.raises(ValueError, match="subset size must be an integer"):
+            exhaustive_min_size(paut_monoid(3), k)
+
     @pytest.mark.parametrize("family", MONOIDS)
     @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
     def test_forced_generators_of_the_families(self, family, n):
