@@ -36,7 +36,9 @@ from math import comb, factorial
 from operator import add
 
 from .errors import ResourceRefused
-from .path_core import PartialInjection, _check_n, _runs, _trusted, format_element
+from .path_core import (
+    PartialInjection, _check_n, _check_vertices, _runs, _trusted, format_element
+)
 
 # Largest n ``enumerate_*`` accepts: IEnd(P_8) has 53,937 elements.
 MAX_ENUMERATE_N = 8
@@ -60,10 +62,9 @@ class MaskProfile:
 
 
 def mask_from_set(n: int, points: set[int] | frozenset[int]) -> int:
+    _check_vertices(points)
     bits = 0
     for p in points:
-        if type(p) is not int:  # bool is a subclass of int
-            raise ValueError(f"vertices must be integers, got {p!r}")
         if not 1 <= p <= n:
             raise ValueError(f"vertex {p} out of range for n={n}")
         bits |= 1 << (p - 1)

@@ -31,11 +31,14 @@ enumerated monoid -- and is the independent reference for the keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .path_core import (
     PartialInjection,
+    _check_vertices,
+    _img_bytes,
+    _table,
     domain_intervals,
     format_element,
     inverse,
@@ -59,6 +62,7 @@ def type_sequence(a: PartialInjection, j: tuple[int, int]) -> tuple[int, ...]:
     inv = inverse(a)
     if j not in domain_intervals(inv):  # Im a = Dom a⁻¹
         raise ValueError(f"{j} is not a maximal image interval of {format_element(a)}")
+    _check_vertices(j)  # (True, 3) and (1.0, 3) pass the test above
     return _type(inv.img[j[0] : j[1] + 1])
 
 
@@ -184,26 +188,27 @@ def classify(elements: Iterable[PartialInjection], relation: str) -> GreensClass
     return _partition_by_key(relation, elements, key)
 
 
-_Img = tuple[int, ...]
+_Ideals = dict[bytes, frozenset[bytes]]
 
 
-def _ideal_tables(imgs: list[_Img]) -> tuple[dict[_Img, set[_Img]], dict[_Img, set[_Img]]]:
-    """Principal left and right ideals of every element, in one product sweep
-    over image tuples (x·y maps v to y[x[v]])."""
+def _ideal_tables(imgs: list[bytes]) -> tuple[_Ideals, _Ideals]:
+    """Principal left and right ideals of every element, over byte images:
+    x·y is ``x.translate(_table(y))`` (see ``path_core._img_bytes``).  The
+    right ideal xM¹ is the row of x's products and the left ideal M¹y the
+    column of y's.  Each is read by one ``map`` of ``translate``, which
+    keeps the loop in C at the price of taking every product twice."""
     if len(set(map(len, imgs))) > 1:
         raise ValueError("elements live on different paths")
     universe = set(imgs)
-    left: dict[_Img, set[_Img]] = {x: {x} for x in imgs}
-    right: dict[_Img, set[_Img]] = {x: {x} for x in imgs}
+    tables = list(map(_table, imgs))
+    right: _Ideals = {}
     for x in imgs:
-        right_x = right[x]
-        x_then = itemgetter(*x)
-        for y in imgs:
-            xy = x_then(y)
-            if xy not in universe:
-                raise ValueError("input set is not closed under composition")
-            left[y].add(xy)
-            right_x.add(xy)
+        right[x] = frozenset([x, *map(x.translate, tables)])
+        if not universe.issuperset(right[x]):
+            raise ValueError("input set is not closed under composition")
+    left = {
+        y: frozenset([y, *map(bytes.translate, imgs, repeat(t))]) for y, t in zip(imgs, tables)
+    }
     return left, right
 
 
@@ -211,29 +216,29 @@ def oracle_classifications(monoid: Iterable[PartialInjection]) -> dict[str, Gree
     """Partitions under L, R, H and J by equality of principal ideals,
     computed inside ``monoid``.
 
-    ``monoid`` must be finite and closed under composition.  L and R compare
-    principal left/right ideals M¹a and aM¹; H intersects the two; J compares
-    the two-sided ideals M¹aM¹, assembled as the union of the left ideals of
-    aM¹.  All four relations share a single product sweep.
+    ``monoid`` must be finite and closed under composition, on one n <= 255.
+    L and R compare principal left/right ideals M¹a and aM¹; H intersects
+    the two; J compares the two-sided ideals M¹aM¹, assembled as the union
+    of the left ideals of aM¹.  All four relations share the two ideal
+    tables of ``_ideal_tables``.
     """
     elements = sorted(set(monoid), key=format_element)
-    imgs = [a.img for a in elements]
-    left, right = _ideal_tables(imgs)
-    left_key = {x: frozenset(left[x]) for x in imgs}
-    right_key = {x: frozenset(right[x]) for x in imgs}
+    img_of = {a: _img_bytes(a.img) for a in elements}
+    imgs = list(img_of.values())
+    left_key, right_key = _ideal_tables(imgs)
     # The two-sided ideal M¹aM¹ is the union of the left ideals of aM¹, so it
     # depends on a only through aM¹: take one union per distinct right ideal,
     # over distinct left ideals.
     two_sided = {
         rk: frozenset().union(*{left_key[x] for x in rk}) for rk in set(right_key.values())
     }
-    keys: dict[str, dict[_Img, Hashable]] = {
+    keys: dict[str, dict[bytes, Hashable]] = {
         "L": left_key,
         "R": right_key,
         "H": {x: (left_key[x], right_key[x]) for x in imgs},
         "J": {x: two_sided[right_key[x]] for x in imgs},
     }
     return {
-        rel: _partition_by_key(rel, elements, lambda a, key=key: key[a.img])
+        rel: _partition_by_key(rel, elements, lambda a, key=key: key[img_of[a]])
         for rel, key in keys.items()
     }

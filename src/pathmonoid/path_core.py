@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class PartialInjection:
@@ -142,12 +142,31 @@ def _trusted(img: tuple[int, ...]) -> PartialInjection:
 def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
     """Right-action composite: x -> b(a(x)) where both sides are defined.
 
-    The package's one composition idiom: on image tuples x·y is
-    ``itemgetter(*x)(y)``, always a tuple since len(x) = n+1 >= 2.  Loops
-    multiplying one x by many y build ``itemgetter(*x)`` once."""
+    The package has two product kernels.  On image tuples x·y is
+    ``itemgetter(*x)(y)``, always a tuple since len(x) = n+1 >= 2; it serves
+    any n, and ``compose``, word evaluation and the factorizer use it.  The
+    two dense loops, ``greens._ideal_tables`` and ``rankcheck._saturate``,
+    multiply byte images instead (see ``_img_bytes``)."""
     if a.n != b.n:
         raise ValueError(f"cannot compose maps on different paths (n={a.n} vs n={b.n})")
     return _trusted(itemgetter(*a.img)(b.img))
+
+
+def _img_bytes(img: Sequence[int]) -> bytes:
+    """The image tuple ``img`` (length n+1) as a byte image, the form the
+    byte kernel multiplies: x·y is ``x.translate(_table(y))``, so the
+    product, its hash and ``count(0)`` run in C.  An image fits in bytes
+    only for n <= 255; a larger n is refused with ``ValueError``, and there
+    is no second route for it.  The dense loops convert at their edge here."""
+    if len(img) > 256:
+        raise ValueError(f"the byte kernel needs n <= 255, got n={len(img) - 1}")
+    return bytes(img)
+
+
+def _table(y: bytes) -> bytes:
+    """The byte image ``y`` padded to the 256 entries of a translation
+    table: ``x.translate(_table(y))`` is x·y."""
+    return y.ljust(256, b"\0")
 
 
 def inverse(a: PartialInjection) -> PartialInjection:
@@ -171,8 +190,18 @@ def empty_map(n: int) -> PartialInjection:
     return PartialInjection(n, [])
 
 
+def _check_vertices(points: Iterable[object]) -> None:
+    """``ValueError`` for a vertex that is not an ``int``, as in the
+    constructor: a bool or a float would compare equal to one."""
+    for v in points:
+        if type(v) is not int:
+            raise ValueError(f"vertices must be integers, got {v!r}")
+
+
 def restrict(a: PartialInjection, keep: Iterable[int]) -> PartialInjection:
     """Restriction of ``a`` to the domain vertices in ``keep``."""
+    keep = tuple(keep)
+    _check_vertices(keep)  # before the set, where True would merge with 1
     keep_set = set(keep)
     return PartialInjection(a.n, [(x, y) for x, y in a.pairs if x in keep_set])
 

@@ -9,7 +9,8 @@ checks that back the rank lower bounds at sizes where exhaustive search is
 out of reach.
 
 One saturation loop, ``_saturate``, serves closure and the generation tests.
-It works on image tuples and expands elements in order of decreasing rank
+It multiplies byte images by ``bytes.translate`` (``path_core._img_bytes``;
+it refuses n above 255) and expands elements in order of decreasing rank
 (the size of the domain).  Since rank(x·y) <= min(rank x, rank y), the
 elements of rank r in the closure are all known once the rank-r bucket is
 drained, so a candidate generating set that misses part of a rank layer of
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .census import MAX_ENUMERATE_N, _enumerate_family, count_iend, count_paut, elements_with_domain
@@ -33,6 +33,8 @@ from .genwords import alphabet_iend, alphabet_paut, make_generator, tau
 from .path_core import (
     PartialInjection,
     _check_n,
+    _img_bytes,
+    _table,
     _trusted,
     compose,
     format_element,
@@ -75,10 +77,11 @@ class MonoidSet:
         return iter(self.elements)
 
     @cached_property
-    def _layers(self) -> tuple[frozenset[tuple[int, ...]], tuple[int, ...]]:
-        """The members' image tuples, and how many members have each rank
-        0..n; computed once per monoid for ``_saturate`` and ``_forced_generators``."""
-        imgs = frozenset(a.img for a in self.elements)
+    def _layers(self) -> tuple[frozenset[bytes], tuple[int, ...]]:
+        """The members' byte images (``path_core._img_bytes``), and how many
+        members have each rank 0..n; computed once per monoid for
+        ``_saturate`` and ``_forced_generators``."""
+        imgs = frozenset(_img_bytes(a.img) for a in self.elements)
         sizes = [0] * (self.n + 1)
         for y in imgs:
             sizes[self.n + 1 - y.count(0)] += 1
@@ -113,32 +116,31 @@ def alphabet_elements(family: str, n: int) -> list[PartialInjection]:
 
 def _saturate(
     gens: Iterable[PartialInjection], n: int, *, within: MonoidSet | None = None
-) -> set[tuple[int, ...]] | None:
-    """Image tuples of the closure of ``gens`` and the identity under right
+) -> set[bytes] | None:
+    """Byte images of the closure of ``gens`` and the identity under right
     multiplication, expanded one rank at a time from n down to 0 (see the
     module docstring).  ``None`` as soon as the closure cannot be all of
     ``within``: at a product outside it (identity·g, the first product of
     each letter g, checks that g is a member), or at a drained rank bucket
     smaller than its layer of that rank, so a result is all of ``within``.
-    ``ValueError`` for a generator on another n."""
-    letters: dict[tuple[int, ...], None] = {}
+    ``ValueError`` for a generator on another n, or for n above 255."""
+    ident = _img_bytes(range(n + 1))
+    tables: dict[bytes, None] = {}
     for g in gens:
         if g.n != n:
             raise ValueError(f"generator on n={g.n} does not match n={n}")
-        letters[g.img] = None
+        tables[_table(_img_bytes(g.img))] = None
     if within is not None:
         members, layer_sizes = within._layers
-    ident = tuple(range(n + 1))
     seen = {ident}
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n)] + [[ident]]
+    buckets: list[list[bytes]] = [[] for _ in range(n)] + [[ident]]
     for r in range(n, -1, -1):
         bucket = buckets[r]
         # Products of the same rank are appended to the bucket being drained;
         # iterating a list visits what is appended during the loop.
         for x in bucket:
-            x_then = itemgetter(*x)
-            for g in letters:
-                y = x_then(g)
+            for table in tables:
+                y = x.translate(table)
                 if y not in seen:
                     if within is not None and y not in members:
                         return None
@@ -154,8 +156,9 @@ def closure(gens: Iterable[PartialInjection], n: int) -> MonoidSet:
 
     It has no bound of its own: its size is at most |I_n|, so n fixes the
     cost, and the CLI saturates only at n <= ``census.MAX_ENUMERATE_N``.
+    The byte kernel refuses n above 255 with ``ValueError``.
     """
-    return MonoidSet(n, frozenset(map(_trusted, _saturate(gens, n))))
+    return MonoidSet(n, frozenset(_trusted(tuple(y)) for y in _saturate(gens, n)))
 
 
 def is_generating(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
@@ -191,7 +194,7 @@ def _forced_generators(target: MonoidSet) -> list[PartialInjection]:
     """
     members, layer_sizes = target._layers
     rev = make_generator(tau(), target.n)
-    if layer_sizes[target.n] == 2 and rev.img in members:
+    if layer_sizes[target.n] == 2 and _img_bytes(rev.img) in members:
         return [rev]
     return []
 
@@ -329,7 +332,7 @@ def _generation_counterexample(
 ) -> str:
     """Why ``letters`` do not generate ``target``: the first member, in text
     order, that their closure misses, or else the first product outside it."""
-    reached = set(map(_trusted, _saturate(letters, target.n)))
+    reached = {_trusted(tuple(y)) for y in _saturate(letters, target.n)}
     missed = min(map(format_element, target.elements - reached), default=None)
     if missed is not None:
         return f"{missed} is not generated"

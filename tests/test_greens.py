@@ -59,6 +59,12 @@ class TestTypeSequence:
         with pytest.raises(ValueError):
             type_sequence(a, (2, 3))
 
+    @pytest.mark.parametrize("vertex", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_refuses_a_vertex_that_is_not_an_int(self, vertex):
+        # (True, 3) and (1.0, 3) compare equal to the image interval (1, 3).
+        with pytest.raises(ValueError):
+            type_sequence(identity(3), (vertex, 3))
+
     def test_canonical_type_reversal_normalized(self):
         assert canonical_type((2, 1)) == (1, 2) == canonical_type((1, 2))
 

@@ -1,4 +1,5 @@
-"""The image-tuple core of ``PartialInjection`` against naive dict oracles.
+"""The image-tuple core of ``PartialInjection`` against naive dict oracles,
+and the byte kernel of the dense loops against ``compose``.
 
 ``compose``, ``inverse``, ``make_generator`` and word evaluation build their
 results from image tuples without re-validation, so each is checked here
@@ -18,14 +19,19 @@ from conftest import naive_compose, naive_eval, naive_generator, naive_inverse, 
 from pathmonoid import (
     PartialInjection,
     Word,
+    closure,
     compose,
+    enumerate_iend,
+    enumerate_paut,
     eval_word,
     identity,
     inverse,
     legal_symbols,
     make_generator,
+    oracle_classifications,
 )
 from pathmonoid.genwords import alpha, tau
+from pathmonoid.path_core import _img_bytes, _table
 
 
 def assert_well_formed(a: PartialInjection, expected: dict[int, int]) -> None:
@@ -111,3 +117,35 @@ class TestMappingViewEdges:
         z = PartialInjection(3, [])
         assert z.img == (0, 0, 0, 0)
         assert len(z) == 0 and z.pairs == () and z.domain() == z.image() == ()
+
+
+class TestByteKernel:
+    """``x.translate(_table(y))`` on byte images, the product of
+    ``greens._ideal_tables`` and ``rankcheck._saturate``."""
+
+    @pytest.mark.parametrize(
+        "elements", [enumerate_iend(4), enumerate_paut(5)], ids=["iend4", "paut5"]
+    )
+    def test_every_product_matches_compose(self, elements):
+        imgs = [_img_bytes(a.img) for a in elements]
+        tables = [_table(y) for y in imgs]
+        for a, x in zip(elements, imgs):
+            for b, table in zip(elements, tables):
+                assert x.translate(table) == _img_bytes(compose(a, b).img)
+
+    def test_largest_n(self):
+        img = identity(255).img
+        assert tuple(_img_bytes(img)) == img
+
+    def test_refuses_n_above_255(self):
+        with pytest.raises(ValueError, match=r"needs n <= 255, got n=256"):
+            _img_bytes(identity(256).img)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: closure([], 256), lambda: oracle_classifications([identity(256)])],
+        ids=["closure", "oracle"],
+    )
+    def test_dense_loops_refuse_n_above_255(self, call):
+        with pytest.raises(ValueError, match=r"needs n <= 255, got n=256"):
+            call()

@@ -140,6 +140,15 @@ class TestAlgebra:
         a = PartialInjection(5, [(1, 3), (2, 4), (5, 5)])
         assert restrict(a, [2, 5, 4]) == PartialInjection(5, [(2, 4), (5, 5)])
 
+    @pytest.mark.parametrize("vertex", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_restrict_refuses_a_vertex_that_is_not_an_int(self, vertex):
+        # True and 1.0 compare equal to 1, so they would keep vertex 1.
+        a = identity(3)
+        with pytest.raises(ValueError, match="vertices must be integers"):
+            restrict(a, {vertex})
+        with pytest.raises(ValueError, match="vertices must be integers"):
+            restrict(a, [1, vertex])
+
     @settings(max_examples=200)
     @given(partial_injections(), partial_injections(), partial_injections())
     def test_associativity(self, a, b, c):
@@ -327,4 +336,31 @@ def test_patterns_read_ascii_digits_only():
                 if any(one.fullmatch(digit) for digit in "\uff13\u0663\u0969"):
                     offenders.append(f"{module.__name__}.{name}")
                     break
+    assert offenders == []
+
+
+# The byte kernel's n <= 255 rule lives in ``path_core._img_bytes``; only the
+# two dense loops multiply byte images.
+BYTE_KERNEL_USERS = {("greens", "_ideal_tables"), ("rankcheck", "_saturate")}
+
+
+def test_byte_images_are_built_and_multiplied_in_one_place():
+    # A ``bytes(...)`` call or a ``translate`` outside ``path_core`` and the
+    # two dense loops would be a second spelling of the n <= 255 rule.
+    offenders = []
+    for path in sorted(Path(pathmonoid.__file__).parent.glob("*.py")):
+        if path.stem == "path_core":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (path.stem, getattr(stmt, "name", None)) in BYTE_KERNEL_USERS:
+                continue
+            for node in ast.walk(stmt):
+                makes_bytes = (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "bytes"
+                )
+                translates = isinstance(node, ast.Attribute) and node.attr == "translate"
+                if makes_bytes or translates:
+                    offenders.append(f"{path.stem}:{node.lineno}")
     assert offenders == []
