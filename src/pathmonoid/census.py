@@ -20,13 +20,15 @@ ways to split s into r block sizes weighted by 2^T.  h is the Pascal-like
 table h[r][m] = h[r][m-1] + h[r-1][m] + h[r-1][m-1] with h[0][0] = 1, so
 the sum has O(n^2) terms.  The sum over all 2^n masks (``count_by_mask``) is
 kept as the per-mask table and as the reference the closed form is checked
-against.
+against.  ``mask_profile`` reads r, s and T off the mask by popcounts: the
+block starts are the set bits whose lower neighbour is clear.
 
 Enumeration places the image blocks explicitly by the same rule, never
 filtering the full symmetric inverse monoid, so its size is a third,
 independent count.  Text order, the order of every listing, is imposed by
-``enumerate_paut`` and ``enumerate_iend`` alone; callers that only collect a
-set take ``_enumerate_family``'s placement order unsorted.
+``enumerate_paut`` and ``enumerate_iend`` alone, sorting by
+``path_core._text_key`` without building any text; callers that only
+collect a set take ``_enumerate_family``'s placement order unsorted.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from operator import add
 
 from .errors import ResourceRefused
 from .path_core import (
-    PartialInjection, _check_n, _check_vertices, _runs, _trusted, format_element
+    PartialInjection, _check_n, _check_vertices, _runs, _text_key, _trusted
 )
 
 # Largest n ``enumerate_*`` accepts: IEnd(P_8) has 53,937 elements.
@@ -95,8 +97,10 @@ def mask_profile(n: int, bits: int) -> MaskProfile:
         raise ValueError(f"a mask must be an integer, got {bits!r}")
     if not 0 <= bits < 1 << n:
         raise ValueError(f"mask {bits:#x} out of range for n={n}")
-    sizes = [hi - lo + 1 for lo, hi in _blocks(n, bits)]
-    r, s, T = len(sizes), sum(sizes), sum(size >= 2 for size in sizes)
+    # A block starts at a set bit whose lower neighbour is clear, and has
+    # size >= 2 when the bit above its start is set too.
+    starts = bits & ~(bits << 1)
+    r, s, T = starts.bit_count(), bits.bit_count(), (starts & (bits >> 1)).bit_count()
     q1, q2 = _slots(n, s, r, 1), _slots(n, s, r, 0)
     f = factorial(r)
     return MaskProfile(n=n, bits=bits, r=r, s=s, T=T, q1=q1, q2=q2, t1=f * q1, t2=f * q2)
@@ -203,12 +207,12 @@ def _enumerate_family(n: int, family: str) -> list[PartialInjection]:
 def enumerate_paut(n: int) -> list[PartialInjection]:
     """All of PAut(P_n), sorted by text form.  Refuses n > ``MAX_ENUMERATE_N``."""
     elements = _enumerate_family(n, "paut")
-    elements.sort(key=format_element)
+    elements.sort(key=_text_key)
     return elements
 
 
 def enumerate_iend(n: int) -> list[PartialInjection]:
     """All of IEnd(P_n), sorted by text form.  Refuses n > ``MAX_ENUMERATE_N``."""
     elements = _enumerate_family(n, "iend")
-    elements.sort(key=format_element)
+    elements.sort(key=_text_key)
     return elements

@@ -39,6 +39,7 @@ from .path_core import (
     _check_vertices,
     _img_bytes,
     _table,
+    _text_key,
     domain_intervals,
     format_element,
     inverse,
@@ -177,14 +178,16 @@ def _partition_by_key(
 def classify(elements: Iterable[PartialInjection], relation: str) -> GreensClassification:
     """Partition ``elements`` by the canonical key of ``relation`` (one of
     L, R, H, J).  Every element must be a member of IEnd(P_n) for one
-    common n; otherwise ``ValueError``."""
+    common n; otherwise ``ValueError``.  The elements are checked, then
+    sorted into text order by ``path_core._text_key``, so each class lists
+    its members in text order and the classes follow their first members."""
     try:
         key = _KEYS[relation]
     except KeyError:
         raise ValueError(f"unknown relation {relation!r}; expected one of L, R, H, J") from None
     elements = list(elements)
     _require_members(*elements)
-    elements.sort(key=format_element)
+    elements.sort(key=_text_key)
     return _partition_by_key(relation, elements, key)
 
 
@@ -197,8 +200,6 @@ def _ideal_tables(imgs: list[bytes]) -> tuple[_Ideals, _Ideals]:
     right ideal xM¹ is the row of x's products and the left ideal M¹y the
     column of y's.  Each is read by one ``map`` of ``translate``, which
     keeps the loop in C at the price of taking every product twice."""
-    if len(set(map(len, imgs))) > 1:
-        raise ValueError("elements live on different paths")
     universe = set(imgs)
     tables = list(map(_table, imgs))
     right: _Ideals = {}
@@ -216,13 +217,20 @@ def oracle_classifications(monoid: Iterable[PartialInjection]) -> dict[str, Gree
     """Partitions under L, R, H and J by equality of principal ideals,
     computed inside ``monoid``.
 
-    ``monoid`` must be finite and closed under composition, on one n <= 255.
-    L and R compare principal left/right ideals M¹a and aM¹; H intersects
-    the two; J compares the two-sided ideals M¹aM¹, assembled as the union
-    of the left ideals of aM¹.  All four relations share the two ideal
-    tables of ``_ideal_tables``.
+    ``monoid`` must be finite and closed under composition, on one n <= 255;
+    elements on different n are refused with ``ValueError`` before the one
+    sort of the distinct elements into text order (``path_core._text_key``)
+    that all four partitions share, as in ``classify``.  L and R compare
+    principal left/right ideals M¹a and aM¹; H intersects the two; J
+    compares the two-sided ideals M¹aM¹, assembled as the union of the left
+    ideals of aM¹.  All four relations share the two ideal tables of
+    ``_ideal_tables``.
     """
-    elements = sorted(set(monoid), key=format_element)
+    distinct = set(monoid)
+    # Before the sort: ``_text_key`` gives bytes below n = 10 and text above.
+    if len({a.n for a in distinct}) > 1:
+        raise ValueError("elements live on different paths")
+    elements = sorted(distinct, key=_text_key)
     img_of = {a: _img_bytes(a.img) for a in elements}
     imgs = list(img_of.values())
     left_key, right_key = _ideal_tables(imgs)

@@ -276,6 +276,21 @@ def format_element(a: PartialInjection) -> str:
     return f"n={a.n};{body}"
 
 
+def _text_key(a: PartialInjection) -> bytes | str:
+    """Sort key of text order, the order of ``format_element``'s strings;
+    every text-order decision in the package sorts or takes ``min`` by it.
+
+    For n <= 9 each vertex is one digit, so the text compares as the sequence
+    x1, a(x1), x2, a(x2), ... of the pairs, a prefix first.  ``img`` orders
+    the same way once its trailing undefined slots are dropped and every
+    other undefined slot reads n+1, above every vertex.  For n >= 10 that
+    order is wrong ("n=10;10>1" sorts before "n=10;1>1"), and the key is
+    the text itself."""
+    if a.n >= 10:
+        return format_element(a)
+    return bytes(a.img).rstrip(b"\0").replace(b"\0", bytes((a.n + 1,)))
+
+
 def _read_element_text(text: str) -> tuple[int, list[tuple[int, int]]]:
     """The ``(n, pairs)`` of the text form, read without building anything;
     ``ValueError`` unless the text matches the form (ASCII digits only)."""

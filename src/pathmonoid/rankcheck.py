@@ -35,8 +35,8 @@ from .path_core import (
     _check_n,
     _img_bytes,
     _table,
+    _text_key,
     _trusted,
-    compose,
     format_element,
     identity,
     is_paut,
@@ -51,8 +51,7 @@ class MonoidSet:
 
     Closure is guaranteed by the constructors used throughout (``closure``,
     the family helpers below); it is not re-verified on every instantiation
-    because that costs |M|^2 products.  ``is_closed`` performs the exact
-    check for tests.
+    because that costs |M|^2 products.
     """
 
     n: int
@@ -86,11 +85,6 @@ class MonoidSet:
         for y in imgs:
             sizes[self.n + 1 - y.count(0)] += 1
         return imgs, tuple(sizes)
-
-    def is_closed(self) -> bool:
-        """Exact closure test; quadratic, intended for small test monoids."""
-        elems = self.elements
-        return all(compose(a, b) in elems for a in elems for b in elems)
 
 
 def paut_monoid(n: int) -> MonoidSet:
@@ -333,11 +327,11 @@ def _generation_counterexample(
     """Why ``letters`` do not generate ``target``: the first member, in text
     order, that their closure misses, or else the first product outside it."""
     reached = {_trusted(tuple(y)) for y in _saturate(letters, target.n)}
-    missed = min(map(format_element, target.elements - reached), default=None)
+    missed = min(target.elements - reached, key=_text_key, default=None)
     if missed is not None:
-        return f"{missed} is not generated"
-    stray = min(map(format_element, reached - target.elements))
-    return f"{stray} is generated but lies outside the monoid"
+        return f"{format_element(missed)} is not generated"
+    stray = min(reached - target.elements, key=_text_key)
+    return f"{format_element(stray)} is generated but lies outside the monoid"
 
 
 def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness:

@@ -26,7 +26,7 @@ from .genwords import (
     make_generator,
 )
 from .greens import classify, oracle_classifications
-from .path_core import PartialInjection, format_element
+from .path_core import PartialInjection, _text_key, format_element
 
 
 def _enumerate(family: str, n: int) -> list[PartialInjection]:
@@ -103,7 +103,7 @@ def check_greens(family: str, n: int) -> str | None:
                 {a: frozenset(c) for c in p.classes for a in c} for p in (keyed, expected)
             )
             a = next(a for a in elements if by_key.get(a) != by_oracle[a])
-            b = min(by_key.get(a, frozenset()) ^ by_oracle[a], key=format_element)
+            b = min(by_key.get(a, frozenset()) ^ by_oracle[a], key=_text_key)
             route = "the key" if b in by_key.get(a, ()) else "the ideal oracle"
             return (
                 f"{family} n={n} relation {relation}: {format_element(a)} and "

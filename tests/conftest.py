@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
-from pathmonoid import PartialInjection, Symbol, elements_with_domain, is_paut
+from pathmonoid import MonoidSet, PartialInjection, Symbol, elements_with_domain, is_paut
 
 
 def all_partial_injections(n: int) -> Iterator[PartialInjection]:
@@ -147,6 +147,13 @@ def corank_one_non_automorphisms_have_end_deleted_image(n: int) -> bool:
             if not is_paut(a) and a.image() not in end_deleted:
                 return False
     return True
+
+
+def is_closed(m: MonoidSet) -> bool:
+    """Whether every product of two members of ``m`` is a member, by a
+    quadratic sweep of plain-dict products."""
+    maps = [dict(a.pairs) for a in m]
+    return all(PartialInjection(m.n, naive_compose(a, b)) in m for a in maps for b in maps)
 
 
 def reference_closure(gens: Iterable[PartialInjection], n: int) -> frozenset[PartialInjection]:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from functools import partial
 
 import pytest
+
+import pathmonoid
 
 from pathmonoid import (
     ResourceRefused,
@@ -29,6 +33,7 @@ from pathmonoid.census import (
     mask_to_string,
     paut_contribution,
 )
+from pathmonoid.path_core import _text_key
 from pathmonoid.selftest import check_counts
 
 from conftest import all_partial_injections
@@ -207,14 +212,14 @@ class TestTextOrder:
     elements into a set, or only count them, skip the sort."""
 
     @pytest.fixture
-    def format_calls(self, monkeypatch):
+    def key_calls(self, monkeypatch):
         calls = []
 
-        def counting_format(a):
+        def counting_key(a):
             calls.append(a)
-            return format_element(a)
+            return _text_key(a)
 
-        monkeypatch.setattr(census, "format_element", counting_format)
+        monkeypatch.setattr(census, "_text_key", counting_key)
         return calls
 
     @pytest.mark.parametrize(
@@ -228,13 +233,28 @@ class TestTextOrder:
         ],
         ids=["paut-monoid", "iend-monoid", "verify-rank", "check-counts", "cli-classify"],
     )
-    def test_set_builders_do_not_sort(self, format_calls, capsys, build):
+    def test_set_builders_do_not_sort(self, key_calls, capsys, build):
         build()
-        assert len(format_calls) == 0
+        assert len(key_calls) == 0
 
-    def test_enumeration_sorts_once(self, format_calls):
+    def test_enumeration_sorts_once(self, key_calls):
         enumerate_iend(6)
-        assert len(format_calls) == IEND_COUNTS[5] == 2127
+        assert len(key_calls) == IEND_COUNTS[5] == 2127
+
+    def test_cli_enumerate_formats_each_element_once(self, monkeypatch, capsys):
+        # Once, for output: the sort reads byte keys, not the text.
+        calls = []
+
+        def counting_format(a):
+            calls.append(a)
+            return format_element(a)
+
+        for info in pkgutil.iter_modules(pathmonoid.__path__):
+            module = importlib.import_module(f"pathmonoid.{info.name}")
+            if hasattr(module, "format_element"):
+                monkeypatch.setattr(module, "format_element", counting_format)
+        assert cli.main(["enumerate", "--n", "6", "--family", "iend"]) == 0
+        assert len(calls) == IEND_COUNTS[5] == 2127
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_monoids_hold_the_enumeration(self, n):

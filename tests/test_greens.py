@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -28,6 +29,7 @@ from pathmonoid import (
 )
 from pathmonoid import greens
 from pathmonoid.greens import canonical_type
+from pathmonoid.path_core import _text_key
 from pathmonoid.selftest import check_greens
 
 from conftest import (
@@ -249,11 +251,11 @@ class TestOracle:
         m = enumerate_iend(4)
         calls = []
 
-        def counting_format(a):
+        def counting_key(a):
             calls.append(a)
-            return format_element(a)
+            return _text_key(a)
 
-        monkeypatch.setattr(greens, "format_element", counting_format)
+        monkeypatch.setattr(greens, "_text_key", counting_key)
         oracle_classifications(m)
         assert len(calls) == len(m) == 105
 
@@ -267,3 +269,12 @@ class TestOracle:
     def test_oracle_rejects_mixed_n(self):
         with pytest.raises(ValueError, match="elements live on different paths"):
             oracle_classifications([identity(3), identity(4)])
+
+    @pytest.mark.parametrize("ns", [(3, 4), (9, 10)], ids=["3-4", "9-10"])
+    @pytest.mark.parametrize("partition", [oracle_classifications, partial(classify, relation="H")],
+                             ids=["oracle", "classify"])
+    def test_mixed_n_is_refused_before_the_sort(self, partition, ns):
+        # The text-order key is bytes below n = 10 and text from n = 10 on,
+        # so sorting first would raise TypeError across that edge.
+        with pytest.raises(ValueError, match="elements live on different paths"):
+            partition([identity(ns[0]), identity(ns[1])])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import pkgutil
+import random
 import re
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from pathmonoid import (
     element_from_json_dict,
     element_to_json_dict,
     empty_map,
+    enumerate_iend,
+    enumerate_paut,
     format_element,
     identity,
     image_intervals,
@@ -30,6 +33,7 @@ from pathmonoid import (
     parse_element,
     restrict,
 )
+from pathmonoid.path_core import _text_key
 
 from conftest import (
     _runs,
@@ -270,6 +274,31 @@ class TestTextAndJson:
         assert element_from_json_dict(element_to_json_dict(a)) == a
 
 
+class TestTextKey:
+    """``_text_key`` orders elements exactly as their text does."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_orders_both_families_as_their_text(self, n):
+        for elements in (enumerate_paut(n), enumerate_iend(n)):
+            random.Random(n).shuffle(elements)
+            assert sorted(elements, key=_text_key) == sorted(elements, key=format_element)
+
+    def test_orders_random_injections_at_n_9_as_their_text(self):
+        rng = random.Random(9)
+        points = range(1, 10)
+        elements = []
+        for _ in range(20_000):
+            dom = rng.sample(points, rng.randint(0, 9))
+            elements.append(PartialInjection(9, zip(dom, rng.sample(points, len(dom)))))
+        assert sorted(elements, key=_text_key) == sorted(elements, key=format_element)
+
+    def test_from_n_10_the_key_is_the_text(self):
+        # The byte order would put 1>1 before 10>1.
+        texts = ["n=10;1>1", "n=10;10>1", "n=10;2>1"]
+        ordered = sorted(map(parse_element, texts), key=_text_key)
+        assert list(map(format_element, ordered)) == ["n=10;10>1", "n=10;1>1", "n=10;2>1"]
+
+
 def _one_character_nodes(subpattern):
     """Every node of a parsed regular expression that matches one character."""
     for op, av in subpattern:
@@ -363,4 +392,36 @@ def test_byte_images_are_built_and_multiplied_in_one_place():
                 translates = isinstance(node, ast.Attribute) and node.attr == "translate"
                 if makes_bytes or translates:
                     offenders.append(f"{path.stem}:{node.lineno}")
+    assert offenders == []
+
+
+def _is_format_element(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "format_element") or (
+        isinstance(node, ast.Attribute) and node.attr == "format_element"
+    )
+
+
+def test_text_order_is_decided_by_one_key():
+    # ``path_core._text_key`` is the one rule for text order: a sort or a
+    # ``min`` by ``format_element`` builds a text per element to compare.
+    offenders = []
+    for path in sorted(Path(pathmonoid.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            keyed = any(kw.arg == "key" and _is_format_element(kw.value) for kw in node.keywords)
+            mapped = (
+                isinstance(node.func, ast.Name)
+                and node.func.id in ("min", "max", "sorted")
+                and any(
+                    isinstance(arg, ast.Call)
+                    and isinstance(arg.func, ast.Name)
+                    and arg.func.id == "map"
+                    and arg.args
+                    and _is_format_element(arg.args[0])
+                    for arg in node.args
+                )
+            )
+            if keyed or mapped:
+                offenders.append(f"{path.stem}:{node.lineno}")
     assert offenders == []

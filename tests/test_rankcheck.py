@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     corank_one_non_automorphisms_have_end_deleted_image,
     end_deleted_domain_elements_are_automorphisms,
+    is_closed,
     reference_closure,
 )
 
@@ -59,9 +60,9 @@ class TestMonoidSet:
         assert set(m) == set(enumerate_paut(2))
 
     def test_is_closed(self):
-        assert paut_monoid(3).is_closed()
+        assert is_closed(paut_monoid(3))
         not_closed = MonoidSet(3, frozenset({identity(3), PartialInjection(3, [(1, 2), (2, 3)])}))
-        assert not not_closed.is_closed()
+        assert not is_closed(not_closed)
 
 
 class TestClosure:
@@ -106,7 +107,7 @@ class TestIsGenerating:
         # saturation gives up at that product.
         fold = make_generator(alpha(1), 3)
         target = MonoidSet(3, frozenset({identity(3), fold}))
-        assert not target.is_closed()
+        assert not is_closed(target)
         assert rankcheck._saturate([fold], 3, within=target) is None
         assert is_generating([fold], target) is False
 
