@@ -97,6 +97,11 @@ def mask_profile(n: int, bits: int) -> MaskProfile:
         raise ValueError(f"a mask must be an integer, got {bits!r}")
     if not 0 <= bits < 1 << n:
         raise ValueError(f"mask {bits:#x} out of range for n={n}")
+    return _profile(n, bits)
+
+
+def _profile(n: int, bits: int) -> MaskProfile:
+    """``mask_profile`` of a mask already checked against n."""
     # A block starts at a set bit whose lower neighbour is clear, and has
     # size >= 2 when the bit above its start is set too.
     starts = bits & ~(bits << 1)
@@ -149,7 +154,7 @@ def count_by_mask(n: int) -> list[tuple[MaskProfile, int, int]]:
     _check_n(n)
     table = []
     for bits in range(1 << n):
-        prof = mask_profile(n, bits)
+        prof = _profile(n, bits)
         table.append((prof, paut_contribution(prof), iend_contribution(prof)))
     return table
 

@@ -171,12 +171,17 @@ def _table(y: bytes) -> bytes:
 
 def inverse(a: PartialInjection) -> PartialInjection:
     """The inverse partial injection (swap domain and image)."""
-    inv = [0] * len(a.img)
-    for x, y in enumerate(a.img):
+    return _trusted(_inverse_image(a.img))
+
+
+def _inverse_image(img: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of the inverse of the image tuple ``img``."""
+    inv = [0] * len(img)
+    for x, y in enumerate(img):
         inv[y] = x
     # Every undefined x wrote itself into slot 0; restore the sentinel.
     inv[0] = 0
-    return _trusted(tuple(inv))
+    return tuple(inv)
 
 
 def identity(n: int) -> PartialInjection:

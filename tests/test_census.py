@@ -130,6 +130,25 @@ class TestCounts:
         for n in range(1, 13):
             assert count_paut(n) <= count_iend(n)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_per_mask_table_rows_are_the_mask_profiles(self, n):
+        assert count_by_mask(n) == [
+            (prof, paut_contribution(prof), iend_contribution(prof))
+            for prof in map(partial(mask_profile, n), range(1 << n))
+        ]
+
+    def test_per_mask_table_checks_n_once(self, monkeypatch):
+        checks = []
+        check = census._check_n
+
+        def counting(n):
+            checks.append(n)
+            check(n)
+
+        monkeypatch.setattr(census, "_check_n", counting)
+        count_by_mask(10)
+        assert checks == [10]
+
     def test_per_mask_table_sums_to_totals(self):
         for n in range(1, 15):
             table = count_by_mask(n)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from pathmonoid import (
     Word,
     canonical_delta,
     compose,
+    domain_intervals,
     enumerate_iend,
     enumerate_paut,
     eval_word,
@@ -28,7 +31,7 @@ from pathmonoid import (
     maximal_intervals,
     parse_element,
 )
-from pathmonoid import factorize, genwords, selftest
+from pathmonoid import factorize, genwords, path_core, selftest
 from pathmonoid.factorize import word_length_bound
 from pathmonoid.genwords import Symbol, alpha, beta, canonical_eps_star, eps_star, tau
 from pathmonoid.selftest import check_round_trip
@@ -95,10 +98,10 @@ class TestSmallCases:
     @pytest.mark.parametrize(
         ("corrupt", "packed"),
         [
-            # The first pack spends five reversals on a·delta, the second
-            # starts at the sixth.
+            # The first pack spends seven reversals on a·delta, the second
+            # starts at the eighth.
             pytest.param(1, lambda a: compose(a, canonical_delta(a)), id="first-pack"),
-            pytest.param(6, canonical_delta, id="second-pack"),
+            pytest.param(8, canonical_delta, id="second-pack"),
         ],
     )
     def test_a_wrong_reversal_raises(self, monkeypatch, corrupt, packed):
@@ -121,6 +124,42 @@ class TestSmallCases:
         packed = compose(a, canonical_delta(a))
         with pytest.raises(RuntimeError, match=f"did not reach {format_element(packed)}$"):
             factor_iend(a)
+
+
+class TestImageTuples:
+    def test_factor_builds_no_element(self, monkeypatch):
+        # Every element is built through ``path_core._init``; the factorizer
+        # works on image tuples and builds one only for an error message.
+        inits = []
+        init = path_core._init
+
+        def counting(a, img):
+            inits.append(img)
+            init(a, img)
+
+        monkeypatch.setattr(path_core, "_init", counting)
+        elements = [parse_element(text) for text in (N24_PAUT, IEND_N8, "n=1;", "n=5;1>3,3>5,5>1")]
+        assert len(inits) == len(elements)
+        inits.clear()
+        words = [factorize._factor(a) for a in elements]
+        assert inits == []
+        assert [eval_word(word) for word in words] == elements
+
+    # The calls that would build or rescan an element beside the image tuples.
+    ELEMENT_CALLS = {"domain_intervals", "image_intervals", "compose", "inverse", "identity"}
+
+    def test_factor_and_pack_call_no_element_function(self):
+        tree = ast.parse(Path(factorize.__file__).read_text(encoding="utf-8"))
+        bodies = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+        offenders = []
+        for name in ("_factor", "_pack"):
+            for node in ast.walk(bodies[name]):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called in self.ELEMENT_CALLS:
+                        offenders.append(f"{name}:{node.lineno} {called}")
+        assert offenders == []
 
 
 class TestImageCache:
@@ -195,6 +234,20 @@ class TestWordLength:
             g = make_generator(sym, n)
             assert inverse(g) == g, sym
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_each_deleted_vertex_costs_one_letter(self, n):
+        # The word opens with a(i) for each i outside Dom a, in descending i,
+        # and has at most n - s + 4r - c letters: s = |Dom a|, r its blocks,
+        # c its b letters (the bound that ``word_length_bound`` proves).
+        for factor, elements in ((factor_paut, enumerate_paut(n)), (factor_iend, enumerate_iend(n))):
+            for a in elements:
+                word = factor(a).letters
+                deleted = [alpha(i) for i in range(n, 0, -1) if i not in a]
+                assert list(word[: len(deleted)]) == deleted, a
+                s, r = len(a), len(domain_intervals(a))
+                c = sum(sym.kind == "b" for sym in word)
+                assert len(word) <= n - s + 4 * r - c, a
+
     @pytest.mark.parametrize("n", (24, 100, 400))
     def test_random_words_are_within_the_bound(self, n):
         rng = random.Random(n)
@@ -261,8 +314,8 @@ class TestRoundTrips:
     @pytest.mark.parametrize(
         "factor, enumerate_family, digest",
         [
-            (factor_paut, enumerate_paut, "9c8cb512bc1ea92ea51e5df1f8336394ea1170d98159baaba051f82d17ca8dd9"),
-            (factor_iend, enumerate_iend, "2a409ec5d38631bdaa74642186c7412014e52ef2880d52f17366e759d6a6739d"),
+            (factor_paut, enumerate_paut, "0edfb35559d6980c1ccd0c646ec25516b1e1c9124730aaf2f852a8c3469c7d5e"),
+            (factor_iend, enumerate_iend, "e334ea4084fc5b63d05c081943f4f83bfbab50046ad024fefd33447980b65450"),
         ],
         ids=["paut", "iend"],
     )
