@@ -14,10 +14,12 @@ The only setting is ``--format`` (default json; csv for ``enumerate`` and
 ``classify`` only).  Every resource bound is a constant where it is
 enforced: ``MAX_WORD_WORK`` below, ``census.MAX_ENUMERATE_N`` (the one
 bound on n for the commands that enumerate) and ``rankcheck.MAX_SUBSETS``.
-Exit codes: 0 success, 1 verification failure, 2 usage error (argparse's,
-or any ``ValueError``), 3 refused resource bound, 4 internal error (a
-broken invariant, raised as ``RuntimeError``).  In JSON mode, runtime
-errors are reported as ``{"error": {"code", "message"}}`` objects on stderr.
+Each subcommand returns one ``Rendering``, and ``main`` alone maps its
+verdict and every exception to the exit code: 0 success, 1 verification
+failure (a false ``Rendering.ok``), 2 usage error (argparse's, or any
+``ValueError``), 3 refused resource bound, 4 internal error (a broken
+invariant, raised as ``RuntimeError``).  In JSON mode, runtime errors are
+reported as ``{"error": {"code", "message"}}`` objects on stderr.
 """
 
 from __future__ import annotations
@@ -76,12 +78,14 @@ EXIT_INTERNAL = 4
 
 @dataclass(frozen=True)
 class Rendering:
-    """One command's result in every output shape it supports."""
+    """One command's result in every output shape it supports, and its
+    verdict: ``ok`` is false when the command's own check failed."""
 
     payload: dict
     text_lines: tuple[str, ...]
     csv_header: tuple[str, ...] | None = None
     csv_rows: tuple[tuple, ...] | None = None
+    ok: bool = True
 
 
 def _write_output(result: Rendering, fmt: str, out: io.TextIOBase) -> None:
@@ -139,10 +143,6 @@ def _refuse_work(n: int, work: int, how: str) -> None:
         )
 
 
-def _refuse_word_work(n: int, letters: int) -> None:
-    _refuse_work(n, letters * n, f"{_magnitude(letters)} letters, n per composition")
-
-
 def _refuse_above(n: int, what: str) -> None:
     if n > MAX_ENUMERATE_N:
         raise ResourceRefused(f"n={n} is above the bound of {MAX_ENUMERATE_N} for {what}")
@@ -162,22 +162,23 @@ def _read_element(raw: str) -> PartialInjection:
         n, pairs = _read_element_text(stripped)
     # Anything but a plain int n is left for the constructor to reject.
     if type(n) is int:
-        _refuse_word_work(n, word_length_bound(n))
+        letters = word_length_bound(n)
+        _refuse_work(n, letters * n, f"{_magnitude(letters)} letters, n per composition")
     return PartialInjection(n, pairs)
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
-def _cmd_count(args: argparse.Namespace) -> tuple[Rendering, int]:
+def _cmd_count(args: argparse.Namespace) -> Rendering:
     if args.per_mask:
         _refuse_above(args.n, "the per-mask table")
     _refuse_work(args.n, args.n**3, "n^3 for the closed form")
-    family = args.family
-    payload: dict = {"n": args.n, "family": family}
-    if family in ("paut", "both"):
+    families = ("paut", "iend") if args.family == "both" else (args.family,)
+    payload: dict = {"n": args.n, "family": args.family}
+    if "paut" in families:
         payload["paut_count"] = count_paut(args.n)
-    if family in ("iend", "both"):
+    if "iend" in families:
         payload["iend_count"] = count_iend(args.n)
     lines = _lines(payload, *(key for key in payload if key != "family"))
     if args.per_mask:
@@ -193,17 +194,17 @@ def _cmd_count(args: argparse.Namespace) -> tuple[Rendering, int]:
                 "t1": profile.t1,
                 "t2": profile.t2,
             }
-            if family in ("paut", "both"):
+            if "paut" in families:
                 row["paut_contribution"] = paut_c
-            if family in ("iend", "both"):
+            if "iend" in families:
                 row["iend_contribution"] = iend_c
             rows.append(row)
             lines.append(" ".join(f"{k}={v}" for k, v in row.items()))
         payload["per_mask"] = rows
-    return Rendering(payload=payload, text_lines=tuple(lines)), EXIT_OK
+    return Rendering(payload=payload, text_lines=tuple(lines))
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> tuple[Rendering, int]:
+def _cmd_enumerate(args: argparse.Namespace) -> Rendering:
     enumerate_family = enumerate_paut if args.family == "paut" else enumerate_iend
     elements = enumerate_family(args.n)
     texts = [format_element(a) for a in elements]
@@ -213,26 +214,22 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[Rendering, int]:
         "count": len(texts),
         "elements": texts,
     }
-    return (
-        Rendering(
-            payload=payload,
-            text_lines=tuple(texts),
-            csv_header=("element",),
-            csv_rows=tuple((t,) for t in texts),
-        ),
-        EXIT_OK,
+    return Rendering(
+        payload=payload,
+        text_lines=tuple(texts),
+        csv_header=("element",),
+        csv_rows=tuple((t,) for t in texts),
     )
 
 
-def _cmd_classify(args: argparse.Namespace) -> tuple[Rendering, int]:
-    relation = args.relation.upper()
+def _cmd_classify(args: argparse.Namespace) -> Rendering:
     # classify sorts its input by text form itself.
-    partition = classify_elements(_enumerate_family(args.n, args.family), relation)
+    partition = classify_elements(_enumerate_family(args.n, args.family), args.relation)
     classes = [[format_element(a) for a in cls] for cls in partition.classes]
     payload = {
         "n": args.n,
         "family": args.family,
-        "relation": relation,
+        "relation": args.relation,
         "class_count": len(classes),
         "classes": classes,
     }
@@ -240,18 +237,15 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[Rendering, int]:
     rows = tuple(
         (index, text) for index, cls in enumerate(classes) for text in cls
     )
-    return (
-        Rendering(
-            payload=payload,
-            text_lines=lines,
-            csv_header=("class", "element"),
-            csv_rows=rows,
-        ),
-        EXIT_OK,
+    return Rendering(
+        payload=payload,
+        text_lines=lines,
+        csv_header=("class", "element"),
+        csv_rows=rows,
     )
 
 
-def _cmd_factor(args: argparse.Namespace) -> tuple[Rendering, int]:
+def _cmd_factor(args: argparse.Namespace) -> Rendering:
     element = _read_element(args.element)
     # factor_iend refuses non-members and factors both families by one rule.
     word = factor_iend(element)
@@ -268,11 +262,10 @@ def _cmd_factor(args: argparse.Namespace) -> tuple[Rendering, int]:
         "verified": verified,
     }
     lines = _lines(payload, "element", "word", "length", "verified")
-    code = EXIT_OK if verified else EXIT_VERIFICATION_FAILURE
-    return Rendering(payload=payload, text_lines=tuple(lines)), code
+    return Rendering(payload=payload, text_lines=tuple(lines), ok=verified)
 
 
-def _cmd_expand(args: argparse.Namespace) -> tuple[Rendering, int]:
+def _cmd_expand(args: argparse.Namespace) -> Rendering:
     letters = MAX_EXPANSION_LENGTH + 2 * args.n.bit_length()
     _refuse_work(args.n, letters * args.n, f"{MAX_EXPANSION_LENGTH} letters, 2 per bit of n, n each")
     symbol = parse_symbol(args.symbol)
@@ -289,11 +282,10 @@ def _cmd_expand(args: argparse.Namespace) -> tuple[Rendering, int]:
         "matches_generator": matches,
     }
     lines = _lines(payload, "symbol", "expansion", "evaluates_to", "matches_generator")
-    code = EXIT_OK if matches else EXIT_VERIFICATION_FAILURE
-    return Rendering(payload=payload, text_lines=tuple(lines)), code
+    return Rendering(payload=payload, text_lines=tuple(lines), ok=matches)
 
 
-def _cmd_verify_rank(args: argparse.Namespace) -> tuple[Rendering, int]:
+def _cmd_verify_rank(args: argparse.Namespace) -> Rendering:
     witness = verify_rank(args.family, args.n, exhaustive=args.exhaustive)
     payload = {
         "n": witness.n,
@@ -318,11 +310,10 @@ def _cmd_verify_rank(args: argparse.Namespace) -> tuple[Rendering, int]:
         payload["counterexample"] = witness.counterexample
         lines.append(f"FAIL {witness.counterexample}")
     lines.append("ok" if witness.ok else "FAILED")
-    code = EXIT_OK if witness.ok else EXIT_VERIFICATION_FAILURE
-    return Rendering(payload=payload, text_lines=tuple(lines)), code
+    return Rendering(payload=payload, text_lines=tuple(lines), ok=witness.ok)
 
 
-def _cmd_selftest(args: argparse.Namespace) -> tuple[Rendering, int]:
+def _cmd_selftest(args: argparse.Namespace) -> Rendering:
     # Imported here so that the other subcommands do not load the checks.
     from .selftest import run_suites
 
@@ -344,8 +335,7 @@ def _cmd_selftest(args: argparse.Namespace) -> tuple[Rendering, int]:
     all_ok = all(suite["passed"] for suite in suites)
     lines.append("OK" if all_ok else "FAILED")
     payload = {"n": args.n, "suites": suites, "ok": all_ok}
-    code = EXIT_OK if all_ok else EXIT_VERIFICATION_FAILURE
-    return Rendering(payload=payload, text_lines=tuple(lines)), code
+    return Rendering(payload=payload, text_lines=tuple(lines), ok=all_ok)
 
 
 # -- parser ----------------------------------------------------------------------
@@ -385,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("classify", _cmd_classify, "partition a family by a Green's relation", tabular)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=("paut", "iend"), required=True)
-    p.add_argument("--relation", choices=("L", "R", "H", "J", "l", "r", "h", "j"), required=True)
+    p.add_argument("--relation", type=str.upper, choices=("L", "R", "H", "J"), required=True)
 
     p = command("factor", _cmd_factor, "factor an element into a generator word")
     p.add_argument("--element", required=True, help="text form 'n=5;1>3,2>4' or JSON object form")
@@ -425,9 +415,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     fmt = args.format
     try:
-        result, code = args.run(args)
+        result = args.run(args)
         _write_output(result, fmt, sys.stdout)
-        return code
+        return EXIT_OK if result.ok else EXIT_VERIFICATION_FAILURE
     except ResourceRefused as exc:
         _write_error("resource-refused", str(exc), fmt, sys.stderr)
         return EXIT_REFUSED

@@ -112,6 +112,8 @@ def _kind_entry(kind: str) -> tuple:
 
 def _check_symbol(sym: Symbol, n: int) -> None:
     _check_n(n)  # a(0) and a(n+1) would pass the index rules at n <= 0.
+    if not isinstance(sym, Symbol):
+        raise ValueError(f"a letter must be a Symbol, got {sym!r}")
     count, rule = _kind_entry(sym.kind)
     if type(sym.i) is not int or type(sym.j) is not int:  # bool is a subclass of int
         raise ValueError(f"symbol indices must be integers, got ({sym.i!r}, {sym.j!r})")

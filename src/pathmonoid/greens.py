@@ -183,7 +183,7 @@ def classify(elements: Iterable[PartialInjection], relation: str) -> GreensClass
     its members in text order and the classes follow their first members."""
     try:
         key = _KEYS[relation]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable relation
         raise ValueError(f"unknown relation {relation!r}; expected one of L, R, H, J") from None
     elements = list(elements)
     _require_members(*elements)

@@ -231,6 +231,8 @@ def maximal_intervals(points: Iterable[int]) -> tuple[tuple[int, int], ...]:
     """The maximal runs ``((lo, hi), ...)`` of consecutive values of a set of
     integers, in increasing order: ``maximal_intervals({2,3,5})`` is
     ``((2, 3), (5, 5))`` and the empty set yields ``()``."""
+    points = tuple(points)
+    _check_vertices(points)  # before the set, where True would merge with 1
     return _runs(sorted(set(points)))
 
 

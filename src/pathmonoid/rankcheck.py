@@ -117,7 +117,9 @@ def _saturate(
     ``within``: at a product outside it (identity·g, the first product of
     each letter g, checks that g is a member), or at a drained rank bucket
     smaller than its layer of that rank, so a result is all of ``within``.
-    ``ValueError`` for a generator on another n, or for n above 255."""
+    ``ValueError`` for an n that is not a positive int, a generator on
+    another n, or n above 255."""
+    _check_n(n)
     ident = _img_bytes(range(n + 1))
     tables: dict[bytes, None] = {}
     for g in gens:

@@ -20,9 +20,11 @@ from pathmonoid import (
     cli,
     count_iend,
     count_paut,
+    empty_map,
     enumerate_paut,
     factorize,
     format_element,
+    identity,
     path_core,
     rankcheck,
     selftest,
@@ -244,6 +246,14 @@ class TestFactor:
         assert code == 2
         assert json.loads(err)["error"]["code"] == "usage"
 
+    def test_failed_round_trip_exits_1(self, capsys, monkeypatch):
+        # A word that evaluates to the wrong element is reported, not hidden.
+        monkeypatch.setattr(cli, "eval_word", lambda word: identity(word.n))
+        code, out, _ = run(capsys, "factor", "--element", "n=3;1>3,2>2,3>1")
+        assert code == 1 and json.loads(out)["verified"] is False
+        code, out, _ = run(capsys, "factor", "--element", "n=3;1>3,2>2,3>1", "--format", "text")
+        assert code == 1 and out.splitlines()[-1] == "verified false"
+
 
 class TestExpand:
     def test_example(self, capsys):
@@ -263,6 +273,13 @@ class TestExpand:
         code, out, err = run(capsys, "expand", "--symbol", "a\u0663", "--n", "7")
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["code"] == "usage"
+
+    def test_mismatch_with_the_generator_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "make_generator", lambda sym, n: empty_map(n))
+        code, out, _ = run(capsys, "expand", "--symbol", "es1,4", "--n", "6")
+        assert code == 1 and json.loads(out)["matches_generator"] is False
+        code, out, _ = run(capsys, "expand", "--symbol", "es1,4", "--n", "6", "--format", "text")
+        assert code == 1 and out.splitlines()[-1] == "matches_generator false"
 
 
 class TestWordWorkBound:
@@ -732,3 +749,20 @@ class TestUsage:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert json.loads(err)["error"]["code"] == "usage"
+
+
+class TestReadmeExamples:
+    README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    def test_library_quick_start_runs(self):
+        section = self.README.split("## Library quick start", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+
+    def test_count_example_is_the_cli_output(self, capsys):
+        command, output = re.search(
+            r"```sh\n(pathmonoid count [^\n]*)\n```\s*```json\n(.*?)```", self.README, re.S
+        ).groups()
+        code, out, err = run(capsys, *command.split()[1:])
+        assert code == 0 and err == ""
+        assert out == output

@@ -243,6 +243,15 @@ class TestWords:
         with pytest.raises(ValueError):
             Word(4, (beta(4),))  # b needs 2 <= i <= n-1
 
+    def test_a_letter_that_is_not_a_symbol_is_refused(self):
+        # A plain tuple has no ``kind``: the check raised AttributeError.
+        with pytest.raises(ValueError, match="a letter must be a Symbol"):
+            Word(3, [("a", 1, 0)])
+        with pytest.raises(ValueError, match="a letter must be a Symbol"):
+            make_generator(("a", 1), 3)
+        # A full plain tuple names its image directly and stays accepted.
+        assert make_generator(("a", 1, 0), 3) == make_generator(alpha(1), 3)
+
     def test_eval_left_to_right(self):
         w = Word(3, (alpha(1), tau()))
         expected = compose(make_generator(alpha(1), 3), make_generator(tau(), 3))

@@ -176,6 +176,10 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(enumerate_paut(3), "D")
 
+    def test_rejects_an_unhashable_relation(self):
+        with pytest.raises(ValueError, match="unknown relation"):
+            classify(enumerate_paut(3), ["L"])
+
     @pytest.mark.parametrize("relation", ("L", "R", "H", "J"))
     def test_rejects_non_members(self, relation):
         with pytest.raises(ValueError):

@@ -172,6 +172,11 @@ class TestIntervals:
         assert maximal_intervals([1, 2, 4, 6, 7, 8]) == ((1, 2), (4, 4), (6, 8))
         assert maximal_intervals([]) == ()
 
+    @pytest.mark.parametrize("points", [[True, 2], [1.5]], ids=["bool", "float"])
+    def test_maximal_intervals_refuse_a_vertex_that_is_not_an_int(self, points):
+        with pytest.raises(ValueError, match="vertices must be integers"):
+            maximal_intervals(points)
+
     def test_domain_and_image_intervals(self):
         a = PartialInjection(6, [(1, 5), (2, 6), (4, 2)])
         assert domain_intervals(a) == ((1, 2), (4, 4))
@@ -424,4 +429,22 @@ def test_text_order_is_decided_by_one_key():
             )
             if keyed or mapped:
                 offenders.append(f"{path.stem}:{node.lineno}")
+    assert offenders == []
+
+
+def test_only_cli_main_decides_an_exit_code():
+    # A subcommand returns one ``Rendering`` whose ``ok`` carries its
+    # verdict; ``main`` alone turns that and every exception into an exit
+    # code, so no other function reads an ``EXIT_*`` name.
+    path = Path(pathmonoid.__file__).parent / "cli.py"
+    offenders = []
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(func, ast.FunctionDef) or func.name == "main":
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and node.id.startswith("EXIT_"):
+                offenders.append(f"{func.name}:{node.lineno} reads {node.id}")
+            returns_tuple = isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple)
+            if func.name.startswith("_cmd_") and returns_tuple:
+                offenders.append(f"{func.name}:{node.lineno} returns a tuple")
     assert offenders == []

@@ -92,6 +92,12 @@ class TestClosure:
         with pytest.raises(ValueError):
             closure([identity(4)], 3)
 
+    @pytest.mark.parametrize("gens, n", [([], 3.0), ([identity(3)], "3")], ids=["float", "str"])
+    def test_rejects_an_n_that_is_not_an_int(self, gens, n):
+        # The byte images would otherwise raise TypeError from range or bytes.
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            closure(gens, n)
+
 
 class TestIsGenerating:
     def test_examples(self):
