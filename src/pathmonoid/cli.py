@@ -184,16 +184,8 @@ def _cmd_count(args: argparse.Namespace) -> Rendering:
     if args.per_mask:
         rows = []
         for profile, paut_c, iend_c in count_by_mask(args.n):
-            row = {
-                "mask": mask_to_string(args.n, profile.bits),
-                "r": profile.r,
-                "s": profile.s,
-                "T": profile.T,
-                "q1": profile.q1,
-                "q2": profile.q2,
-                "t1": profile.t1,
-                "t2": profile.t2,
-            }
+            row = {"mask": mask_to_string(args.n, profile.bits), **vars(profile)}
+            del row["n"], row["bits"]
             if "paut" in families:
                 row["paut_contribution"] = paut_c
             if "iend" in families:
@@ -287,18 +279,10 @@ def _cmd_expand(args: argparse.Namespace) -> Rendering:
 
 def _cmd_verify_rank(args: argparse.Namespace) -> Rendering:
     witness = verify_rank(args.family, args.n, exhaustive=args.exhaustive)
-    payload = {
-        "n": witness.n,
-        "family": witness.family,
-        "formula_value": witness.formula_value,
-        "generating_set_size": witness.generating_set_size,
-        "generates": witness.generates,
-        "irredundant": witness.irredundant,
-        "witnesses": dict(witness.witnesses),
-        "exhaustive_lower_bound": witness.exhaustive_lower_bound,
-        "subsets_searched": witness.subsets_searched,
-        "ok": witness.ok,
-    }
+    # The witness's fields in declaration order, then ok, then any counterexample.
+    payload = {**vars(witness), "witnesses": dict(witness.witnesses)}
+    del payload["counterexample"]
+    payload["ok"] = witness.ok
     lines = _lines(
         payload, "family", "n", "formula_value", "generating_set_size", "generates", "irredundant"
     )

@@ -104,10 +104,10 @@ _KINDS = {
 
 def _kind_entry(kind: str) -> tuple:
     """The ``_KINDS`` entry of ``kind``; ``ValueError`` for an unknown kind."""
-    entry = _KINDS.get(kind)
-    if entry is None:
-        raise ValueError(f"unknown symbol kind {kind!r}")
-    return entry
+    try:
+        return _KINDS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise ValueError(f"unknown symbol kind {kind!r}") from None
 
 
 def _check_symbol(sym: Symbol, n: int) -> None:

@@ -278,8 +278,8 @@ def lower_bound_witnesses(n: int) -> dict[str, bool]:
       ceil(n/2) - 1 letters that are not partial automorphisms, matching
       the count forced on IEnd generating sets.
     """
-    if n < 3:
-        raise ValueError(f"witness checks are defined for n >= 3, got n={n}")
+    if type(n) is not int or n < 3:  # bool is a subclass of int
+        raise ValueError(f"witness checks are defined for n >= 3, got n={n!r}")
     paut_letters = alphabet_elements("paut", n)
     iend_letters = alphabet_elements("iend", n)
     half = (n + 1) // 2
@@ -306,9 +306,9 @@ class RankWitness:
     generates: bool
     irredundant: bool
     witnesses: tuple[tuple[str, bool], ...]
-    exhaustive_lower_bound: int | None = None
-    subsets_searched: int | None = None
-    counterexample: str | None = None
+    exhaustive_lower_bound: int | None
+    subsets_searched: int | None
+    counterexample: str | None
 
     @property
     def ok(self) -> bool:
@@ -352,8 +352,8 @@ def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness
     witness's ``counterexample`` names the first member missing from the
     closure (in text order) or the first redundant letter.
     """
-    if n < 3:
-        raise ValueError(f"rank verification needs the alphabets (n >= 3), got n={n}")
+    if type(n) is not int or n < 3:  # bool is a subclass of int
+        raise ValueError(f"rank verification needs the alphabets (n >= 3), got n={n!r}")
     formula = rank_formula(family, n)
     if exhaustive and n <= MAX_ENUMERATE_N:
         count = count_paut(n) if family == "paut" else count_iend(n)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -69,6 +70,22 @@ class TestCount:
         mask_1101 = next(r for r in payload["per_mask"] if r["mask"] == "1101")
         assert (mask_1101["r"], mask_1101["s"], mask_1101["T"]) == (2, 3, 1)
         assert mask_1101["paut_contribution"] == 4
+
+    @pytest.mark.parametrize(
+        "family, contributions",
+        [
+            ("paut", ["paut_contribution"]),
+            ("iend", ["iend_contribution"]),
+            ("both", ["paut_contribution", "iend_contribution"]),
+        ],
+    )
+    def test_per_mask_row_keys(self, capsys, family, contributions):
+        code, out, _ = run(capsys, "count", "--n", "3", "--family", family, "--per-mask")
+        assert code == 0
+        rows = json.loads(out)["per_mask"]
+        assert len(rows) == 8
+        for row in rows:
+            assert list(row) == ["mask", "r", "s", "T", "q1", "q2", "t1", "t2", *contributions]
 
     @pytest.mark.parametrize(
         "argv, bound",
@@ -454,7 +471,12 @@ class TestVerifyRank:
         )
         code, out, _ = run(capsys, "verify-rank", "--n", "4", "--family", "iend")
         assert code == 1
-        assert json.loads(out)["counterexample"] == named
+        payload = json.loads(out)
+        assert payload["counterexample"] == named
+        assert list(payload) == [
+            "n", "family", "formula_value", "generating_set_size", "generates", "irredundant",
+            "witnesses", "exhaustive_lower_bound", "subsets_searched", "ok", "counterexample",
+        ]
         code, out, _ = run(
             capsys, "verify-rank", "--n", "4", "--family", "iend", "--format", "text"
         )
@@ -585,15 +607,23 @@ class TestConfig:
         assert err.startswith("error (resource-refused):")
 
     def test_library_functions_take_no_settings(self):
-        # A parameter with a default is a setting; only ``verify_rank``'s
-        # ``exhaustive`` has two callers that need different values
-        # (``verify-rank`` with and without ``--exhaustive``).
+        # A parameter or a record field with a default is a setting; only
+        # ``verify_rank``'s ``exhaustive`` has two callers that need
+        # different values (``verify-rank`` with and without ``--exhaustive``).
         settings = [
             f"{name}({param.name}=)"
             for name in pathmonoid.__all__
             if inspect.isfunction(getattr(pathmonoid, name))
             for param in inspect.signature(getattr(pathmonoid, name)).parameters.values()
             if param.default is not param.empty
+        ]
+        settings += [
+            f"{name}.{field.name}="
+            for name in pathmonoid.__all__
+            if dataclasses.is_dataclass(getattr(pathmonoid, name))
+            for field in dataclasses.fields(getattr(pathmonoid, name))
+            if field.default is not dataclasses.MISSING
+            or field.default_factory is not dataclasses.MISSING
         ]
         assert settings == ["verify_rank(exhaustive=)"]
 

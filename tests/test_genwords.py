@@ -149,6 +149,15 @@ class TestMakeGenerator:
         with pytest.raises(ValueError, match="unknown symbol kind 'zz'"):
             format_symbol(Symbol("zz"))
 
+    @pytest.mark.parametrize(
+        "check",
+        [lambda sym: Word(3, [sym]), lambda sym: make_generator(sym, 3), format_symbol],
+        ids=["Word", "make_generator", "format_symbol"],
+    )
+    def test_rejects_an_unhashable_kind(self, check):
+        with pytest.raises(ValueError, match=r"unknown symbol kind \['a'\]"):
+            check(Symbol(["a"], 1, 0))
+
     _checks = pytest.mark.parametrize(
         "check",
         [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 from math import comb
 
@@ -437,6 +438,11 @@ class TestWitnesses:
         with pytest.raises(ValueError):
             lower_bound_witnesses(2)
 
+    @pytest.mark.parametrize("n", ["5", 5.0], ids=["str", "float"])
+    def test_rejects_a_non_integer_n(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"got n={n!r}")):
+            lower_bound_witnesses(n)
+
 
 class TestVerifyRank:
     def test_exhaustive_paut_p3(self):
@@ -463,6 +469,11 @@ class TestVerifyRank:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             verify_rank("paut", 2)
+
+    @pytest.mark.parametrize("n", ["5", 5.0], ids=["str", "float"])
+    def test_rejects_a_non_integer_n(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"got n={n!r}")):
+            verify_rank("paut", n)
 
     @pytest.mark.parametrize("family", ["paut", "iend"])
     @pytest.mark.parametrize("n", range(3, 9))
@@ -527,6 +538,9 @@ class TestVerifyRank:
             generates=True,
             irredundant=True,
             witnesses=(("reversal_in_alphabet", False),),
+            exhaustive_lower_bound=None,
+            subsets_searched=None,
+            counterexample=None,
         )
         assert not witness.ok
         witness = RankWitness(
@@ -539,5 +553,6 @@ class TestVerifyRank:
             witnesses=(),
             exhaustive_lower_bound=2,
             subsets_searched=10,
+            counterexample=None,
         )
         assert not witness.ok
