@@ -1,6 +1,6 @@
 """Exact counting and enumeration of PAut(P_n) and IEnd(P_n).
 
-One placement rule underlies all of it.  An element with a domain of r
+One placement rule underlies the counts.  An element with a domain of r
 maximal intervals (blocks) and s vertices sends its blocks, in some order,
 onto r image intervals of the same sizes, each laid down in two
 orientations when its size is at least 2.  The image intervals of PAut
@@ -23,12 +23,14 @@ kept as the per-mask table and as the reference the closed form is checked
 against.  ``mask_profile`` reads r, s and T off the mask by popcounts: the
 block starts are the set bits whose lower neighbour is clear.
 
-Enumeration places the image blocks explicitly by the same rule, never
-filtering the full symmetric inverse monoid, so its size is a third,
-independent count.  Text order, the order of every listing, is imposed by
-``enumerate_paut`` and ``enumerate_iend`` alone, sorting by
-``path_core._text_key`` without building any text; callers that only
-collect a set take ``_enumerate_family``'s placement order unsorted.
+Enumeration does not use the placement rule.  ``_enumerate_family`` walks
+the members depth first by the paper's adjacency definition (|a(x+1) - a(x)|
+= 1 where both are defined, for PAut of a and of its inverse), adding one
+pair at a time and never visiting a non-member, so its size is a third count
+independent of the closed form.  Its preorder is text order, the order of
+every listing, with no sort; ``enumerate_paut`` and ``enumerate_iend``
+return it as it is.  ``elements_with_domain`` keeps the placement rule, one
+domain at a time, and the tests check the walk against it.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from operator import add
 
 from .errors import ResourceRefused
 from .path_core import (
-    PartialInjection, _check_n, _check_vertices, _runs, _text_key, _trusted
+    PartialInjection, _check_n, _check_vertices, _runs, _trusted
 )
 
 # Largest n ``enumerate_*`` accepts: IEnd(P_8) has 53,937 elements.
@@ -198,26 +200,64 @@ def elements_with_domain(
 
 
 def _enumerate_family(n: int, family: str) -> list[PartialInjection]:
-    """Every member of the family at n, in placement order."""
+    """Every member of the family at n, in text order, by the paper's
+    adjacency rule alone.
+
+    A depth-first walk whose nodes are exactly the members, the empty map
+    at the root: the parent of a member is the member with its largest
+    domain vertex dropped (the rule constrains only pairs that are present,
+    so every restriction is a member), and each member is reached once.
+    The children of a node whose last pair is (x, y) are (x + 1, y ± 1) and
+    every (x', y') with x' >= x + 2, each kept when the pair it adds keeps
+    the rule.  They are visited in (x', y') order, so for n <= 9, where each
+    vertex is one digit and a prefix sorts first, the preorder is text
+    order."""
     _check_n(n)
     if n > MAX_ENUMERATE_N:
         raise ResourceRefused(f"enumeration at n={n} is above the bound of {MAX_ENUMERATE_N}")
-    elements: list[PartialInjection] = []
-    for s in range(n + 1):
-        for domain in combinations(range(1, n + 1), s):
-            elements.extend(elements_with_domain(n, frozenset(domain), family))
-    return elements
+    if family not in ("paut", "iend"):
+        raise ValueError(f"unknown family {family!r}")
+    paut = family == "paut"
+    used = [False] * (n + 2)  # slots 0 and n + 1 stay False
+    zeros = [(0,) * (n + 1 - k) for k in range(n + 2)]
+    out = [_trusted(zeros[0])]
+
+    def grow(prefix: tuple[int, ...], y: int) -> None:
+        # prefix is img[0..x], x < n; y = img[x], or 0 at the root, whose
+        # children start at x' = 1.
+        x = len(prefix) - 1
+        # a(x + 1) = y ± 1; for PAut, the other neighbour 2y' - y of y' must
+        # be unused, as its preimage would lie before x.
+        steps = [
+            prefix + (z,) for z in ((y - 1, y + 1) if y else ())
+            if 0 < z <= n and not used[z] and not (paut and used[2 * z - y])
+        ]
+        first = x + 2 if y else 1
+        if first <= n:
+            free = [
+                z for z in range(1, n + 1)
+                if not used[z] and not (paut and (used[z - 1] or used[z + 1]))
+            ]
+            for x2 in range(first, n + 1):
+                pad = prefix + (0,) * (x2 - x - 1)
+                steps.extend([pad + (z,) for z in free])
+        for child in steps:
+            out.append(_trusted(child + zeros[len(child)]))
+            if len(child) <= n:
+                z = child[-1]
+                used[z] = True
+                grow(child, z)
+                used[z] = False
+
+    grow((0,), 0)
+    return out
 
 
 def enumerate_paut(n: int) -> list[PartialInjection]:
-    """All of PAut(P_n), sorted by text form.  Refuses n > ``MAX_ENUMERATE_N``."""
-    elements = _enumerate_family(n, "paut")
-    elements.sort(key=_text_key)
-    return elements
+    """All of PAut(P_n) in text order.  Refuses n > ``MAX_ENUMERATE_N``."""
+    return _enumerate_family(n, "paut")
 
 
 def enumerate_iend(n: int) -> list[PartialInjection]:
-    """All of IEnd(P_n), sorted by text form.  Refuses n > ``MAX_ENUMERATE_N``."""
-    elements = _enumerate_family(n, "iend")
-    elements.sort(key=_text_key)
-    return elements
+    """All of IEnd(P_n) in text order.  Refuses n > ``MAX_ENUMERATE_N``."""
+    return _enumerate_family(n, "iend")

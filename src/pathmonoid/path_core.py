@@ -120,10 +120,18 @@ class PartialInjection:
         return compose(self, other)
 
 
+# The slots' member descriptors: setting through them skips the
+# ``__setattr__`` that keeps instances immutable, and the lookup of
+# ``object.__setattr__``.
+_set_n, _set_img, _set_hash = (
+    PartialInjection.__dict__[slot].__set__ for slot in PartialInjection.__slots__
+)
+
+
 def _init(a: PartialInjection, img: tuple[int, ...]) -> None:
-    object.__setattr__(a, "n", len(img) - 1)
-    object.__setattr__(a, "img", img)
-    object.__setattr__(a, "_hash", hash(img))
+    _set_n(a, len(img) - 1)
+    _set_img(a, img)
+    _set_hash(a, hash(img))
 
 
 def _check_n(n: int) -> None:
@@ -279,13 +287,15 @@ _ELEMENT_RE = re.compile(r"n=([0-9]+);((?:[0-9]+>[0-9]+)(?:,[0-9]+>[0-9]+)*)?")
 
 def format_element(a: PartialInjection) -> str:
     """Canonical text form, e.g. ``"n=5;1>3,2>4"`` (empty map: ``"n=5;"``)."""
-    body = ",".join(f"{x}>{y}" for x, y in a.pairs)
+    body = ",".join([f"{x}>{y}" for x, y in enumerate(a.img) if y])
     return f"n={a.n};{body}"
 
 
 def _text_key(a: PartialInjection) -> bytes | str:
     """Sort key of text order, the order of ``format_element``'s strings;
-    every text-order decision in the package sorts or takes ``min`` by it.
+    every text-order decision in the package that sorts or takes ``min``
+    does so by it.  The enumeration walk emits text order without sorting,
+    and the tests check its order against this key.
 
     For n <= 9 each vertex is one digit, so the text compares as the sequence
     x1, a(x1), x2, a(x2), ... of the pairs, a prefix first.  ``img`` orders

@@ -35,7 +35,8 @@ def _enumerate(family: str, n: int) -> list[PartialInjection]:
 
 def check_counts(n: int) -> str | None:
     """Three routes to each family's size at n: the closed form, the sum of
-    the per-mask table, and the length of the enumeration."""
+    the per-mask table (both by the placement rule), and the length of the
+    enumeration, which walks the members by the paper's adjacency rule."""
     table = count_by_mask(n)
     for family, count, column in (("paut", count_paut, 1), ("iend", count_iend, 2)):
         routes = {

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import pkgutil
 from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -182,6 +183,23 @@ class TestEnumeration:
         texts = [format_element(a) for a in elements]
         assert texts == sorted(texts)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize(
+        "family, enumerate_family", [("paut", enumerate_paut), ("iend", enumerate_iend)], ids=["paut", "iend"]
+    )
+    def test_walk_matches_the_placement_rule(self, family, enumerate_family, n):
+        # The walk follows the adjacency rule; ``elements_with_domain``
+        # places the image blocks by stars and bars, one domain at a time.
+        placed = [
+            a
+            for s in range(n + 1)
+            for domain in combinations(range(1, n + 1), s)
+            for a in elements_with_domain(n, frozenset(domain), family)
+        ]
+        walked = enumerate_family(n)
+        assert len(placed) == len(walked)
+        assert set(placed) == set(walked)
+
     def test_elements_with_domain_matches_filter(self):
         for n, dom in ((4, {1, 2, 4}), (5, {2, 3, 4}), (5, {1, 3, 5}), (3, set())):
             for family, member in (("paut", is_paut), ("iend", is_iend)):
@@ -227,18 +245,23 @@ class TestEnumeration:
 
 
 class TestTextOrder:
-    """Only the listings sort by text form; callers that collect the
-    elements into a set, or only count them, skip the sort."""
+    """The enumeration walk emits text order without sorting, so neither the
+    listings nor the callers that collect a set or count read a sort key."""
 
     @pytest.fixture
     def key_calls(self, monkeypatch):
+        # Every module that binds the key, except ``greens``: ``classify``
+        # sorts its own input into text order, its output order.
         calls = []
 
         def counting_key(a):
             calls.append(a)
             return _text_key(a)
 
-        monkeypatch.setattr(census, "_text_key", counting_key)
+        for info in pkgutil.iter_modules(pathmonoid.__path__):
+            module = importlib.import_module(f"pathmonoid.{info.name}")
+            if hasattr(module, "_text_key") and info.name != "greens":
+                monkeypatch.setattr(module, "_text_key", counting_key)
         return calls
 
     @pytest.mark.parametrize(
@@ -256,9 +279,15 @@ class TestTextOrder:
         build()
         assert len(key_calls) == 0
 
-    def test_enumeration_sorts_once(self, key_calls):
-        enumerate_iend(6)
-        assert len(key_calls) == IEND_COUNTS[5] == 2127
+    def test_enumeration_does_not_sort(self, key_calls):
+        assert len(enumerate_iend(6)) == IEND_COUNTS[5] == 2127
+        assert len(key_calls) == 0
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("enumerate_family", [enumerate_paut, enumerate_iend], ids=["paut", "iend"])
+    def test_enumeration_is_in_text_order(self, enumerate_family, n):
+        keys = list(map(_text_key, enumerate_family(n)))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
     def test_cli_enumerate_formats_each_element_once(self, monkeypatch, capsys):
         # Once, for output: the sort reads byte keys, not the text.
