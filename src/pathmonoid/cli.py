@@ -40,8 +40,6 @@ from .census import (
     count_by_mask,
     count_iend,
     count_paut,
-    enumerate_iend,
-    enumerate_paut,
     mask_to_string,
 )
 from .errors import ResourceRefused
@@ -59,6 +57,7 @@ from .genwords import (
 from .greens import classify as classify_elements
 from .path_core import (
     PartialInjection,
+    _check_n,
     _read_element_json,
     _read_element_text,
     format_element,
@@ -197,9 +196,7 @@ def _cmd_count(args: argparse.Namespace) -> Rendering:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> Rendering:
-    enumerate_family = enumerate_paut if args.family == "paut" else enumerate_iend
-    elements = enumerate_family(args.n)
-    texts = [format_element(a) for a in elements]
+    texts = [format_element(a) for a in _enumerate_family(args.n, args.family)]
     payload = {
         "n": args.n,
         "family": args.family,
@@ -301,9 +298,7 @@ def _cmd_selftest(args: argparse.Namespace) -> Rendering:
     # Imported here so that the other subcommands do not load the checks.
     from .selftest import run_suites
 
-    # run_suites(0) would pass vacuously.
-    if args.n < 1:
-        raise ValueError(f"--n must be positive, got {args.n}")
+    _check_n(args.n)  # run_suites(0) would pass vacuously.
     _refuse_above(args.n, "selftest")
     suites = []
     lines = []

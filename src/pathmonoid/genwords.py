@@ -52,7 +52,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .path_core import PartialInjection, _check_n, _trusted, identity
+from .path_core import PartialInjection, _check_n, _check_text, _trusted, identity
 
 
 class Symbol(NamedTuple):
@@ -376,6 +376,7 @@ def format_symbol(sym: Symbol) -> str:
 
 
 def parse_symbol(text: str) -> Symbol:
+    _check_text(text, "generator symbol")
     m = _SYMBOL_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"malformed generator symbol {text!r}")
@@ -397,4 +398,5 @@ def format_word(word: Word) -> str:
 
 def parse_word(text: str, n: int) -> Word:
     """Parse a whitespace-separated word, validating letters against n."""
+    _check_text(text, "word")
     return Word(n, tuple(parse_symbol(tok) for tok in text.split()))

@@ -139,6 +139,11 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be a positive integer, got {n!r}")
 
 
+def _check_text(text: object, form: str) -> None:
+    if not isinstance(text, str):
+        raise ValueError(f"{form} must be a str, got {type(text).__name__}")
+
+
 def _trusted(img: tuple[int, ...]) -> PartialInjection:
     """Wrap an image tuple without checks; ``img`` must already be a valid
     injective image tuple with ``img[0] == 0`` and length at least 2."""
@@ -311,6 +316,7 @@ def _text_key(a: PartialInjection) -> bytes | str:
 def _read_element_text(text: str) -> tuple[int, list[tuple[int, int]]]:
     """The ``(n, pairs)`` of the text form, read without building anything;
     ``ValueError`` unless the text matches the form (ASCII digits only)."""
+    _check_text(text, "element text")
     m = _ELEMENT_RE.fullmatch(text.strip())
     if m is None:
         raise ValueError(f"malformed element text: {text!r}")
@@ -326,8 +332,8 @@ def _read_element_text(text: str) -> tuple[int, list[tuple[int, int]]]:
 def parse_element(text: str) -> PartialInjection:
     """Parse the text form produced by :func:`format_element`.
 
-    Raises ``ValueError`` on malformed input, out-of-range vertices, or
-    duplicated domain/image vertices.
+    Raises ``ValueError`` on a non-str or malformed input, out-of-range
+    vertices, or duplicated domain/image vertices.
     """
     return PartialInjection(*_read_element_text(text))
 

@@ -13,10 +13,11 @@ It multiplies byte images by ``bytes.translate`` (``path_core._img_bytes``;
 it refuses n above 255) and expands elements in order of decreasing rank
 (the size of the domain).  Since rank(x·y) <= min(rank x, rank y), the
 elements of rank r in the closure are all known once the rank-r bucket is
-drained, so a candidate generating set that misses part of a rank layer of
-the target is rejected at that layer.  Every letter of A(n) and B(n) has
-rank n or n-1, so dropping one of them is detected within the top two
-layers, and most candidates of the exhaustive search fail as early.
+drained.  ``_saturate`` yields each layer then, and ``is_generating``
+rejects a candidate generating set at the first layer that differs from
+the target's.  Every letter of A(n) and B(n) has rank n or n-1, so dropping
+one of them is detected within the top two layers, and most candidates of
+the exhaustive search fail as early.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class MonoidSet:
     def _layers(self) -> tuple[frozenset[bytes], tuple[int, ...]]:
         """The members' byte images (``path_core._img_bytes``), and how many
         members have each rank 0..n; computed once per monoid for
-        ``_saturate`` and ``_forced_generators``."""
+        ``is_generating`` and ``_forced_generators``."""
         imgs = frozenset(_img_bytes(a.img) for a in self.elements)
         sizes = [0] * (self.n + 1)
         for y in imgs:
@@ -108,17 +109,12 @@ def alphabet_elements(family: str, n: int) -> list[PartialInjection]:
     return [make_generator(sym, n) for sym in symbols]
 
 
-def _saturate(
-    gens: Iterable[PartialInjection], n: int, *, within: MonoidSet | None = None
-) -> set[bytes] | None:
-    """Byte images of the closure of ``gens`` and the identity under right
-    multiplication, expanded one rank at a time from n down to 0 (see the
-    module docstring).  ``None`` as soon as the closure cannot be all of
-    ``within``: at a product outside it (identity·g, the first product of
-    each letter g, checks that g is a member), or at a drained rank bucket
-    smaller than its layer of that rank, so a result is all of ``within``.
-    ``ValueError`` for an n that is not a positive int, a generator on
-    another n, or n above 255."""
+def _saturate(gens: Iterable[PartialInjection], n: int) -> Iterator[tuple[int, list[bytes]]]:
+    """The byte images of the closure of ``gens`` and the identity under
+    right multiplication, one rank layer at a time: yields ``(r, layer)``
+    for r = n down to 0, each once its bucket is drained and so final (see
+    the module docstring).  ``ValueError`` for an n that is not a positive
+    int, a generator on another n, or n above 255."""
     _check_n(n)
     ident = _img_bytes(range(n + 1))
     tables: dict[bytes, None] = {}
@@ -126,8 +122,6 @@ def _saturate(
         if g.n != n:
             raise ValueError(f"generator on n={g.n} does not match n={n}")
         tables[_table(_img_bytes(g.img))] = None
-    if within is not None:
-        members, layer_sizes = within._layers
     seen = {ident}
     buckets: list[list[bytes]] = [[] for _ in range(n)] + [[ident]]
     for r in range(n, -1, -1):
@@ -138,13 +132,9 @@ def _saturate(
             for table in tables:
                 y = x.translate(table)
                 if y not in seen:
-                    if within is not None and y not in members:
-                        return None
                     seen.add(y)
                     buckets[n + 1 - y.count(0)].append(y)
-        if within is not None and len(bucket) != layer_sizes[r]:
-            return None
-    return seen
+        yield r, bucket
 
 
 def closure(gens: Iterable[PartialInjection], n: int) -> MonoidSet:
@@ -154,16 +144,23 @@ def closure(gens: Iterable[PartialInjection], n: int) -> MonoidSet:
     cost, and the CLI saturates only at n <= ``census.MAX_ENUMERATE_N``.
     The byte kernel refuses n above 255 with ``ValueError``.
     """
-    return MonoidSet(n, frozenset(_trusted(tuple(y)) for y in _saturate(gens, n)))
+    return MonoidSet(
+        n, frozenset(_trusted(tuple(y)) for _, layer in _saturate(gens, n) for y in layer)
+    )
 
 
 def is_generating(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
     """Whether ``gens`` generates exactly ``target``.
 
-    Saturates inside ``target`` and gives up at the first product outside it
-    or the first rank layer left incomplete.
+    Compares the closure with ``target`` layer by layer, from rank n down,
+    and stops at the first finished layer that differs from the target's:
+    one of another size, or one holding a non-member.
     """
-    return _saturate(gens, target.n, within=target) is not None
+    members, sizes = target._layers
+    return all(
+        len(layer) == sizes[r] and members.issuperset(layer)
+        for r, layer in _saturate(gens, target.n)
+    )
 
 
 def _first_redundant(gens: list[PartialInjection], target: MonoidSet) -> int | None:
@@ -328,7 +325,7 @@ def _generation_counterexample(
 ) -> str:
     """Why ``letters`` do not generate ``target``: the first member, in text
     order, that their closure misses, or else the first product outside it."""
-    reached = {_trusted(tuple(y)) for y in _saturate(letters, target.n)}
+    reached = closure(letters, target.n).elements
     missed = min(target.elements - reached, key=_text_key, default=None)
     if missed is not None:
         return f"{format_element(missed)} is not generated"
@@ -354,6 +351,8 @@ def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness
     """
     if type(n) is not int or n < 3:  # bool is a subclass of int
         raise ValueError(f"rank verification needs the alphabets (n >= 3), got n={n!r}")
+    if type(exhaustive) is not bool:
+        raise ValueError(f"exhaustive must be True or False, got {exhaustive!r}")
     formula = rank_formula(family, n)
     if exhaustive and n <= MAX_ENUMERATE_N:
         count = count_paut(n) if family == "paut" else count_iend(n)

@@ -8,9 +8,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterator
 
-from .census import (
-    _enumerate_family, count_by_mask, count_iend, count_paut, enumerate_iend, enumerate_paut
-)
+from .census import _enumerate_family, count_by_mask, count_iend, count_paut
 from .factorize import factor_iend, factor_paut, word_length_bound
 from .genwords import (
     Symbol,
@@ -27,10 +25,6 @@ from .genwords import (
 )
 from .greens import classify, oracle_classifications
 from .path_core import PartialInjection, _text_key, format_element
-
-
-def _enumerate(family: str, n: int) -> list[PartialInjection]:
-    return (enumerate_paut if family == "paut" else enumerate_iend)(n)
 
 
 def check_counts(n: int) -> str | None:
@@ -69,7 +63,7 @@ def check_round_trip(family: str, n: int) -> str | None:
     factor = factor_paut if family == "paut" else factor_iend
     alphabet = frozenset(alphabet_paut(n) if family == "paut" else alphabet_iend(n))
     bound = word_length_bound(n)
-    for a in _enumerate(family, n):
+    for a in _enumerate_family(n, family):
         word = factor(a)
         if len(word) > bound:
             fault = f"has {len(word)} letters, above the bound of {bound}"
@@ -96,7 +90,7 @@ def check_expansions(n: int) -> str | None:
 def check_greens(family: str, n: int) -> str | None:
     """The key-based ``classify`` against the ideal oracle on the family at
     n, for L, R, H and J."""
-    elements = _enumerate(family, n)
+    elements = _enumerate_family(n, family)
     for relation, expected in oracle_classifications(elements).items():
         keyed = classify(elements, relation)
         if keyed.as_sets() != expected.as_sets():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -627,6 +628,20 @@ class TestConfig:
         ]
         assert settings == ["verify_rank(exhaustive=)"]
 
+    def test_private_functions_take_no_settings(self):
+        # A default on a private function is an argument no caller needs to
+        # pass, or one that only some callers pass: a second mode.
+        settings = []
+        for info in pkgutil.iter_modules(pathmonoid.__path__):
+            tree = ast.parse(inspect.getsource(importlib.import_module(f"pathmonoid.{info.name}")))
+            settings += [
+                f"{info.name}.{node.name}"
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                if node.args.defaults or any(node.args.kw_defaults)
+            ]
+        assert settings == []
+
     def test_the_package_all_is_the_one_declaration(self):
         # A submodule's own ``__all__`` is read by nothing (no module
         # star-imports another) and drifts from the package's list.
@@ -779,6 +794,12 @@ class TestUsage:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert json.loads(err)["error"]["code"] == "usage"
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_selftest_states_the_common_n_rule(self, capsys, n):
+        code, out, err = run(capsys, "selftest", "--n", str(n))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == f"n must be a positive integer, got {n}"
 
 
 class TestReadmeExamples:

@@ -319,6 +319,16 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_symbol(bad)
 
+    @pytest.mark.parametrize("bad", [b"tau", None, ["tau"]], ids=["bytes", "none", "list"])
+    def test_parse_symbol_refuses_a_non_str(self, bad):
+        with pytest.raises(ValueError, match="generator symbol must be a str"):
+            parse_symbol(bad)
+
+    @pytest.mark.parametrize("bad", [b"tau a3", None, ["tau"]], ids=["bytes", "none", "list"])
+    def test_parse_word_refuses_a_non_str(self, bad):
+        with pytest.raises(ValueError, match="word must be a str"):
+            parse_word(bad, 3)
+
     def test_word_round_trip(self):
         text = "tau a3 as3 e1,4 es1,4 rp0,5 rm2,6 b3"
         word = parse_word(text, 6)

@@ -248,6 +248,11 @@ class TestTextAndJson:
         with pytest.raises(ValueError):
             parse_element(bad)
 
+    @pytest.mark.parametrize("bad", [b"n=3;", None, 3], ids=["bytes", "none", "int"])
+    def test_parse_refuses_a_non_str(self, bad):
+        with pytest.raises(ValueError, match="element text must be a str"):
+            parse_element(bad)
+
     def test_json_forms(self):
         a = PartialInjection(5, [(1, 3), (2, 4)])
         obj = element_to_json_dict(a)

@@ -37,6 +37,7 @@ from pathmonoid import (
 )
 from pathmonoid import rankcheck
 from pathmonoid.genwords import alpha, make_generator, tau
+from pathmonoid.path_core import _img_bytes
 from pathmonoid.rankcheck import (
     RankWitness,
     alphabet_elements,
@@ -100,6 +101,21 @@ class TestClosure:
             closure(gens, n)
 
 
+def _record_layers(monkeypatch) -> list[int]:
+    """Patch ``rankcheck._saturate`` to record the rank of every layer its
+    callers draw; returns the list it appends to."""
+    drawn: list[int] = []
+    saturate = rankcheck._saturate
+
+    def recording(gens, n):
+        for r, layer in saturate(gens, n):
+            drawn.append(r)
+            yield r, layer
+
+    monkeypatch.setattr(rankcheck, "_saturate", recording)
+    return drawn
+
+
 class TestIsGenerating:
     def test_examples(self):
         assert is_generating(alphabet_elements("paut", 4), paut_monoid(4))
@@ -109,23 +125,38 @@ class TestIsGenerating:
         with pytest.raises(ValueError, match="generator on n=4 does not match n=3"):
             is_generating([identity(4)], paut_monoid(3))
 
-    def test_stops_at_a_product_outside_a_non_closed_target(self):
+    def test_stops_at_a_product_outside_a_non_closed_target(self, monkeypatch):
         # a(1)² = the identity on {2, 3} is not in the target, so the
-        # saturation gives up at that product.
+        # comparison stops at the rank-2 layer that holds it.
         fold = make_generator(alpha(1), 3)
         target = MonoidSet(3, frozenset({identity(3), fold}))
         assert not is_closed(target)
-        assert rankcheck._saturate([fold], 3, within=target) is None
+        drawn = _record_layers(monkeypatch)
         assert is_generating([fold], target) is False
+        assert drawn == [3, 2]
 
-    def test_non_members_cannot_generate(self):
+    def test_non_members_cannot_generate(self, monkeypatch):
         # A generator outside the target can never produce exactly it.
         beta_letter = alphabet_elements("iend", 4)[-1]
         assert not is_generating([beta_letter], paut_monoid(4))
-        # With a generating set beside it, identity·g is the product that
-        # leaves the target.
+        # With a generating set beside it, the b-letter is the non-member of
+        # the rank-3 layer, where the comparison stops.
         letters = alphabet_elements("paut", 4) + [beta_letter]
-        assert rankcheck._saturate(letters, 4, within=paut_monoid(4)) is None
+        drawn = _record_layers(monkeypatch)
+        assert is_generating(letters, paut_monoid(4)) is False
+        assert drawn == [4, 3]
+
+    @pytest.mark.parametrize("family", ("paut", "iend"))
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_single_letter_drops_fail_within_the_top_two_layers(self, monkeypatch, family, n):
+        # Every letter of A(n) and B(n) has rank n or n-1.
+        letters = alphabet_elements(family, n)
+        target = paut_monoid(n) if family == "paut" else iend_monoid(n)
+        drawn = _record_layers(monkeypatch)
+        for k in range(len(letters)):
+            drawn.clear()
+            assert not is_generating(letters[:k] + letters[k + 1 :], target), k
+            assert min(drawn) >= n - 1, k
 
     @pytest.mark.parametrize("n", (4, 5, 6))
     def test_paut_alphabet_irredundant(self, n):
@@ -195,6 +226,18 @@ class TestAgainstReferenceClosure:
             assert is_generating(gens, target) is generates, gens
             outcomes.add(generates)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("family,n", FAMILY_CASES)
+    def test_layers_are_the_closure_by_rank(self, family, n):
+        # Each layer comes out once, from rank n down, and holds each member
+        # of that rank once.
+        for gens in _saturation_cases(family, n)[1]:
+            layers = list(rankcheck._saturate(gens, n))
+            assert [r for r, _ in layers] == list(range(n, -1, -1)), gens
+            expected = reference_closure(gens, n)
+            for r, layer in layers:
+                assert len(set(layer)) == len(layer), gens
+                assert set(layer) == {_img_bytes(a.img) for a in expected if len(a) == r}, gens
 
     @pytest.mark.parametrize("family,n", [(family, n) for family in MONOIDS for n in (1, 2)])
     def test_closure_and_is_generating_tiny_n(self, family, n):
@@ -474,6 +517,12 @@ class TestVerifyRank:
     def test_rejects_a_non_integer_n(self, n):
         with pytest.raises(ValueError, match=re.escape(f"got n={n!r}")):
             verify_rank("paut", n)
+
+    @pytest.mark.parametrize("exhaustive", ["no", 1, None], ids=["str", "int", "none"])
+    def test_rejects_an_exhaustive_that_is_not_a_bool(self, exhaustive):
+        # A truthy "no" must not run the subset search.
+        with pytest.raises(ValueError, match=re.escape(f"got {exhaustive!r}")):
+            verify_rank("paut", 4, exhaustive=exhaustive)
 
     @pytest.mark.parametrize("family", ["paut", "iend"])
     @pytest.mark.parametrize("n", range(3, 9))
