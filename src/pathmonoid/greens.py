@@ -30,12 +30,13 @@ enumerated monoid -- and is the independent reference for the keys.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .path_core import (
     PartialInjection,
+    _check_element,
     _check_vertices,
     _img_bytes,
     _table,
@@ -50,6 +51,7 @@ from .path_core import (
 
 def _require_members(*elements: PartialInjection) -> None:
     for a in elements:
+        _check_element(a)
         if a.n != elements[0].n:
             raise ValueError("elements live on different paths")
         if not is_iend(a):
@@ -196,20 +198,31 @@ _Ideals = dict[bytes, frozenset[bytes]]
 
 def _ideal_tables(imgs: list[bytes]) -> tuple[_Ideals, _Ideals]:
     """Principal left and right ideals of every element, over byte images:
-    x·y is ``x.translate(_table(y))`` (see ``path_core._img_bytes``).  The
-    right ideal xM¹ is the row of x's products and the left ideal M¹y the
-    column of y's.  Each is read by one ``map`` of ``translate``, which
-    keeps the loop in C at the price of taking every product twice."""
-    universe = set(imgs)
+    x·y is ``x.translate(_table(y))`` (see ``path_core._img_bytes``).
+
+    Each product x·y is taken once.  The row of x, one ``map`` of
+    ``translate`` in C, gives the right ideal xM¹, and x·y also goes into
+    the column of y, which gathers the left ideal M¹y, so no table of all
+    the products is held.  ``members`` sends every product to the input's
+    own byte object, and ``interned`` keeps one object per distinct ideal,
+    so the callers compare members and ideals by identity before they
+    compare contents.  A product outside ``imgs`` is refused with
+    ``ValueError``."""
+    members = {y: y for y in imgs}
     tables = list(map(_table, imgs))
+    columns = [{y} for y in imgs]
+    interned: dict[frozenset[bytes], frozenset[bytes]] = {}
     right: _Ideals = {}
     for x in imgs:
-        right[x] = frozenset([x, *map(x.translate, tables)])
-        if not universe.issuperset(right[x]):
-            raise ValueError("input set is not closed under composition")
-    left = {
-        y: frozenset([y, *map(bytes.translate, imgs, repeat(t))]) for y, t in zip(imgs, tables)
-    }
+        try:
+            row = list(map(members.__getitem__, map(x.translate, tables)))
+        except KeyError:
+            raise ValueError("input set is not closed under composition") from None
+        deque(map(set.add, columns, row), maxlen=0)  # drain the map in C
+        row.append(x)
+        ideal = frozenset(row)
+        right[x] = interned.setdefault(ideal, ideal)
+    left = {y: interned.setdefault(f, f) for y, f in zip(imgs, map(frozenset, columns))}
     return left, right
 
 
@@ -224,9 +237,13 @@ def oracle_classifications(monoid: Iterable[PartialInjection]) -> dict[str, Gree
     principal left/right ideals M¹a and aM¹; H intersects the two; J
     compares the two-sided ideals M¹aM¹, assembled as the union of the left
     ideals of aM¹.  All four relations share the two ideal tables of
-    ``_ideal_tables``.
+    ``_ideal_tables``, which take each product once and hold each distinct
+    ideal once, so equal ideals are compared by identity.
     """
-    distinct = set(monoid)
+    given = list(monoid)
+    for a in given:
+        _check_element(a)
+    distinct = set(given)
     # Before the sort: ``_text_key`` gives bytes below n = 10 and text above.
     if len({a.n for a in distinct}) > 1:
         raise ValueError("elements live on different paths")
@@ -236,10 +253,12 @@ def oracle_classifications(monoid: Iterable[PartialInjection]) -> dict[str, Gree
     left_key, right_key = _ideal_tables(imgs)
     # The two-sided ideal M¹aM¹ is the union of the left ideals of aM¹, so it
     # depends on a only through aM¹: take one union per distinct right ideal,
-    # over distinct left ideals.
-    two_sided = {
-        rk: frozenset().union(*{left_key[x] for x in rk}) for rk in set(right_key.values())
-    }
+    # over distinct left ideals, and hold each distinct union once.
+    unions: dict[frozenset[bytes], frozenset[bytes]] = {}
+    two_sided = {}
+    for rk in set(right_key.values()):
+        ideal = frozenset().union(*{left_key[x] for x in rk})
+        two_sided[rk] = unions.setdefault(ideal, ideal)
     keys: dict[str, dict[bytes, Hashable]] = {
         "L": left_key,
         "R": right_key,

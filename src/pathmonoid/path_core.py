@@ -139,6 +139,13 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be a positive integer, got {n!r}")
 
 
+def _check_element(a: object) -> None:
+    """``ValueError`` unless ``a`` is a ``PartialInjection``: the functions
+    that take elements call it before they read ``n`` or ``img``."""
+    if not isinstance(a, PartialInjection):
+        raise ValueError(f"an element must be a PartialInjection, got {type(a).__name__}")
+
+
 def _check_text(text: object, form: str) -> None:
     if not isinstance(text, str):
         raise ValueError(f"{form} must be a str, got {type(text).__name__}")
@@ -160,6 +167,8 @@ def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
     any n, and ``compose``, word evaluation and the factorizer use it.  The
     two dense loops, ``greens._ideal_tables`` and ``rankcheck._saturate``,
     multiply byte images instead (see ``_img_bytes``)."""
+    _check_element(a)
+    _check_element(b)
     if a.n != b.n:
         raise ValueError(f"cannot compose maps on different paths (n={a.n} vs n={b.n})")
     return _trusted(itemgetter(*a.img)(b.img))
@@ -218,6 +227,7 @@ def _check_vertices(points: Iterable[object]) -> None:
 
 def restrict(a: PartialInjection, keep: Iterable[int]) -> PartialInjection:
     """Restriction of ``a`` to the domain vertices in ``keep``."""
+    _check_element(a)
     keep = tuple(keep)
     _check_vertices(keep)  # before the set, where True would merge with 1
     keep_set = set(keep)
@@ -272,6 +282,7 @@ def split_blocks(run: tuple[int, ...]) -> list[tuple[int, ...]]:
 def is_iend(a: PartialInjection) -> bool:
     """Membership in IEnd(P_n): |a(x+1) - a(x)| = 1 wherever both are
     defined, so every edge inside Dom a maps to an edge."""
+    _check_element(a)
     prev = 0  # img[0] is the sentinel 0, so vertex 1 has no left edge to check
     for y in a.img:
         if prev and y and y - prev not in (1, -1):
@@ -292,6 +303,7 @@ _ELEMENT_RE = re.compile(r"n=([0-9]+);((?:[0-9]+>[0-9]+)(?:,[0-9]+>[0-9]+)*)?")
 
 def format_element(a: PartialInjection) -> str:
     """Canonical text form, e.g. ``"n=5;1>3,2>4"`` (empty map: ``"n=5;"``)."""
+    _check_element(a)
     body = ",".join([f"{x}>{y}" for x, y in enumerate(a.img) if y])
     return f"n={a.n};{body}"
 
@@ -340,6 +352,7 @@ def parse_element(text: str) -> PartialInjection:
 
 def element_to_json_dict(a: PartialInjection) -> dict:
     """JSON object form: ``{"n": 5, "pairs": [[1, 3], [2, 4]]}``."""
+    _check_element(a)
     return {"n": a.n, "pairs": [[x, y] for x, y in a.pairs]}
 
 

@@ -33,6 +33,7 @@ from .errors import ResourceRefused
 from .genwords import alphabet_iend, alphabet_paut, make_generator, tau
 from .path_core import (
     PartialInjection,
+    _check_element,
     _check_n,
     _img_bytes,
     _table,
@@ -114,11 +115,13 @@ def _saturate(gens: Iterable[PartialInjection], n: int) -> Iterator[tuple[int, l
     right multiplication, one rank layer at a time: yields ``(r, layer)``
     for r = n down to 0, each once its bucket is drained and so final (see
     the module docstring).  ``ValueError`` for an n that is not a positive
-    int, a generator on another n, or n above 255."""
+    int, a generator that is not a ``PartialInjection`` or lies on another
+    n, or n above 255."""
     _check_n(n)
     ident = _img_bytes(range(n + 1))
     tables: dict[bytes, None] = {}
     for g in gens:
+        _check_element(g)
         if g.n != n:
             raise ValueError(f"generator on n={g.n} does not match n={n}")
         tables[_table(_img_bytes(g.img))] = None

@@ -112,7 +112,7 @@ def run_suites(n: int) -> Iterator[tuple[str, str, str | None]]:
     paut_hi, iend_hi, symbol_hi = min(n, 6), min(n, 5), min(n, 10)
     families = (("paut", paut_hi), ("iend", iend_hi))
     greens_scope = f"n=3..{iend_hi}, both families"
-    if paut_hi > iend_hi:  # IEnd(P_6)'s oracle alone takes seconds
+    if paut_hi > iend_hi:  # IEnd(P_6)'s oracle alone takes about 1 s (2-core VM)
         greens_scope += f"; paut n={paut_hi}"
     suites = (
         ("counts-match-enumeration", f"n=1..{n}", [

@@ -11,12 +11,13 @@ second reference.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
 from pathmonoid import MonoidSet, PartialInjection, Symbol, elements_with_domain, is_paut
+from pathmonoid.path_core import _table
 
 
 def all_partial_injections(n: int) -> Iterator[PartialInjection]:
@@ -171,6 +172,26 @@ def reference_closure(gens: Iterable[PartialInjection], n: int) -> frozenset[Par
                 seen.add(key)
                 queue.append(y)
     return frozenset(PartialInjection(n, key) for key in seen)
+
+
+def reference_ideal_tables(
+    imgs: list[bytes],
+) -> tuple[dict[bytes, frozenset[bytes]], dict[bytes, frozenset[bytes]]]:
+    """The principal left and right ideals of every byte image in two
+    sweeps: the row of x's products gives the right ideal xM¹, then the
+    column of y's products, each taken a second time, gives the left ideal
+    M¹y.  ``ValueError`` for a row that leaves ``imgs``."""
+    universe = set(imgs)
+    tables = [_table(y) for y in imgs]
+    right = {}
+    for x in imgs:
+        right[x] = frozenset([x, *map(x.translate, tables)])
+        if not universe.issuperset(right[x]):
+            raise ValueError("input set is not closed under composition")
+    left = {
+        y: frozenset([y, *map(bytes.translate, imgs, repeat(t))]) for y, t in zip(imgs, tables)
+    }
+    return left, right
 
 
 def naive_generator(sym: Symbol, n: int) -> dict[int, int]:

@@ -29,7 +29,7 @@ from pathmonoid import (
 )
 from pathmonoid import greens
 from pathmonoid.greens import canonical_type
-from pathmonoid.path_core import _text_key
+from pathmonoid.path_core import _img_bytes, _text_key
 from pathmonoid.selftest import check_greens
 
 from conftest import (
@@ -37,6 +37,7 @@ from conftest import (
     naive_type_sequences,
     reference_h_related,
     reference_j_related,
+    reference_ideal_tables,
     reference_l_related,
     reference_r_related,
 )
@@ -267,8 +268,24 @@ class TestOracle:
         # {id restricted to {1}} alone is closed; adding a non-composable
         # partner whose products escape the set is not.
         m = [PartialInjection(3, [(1, 2), (2, 3)]), PartialInjection(3, [(1, 1)])]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="input set is not closed under composition"):
             oracle_classifications(m)
+
+    def test_oracle_rejects_a_set_left_only_by_a_later_row(self):
+        # The one product outside the set is y·x = n=3;3>2, with y = n=3;3>1
+        # after x = n=3;1>2 in text order, so every row before y's stays in.
+        m = [parse_element(t) for t in ("n=3;", "n=3;1>2", "n=3;3>1")]
+        with pytest.raises(ValueError, match="input set is not closed under composition"):
+            oracle_classifications(m)
+
+    def test_oracle_partitions_match_the_two_sweep_rule_on_iend6(self, monkeypatch):
+        m = enumerate_iend(6)
+        oracle = oracle_classifications(m)
+        monkeypatch.setattr(greens, "_ideal_tables", reference_ideal_tables)
+        reference = oracle_classifications(m)
+        assert list(oracle) == list(reference) == ["L", "R", "H", "J"]
+        for relation, partition in oracle.items():
+            assert partition.classes == reference[relation].classes, relation
 
     def test_oracle_rejects_mixed_n(self):
         with pytest.raises(ValueError, match="elements live on different paths"):
@@ -282,3 +299,28 @@ class TestOracle:
         # so sorting first would raise TypeError across that edge.
         with pytest.raises(ValueError, match="elements live on different paths"):
             partition([identity(ns[0]), identity(ns[1])])
+
+
+def _byte_images(family: str, n: int) -> list[bytes]:
+    m = enumerate_paut(n) if family == "paut" else enumerate_iend(n)
+    return [_img_bytes(a.img) for a in m]
+
+
+class TestIdealTables:
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+    @pytest.mark.parametrize("family", ("paut", "iend"))
+    @pytest.mark.parametrize("order", ("text", "shuffled"))
+    def test_tables_match_the_two_sweep_rule(self, order, family, n):
+        imgs = _byte_images(family, n)
+        if order == "shuffled":
+            random.Random(n).shuffle(imgs)
+        assert greens._ideal_tables(imgs) == reference_ideal_tables(imgs)
+
+    @pytest.mark.parametrize("family", ("paut", "iend"))
+    def test_one_object_per_product_and_per_ideal(self, family):
+        imgs = _byte_images(family, 4)
+        left, right = greens._ideal_tables(imgs)
+        ideals = [*left.values(), *right.values()]
+        inputs = set(map(id, imgs))
+        assert all(id(y) in inputs for ideal in ideals for y in ideal)
+        assert len(set(map(id, ideals))) == len(set(ideals))

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 import pathmonoid
 from pathmonoid import (
     PartialInjection,
+    classify,
+    closure,
     compose,
     domain_intervals,
     element_from_json_dict,
@@ -23,13 +25,16 @@ from pathmonoid import (
     empty_map,
     enumerate_iend,
     enumerate_paut,
+    factor_iend,
     format_element,
     identity,
     image_intervals,
     inverse,
     is_iend,
     is_paut,
+    l_related,
     maximal_intervals,
+    oracle_classifications,
     parse_element,
     restrict,
 )
@@ -320,6 +325,32 @@ def _one_character_nodes(subpattern):
             for sub in part if isinstance(part, list) else [part]:
                 if isinstance(sub, sre_parse.SubPattern):
                     yield from _one_character_nodes(sub)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: classify(["x"], "L"),
+        lambda: oracle_classifications(["x"]),
+        lambda: l_related("x", "y"),
+        lambda: closure(["x"], 3),
+        lambda: factor_iend("n=3;"),
+        lambda: is_paut("n=3;"),
+        lambda: is_iend("n=3;"),
+        lambda: format_element("x"),
+        lambda: compose(identity(3), "x"),
+        lambda: restrict("x", [1]),
+        lambda: element_to_json_dict("x"),
+    ],
+    ids=[
+        "classify", "oracle", "l_related", "closure", "factor_iend", "is_paut", "is_iend",
+        "format_element", "compose", "restrict", "to_json",
+    ],
+)
+def test_functions_that_take_elements_refuse_other_objects(call):
+    # Each read ``n`` or ``img`` of a str and raised AttributeError.
+    with pytest.raises(ValueError, match="an element must be a PartialInjection, got str"):
+        call()
 
 
 def test_every_cache_is_bounded():
