@@ -24,14 +24,17 @@ serves L, R, H and J:
 
 The keys are the production path: ``classify`` checks membership once per
 element and groups by key, and the pairwise predicates compare keys.
-``oracle_classifications`` implements the raw definitions instead --
-equality of principal left/right/two-sided ideals inside an explicitly
-enumerated monoid -- and is the independent reference for the keys.
+``oracle_classifications``, the Cayley-graph oracle, implements the raw
+definitions instead -- equality of principal left/right/two-sided ideals
+inside an explicitly enumerated monoid, read as reachability in its Cayley
+graphs over a generating set picked from it -- and is the independent
+reference for the keys.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .path_core import (
@@ -39,6 +42,7 @@ from .path_core import (
     _check_element,
     _check_vertices,
     _img_bytes,
+    _listed,
     _table,
     _text_key,
     domain_intervals,
@@ -47,6 +51,7 @@ from .path_core import (
     is_iend,
     split_blocks,
 )
+from .rankcheck import _first_difference
 
 
 def _require_members(*elements: PartialInjection) -> None:
@@ -187,43 +192,85 @@ def classify(elements: Iterable[PartialInjection], relation: str) -> GreensClass
         key = _KEYS[relation]
     except (KeyError, TypeError):  # TypeError: an unhashable relation
         raise ValueError(f"unknown relation {relation!r}; expected one of L, R, H, J") from None
-    elements = list(elements)
+    elements = _listed(elements)
     _require_members(*elements)
     elements.sort(key=_text_key)
     return _partition_by_key(relation, elements, key)
 
 
-_Ideals = dict[bytes, frozenset[bytes]]
+def _pick_generators(
+    elements: list[PartialInjection], nodes: list[bytes], n: int
+) -> list[PartialInjection]:
+    """Letters drawn from ``elements``, in text order, that generate the
+    monoid ``nodes``: their byte images, in the same order, and the
+    identity's.  The closure of the letters so far is compared with the
+    monoid layer by layer (``rankcheck._first_difference``); at the first
+    layer that differs, a non-member is refused with ``ValueError``, and
+    otherwise the layer's first missing element becomes a letter."""
+    members = frozenset(nodes)
+    sizes = [0] * (n + 1)
+    for y in members:
+        sizes[n + 1 - y.count(0)] += 1
+    letters: list[PartialInjection] = []
+    while (differs := _first_difference(letters, members, sizes, n)) is not None:
+        r, layer = differs
+        if not members.issuperset(layer):
+            raise ValueError("input set is not closed under composition")
+        reached, zeros = set(layer), n + 1 - r
+        letters.append(
+            next(a for a, y in zip(elements, nodes) if y.count(0) == zeros and y not in reached)
+        )
+    return letters
 
 
-def _ideal_tables(imgs: list[bytes]) -> tuple[_Ideals, _Ideals]:
-    """Principal left and right ideals of every element, over byte images:
-    x·y is ``x.translate(_table(y))`` (see ``path_core._img_bytes``).
-
-    Each product x·y is taken once.  The row of x, one ``map`` of
-    ``translate`` in C, gives the right ideal xM¹, and x·y also goes into
-    the column of y, which gathers the left ideal M¹y, so no table of all
-    the products is held.  ``members`` sends every product to the input's
-    own byte object, and ``interned`` keeps one object per distinct ideal,
-    so the callers compare members and ideals by identity before they
-    compare contents.  A product outside ``imgs`` is refused with
-    ``ValueError``."""
-    members = {y: y for y in imgs}
-    tables = list(map(_table, imgs))
-    columns = [{y} for y in imgs]
-    interned: dict[frozenset[bytes], frozenset[bytes]] = {}
-    right: _Ideals = {}
-    for x in imgs:
-        try:
-            row = list(map(members.__getitem__, map(x.translate, tables)))
-        except KeyError:
-            raise ValueError("input set is not closed under composition") from None
-        deque(map(set.add, columns, row), maxlen=0)  # drain the map in C
-        row.append(x)
-        ideal = frozenset(row)
-        right[x] = interned.setdefault(ideal, ideal)
-    left = {y: interned.setdefault(f, f) for y, f in zip(imgs, map(frozenset, columns))}
+def _cayley_graphs(nodes: list[bytes], letters: list[bytes]) -> tuple[list, list]:
+    """The left and right Cayley graphs of the monoid ``nodes`` over the
+    generating set ``letters``, both as byte images: node x has the arcs
+    x -> g·x and x -> x·g, one per letter g, given as indices into
+    ``nodes``.  x·y is ``x.translate(_table(y))`` (``path_core._img_bytes``)."""
+    index = {y: i for i, y in enumerate(nodes)}.__getitem__
+    tables = list(map(_table, letters))
+    left = [list(map(index, map(bytes.translate, letters, repeat(_table(x))))) for x in nodes]
+    right = [list(map(index, map(x.translate, tables))) for x in nodes]
     return left, right
+
+
+def _components(graph: list[list[int]]) -> list[int]:
+    """The strongly connected component of each vertex of ``graph``, named
+    by its root, by Tarjan's algorithm with an explicit path stack."""
+    order = [0] * len(graph)  # discovery number from 1; 0 while unvisited
+    low = [0] * len(graph)
+    component = [-1] * len(graph)
+    stack: list[int] = []
+    count = 0
+    for root in range(len(graph)):
+        if order[root]:
+            continue
+        count += 1
+        order[root] = low[root] = count
+        stack.append(root)
+        path = [(root, iter(graph[root]))]
+        while path:
+            v, arcs = path[-1]
+            for w in arcs:
+                if not order[w]:
+                    count += 1
+                    order[w] = low[w] = count
+                    stack.append(w)
+                    path.append((w, iter(graph[w])))
+                    break
+                if component[w] < 0 and order[w] < low[v]:  # w is on the stack
+                    low[v] = order[w]
+            else:  # every arc of v is done
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        component[w] = v
+    return component
 
 
 def oracle_classifications(monoid: Iterable[PartialInjection]) -> dict[str, GreensClassification]:
@@ -233,14 +280,17 @@ def oracle_classifications(monoid: Iterable[PartialInjection]) -> dict[str, Gree
     ``monoid`` must be finite and closed under composition, on one n <= 255;
     elements on different n are refused with ``ValueError`` before the one
     sort of the distinct elements into text order (``path_core._text_key``)
-    that all four partitions share, as in ``classify``.  L and R compare
-    principal left/right ideals M¹a and aM¹; H intersects the two; J
-    compares the two-sided ideals M¹aM¹, assembled as the union of the left
-    ideals of aM¹.  All four relations share the two ideal tables of
-    ``_ideal_tables``, which take each product once and hold each distinct
-    ideal once, so equal ideals are compared by identity.
+    that all four partitions share, as in ``classify``.  The ideals are
+    taken in M¹, the input with the identity adjoined: a generating set of
+    M¹ is picked from the input (``_pick_generators``), which also refuses
+    an input that is not closed, and M¹a, aM¹ and M¹aM¹ are the nodes
+    reached from a in the left, the right and the union Cayley graph.  So
+    L, R and J are the strongly connected components of those three graphs,
+    and H is the meet of L and R.  A closed set without the identity holds
+    no permutation, as the powers of one reach the identity, so the
+    adjoined identity is alone in every class and is left out.
     """
-    given = list(monoid)
+    given = _listed(monoid)
     for a in given:
         _check_element(a)
     distinct = set(given)
@@ -248,24 +298,25 @@ def oracle_classifications(monoid: Iterable[PartialInjection]) -> dict[str, Gree
     if len({a.n for a in distinct}) > 1:
         raise ValueError("elements live on different paths")
     elements = sorted(distinct, key=_text_key)
-    img_of = {a: _img_bytes(a.img) for a in elements}
-    imgs = list(img_of.values())
-    left_key, right_key = _ideal_tables(imgs)
-    # The two-sided ideal M¹aM¹ is the union of the left ideals of aM¹, so it
-    # depends on a only through aM¹: take one union per distinct right ideal,
-    # over distinct left ideals, and hold each distinct union once.
-    unions: dict[frozenset[bytes], frozenset[bytes]] = {}
-    two_sided = {}
-    for rk in set(right_key.values()):
-        ideal = frozenset().union(*{left_key[x] for x in rk})
-        two_sided[rk] = unions.setdefault(ideal, ideal)
-    keys: dict[str, dict[bytes, Hashable]] = {
-        "L": left_key,
-        "R": right_key,
-        "H": {x: (left_key[x], right_key[x]) for x in imgs},
-        "J": {x: two_sided[right_key[x]] for x in imgs},
+    if not elements:
+        return {rel: GreensClassification(rel, ()) for rel in _KEYS}
+    n = elements[0].n
+    nodes = [_img_bytes(a.img) for a in elements]
+    ident = _img_bytes(range(n + 1))
+    if ident not in nodes:
+        if any(y.count(0) == 1 for y in nodes):  # a permutation
+            raise ValueError("input set is not closed under composition")
+        nodes.append(ident)
+    letters = _pick_generators(elements, nodes, n)
+    left, right = _cayley_graphs(nodes, [_img_bytes(g.img) for g in letters])
+    l_key, r_key = _components(left), _components(right)
+    keys = {
+        "L": l_key,
+        "R": r_key,
+        "H": list(zip(l_key, r_key)),
+        "J": _components(list(map(add, left, right))),
     }
     return {
-        rel: _partition_by_key(rel, elements, lambda a, key=key: key[img_of[a]])
+        rel: _partition_by_key(rel, elements, dict(zip(elements, key)).__getitem__)
         for rel, key in keys.items()
     }

@@ -146,6 +146,16 @@ def _check_element(a: object) -> None:
         raise ValueError(f"an element must be a PartialInjection, got {type(a).__name__}")
 
 
+def _listed(items: object) -> list:
+    """``list(items)``, or ``ValueError`` if ``items`` is not iterable: the
+    functions that take a collection of elements list it through here."""
+    try:
+        it = iter(items)  # only this call: a generator's own errors pass through
+    except TypeError:
+        raise ValueError(f"elements must be an iterable, got {type(items).__name__}") from None
+    return list(it)
+
+
 def _check_text(text: object, form: str) -> None:
     if not isinstance(text, str):
         raise ValueError(f"{form} must be a str, got {type(text).__name__}")
@@ -165,7 +175,7 @@ def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
     The package has two product kernels.  On image tuples x·y is
     ``itemgetter(*x)(y)``, always a tuple since len(x) = n+1 >= 2; it serves
     any n, and ``compose``, word evaluation and the factorizer use it.  The
-    two dense loops, ``greens._ideal_tables`` and ``rankcheck._saturate``,
+    two dense loops, ``greens._cayley_graphs`` and ``rankcheck._saturate``,
     multiply byte images instead (see ``_img_bytes``)."""
     _check_element(a)
     _check_element(b)

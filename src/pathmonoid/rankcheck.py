@@ -15,9 +15,10 @@ it refuses n above 255) and expands elements in order of decreasing rank
 elements of rank r in the closure are all known once the rank-r bucket is
 drained.  ``_saturate`` yields each layer then, and ``is_generating``
 rejects a candidate generating set at the first layer that differs from
-the target's.  Every letter of A(n) and B(n) has rank n or n-1, so dropping
-one of them is detected within the top two layers, and most candidates of
-the exhaustive search fail as early.
+the target's (``_first_difference``, which also guides the pick of a
+generating set in ``greens.oracle_classifications``).  Every letter of A(n)
+and B(n) has rank n or n-1, so dropping one of them is detected within the
+top two layers, and most candidates of the exhaustive search fail as early.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .census import MAX_ENUMERATE_N, _enumerate_family, count_iend, count_paut, elements_with_domain
 from .errors import ResourceRefused
@@ -36,6 +37,7 @@ from .path_core import (
     _check_element,
     _check_n,
     _img_bytes,
+    _listed,
     _table,
     _text_key,
     _trusted,
@@ -145,25 +147,38 @@ def closure(gens: Iterable[PartialInjection], n: int) -> MonoidSet:
 
     It has no bound of its own: its size is at most |I_n|, so n fixes the
     cost, and the CLI saturates only at n <= ``census.MAX_ENUMERATE_N``.
-    The byte kernel refuses n above 255 with ``ValueError``.
+    ``ValueError`` for n above 255, which the byte kernel refuses, and for
+    ``gens`` that are not an iterable of ``PartialInjection``.
     """
-    return MonoidSet(
-        n, frozenset(_trusted(tuple(y)) for _, layer in _saturate(gens, n) for y in layer)
-    )
+    layers = _saturate(_listed(gens), n)
+    return MonoidSet(n, frozenset(_trusted(tuple(y)) for _, layer in layers for y in layer))
+
+
+def _first_difference(
+    gens: Iterable[PartialInjection], members: frozenset[bytes], sizes: Sequence[int], n: int
+) -> tuple[int, list[bytes]] | None:
+    """The first finished layer ``(r, layer)`` of the closure of ``gens``,
+    from rank n down, that differs from the target's: one of another size
+    than ``sizes[r]``, or one holding a byte image outside ``members``.
+    None when every layer matches, that is, when ``gens`` generate exactly
+    the target."""
+    for r, layer in _saturate(gens, n):
+        if len(layer) != sizes[r] or not members.issuperset(layer):
+            return r, layer
+    return None
 
 
 def is_generating(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
     """Whether ``gens`` generates exactly ``target``.
 
     Compares the closure with ``target`` layer by layer, from rank n down,
-    and stops at the first finished layer that differs from the target's:
-    one of another size, or one holding a non-member.
+    and stops at the first finished layer that differs from the target's.
+    ``ValueError`` if ``target`` is not a ``MonoidSet``.
     """
+    if not isinstance(target, MonoidSet):
+        raise ValueError(f"the target must be a MonoidSet, got {type(target).__name__}")
     members, sizes = target._layers
-    return all(
-        len(layer) == sizes[r] and members.issuperset(layer)
-        for r, layer in _saturate(gens, target.n)
-    )
+    return _first_difference(gens, members, sizes, target.n) is None
 
 
 def _first_redundant(gens: list[PartialInjection], target: MonoidSet) -> int | None:

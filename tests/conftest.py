@@ -16,8 +16,15 @@ from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
-from pathmonoid import MonoidSet, PartialInjection, Symbol, elements_with_domain, is_paut
-from pathmonoid.path_core import _table
+from pathmonoid import (
+    MonoidSet,
+    PartialInjection,
+    Symbol,
+    elements_with_domain,
+    format_element,
+    is_paut,
+)
+from pathmonoid.path_core import _img_bytes, _table
 
 
 def all_partial_injections(n: int) -> Iterator[PartialInjection]:
@@ -192,6 +199,34 @@ def reference_ideal_tables(
         y: frozenset([y, *map(bytes.translate, imgs, repeat(t))]) for y, t in zip(imgs, tables)
     }
     return left, right
+
+
+def reference_ideal_partitions(
+    elements: Iterable[PartialInjection],
+) -> dict[str, tuple[tuple[PartialInjection, ...], ...]]:
+    """The L, R, H and J classes of the closed set ``elements`` by equality
+    of the principal ideals of ``reference_ideal_tables``: M¹a, aM¹, the
+    pair, and M¹aM¹ as the union of the left ideals of aM¹.  Each class
+    lists its members in text order, and the classes follow their first
+    members."""
+    ordered = sorted(set(elements), key=format_element)
+    imgs = [_img_bytes(a.img) for a in ordered]
+    left, right = reference_ideal_tables(imgs)
+    # One union per distinct right ideal, over its distinct left ideals.
+    unions = {rk: frozenset().union(*{left[y] for y in rk}) for rk in set(right.values())}
+    keys = {
+        "L": left,
+        "R": right,
+        "H": {x: (left[x], right[x]) for x in imgs},
+        "J": {x: unions[right[x]] for x in imgs},
+    }
+    partitions = {}
+    for relation, key in keys.items():
+        classes: dict = {}
+        for a, x in zip(ordered, imgs):
+            classes.setdefault(key[x], []).append(a)
+        partitions[relation] = tuple(map(tuple, classes.values()))
+    return partitions
 
 
 def naive_generator(sym: Symbol, n: int) -> dict[int, int]:

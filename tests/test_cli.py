@@ -556,18 +556,18 @@ class TestSelftest:
         failed = [line for line in out.splitlines() if not line.startswith("PASS ")]
         assert code == 1 and failed == [f"FAIL {suite} ({scope}): {counterexample}", "FAILED"]
 
-    def test_greens_oracle_reaches_paut_n6(self, capsys, monkeypatch):
-        # PAut(P_6)'s oracle is checked from n = 6 on; IEnd stops at n = 5.
+    def test_greens_oracle_reaches_n6(self, capsys, monkeypatch):
+        # Both families are checked up to n = 6, whatever n above it.
         checked = []
         for name in ("check_counts", "check_round_trip", "check_expansions"):
             monkeypatch.setattr(selftest, name, lambda *args: None)
         monkeypatch.setattr(selftest, "check_greens", lambda *args: checked.append(args))
         code, out, _ = run(capsys, "selftest", "--n", "8", "--format", "text")
         assert code == 0
-        assert "PASS greens-oracle (n=3..5, both families; paut n=6)" in out.splitlines()
+        assert "PASS greens-oracle (n=3..6, both families)" in out.splitlines()
         assert checked == [
             ("paut", 3), ("iend", 3), ("paut", 4), ("iend", 4), ("paut", 5), ("iend", 5),
-            ("paut", 6),
+            ("paut", 6), ("iend", 6),
         ]
 
 

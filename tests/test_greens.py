@@ -1,4 +1,5 @@
-"""Green's relations: structural predicates against the ideal-based oracle."""
+"""Green's relations: structural predicates against the Cayley-graph oracle,
+and the oracle against the ideal tables of ``conftest``."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from pathmonoid import (
     GreensClassification,
     PartialInjection,
     classify,
+    closure,
     enumerate_iend,
     enumerate_paut,
     format_element,
@@ -37,10 +39,33 @@ from conftest import (
     naive_type_sequences,
     reference_h_related,
     reference_j_related,
-    reference_ideal_tables,
+    reference_ideal_partitions,
     reference_l_related,
     reference_r_related,
 )
+
+
+def _ideal(family: str, n: int, k: int) -> list[PartialInjection]:
+    """The ideal {a : rank a <= k} of PAut(P_n) or IEnd(P_n)."""
+    m = enumerate_paut(n) if family == "paut" else enumerate_iend(n)
+    return [a for a in m if len(a) <= k]
+
+
+# Closed sets with no identity, by name: the empty set, one idempotent, a
+# semilattice of partial identities and the ideals below the top rank.
+CLOSED_WITHOUT_IDENTITY = {
+    "empty": lambda: [],
+    "one-idempotent": lambda: [parse_element("n=3;1>1")],
+    "partial-identities": lambda: [
+        parse_element(t) for t in ("n=3;", "n=3;1>1", "n=3;2>2", "n=3;1>1,2>2")
+    ],
+    **{
+        f"{family}{n}-rank<={k}": partial(_ideal, family, n, k)
+        for family in ("paut", "iend")
+        for n in (3, 4, 5)
+        for k in range(n)
+    },
+}
 
 REFERENCES = (
     (l_related, reference_l_related),
@@ -82,8 +107,8 @@ class TestTypeSequence:
     def test_block_ends_match_the_per_interval_rule(self, n):
         # The keys split each preimage run where two consecutive preimages
         # are not adjacent; the reference finds the domain runs mapping into
-        # each interval and sorts them by image.  The ideal oracle stops at
-        # n = 5, so this is the check of J at n = 6 and 7.
+        # each interval and sorts them by image.  At n = 7 this is the only
+        # check of J on IEnd: the oracle's cross-check stops at n = 6.
         elements = enumerate_iend(n)
         naive_classes: dict[frozenset, set[PartialInjection]] = {}
         for a in elements:
@@ -278,14 +303,45 @@ class TestOracle:
         with pytest.raises(ValueError, match="input set is not closed under composition"):
             oracle_classifications(m)
 
-    def test_oracle_partitions_match_the_two_sweep_rule_on_iend6(self, monkeypatch):
+    def test_oracle_partitions_match_the_two_sweep_rule_on_iend6(self):
         m = enumerate_iend(6)
         oracle = oracle_classifications(m)
-        monkeypatch.setattr(greens, "_ideal_tables", reference_ideal_tables)
-        reference = oracle_classifications(m)
-        assert list(oracle) == list(reference) == ["L", "R", "H", "J"]
+        assert list(oracle) == ["L", "R", "H", "J"]
+        reference = reference_ideal_partitions(m)
         for relation, partition in oracle.items():
-            assert partition.classes == reference[relation].classes, relation
+            assert partition.classes == reference[relation], relation
+
+    def test_a_generating_set_short_of_a_letter_is_seen(self, monkeypatch):
+        # The graphs over fewer letters reach less, so some class splits.
+        m = enumerate_iend(4)
+        pick = greens._pick_generators
+        monkeypatch.setattr(greens, "_pick_generators", lambda *args: pick(*args)[:-1])
+        oracle = oracle_classifications(m)
+        reference = reference_ideal_partitions(m)
+        assert [r for r in oracle if oracle[r].classes != reference[r]] != []
+
+    @pytest.mark.parametrize("family", ("paut", "iend"))
+    def test_the_picked_letters_generate_the_input(self, family):
+        m = enumerate_paut(5) if family == "paut" else enumerate_iend(5)
+        elements = sorted(m, key=_text_key)
+        imgs = [_img_bytes(a.img) for a in elements]
+        letters = greens._pick_generators(elements, imgs, 5)
+        assert set(letters) <= set(m)
+        assert closure(letters, 5).elements == frozenset(m)
+
+    @pytest.mark.parametrize("name", CLOSED_WITHOUT_IDENTITY)
+    def test_a_closed_set_without_the_identity_is_classified(self, name):
+        # The ideals are M¹a, aM¹ and M¹aM¹, so the input need not hold the
+        # identity; the oracle adjoins it and leaves it out of the classes.
+        m = CLOSED_WITHOUT_IDENTITY[name]()
+        random.Random(len(m)).shuffle(m)
+        oracle = oracle_classifications(m)
+        assert {r: p.classes for r, p in oracle.items()} == reference_ideal_partitions(m)
+
+    def test_oracle_rejects_a_permutation_without_the_identity(self):
+        # {tau} is closed once the identity is adjoined, but tau·tau = id.
+        with pytest.raises(ValueError, match="input set is not closed under composition"):
+            oracle_classifications([parse_element("n=3;1>3,2>2,3>1")])
 
     def test_oracle_rejects_mixed_n(self):
         with pytest.raises(ValueError, match="elements live on different paths"):
@@ -301,26 +357,15 @@ class TestOracle:
             partition([identity(ns[0]), identity(ns[1])])
 
 
-def _byte_images(family: str, n: int) -> list[bytes]:
-    m = enumerate_paut(n) if family == "paut" else enumerate_iend(n)
-    return [_img_bytes(a.img) for a in m]
-
-
 class TestIdealTables:
+    """The oracle's classes against those of the two-sweep ideal tables."""
+
     @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
     @pytest.mark.parametrize("family", ("paut", "iend"))
     @pytest.mark.parametrize("order", ("text", "shuffled"))
     def test_tables_match_the_two_sweep_rule(self, order, family, n):
-        imgs = _byte_images(family, n)
+        m = enumerate_paut(n) if family == "paut" else enumerate_iend(n)
         if order == "shuffled":
-            random.Random(n).shuffle(imgs)
-        assert greens._ideal_tables(imgs) == reference_ideal_tables(imgs)
-
-    @pytest.mark.parametrize("family", ("paut", "iend"))
-    def test_one_object_per_product_and_per_ideal(self, family):
-        imgs = _byte_images(family, 4)
-        left, right = greens._ideal_tables(imgs)
-        ideals = [*left.values(), *right.values()]
-        inputs = set(map(id, imgs))
-        assert all(id(y) in inputs for ideal in ideals for y in ideal)
-        assert len(set(map(id, ideals))) == len(set(ideals))
+            random.Random(n).shuffle(m)
+        oracle = oracle_classifications(m)
+        assert {r: p.classes for r, p in oracle.items()} == reference_ideal_partitions(m)

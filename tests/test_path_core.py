@@ -30,6 +30,7 @@ from pathmonoid import (
     identity,
     image_intervals,
     inverse,
+    is_generating,
     is_iend,
     is_paut,
     l_related,
@@ -353,6 +354,22 @@ def test_functions_that_take_elements_refuse_other_objects(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: classify(None, "L"), "elements must be an iterable, got NoneType"),
+        (lambda: oracle_classifications(None), "elements must be an iterable, got NoneType"),
+        (lambda: closure(None, 3), "elements must be an iterable, got NoneType"),
+        (lambda: is_generating([], 3), "the target must be a MonoidSet, got int"),
+    ],
+    ids=["classify", "oracle", "closure", "is_generating"],
+)
+def test_functions_that_take_collections_refuse_other_objects(call, message):
+    # Each iterated None (TypeError) or read ``_layers`` of an int (AttributeError).
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_every_cache_is_bounded():
     # A functools cache with no maxsize grows with every request that a
     # long-lived process serves.
@@ -411,7 +428,7 @@ def test_patterns_read_ascii_digits_only():
 
 # The byte kernel's n <= 255 rule lives in ``path_core._img_bytes``; only the
 # two dense loops multiply byte images.
-BYTE_KERNEL_USERS = {("greens", "_ideal_tables"), ("rankcheck", "_saturate")}
+BYTE_KERNEL_USERS = {("greens", "_cayley_graphs"), ("rankcheck", "_saturate")}
 
 
 def test_byte_images_are_built_and_multiplied_in_one_place():
