@@ -4,9 +4,11 @@ One placement rule underlies the counts.  An element with a domain of r
 maximal intervals (blocks) and s vertices sends its blocks, in some order,
 onto r image intervals of the same sizes, each laid down in two
 orientations when its size is at least 2.  The image intervals of PAut
-keep at least ``gap = 1`` free vertex between each other (they stay
-maximal in the image); those of IEnd may touch (``gap = 0``).  By stars and
-bars the ordered image blocks fit on {1..n} in
+keep at least ``gap = 1`` free vertex between each other, as a⁻¹ too sends
+edges to edges; those of IEnd may touch (``gap = 0``).  The gap and every
+other fact in which the families differ live in one table, ``_FAMILIES``,
+read through ``_family``.  By stars and bars the ordered image blocks fit
+on {1..n} in
 
     _slots(n, s, r, gap) = C(n - s + r - (r - 1) * gap, r)
 
@@ -38,14 +40,44 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations, permutations, product
 from math import comb, factorial
 from operator import add
+from typing import Callable, NamedTuple
 
 from .errors import ResourceRefused
+from .factorize import factor_iend, factor_paut
+from .genwords import Symbol, Word, alphabet_iend, alphabet_paut
 from .path_core import (
-    PartialInjection, _check_n, _check_vertices, _runs, _trusted
+    PartialInjection, _check_n, _check_vertices, _runs, _trusted, is_iend, is_paut
 )
 
 # Largest n ``enumerate_*`` accepts: IEnd(P_8) has 53,937 elements.
 MAX_ENUMERATE_N = 8
+
+
+class _Family(NamedTuple):
+    """One family's facts (see the module docstring); ``gap`` is 1 or 0."""
+
+    gap: int
+    is_member: Callable[[PartialInjection], bool]
+    factor: Callable[[PartialInjection], Word]
+    alphabet: Callable[[int], tuple[Symbol, ...]]
+    rank: Callable[[int], int]
+
+
+# Every fact in which the families differ; listings of both follow this order.
+_FAMILIES = {
+    "paut": _Family(1, is_paut, factor_paut, alphabet_paut, lambda n: (2, 2, 3)[n - 1] if n <= 3 else n - 1),
+    "iend": _Family(
+        0, is_iend, factor_iend, alphabet_iend, lambda n: (2, 2, 4)[n - 1] if n <= 3 else n + (n + 1) // 2 - 2
+    ),
+}
+
+
+def _family(name: str) -> _Family:
+    """The record of the family ``name``; ``ValueError`` for any other."""
+    try:
+        return _FAMILIES[name]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise ValueError(f"unknown family {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -113,19 +145,10 @@ def _profile(n: int, bits: int) -> MaskProfile:
     return MaskProfile(n=n, bits=bits, r=r, s=s, T=T, q1=q1, q2=q2, t1=f * q1, t2=f * q2)
 
 
-def paut_contribution(profile: MaskProfile) -> int:
-    """Number of partial automorphisms whose domain is exactly the mask."""
-    return (1 << profile.T) * profile.t1
-
-
-def iend_contribution(profile: MaskProfile) -> int:
-    """Number of injective partial endomorphisms with domain the mask."""
-    return (1 << profile.T) * profile.t2
-
-
-def _count(n: int, gap: int) -> int:
+def _count(n: int, family: str) -> int:
     """The (r, s) sum of the module docstring."""
     _check_n(n)
+    gap = _family(family).gap
     # h[r][m]: ways to split r + m vertices into r ordered blocks, weighted
     # by 2 per block of size >= 2.
     h = [[1] + [0] * n]
@@ -143,12 +166,12 @@ def _count(n: int, gap: int) -> int:
 
 def count_paut(n: int) -> int:
     """|PAut(P_n)|, exactly, by the closed form (O(n^2) terms)."""
-    return _count(n, 1)
+    return _count(n, "paut")
 
 
 def count_iend(n: int) -> int:
     """|IEnd(P_n)|, exactly, by the closed form (O(n^2) terms)."""
-    return _count(n, 0)
+    return _count(n, "iend")
 
 
 def count_by_mask(n: int) -> list[tuple[MaskProfile, int, int]]:
@@ -157,7 +180,7 @@ def count_by_mask(n: int) -> list[tuple[MaskProfile, int, int]]:
     table = []
     for bits in range(1 << n):
         prof = _profile(n, bits)
-        table.append((prof, paut_contribution(prof), iend_contribution(prof)))
+        table.append((prof, prof.t1 << prof.T, prof.t2 << prof.T))
     return table
 
 
@@ -173,11 +196,9 @@ def elements_with_domain(
     is placed by ``_slots``' stars and bars, and each block of size >= 2 in
     both orientations, which realizes every element exactly once.
     """
-    if family not in ("paut", "iend"):
-        raise ValueError(f"unknown family {family!r}")
+    gap = _family(family).gap
     _check_n(n)
     blocks = _blocks(n, mask_from_set(n, domain))
-    gap = 1 if family == "paut" else 0
     r, s = len(blocks), sum(hi - lo + 1 for lo, hi in blocks)
     img = [0] * (n + 1)
     out: list[PartialInjection] = []
@@ -215,9 +236,7 @@ def _enumerate_family(n: int, family: str) -> list[PartialInjection]:
     _check_n(n)
     if n > MAX_ENUMERATE_N:
         raise ResourceRefused(f"enumeration at n={n} is above the bound of {MAX_ENUMERATE_N}")
-    if family not in ("paut", "iend"):
-        raise ValueError(f"unknown family {family!r}")
-    paut = family == "paut"
+    gap = _family(family).gap
     used = [False] * (n + 2)  # slots 0 and n + 1 stay False
     zeros = [(0,) * (n + 1 - k) for k in range(n + 2)]
     out = [_trusted(zeros[0])]
@@ -226,17 +245,17 @@ def _enumerate_family(n: int, family: str) -> list[PartialInjection]:
         # prefix is img[0..x], x < n; y = img[x], or 0 at the root, whose
         # children start at x' = 1.
         x = len(prefix) - 1
-        # a(x + 1) = y ± 1; for PAut, the other neighbour 2y' - y of y' must
-        # be unused, as its preimage would lie before x.
+        # a(x + 1) = y ± 1; with a gap (PAut), the other neighbour 2y' - y
+        # of y' must be unused, as its preimage would lie before x.
         steps = [
             prefix + (z,) for z in ((y - 1, y + 1) if y else ())
-            if 0 < z <= n and not used[z] and not (paut and used[2 * z - y])
+            if 0 < z <= n and not used[z] and not (gap and used[2 * z - y])
         ]
         first = x + 2 if y else 1
         if first <= n:
             free = [
                 z for z in range(1, n + 1)
-                if not used[z] and not (paut and (used[z - 1] or used[z + 1]))
+                if not used[z] and not (gap and (used[z - 1] or used[z + 1]))
             ]
             for x2 in range(first, n + 1):
                 pad = prefix + (0,) * (x2 - x - 1)

@@ -36,10 +36,11 @@ from typing import Sequence
 from . import __version__
 from .census import (
     MAX_ENUMERATE_N,
+    _FAMILIES,
+    _count,
     _enumerate_family,
+    _family,
     count_by_mask,
-    count_iend,
-    count_paut,
     mask_to_string,
 )
 from .errors import ResourceRefused
@@ -61,7 +62,6 @@ from .path_core import (
     _read_element_json,
     _read_element_text,
     format_element,
-    is_paut,
 )
 from .rankcheck import verify_rank
 
@@ -173,22 +173,18 @@ def _cmd_count(args: argparse.Namespace) -> Rendering:
     if args.per_mask:
         _refuse_above(args.n, "the per-mask table")
     _refuse_work(args.n, args.n**3, "n^3 for the closed form")
-    families = ("paut", "iend") if args.family == "both" else (args.family,)
+    families = list(_FAMILIES) if args.family == "both" else [args.family]
     payload: dict = {"n": args.n, "family": args.family}
-    if "paut" in families:
-        payload["paut_count"] = count_paut(args.n)
-    if "iend" in families:
-        payload["iend_count"] = count_iend(args.n)
+    payload.update((f"{family}_count", _count(args.n, family)) for family in families)
     lines = _lines(payload, *(key for key in payload if key != "family"))
     if args.per_mask:
         rows = []
-        for profile, paut_c, iend_c in count_by_mask(args.n):
+        for profile, *contributions in count_by_mask(args.n):
             row = {"mask": mask_to_string(args.n, profile.bits), **vars(profile)}
             del row["n"], row["bits"]
-            if "paut" in families:
-                row["paut_contribution"] = paut_c
-            if "iend" in families:
-                row["iend_contribution"] = iend_c
+            for family, contribution in zip(_FAMILIES, contributions):
+                if family in families:
+                    row[f"{family}_contribution"] = contribution
             rows.append(row)
             lines.append(" ".join(f"{k}={v}" for k, v in row.items()))
         payload["per_mask"] = rows
@@ -244,7 +240,7 @@ def _cmd_factor(args: argparse.Namespace) -> Rendering:
     payload = {
         "n": element.n,
         "element": format_element(element),
-        "family": "paut" if is_paut(element) else "iend",
+        "family": "paut" if _family("paut").is_member(element) else "iend",
         "alphabet": args.alphabet,
         "word": format_word(word),
         "length": len(word),
@@ -344,16 +340,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("count", _cmd_count, "closed-form counts")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", choices=("paut", "iend", "both"), default="both")
+    p.add_argument("--family", choices=(*_FAMILIES, "both"), default="both")
     p.add_argument("--per-mask", action="store_true", help="include the per-domain-mask table")
 
     p = command("enumerate", _cmd_enumerate, "list every element of a family", tabular)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", choices=("paut", "iend"), required=True)
+    p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
 
     p = command("classify", _cmd_classify, "partition a family by a Green's relation", tabular)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", choices=("paut", "iend"), required=True)
+    p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     p.add_argument("--relation", type=str.upper, choices=("L", "R", "H", "J"), required=True)
 
     p = command("factor", _cmd_factor, "factor an element into a generator word")
@@ -372,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("verify-rank", _cmd_verify_rank, "check the rank of a family at one n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", choices=("paut", "iend"), required=True)
+    p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     p.add_argument(
         "--exhaustive",
         action="store_true",

@@ -37,6 +37,7 @@ from typing import Iterable
 from .genwords import Symbol, Word, _trusted_word, _walk, alpha, beta, canonical_eps_star
 from .path_core import (
     PartialInjection,
+    _check_element,
     _inverse_image,
     _runs,
     _trusted,
@@ -145,6 +146,7 @@ def canonical_delta(b: PartialInjection) -> PartialInjection:
     """The packing automorphism for Im b: each maximal image interval is
     carried order-preservingly onto the leftmost free slots, consecutive
     intervals separated by exactly one gap."""
+    _check_element(b)
     return _trusted(_delta_image(b.n, image_intervals(b)))
 
 

@@ -110,10 +110,14 @@ def _kind_entry(kind: str) -> tuple:
         raise ValueError(f"unknown symbol kind {kind!r}") from None
 
 
-def _check_symbol(sym: Symbol, n: int) -> None:
-    _check_n(n)  # a(0) and a(n+1) would pass the index rules at n <= 0.
+def _check_letter(sym: object) -> None:
     if not isinstance(sym, Symbol):
         raise ValueError(f"a letter must be a Symbol, got {sym!r}")
+
+
+def _check_symbol(sym: Symbol, n: int) -> None:
+    _check_n(n)  # a(0) and a(n+1) would pass the index rules at n <= 0.
+    _check_letter(sym)
     count, rule = _kind_entry(sym.kind)
     if type(sym.i) is not int or type(sym.j) is not int:  # bool is a subclass of int
         raise ValueError(f"symbol indices must be integers, got ({sym.i!r}, {sym.j!r})")
@@ -251,6 +255,11 @@ def _trusted_word(n: int, letters: tuple[Symbol, ...]) -> Word:
     return word
 
 
+def _check_word(word: object) -> None:
+    if not isinstance(word, Word):
+        raise ValueError(f"a word must be a Word, got {type(word).__name__}")
+
+
 def _walk(img: tuple[int, ...], letters: Iterable[Symbol], n: int) -> tuple[int, ...]:
     """The image tuple ``img`` carried through ``letters`` at n."""
     for sym in letters:
@@ -260,6 +269,7 @@ def _walk(img: tuple[int, ...], letters: Iterable[Symbol], n: int) -> tuple[int,
 
 def eval_word(word: Word) -> PartialInjection:
     """Evaluate left to right under the right action."""
+    _check_word(word)
     return _trusted(_walk(identity(word.n).img, word.letters, word.n))
 
 
@@ -354,6 +364,7 @@ def expand_symbol(sym: Symbol, n: int) -> Word:
 
 def expand_word(word: Word) -> Word:
     """Expand every letter; the result evaluates to the same element."""
+    _check_word(word)
     n = word.n
     if n < 3:
         raise ValueError(f"expansion requires n >= 3, got n={n}")
@@ -371,6 +382,12 @@ _SYMBOL_RE = re.compile(f"({'|'.join(_KINDS)})(?:([0-9]+)(?:,([0-9]+))?)?")
 
 
 def format_symbol(sym: Symbol) -> str:
+    _check_letter(sym)
+    return _format_symbol(sym)
+
+
+def _format_symbol(sym: Symbol) -> str:
+    """``format_symbol`` unchecked, for the letters of a ``Word``."""
     count = _kind_entry(sym.kind)[0]
     return sym.kind + ",".join(str(index) for index in (sym.i, sym.j)[:count])
 
@@ -393,7 +410,8 @@ def parse_symbol(text: str) -> Symbol:
 
 
 def format_word(word: Word) -> str:
-    return " ".join(format_symbol(sym) for sym in word.letters)
+    _check_word(word)
+    return " ".join(map(_format_symbol, word.letters))
 
 
 def parse_word(text: str, n: int) -> Word:

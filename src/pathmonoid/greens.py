@@ -51,7 +51,7 @@ from .path_core import (
     is_iend,
     split_blocks,
 )
-from .rankcheck import _first_difference
+from .rankcheck import _first_difference, _rank_sizes
 
 
 def _require_members(*elements: PartialInjection) -> None:
@@ -208,9 +208,7 @@ def _pick_generators(
     layer that differs, a non-member is refused with ``ValueError``, and
     otherwise the layer's first missing element becomes a letter."""
     members = frozenset(nodes)
-    sizes = [0] * (n + 1)
-    for y in members:
-        sizes[n + 1 - y.count(0)] += 1
+    sizes = _rank_sizes(members, n)
     letters: list[PartialInjection] = []
     while (differs := _first_difference(letters, members, sizes, n)) is not None:
         r, layer = differs

@@ -29,9 +29,9 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .census import MAX_ENUMERATE_N, _enumerate_family, count_iend, count_paut, elements_with_domain
+from .census import MAX_ENUMERATE_N, _count, _enumerate_family, _family, elements_with_domain
 from .errors import ResourceRefused
-from .genwords import alphabet_iend, alphabet_paut, make_generator, tau
+from .genwords import make_generator, tau
 from .path_core import (
     PartialInjection,
     _check_element,
@@ -85,10 +85,15 @@ class MonoidSet:
         members have each rank 0..n; computed once per monoid for
         ``is_generating`` and ``_forced_generators``."""
         imgs = frozenset(_img_bytes(a.img) for a in self.elements)
-        sizes = [0] * (self.n + 1)
-        for y in imgs:
-            sizes[self.n + 1 - y.count(0)] += 1
-        return imgs, tuple(sizes)
+        return imgs, _rank_sizes(imgs, self.n)
+
+
+def _rank_sizes(imgs: Iterable[bytes], n: int) -> tuple[int, ...]:
+    """How many of the byte images ``imgs`` at n have each rank 0..n."""
+    sizes = [0] * (n + 1)
+    for y in imgs:
+        sizes[n + 1 - y.count(0)] += 1
+    return tuple(sizes)
 
 
 def paut_monoid(n: int) -> MonoidSet:
@@ -103,13 +108,7 @@ def iend_monoid(n: int) -> MonoidSet:
 
 def alphabet_elements(family: str, n: int) -> list[PartialInjection]:
     """The shipped alphabet of the family, evaluated to partial injections."""
-    if family == "paut":
-        symbols = alphabet_paut(n)
-    elif family == "iend":
-        symbols = alphabet_iend(n)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return [make_generator(sym, n) for sym in symbols]
+    return [make_generator(sym, n) for sym in _family(family).alphabet(n)]
 
 
 def _saturate(gens: Iterable[PartialInjection], n: int) -> Iterator[tuple[int, list[bytes]]]:
@@ -175,10 +174,14 @@ def is_generating(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
     and stops at the first finished layer that differs from the target's.
     ``ValueError`` if ``target`` is not a ``MonoidSet``.
     """
-    if not isinstance(target, MonoidSet):
-        raise ValueError(f"the target must be a MonoidSet, got {type(target).__name__}")
+    _check_target(target)
     members, sizes = target._layers
     return _first_difference(gens, members, sizes, target.n) is None
+
+
+def _check_target(target: object) -> None:
+    if not isinstance(target, MonoidSet):
+        raise ValueError(f"the target must be a MonoidSet, got {type(target).__name__}")
 
 
 def _first_redundant(gens: list[PartialInjection], target: MonoidSet) -> int | None:
@@ -234,7 +237,9 @@ def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
     skipped, which cuts the search by a factor of roughly |target|/k without
     losing soundness.  Refuses when the candidates left to test,
     ``subset_search_scope(target, k)``, exceed the fixed ``MAX_SUBSETS``.
+    ``ValueError`` if ``target`` is not a ``MonoidSet``.
     """
+    _check_target(target)
     if type(k) is not int or not 0 <= k <= len(target):  # bool is a subclass of int
         raise ValueError(f"subset size must be an integer between 0 and {len(target)}, got {k!r}")
     forced = _forced_generators(target)
@@ -255,11 +260,7 @@ def rank_formula(family: str, n: int) -> int:
     iend: 2, 2, 4 for n = 1, 2, 3 and n + ceil(n/2) - 2 for n >= 4.
     """
     _check_n(n)
-    if family == "paut":
-        return (2, 2, 3)[n - 1] if n <= 3 else n - 1
-    if family == "iend":
-        return (2, 2, 4)[n - 1] if n <= 3 else n + (n + 1) // 2 - 2
-    raise ValueError(f"unknown family {family!r}")
+    return _family(family).rank(n)
 
 
 def point_deleted_class(n: int, i: int) -> list[PartialInjection]:
@@ -373,9 +374,8 @@ def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness
         raise ValueError(f"exhaustive must be True or False, got {exhaustive!r}")
     formula = rank_formula(family, n)
     if exhaustive and n <= MAX_ENUMERATE_N:
-        count = count_paut(n) if family == "paut" else count_iend(n)
-        _refuse_scope(_scope(count, 1, formula - 1), formula - 1)
-    target = paut_monoid(n) if family == "paut" else iend_monoid(n)
+        _refuse_scope(_scope(_count(n, family), 1, formula - 1), formula - 1)
+    target = MonoidSet(n, frozenset(_enumerate_family(n, family)))
     lower_bound: int | None = None
     searched: int | None = None
     if exhaustive:

@@ -8,8 +8,8 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterator
 
-from .census import _enumerate_family, count_by_mask, count_iend, count_paut
-from .factorize import factor_iend, factor_paut, word_length_bound
+from .census import _FAMILIES, _count, _enumerate_family, _family, count_by_mask
+from .factorize import word_length_bound
 from .genwords import (
     Symbol,
     Word,
@@ -32,9 +32,9 @@ def check_counts(n: int) -> str | None:
     the per-mask table (both by the placement rule), and the length of the
     enumeration, which walks the members by the paper's adjacency rule."""
     table = count_by_mask(n)
-    for family, count, column in (("paut", count_paut, 1), ("iend", count_iend, 2)):
+    for column, family in enumerate(_FAMILIES, 1):
         routes = {
-            "the closed form": count(n),
+            "the closed form": _count(n, family),
             "the mask sum": sum(row[column] for row in table),
             "the enumeration": len(_enumerate_family(n, family)),
         }
@@ -60,11 +60,11 @@ def check_round_trip(family: str, n: int) -> str | None:
     """Every element of the family at n (n >= 3) factors into at most
     ``word_length_bound(n)`` = 3n+1 letters, whose expansion over the
     family's alphabet evaluates back."""
-    factor = factor_paut if family == "paut" else factor_iend
-    alphabet = frozenset(alphabet_paut(n) if family == "paut" else alphabet_iend(n))
+    facts = _family(family)
+    alphabet = frozenset(facts.alphabet(n))
     bound = word_length_bound(n)
     for a in _enumerate_family(n, family):
-        word = factor(a)
+        word = facts.factor(a)
         if len(word) > bound:
             fault = f"has {len(word)} letters, above the bound of {bound}"
         elif fault := _word_fault(expand_word(word), alphabet, a):
@@ -110,12 +110,12 @@ def check_greens(family: str, n: int) -> str | None:
 
 def run_suites(n: int) -> Iterator[tuple[str, str, str | None]]:
     """Each suite's name, scope and first counterexample (None if it passed)."""
-    paut_hi, iend_hi, symbol_hi, greens_hi = min(n, 6), min(n, 5), min(n, 10), min(n, 6)
-    families = (("paut", paut_hi), ("iend", iend_hi))
+    symbol_hi, greens_hi = min(n, 10), min(n, 6)
+    families = tuple(zip(_FAMILIES, (min(n, 6), min(n, 5))))  # round trips: PAut to 6, IEnd to 5
     suites = (
         ("counts-match-enumeration", f"n=1..{n}", [
             partial(check_counts, k) for k in range(1, n + 1)]),
-        ("factorization-round-trip", f"paut n=3..{paut_hi}, iend n=3..{iend_hi}", [
+        ("factorization-round-trip", ", ".join(f"{family} n=3..{hi}" for family, hi in families), [
             partial(check_round_trip, family, k)
             for family, hi in families
             for k in range(3, hi + 1)]),
@@ -124,7 +124,7 @@ def run_suites(n: int) -> Iterator[tuple[str, str, str | None]]:
         ("greens-oracle", f"n=3..{greens_hi}, both families", [
             partial(check_greens, family, k)
             for k in range(3, greens_hi + 1)
-            for family in ("paut", "iend")]),
+            for family in _FAMILIES]),
     )
     for name, scope, checks in suites:
         if not checks:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+import re
 from functools import partial
 from itertools import combinations
 
@@ -28,12 +29,7 @@ from pathmonoid import (
     rank_formula,
 )
 from pathmonoid import census, cli, iend_monoid, paut_monoid, verify_rank
-from pathmonoid.census import (
-    iend_contribution,
-    mask_from_set,
-    mask_to_string,
-    paut_contribution,
-)
+from pathmonoid.census import mask_from_set, mask_to_string
 from pathmonoid.path_core import _text_key
 from pathmonoid.selftest import check_counts
 
@@ -69,8 +65,7 @@ class TestMasks:
         assert (prof.r, prof.s, prof.T) == (2, 3, 1)
         assert (prof.q1, prof.t1) == (1, 2)
         assert (prof.q2, prof.t2) == (3, 6)
-        assert paut_contribution(prof) == 4
-        assert iend_contribution(prof) == 12
+        assert count_by_mask(4)[prof.bits][1:] == (4, 12)
 
     def test_empty_mask_contributes_one(self):
         prof = mask_profile(3, 0)
@@ -134,7 +129,7 @@ class TestCounts:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_per_mask_table_rows_are_the_mask_profiles(self, n):
         assert count_by_mask(n) == [
-            (prof, paut_contribution(prof), iend_contribution(prof))
+            (prof, (1 << prof.T) * prof.t1, (1 << prof.T) * prof.t2)
             for prof in map(partial(mask_profile, n), range(1 << n))
         ]
 
@@ -227,8 +222,20 @@ class TestEnumeration:
                 elements_with_domain(n, frozenset(domain), family)
 
     def test_elements_with_domain_rejects_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown family 'foo'"):
-            elements_with_domain(3, {1}, "foo")
+        # An unhashable name gets the same error as any other unknown one.
+        for name in ("foo", None, ["paut"]):
+            with pytest.raises(ValueError, match=re.escape(f"unknown family {name!r}")):
+                elements_with_domain(3, {1}, name)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [partial(census._enumerate_family, 3), partial(census._count, 3)],
+        ids=["enumerate", "count"],
+    )
+    def test_family_entries_reject_unknown_family(self, entry):
+        for name in ("foo", None, ["paut"]):
+            with pytest.raises(ValueError, match=re.escape(f"unknown family {name!r}")):
+                entry(name)
 
     def test_refuses_beyond_bound(self, monkeypatch):
         with pytest.raises(ResourceRefused):

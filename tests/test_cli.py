@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -19,8 +20,8 @@ import pathmonoid
 from pathmonoid import (
     GreensClassification,
     Word,
+    census,
     cli,
-    count_iend,
     count_paut,
     empty_map,
     enumerate_paut,
@@ -41,6 +42,8 @@ from pathmonoid.selftest import (
     check_greens,
     check_round_trip,
 )
+
+from conftest import replace_family_facts
 
 
 def run(capsys, *argv):
@@ -119,7 +122,7 @@ class TestCount:
         def must_not_run(*args, **kwargs):
             pytest.fail("the command ran before --format csv was refused")
 
-        for name in ("count_paut", "factor_iend", "expand_symbol", "verify_rank"):
+        for name in ("_count", "factor_iend", "expand_symbol", "verify_rank"):
             monkeypatch.setattr(cli, name, must_not_run)
         monkeypatch.setattr(selftest, "run_suites", must_not_run)
         for argv in [
@@ -244,7 +247,8 @@ class TestFactor:
     @pytest.mark.parametrize("element,family", [("n=6;1>1,2>2,4>5", "paut"), ("n=5;1>1,3>2", "iend")])
     def test_membership_is_decided_once_per_entry(self, capsys, monkeypatch, element, family):
         # factor_iend checks is_iend only and factors both families by one
-        # rule; the one is_paut is the "family" label's.
+        # rule; the one PAut membership test, the family table's, is the
+        # "family" label's.
         calls = []
 
         def counting_is_paut(a):
@@ -252,12 +256,12 @@ class TestFactor:
             return path_core.is_paut(a)
 
         monkeypatch.setattr(factorize, "is_paut", counting_is_paut)
-        monkeypatch.setattr(cli, "is_paut", counting_is_paut)
+        replace_family_facts(monkeypatch, "paut", is_member=counting_is_paut)
         code, out, _ = run(capsys, "factor", "--element", element)
         payload = json.loads(out)
         assert code == 0 and payload["verified"] is True
         assert payload["family"] == family
-        assert len(calls) <= 1
+        assert len(calls) == 1
 
     def test_malformed_element(self, capsys):
         code, _, err = run(capsys, "factor", "--element", "nonsense")
@@ -512,19 +516,22 @@ def _one_class(elements, relation):
     return GreensClassification(relation, (tuple(elements),))
 
 
-# One planted fault per suite: the name selftest looks it up by, the faulty
-# stand-in, the check it breaks first and how that check's text starts.
+# One planted fault per suite: how to plant it, the check it breaks first
+# and how that check's text starts.
 PLANTED_FAULTS = {
     "counts-match-enumeration": (
-        "count_iend", lambda n: count_iend(n) + 1, partial(check_counts, 1), "iend n=1:"),
+        lambda mp: mp.setattr(
+            selftest, "_count", lambda n, family: census._count(n, family) + (family == "iend")),
+        partial(check_counts, 1), "iend n=1:"),
     "factorization-round-trip": (
-        "factor_paut", lambda a: Word(a.n, ()), partial(check_round_trip, "paut", 3),
-        "paut element n=3;"),
+        lambda mp: replace_family_facts(mp, "paut", factor=lambda a: Word(a.n, ())),
+        partial(check_round_trip, "paut", 3), "paut element n=3;"),
     "expansion-identities": (
-        "expand_symbol", lambda sym, n: Word(n, ()), partial(check_expansions, 3),
-        "n=3 symbol tau:"),
+        lambda mp: mp.setattr(selftest, "expand_symbol", lambda sym, n: Word(n, ())),
+        partial(check_expansions, 3), "n=3 symbol tau:"),
     "greens-oracle": (
-        "classify", _one_class, partial(check_greens, "paut", 3), "paut n=3 relation L:"),
+        lambda mp: mp.setattr(selftest, "classify", _one_class),
+        partial(check_greens, "paut", 3), "paut n=3 relation L:"),
 }
 
 
@@ -537,8 +544,8 @@ class TestSelftest:
 
     @pytest.mark.parametrize("suite", PLANTED_FAULTS)
     def test_planted_fault_names_its_counterexample(self, suite, capsys, monkeypatch):
-        name, fault, check, named = PLANTED_FAULTS[suite]
-        monkeypatch.setattr(selftest, name, fault)
+        plant, check, named = PLANTED_FAULTS[suite]
+        plant(monkeypatch)
         counterexample = check()
         assert counterexample.startswith(named)
 
@@ -800,6 +807,20 @@ class TestUsage:
         code, out, err = run(capsys, "selftest", "--n", str(n))
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["message"] == f"n must be a positive integer, got {n}"
+
+    def test_family_choices_are_the_table_names(self):
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        choices = {
+            name: action.choices
+            for name, command in commands.choices.items()
+            for action in command._actions
+            if action.dest == "family"
+        }
+        names = tuple(census._FAMILIES)
+        assert choices == {
+            "count": (*names, "both"), "enumerate": names, "classify": names, "verify-rank": names,
+        }
 
 
 class TestReadmeExamples:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import pathmonoid
 from pathmonoid import (
     PartialInjection,
+    canonical_delta,
     classify,
     closure,
     compose,
@@ -25,8 +26,13 @@ from pathmonoid import (
     empty_map,
     enumerate_iend,
     enumerate_paut,
+    eval_word,
+    exhaustive_min_size,
+    expand_word,
     factor_iend,
     format_element,
+    format_symbol,
+    format_word,
     identity,
     image_intervals,
     inverse,
@@ -370,6 +376,24 @@ def test_functions_that_take_collections_refuse_other_objects(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: eval_word("x"), "a word must be a Word, got str"),
+        (lambda: expand_word("x"), "a word must be a Word, got str"),
+        (lambda: format_word("x"), "a word must be a Word, got str"),
+        (lambda: format_symbol("x"), "a letter must be a Symbol, got 'x'"),
+        (lambda: canonical_delta("x"), "an element must be a PartialInjection, got str"),
+        (lambda: exhaustive_min_size("x", 1), "the target must be a MonoidSet, got str"),
+    ],
+    ids=["eval_word", "expand_word", "format_word", "format_symbol", "canonical_delta", "exhaustive_min_size"],
+)
+def test_functions_that_take_words_letters_or_targets_refuse_other_objects(call, message):
+    # Each read an attribute of the str and raised AttributeError.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def test_every_cache_is_bounded():
     # A functools cache with no maxsize grows with every request that a
     # long-lived process serves.
@@ -406,6 +430,26 @@ def test_every_private_function_is_named_in_the_package():
         if name not in named and name not in pathmonoid.__all__
     ]
     assert unread == []
+
+
+def test_families_are_told_apart_in_the_table_only():
+    # ``census._FAMILIES`` holds every fact in which PAut and IEnd differ;
+    # a comparison with a family's name, or a tuple, list or set of names,
+    # anywhere else is one more per-family ladder to keep in step with it.
+    def names_a_family(node):
+        return isinstance(node, ast.Constant) and node.value in ("paut", "iend")
+
+    offenders = []
+    for path in sorted(Path(pathmonoid.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                compares = any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops)
+                listed = compares and any(map(names_a_family, [node.left, *node.comparators]))
+            else:
+                listed = isinstance(node, (ast.Tuple, ast.List, ast.Set)) and any(map(names_a_family, node.elts))
+            if listed:
+                offenders.append(f"{path.stem}:{node.lineno}")
+    assert offenders == []
 
 
 def test_patterns_read_ascii_digits_only():

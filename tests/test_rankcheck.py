@@ -402,8 +402,16 @@ class TestRankFormula:
             rank_formula("pend", 3)
 
     def test_alphabet_elements_rejects_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown family 'foo'"):
-            alphabet_elements("foo", 4)
+        # An unhashable name gets the same error as any other unknown one.
+        for name in ("foo", None, ["paut"]):
+            with pytest.raises(ValueError, match=re.escape(f"unknown family {name!r}")):
+                alphabet_elements(name, 4)
+
+    @pytest.mark.parametrize("entry", [rank_formula, verify_rank], ids=["rank_formula", "verify_rank"])
+    def test_family_entries_reject_unknown_family(self, entry):
+        for name in ("foo", None, ["paut"]):
+            with pytest.raises(ValueError, match=re.escape(f"unknown family {name!r}")):
+                entry(name, 4)
 
 
 class TestWitnesses:
