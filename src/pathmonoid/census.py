@@ -46,7 +46,7 @@ from .errors import ResourceRefused
 from .factorize import factor_iend, factor_paut
 from .genwords import Symbol, Word, alphabet_iend, alphabet_paut
 from .path_core import (
-    PartialInjection, _check_n, _check_vertices, _runs, _trusted, is_iend, is_paut
+    PartialInjection, _check_n, _runs, _trusted, _vertices, is_iend, is_paut
 )
 
 # Largest n ``enumerate_*`` accepts: IEnd(P_8) has 53,937 elements.
@@ -98,9 +98,8 @@ class MaskProfile:
 
 
 def mask_from_set(n: int, points: set[int] | frozenset[int]) -> int:
-    _check_vertices(points)
     bits = 0
-    for p in points:
+    for p in _vertices(points):
         if not 1 <= p <= n:
             raise ValueError(f"vertex {p} out of range for n={n}")
         bits |= 1 << (p - 1)

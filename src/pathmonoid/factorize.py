@@ -38,8 +38,8 @@ from .genwords import Symbol, Word, _trusted_word, _walk, alpha, beta, canonical
 from .path_core import (
     PartialInjection,
     _check_element,
+    _domain_intervals,
     _inverse_image,
-    _runs,
     _trusted,
     format_element,
     image_intervals,
@@ -101,7 +101,7 @@ def _factor(a: PartialInjection) -> Word:
     # Pack: open one gap at each cut of a·δ, where a domain block ends
     # inside a maximal image interval of a; b(i) closes the gap at i.
     inv = _inverse_image(img_a)
-    image_blocks = _runs(v for v, x in enumerate(inv) if x)  # Im a = Dom a⁻¹
+    image_blocks = _domain_intervals(inv)  # Im a = Dom a⁻¹
     delta = _delta_image(n, image_blocks)
     packed = itemgetter(*img_a)(delta)  # a·δ
     spread = list(packed)

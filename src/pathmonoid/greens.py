@@ -40,14 +40,14 @@ from typing import Callable, Hashable, Iterable, Sequence
 from .path_core import (
     PartialInjection,
     _check_element,
-    _check_vertices,
+    _domain_intervals,
     _img_bytes,
+    _inverse,
     _listed,
     _table,
     _text_key,
-    domain_intervals,
+    _vertices,
     format_element,
-    inverse,
     is_iend,
     split_blocks,
 )
@@ -67,10 +67,10 @@ def type_sequence(a: PartialInjection, j: tuple[int, int]) -> tuple[int, ...]:
     """Sizes of the maximal domain intervals mapping into the maximal image
     interval ``j = (lo, hi)``, ordered by where their images sit inside j."""
     _require_members(a)
-    inv = inverse(a)
-    if j not in domain_intervals(inv):  # Im a = Dom a⁻¹
+    inv = _inverse(a)
+    if j not in _domain_intervals(inv.img):  # Im a = Dom a⁻¹
         raise ValueError(f"{j} is not a maximal image interval of {format_element(a)}")
-    _check_vertices(j)  # (True, 3) and (1.0, 3) pass the test above
+    _vertices(j)  # (True, 3) and (1.0, 3) pass the test above
     return _type(inv.img[j[0] : j[1] + 1])
 
 
@@ -94,7 +94,7 @@ def canonical_type(t: Sequence[int]) -> tuple[int, ...]:
 
 def _block_images(x: PartialInjection) -> list[tuple[int, ...]]:
     """The image runs ``x.img[lo:hi+1]`` of the maximal domain intervals."""
-    return [x.img[lo : hi + 1] for lo, hi in domain_intervals(x)]
+    return [x.img[lo : hi + 1] for lo, hi in _domain_intervals(x.img)]
 
 
 def _block_key(a: PartialInjection) -> frozenset[tuple[int, ...]]:
@@ -103,7 +103,7 @@ def _block_key(a: PartialInjection) -> frozenset[tuple[int, ...]]:
 
 
 def _r_key(a: PartialInjection) -> Hashable:
-    return _block_key(inverse(a))
+    return _block_key(_inverse(a))
 
 
 def _h_key(a: PartialInjection) -> Hashable:
@@ -111,7 +111,7 @@ def _h_key(a: PartialInjection) -> Hashable:
 
 
 def _j_key(a: PartialInjection) -> Hashable:
-    return tuple(sorted(canonical_type(_type(run)) for run in _block_images(inverse(a))))
+    return tuple(sorted(canonical_type(_type(run)) for run in _block_images(_inverse(a))))
 
 
 _KEYS: dict[str, Callable[[PartialInjection], Hashable]] = {

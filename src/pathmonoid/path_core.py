@@ -203,6 +203,12 @@ def _table(y: bytes) -> bytes:
 
 def inverse(a: PartialInjection) -> PartialInjection:
     """The inverse partial injection (swap domain and image)."""
+    _check_element(a)
+    return _inverse(a)
+
+
+def _inverse(a: PartialInjection) -> PartialInjection:
+    """``inverse`` without the check, for callers that made it."""
     return _trusted(_inverse_image(a.img))
 
 
@@ -227,20 +233,21 @@ def empty_map(n: int) -> PartialInjection:
     return PartialInjection(n, [])
 
 
-def _check_vertices(points: Iterable[object]) -> None:
-    """``ValueError`` for a vertex that is not an ``int``, as in the
-    constructor: a bool or a float would compare equal to one."""
+def _vertices(points: object) -> list:
+    """``points`` listed (``_listed``), or ``ValueError`` for a vertex that
+    is not an ``int``, as in the constructor: a bool or a float would
+    compare equal to one."""
+    points = _listed(points)
     for v in points:
         if type(v) is not int:
             raise ValueError(f"vertices must be integers, got {v!r}")
+    return points
 
 
 def restrict(a: PartialInjection, keep: Iterable[int]) -> PartialInjection:
     """Restriction of ``a`` to the domain vertices in ``keep``."""
     _check_element(a)
-    keep = tuple(keep)
-    _check_vertices(keep)  # before the set, where True would merge with 1
-    keep_set = set(keep)
+    keep_set = set(_vertices(keep))  # checked before the set, where True would merge with 1
     return PartialInjection(a.n, [(x, y) for x, y in a.pairs if x in keep_set])
 
 
@@ -264,19 +271,25 @@ def maximal_intervals(points: Iterable[int]) -> tuple[tuple[int, int], ...]:
     """The maximal runs ``((lo, hi), ...)`` of consecutive values of a set of
     integers, in increasing order: ``maximal_intervals({2,3,5})`` is
     ``((2, 3), (5, 5))`` and the empty set yields ``()``."""
-    points = tuple(points)
-    _check_vertices(points)  # before the set, where True would merge with 1
-    return _runs(sorted(set(points)))
+    # Checked before the set, where True would merge with 1.
+    return _runs(sorted(set(_vertices(points))))
 
 
 def domain_intervals(a: PartialInjection) -> tuple[tuple[int, int], ...]:
-    """Maximal intervals of Dom a, in increasing order: the defined slots' runs."""
-    return _runs(x for x, y in enumerate(a.img) if y)
+    """Maximal intervals of Dom a, in increasing order."""
+    _check_element(a)
+    return _domain_intervals(a.img)
+
+
+def _domain_intervals(img: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The runs of the defined slots of the image tuple ``img``, unchecked."""
+    return _runs(x for x, y in enumerate(img) if y)
 
 
 def image_intervals(a: PartialInjection) -> tuple[tuple[int, int], ...]:
     """Maximal intervals of Im a, in increasing order; Im a = Dom a⁻¹."""
-    return domain_intervals(inverse(a))
+    _check_element(a)
+    return _domain_intervals(_inverse_image(a.img))
 
 
 def split_blocks(run: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -303,7 +316,7 @@ def is_iend(a: PartialInjection) -> bool:
 
 def is_paut(a: PartialInjection) -> bool:
     """Membership in PAut(P_n): a and its inverse both send edges to edges."""
-    return is_iend(a) and is_iend(inverse(a))
+    return is_iend(a) and is_iend(_inverse(a))
 
 
 # -- text and JSON forms ----------------------------------------------------

@@ -18,7 +18,11 @@ rejects a candidate generating set at the first layer that differs from
 the target's (``_first_difference``, which also guides the pick of a
 generating set in ``greens.oracle_classifications``).  Every letter of A(n)
 and B(n) has rank n or n-1, so dropping one of them is detected within the
-top two layers, and most candidates of the exhaustive search fail as early.
+top two layers.  By the same bound every member of rank >= n-1 of a closure
+is a product of letters of rank >= n-1, so the top two layers depend on
+those letters alone: ``exhaustive_min_size`` decides its candidates in
+groups sharing them, with one saturation for a group whose top layers
+already differ from the target's.
 """
 
 from __future__ import annotations
@@ -172,11 +176,12 @@ def is_generating(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
 
     Compares the closure with ``target`` layer by layer, from rank n down,
     and stops at the first finished layer that differs from the target's.
-    ``ValueError`` if ``target`` is not a ``MonoidSet``.
+    ``ValueError`` if ``target`` is not a ``MonoidSet`` or ``gens`` is not
+    iterable.
     """
     _check_target(target)
     members, sizes = target._layers
-    return _first_difference(gens, members, sizes, target.n) is None
+    return _first_difference(_listed(gens), members, sizes, target.n) is None
 
 
 def _check_target(target: object) -> None:
@@ -194,7 +199,8 @@ def _first_redundant(gens: list[PartialInjection], target: MonoidSet) -> int | N
 
 def is_irredundant(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
     """Whether ``gens`` generates ``target`` and no proper subset does."""
-    gen_list = list(gens)
+    _check_target(target)
+    gen_list = _listed(gens)
     return is_generating(gen_list, target) and _first_redundant(gen_list, target) is None
 
 
@@ -235,9 +241,15 @@ def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
 
     Candidates omitting a forced generator (see ``_forced_generators``) are
     skipped, which cuts the search by a factor of roughly |target|/k without
-    losing soundness.  Refuses when the candidates left to test,
-    ``subset_search_scope(target, k)``, exceed the fixed ``MAX_SUBSETS``.
-    ``ValueError`` if ``target`` is not a ``MonoidSet``.
+    losing soundness.  The rest are decided in groups keyed by their high
+    letters, those of rank >= n-1: layers n and n-1 of a closure depend on
+    them alone (see the module docstring), so when the forced and high
+    letters of a group already differ from the target there, every
+    completion by low letters is rejected with that one saturation, and
+    otherwise each completion is tested.  Refuses when the candidates,
+    ``subset_search_scope(target, k)``, exceed the fixed ``MAX_SUBSETS``;
+    the budget counts every candidate, grouped or not.  ``ValueError`` if
+    ``target`` is not a ``MonoidSet``.
     """
     _check_target(target)
     if type(k) is not int or not 0 <= k <= len(target):  # bool is a subclass of int
@@ -246,10 +258,23 @@ def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
     _refuse_scope(_scope(len(target), len(forced), k), k)
     if k < len(forced):
         return True
-    pool = [a for a in target.elements if a not in forced]
-    for combo in combinations(pool, k - len(forced)):
-        if is_generating(forced + list(combo), target):
-            return False
+    n, (members, sizes) = target.n, target._layers
+    high: list[PartialInjection] = []
+    low: list[PartialInjection] = []
+    for a in target.elements:
+        if a not in forced:
+            (high if len(a) >= n - 1 else low).append(a)
+    free = k - len(forced)
+    for j in range(min(free, len(high)) + 1):
+        for top in combinations(high, j):
+            base = forced + list(top)
+            # Layers n and n-1 of a closure come from its high letters alone.
+            differs = _first_difference(base, members, sizes, n)
+            if differs is not None and differs[0] >= n - 1:
+                continue
+            for rest in combinations(low, free - j):
+                if _first_difference(base + list(rest), members, sizes, n) is None:
+                    return False
     return True
 
 

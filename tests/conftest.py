@@ -22,9 +22,10 @@ from pathmonoid import (
     Symbol,
     elements_with_domain,
     format_element,
+    is_generating,
     is_paut,
 )
-from pathmonoid import census
+from pathmonoid import census, rankcheck
 from pathmonoid.path_core import _img_bytes, _table
 
 
@@ -180,6 +181,20 @@ def reference_closure(gens: Iterable[PartialInjection], n: int) -> frozenset[Par
                 seen.add(key)
                 queue.append(y)
     return frozenset(PartialInjection(n, key) for key in seen)
+
+
+def reference_exhaustive_min_size(target: MonoidSet, k: int) -> bool:
+    """Whether no k-subset of ``target`` generates it, by ``is_generating``
+    on every candidate subset: each k-subset holding the forced generators,
+    one saturation apiece, with no grouping."""
+    forced = rankcheck._forced_generators(target)
+    if k < len(forced):
+        return True
+    pool = [a for a in target.elements if a not in forced]
+    return not any(
+        is_generating(forced + list(combo), target)
+        for combo in combinations(pool, k - len(forced))
+    )
 
 
 def reference_ideal_tables(

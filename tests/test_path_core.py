@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import random
 import re
@@ -21,6 +22,7 @@ from pathmonoid import (
     closure,
     compose,
     domain_intervals,
+    elements_with_domain,
     element_from_json_dict,
     element_to_json_dict,
     empty_map,
@@ -38,11 +40,14 @@ from pathmonoid import (
     inverse,
     is_generating,
     is_iend,
+    is_irredundant,
     is_paut,
     l_related,
     maximal_intervals,
     oracle_classifications,
     parse_element,
+    parse_word,
+    paut_monoid,
     restrict,
 )
 from pathmonoid.path_core import _text_key
@@ -348,10 +353,14 @@ def _one_character_nodes(subpattern):
         lambda: compose(identity(3), "x"),
         lambda: restrict("x", [1]),
         lambda: element_to_json_dict("x"),
+        lambda: inverse("x"),
+        lambda: domain_intervals("x"),
+        lambda: image_intervals("x"),
     ],
     ids=[
         "classify", "oracle", "l_related", "closure", "factor_iend", "is_paut", "is_iend",
-        "format_element", "compose", "restrict", "to_json",
+        "format_element", "compose", "restrict", "to_json", "inverse", "domain_intervals",
+        "image_intervals",
     ],
 )
 def test_functions_that_take_elements_refuse_other_objects(call):
@@ -367,8 +376,17 @@ def test_functions_that_take_elements_refuse_other_objects(call):
         (lambda: oracle_classifications(None), "elements must be an iterable, got NoneType"),
         (lambda: closure(None, 3), "elements must be an iterable, got NoneType"),
         (lambda: is_generating([], 3), "the target must be a MonoidSet, got int"),
+        (lambda: is_generating(None, paut_monoid(2)), "elements must be an iterable, got NoneType"),
+        (lambda: is_irredundant(None, paut_monoid(2)), "elements must be an iterable, got NoneType"),
+        (lambda: is_irredundant(3, "x"), "the target must be a MonoidSet, got str"),
+        (lambda: maximal_intervals(None), "elements must be an iterable, got NoneType"),
+        (lambda: restrict(identity(3), None), "elements must be an iterable, got NoneType"),
+        (lambda: elements_with_domain(3, None, "paut"), "elements must be an iterable, got NoneType"),
     ],
-    ids=["classify", "oracle", "closure", "is_generating"],
+    ids=[
+        "classify", "oracle", "closure", "is_generating", "is_generating-gens", "is_irredundant",
+        "is_irredundant-target", "maximal_intervals", "restrict", "elements_with_domain",
+    ],
 )
 def test_functions_that_take_collections_refuse_other_objects(call, message):
     # Each iterated None (TypeError) or read ``_layers`` of an int (AttributeError).
@@ -392,6 +410,60 @@ def test_functions_that_take_words_letters_or_targets_refuse_other_objects(call,
     # Each read an attribute of the str and raised AttributeError.
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def _valid_arguments():
+    """One valid positional argument list for every function of
+    ``pathmonoid.__all__``."""
+    a, word = parse_element("n=3;1>1,2>2"), parse_word("tau", 3)
+    letter, target = word.letters[0], paut_monoid(3)
+    return {
+        "compose": (a, a), "inverse": (a,), "identity": (3,), "empty_map": (3,),
+        "restrict": (a, {1}), "maximal_intervals": ({1, 2},), "domain_intervals": (a,),
+        "image_intervals": (a,), "is_iend": (a,), "is_paut": (a,), "format_element": (a,),
+        "parse_element": ("n=3;",), "element_to_json_dict": (a,),
+        "element_from_json_dict": ({"n": 3, "pairs": []},), "type_sequence": (a, (1, 2)),
+        "l_related": (a, a), "r_related": (a, a), "h_related": (a, a), "j_related": (a, a),
+        "classify": ([a], "L"), "oracle_classifications": ([identity(2)],),
+        "mask_profile": (3, 1), "count_paut": (3,), "count_iend": (3,), "count_by_mask": (3,),
+        "elements_with_domain": (3, {1}, "paut"), "enumerate_paut": (3,), "enumerate_iend": (3,),
+        "make_generator": (letter, 3), "legal_symbols": (3,), "alphabet_paut": (3,),
+        "alphabet_iend": (3,), "eval_word": (word,), "expand_symbol": (letter, 3),
+        "expand_word": (word,), "format_symbol": (letter,), "parse_symbol": ("tau",),
+        "format_word": (word,), "parse_word": ("tau", 3), "factor_paut": (a,),
+        "factor_iend": (a,), "canonical_delta": (a,), "closure": ([a], 3),
+        "is_generating": ([a], target), "is_irredundant": ([a], target),
+        "exhaustive_min_size": (target, 1), "rank_formula": ("paut", 3),
+        "lower_bound_witnesses": (3,), "paut_monoid": (3,), "iend_monoid": (3,),
+        "verify_rank": ("paut", 3),
+    }
+
+
+def test_every_public_function_refuses_a_wrong_type_with_value_error():
+    # Each function of the public API, with "x" and with None in each
+    # position (the others valid), answers ValueError or a result; any
+    # other exception is an unchecked argument.
+    valid = _valid_arguments()
+    functions = [
+        name for name in pathmonoid.__all__ if inspect.isfunction(getattr(pathmonoid, name))
+    ]
+    assert sorted(valid) == sorted(functions)
+    other = []
+    for name in functions:
+        function = getattr(pathmonoid, name)
+        for position in range(len(valid[name])):
+            for wrong in ("x", None):
+                args = list(valid[name])
+                args[position] = wrong
+                try:
+                    result = function(*args)
+                    if inspect.isgenerator(result):
+                        list(result)
+                except ValueError:
+                    pass
+                except Exception as exc:
+                    other.append(f"{name} #{position} {wrong!r}: {type(exc).__name__}")
+    assert other == []
 
 
 def test_every_cache_is_bounded():

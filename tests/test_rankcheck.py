@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import combinations
+from functools import partial
+from itertools import combinations, takewhile
 from math import comb
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     end_deleted_domain_elements_are_automorphisms,
     is_closed,
     reference_closure,
+    reference_exhaustive_min_size,
 )
 
 from pathmonoid import (
@@ -378,6 +380,106 @@ class TestExhaustiveMinSize:
     def test_trivial_monoid_has_rank_zero(self):
         trivial = MonoidSet(3, frozenset({identity(3)}))
         assert exhaustive_min_size(trivial, 0) is False
+
+
+def _seeded_closure(family, n, size):
+    """The closure of ``size`` members of the family at n, drawn by seed."""
+    pool = sorted(MONOIDS[family](n), key=format_element)
+    return closure(random.Random(f"{family}{n}").sample(pool, size), n)
+
+
+def _ideal(family, n, r):
+    """The members of rank at most r of the family at n, and the identity."""
+    members = MONOIDS[family](n).elements
+    return MonoidSet(n, frozenset(a for a in members if len(a) <= r) | {identity(n)})
+
+
+SEARCH_TARGETS = {
+    **{
+        f"{f}{n}": partial(MONOIDS[f], n)
+        for f, top in (("paut", 5), ("iend", 4))
+        for n in range(1, top + 1)
+    },
+    **{
+        f"closure-{f}{n}-{size}": partial(_seeded_closure, f, n, size)
+        for f in MONOIDS
+        for n in (3, 4)
+        for size in (1, 2, 3)
+    },
+    **{f"ideal-{f}{n}-r{r}": partial(_ideal, f, n, r) for f in MONOIDS for n in (3, 4) for r in range(n)},
+}
+# The targets at which some candidate that holds a letter of rank below n-1
+# passes the top check and then fails: its group is not skipped, so the
+# completions are tested one by one.  In the families every group that
+# passes the top check generates.
+SECOND_STAGE = {
+    "closure-paut4-1",
+    "closure-paut4-3",
+    "closure-iend4-2",
+    "closure-iend4-3",
+    "ideal-paut3-r1",
+    "ideal-paut4-r1",
+    "ideal-paut4-r2",
+    "ideal-iend3-r1",
+    "ideal-iend4-r1",
+    "ideal-iend4-r2",
+}
+SEARCH_SCOPE = 40_000
+
+
+class TestGroupedSearch:
+    """The search decides its candidates in groups keyed by their letters of
+    rank >= n-1; the reference tests every candidate alone."""
+
+    @pytest.mark.parametrize("case", SEARCH_TARGETS)
+    def test_matches_every_candidate_tested_alone(self, monkeypatch, case):
+        target = SEARCH_TARGETS[case]()
+        # Every k from 0 up to the first whose scope is too large.
+        ks = list(
+            takewhile(
+                lambda k: subset_search_scope(target, k) <= SEARCH_SCOPE, range(len(target) + 1)
+            )
+        )
+        assert len(ks) >= 2
+        expected = [reference_exhaustive_min_size(target, k) for k in ks]
+        failed_completions = 0
+        first_difference = rankcheck._first_difference
+
+        def counting(gens, *layers):
+            nonlocal failed_completions
+            differs = first_difference(gens, *layers)
+            if differs is not None and any(len(g) < target.n - 1 for g in gens):
+                failed_completions += 1
+            return differs
+
+        monkeypatch.setattr(rankcheck, "_first_difference", counting)
+        assert [exhaustive_min_size(target, k) for k in ks] == expected
+        assert (failed_completions > 0) is (case in SECOND_STAGE), failed_completions
+
+    @pytest.mark.parametrize("family,n", [("paut", 5), ("iend", 4)])
+    def test_one_saturation_per_set_of_high_letters(self, monkeypatch, family, n):
+        # Below the rank every set of high letters fails in the top two
+        # layers, so the search saturates once per set, not per candidate.
+        target = MONOIDS[family](n)
+        k = rank_formula(family, n) - 1
+        high = sum(len(a) >= n - 1 for a in target) - 1  # the reversal is forced
+        calls = []
+        first_difference = rankcheck._first_difference
+        monkeypatch.setattr(
+            rankcheck, "_first_difference", lambda *args: calls.append(1) or first_difference(*args)
+        )
+        assert exhaustive_min_size(target, k) is True
+        assert len(calls) == sum(comb(high, j) for j in range(k))
+        assert len(calls) < subset_search_scope(target, k)
+
+    @pytest.mark.parametrize(
+        "family,n,scope", [("paut", 5, 2_604_125), ("iend", 4, 182_104)], ids=["paut5", "iend4"]
+    )
+    def test_a_generating_set_of_rank_size_is_found(self, family, n, scope):
+        target = MONOIDS[family](n)
+        k = rank_formula(family, n)
+        assert subset_search_scope(target, k) == scope
+        assert exhaustive_min_size(target, k) is False
 
 
 class TestRankFormula:
