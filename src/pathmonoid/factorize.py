@@ -42,7 +42,6 @@ from .path_core import (
     _inverse_image,
     _trusted,
     format_element,
-    image_intervals,
     is_iend,
     is_paut,
     split_blocks,
@@ -147,7 +146,8 @@ def canonical_delta(b: PartialInjection) -> PartialInjection:
     carried order-preservingly onto the leftmost free slots, consecutive
     intervals separated by exactly one gap."""
     _check_element(b)
-    return _trusted(_delta_image(b.n, image_intervals(b)))
+    image_blocks = _domain_intervals(_inverse_image(b.img))  # Im b = Dom b⁻¹
+    return _trusted(_delta_image(b.n, image_blocks))
 
 
 def _delta_image(n: int, intervals: Iterable[tuple[int, int]]) -> tuple[int, ...]:

@@ -52,7 +52,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .path_core import PartialInjection, _check_n, _check_text, _trusted, identity
+from .path_core import PartialInjection, _check_n, _check_text, _listed, _trusted, identity
 
 
 class Symbol(NamedTuple):
@@ -228,9 +228,9 @@ class Word:
     letters: tuple[Symbol, ...]
 
     def __post_init__(self) -> None:
-        # A list of letters would leave the word unhashable and break ``+``.
-        object.__setattr__(self, "letters", tuple(self.letters))
         _check_n(self.n)
+        # A list of letters would leave the word unhashable and break ``+``.
+        object.__setattr__(self, "letters", tuple(_listed(self.letters)))
         for sym in self.letters:
             _check_symbol(sym, self.n)
 
@@ -241,6 +241,7 @@ class Word:
         return iter(self.letters)
 
     def __add__(self, other: "Word") -> "Word":
+        _check_word(other)
         if self.n != other.n:
             raise ValueError("cannot concatenate words over different n")
         return _trusted_word(self.n, self.letters + other.letters)
@@ -383,11 +384,6 @@ _SYMBOL_RE = re.compile(f"({'|'.join(_KINDS)})(?:([0-9]+)(?:,([0-9]+))?)?")
 
 def format_symbol(sym: Symbol) -> str:
     _check_letter(sym)
-    return _format_symbol(sym)
-
-
-def _format_symbol(sym: Symbol) -> str:
-    """``format_symbol`` unchecked, for the letters of a ``Word``."""
     count = _kind_entry(sym.kind)[0]
     return sym.kind + ",".join(str(index) for index in (sym.i, sym.j)[:count])
 
@@ -411,7 +407,7 @@ def parse_symbol(text: str) -> Symbol:
 
 def format_word(word: Word) -> str:
     _check_word(word)
-    return " ".join(map(_format_symbol, word.letters))
+    return " ".join(map(format_symbol, word.letters))
 
 
 def parse_word(text: str, n: int) -> Word:

@@ -42,16 +42,17 @@ from .path_core import (
     _check_element,
     _domain_intervals,
     _img_bytes,
-    _inverse,
+    _inverse_image,
     _listed,
     _table,
     _text_key,
     _vertices,
     format_element,
+    identity,
     is_iend,
     split_blocks,
 )
-from .rankcheck import _first_difference, _rank_sizes
+from .rankcheck import MonoidSet, _first_difference
 
 
 def _require_members(*elements: PartialInjection) -> None:
@@ -67,11 +68,11 @@ def type_sequence(a: PartialInjection, j: tuple[int, int]) -> tuple[int, ...]:
     """Sizes of the maximal domain intervals mapping into the maximal image
     interval ``j = (lo, hi)``, ordered by where their images sit inside j."""
     _require_members(a)
-    inv = _inverse(a)
-    if j not in _domain_intervals(inv.img):  # Im a = Dom a⁻¹
+    inv = _inverse_image(a.img)
+    if j not in _domain_intervals(inv):  # Im a = Dom a⁻¹
         raise ValueError(f"{j} is not a maximal image interval of {format_element(a)}")
     _vertices(j)  # (True, 3) and (1.0, 3) pass the test above
-    return _type(inv.img[j[0] : j[1] + 1])
+    return _type(inv[j[0] : j[1] + 1])
 
 
 def _type(run: tuple[int, ...]) -> tuple[int, ...]:
@@ -88,33 +89,35 @@ def canonical_type(t: Sequence[int]) -> tuple[int, ...]:
 
 
 # -- canonical keys ----------------------------------------------------------
+# Each is read off the image tuple ``img`` of an element, and the R, H and J
+# keys off the image tuple of its inverse, without building an element.
 # They assume membership in IEnd(P_n), which every public entry point checks
 # with ``_require_members`` before reading a key.
 
 
-def _block_images(x: PartialInjection) -> list[tuple[int, ...]]:
-    """The image runs ``x.img[lo:hi+1]`` of the maximal domain intervals."""
-    return [x.img[lo : hi + 1] for lo, hi in _domain_intervals(x.img)]
+def _block_images(img: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The runs ``img[lo:hi+1]`` of the maximal domain intervals."""
+    return [img[lo : hi + 1] for lo, hi in _domain_intervals(img)]
 
 
-def _block_key(a: PartialInjection) -> frozenset[tuple[int, ...]]:
+def _block_key(img: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """Reversal-normalized image runs of the maximal domain intervals."""
-    return frozenset(map(canonical_type, _block_images(a)))
+    return frozenset(map(canonical_type, _block_images(img)))
 
 
-def _r_key(a: PartialInjection) -> Hashable:
-    return _block_key(_inverse(a))
+def _r_key(img: tuple[int, ...]) -> Hashable:
+    return _block_key(_inverse_image(img))
 
 
-def _h_key(a: PartialInjection) -> Hashable:
-    return _block_key(a), _r_key(a)
+def _h_key(img: tuple[int, ...]) -> Hashable:
+    return _block_key(img), _r_key(img)
 
 
-def _j_key(a: PartialInjection) -> Hashable:
-    return tuple(sorted(canonical_type(_type(run)) for run in _block_images(_inverse(a))))
+def _j_key(img: tuple[int, ...]) -> Hashable:
+    return tuple(sorted(canonical_type(_type(run)) for run in _block_images(_inverse_image(img))))
 
 
-_KEYS: dict[str, Callable[[PartialInjection], Hashable]] = {
+_KEYS: dict[str, Callable[[tuple[int, ...]], Hashable]] = {
     "L": _block_key,
     "R": _r_key,
     "H": _h_key,
@@ -123,10 +126,10 @@ _KEYS: dict[str, Callable[[PartialInjection], Hashable]] = {
 
 
 def _same_key(
-    key: Callable[[PartialInjection], Hashable], a: PartialInjection, b: PartialInjection
+    key: Callable[[tuple[int, ...]], Hashable], a: PartialInjection, b: PartialInjection
 ) -> bool:
     _require_members(a, b)
-    return key(a) == key(b)
+    return key(a.img) == key(b.img)
 
 
 def l_related(a: PartialInjection, b: PartialInjection) -> bool:
@@ -169,16 +172,15 @@ class GreensClassification:
 
 
 def _partition_by_key(
-    relation: str,
-    elements: list[PartialInjection],
-    key: Callable[[PartialInjection], Hashable],
+    relation: str, elements: list[PartialInjection], keys: Iterable[Hashable]
 ) -> GreensClassification:
     """Group ``elements``, which the caller has put in text-form order, by
-    ``key``: members of a class come out in text order and the classes in
-    the order of their first member, whatever order the caller was given."""
+    their ``keys``, given in the same order: members of a class come out in
+    text order and the classes in the order of their first member, whatever
+    order the caller was given."""
     by_key: dict[Hashable, list[PartialInjection]] = {}
-    for a in elements:
-        by_key.setdefault(key(a), []).append(a)
+    for a, k in zip(elements, keys):
+        by_key.setdefault(k, []).append(a)
     return GreensClassification(relation=relation, classes=tuple(map(tuple, by_key.values())))
 
 
@@ -195,29 +197,27 @@ def classify(elements: Iterable[PartialInjection], relation: str) -> GreensClass
     elements = _listed(elements)
     _require_members(*elements)
     elements.sort(key=_text_key)
-    return _partition_by_key(relation, elements, key)
+    return _partition_by_key(relation, elements, [key(a.img) for a in elements])
 
 
 def _pick_generators(
-    elements: list[PartialInjection], nodes: list[bytes], n: int
+    elements: list[PartialInjection], nodes: list[bytes], monoid: MonoidSet
 ) -> list[PartialInjection]:
-    """Letters drawn from ``elements``, in text order, that generate the
-    monoid ``nodes``: their byte images, in the same order, and the
-    identity's.  The closure of the letters so far is compared with the
-    monoid layer by layer (``rankcheck._first_difference``); at the first
-    layer that differs, a non-member is refused with ``ValueError``, and
-    otherwise the layer's first missing element becomes a letter."""
-    members = frozenset(nodes)
-    sizes = _rank_sizes(members, n)
+    """Letters drawn from ``elements``, in text order, that generate
+    ``monoid``, which holds them and the identity; ``nodes`` are their byte
+    images, in the same order.  The closure of the letters so far is
+    compared with the monoid's rank layers (``MonoidSet._layers``) one by
+    one (``rankcheck._first_difference``); at the first layer that differs,
+    a non-member is refused with ``ValueError``, and otherwise the layer's
+    first missing element becomes a letter."""
+    layers = monoid._layers
     letters: list[PartialInjection] = []
-    while (differs := _first_difference(letters, members, sizes, n)) is not None:
+    while (differs := _first_difference(letters, layers)) is not None:
         r, layer = differs
-        if not members.issuperset(layer):
+        if not layers[r].issuperset(layer):
             raise ValueError("input set is not closed under composition")
-        reached, zeros = set(layer), n + 1 - r
-        letters.append(
-            next(a for a, y in zip(elements, nodes) if y.count(0) == zeros and y not in reached)
-        )
+        missing = layers[r].difference(layer)
+        letters.append(next(a for a, y in zip(elements, nodes) if y in missing))
     return letters
 
 
@@ -305,7 +305,7 @@ def oracle_classifications(monoid: Iterable[PartialInjection]) -> dict[str, Gree
         if any(y.count(0) == 1 for y in nodes):  # a permutation
             raise ValueError("input set is not closed under composition")
         nodes.append(ident)
-    letters = _pick_generators(elements, nodes, n)
+    letters = _pick_generators(elements, nodes, MonoidSet(n, frozenset(distinct | {identity(n)})))
     left, right = _cayley_graphs(nodes, [_img_bytes(g.img) for g in letters])
     l_key, r_key = _components(left), _components(right)
     keys = {
@@ -314,7 +314,6 @@ def oracle_classifications(monoid: Iterable[PartialInjection]) -> dict[str, Gree
         "H": list(zip(l_key, r_key)),
         "J": _components(list(map(add, left, right))),
     }
-    return {
-        rel: _partition_by_key(rel, elements, dict(zip(elements, key)).__getitem__)
-        for rel, key in keys.items()
-    }
+    # ``nodes`` lists ``elements`` first, so the keys of the identity, if
+    # adjoined, come last and go unread.
+    return {rel: _partition_by_key(rel, elements, key) for rel, key in keys.items()}

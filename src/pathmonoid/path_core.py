@@ -33,8 +33,9 @@ class PartialInjection:
 
     The constructor validates its input; ``parse_element`` and
     ``element_from_json_dict`` pass it what they read.  Results built
-    inside the package (``compose``, ``inverse``, generators and word
-    evaluation) come from image tuples correct by construction, unchecked.
+    inside the package (``compose``, ``inverse``, ``restrict``, generators
+    and word evaluation) come from image tuples correct by construction,
+    unchecked.
     """
 
     __slots__ = ("n", "img", "_hash")
@@ -44,24 +45,24 @@ class PartialInjection:
 
     def __init__(self, n: int, pairs: Mapping[int, int] | Iterable[tuple[int, int]]):
         _check_n(n)
-        # Unsorted: sorting mixed vertex types would raise TypeError.
-        items = list(pairs.items()) if isinstance(pairs, Mapping) else list(pairs)
-        defined: set[int] = set()
+        img = [0] * (n + 1)  # an image is at least 1, so img[x] tells x is defined
         seen_images: set[int] = set()
-        for x, y in items:
+        # Unsorted: sorting mixed vertex types would raise TypeError.
+        for pair in _listed(pairs.items() if isinstance(pairs, Mapping) else pairs):
+            try:
+                x, y = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"a pair must be two vertices, got {pair!r}") from None
             if type(x) is not int or type(y) is not int:
                 raise ValueError(f"vertices must be integers, got ({x!r}, {y!r})")
             if not (1 <= x <= n and 1 <= y <= n):
                 raise ValueError(f"pair ({x}, {y}) out of range for n={n}")
-            if x in defined:
+            if img[x]:
                 raise ValueError(f"duplicate domain vertex {x}")
             if y in seen_images:
                 raise ValueError(f"duplicate image vertex {y} (map not injective)")
-            defined.add(x)
-            seen_images.add(y)
-        img = [0] * (n + 1)
-        for x, y in items:
             img[x] = y
+            seen_images.add(y)
         _init(self, tuple(img))
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -204,16 +205,13 @@ def _table(y: bytes) -> bytes:
 def inverse(a: PartialInjection) -> PartialInjection:
     """The inverse partial injection (swap domain and image)."""
     _check_element(a)
-    return _inverse(a)
-
-
-def _inverse(a: PartialInjection) -> PartialInjection:
-    """``inverse`` without the check, for callers that made it."""
     return _trusted(_inverse_image(a.img))
 
 
 def _inverse_image(img: tuple[int, ...]) -> tuple[int, ...]:
-    """The image tuple of the inverse of the image tuple ``img``."""
+    """The image tuple of the inverse of the image tuple ``img``: the one
+    inverse rule, which ``inverse``, the Green's keys and the factorizer
+    read."""
     inv = [0] * len(img)
     for x, y in enumerate(img):
         inv[y] = x
@@ -248,7 +246,7 @@ def restrict(a: PartialInjection, keep: Iterable[int]) -> PartialInjection:
     """Restriction of ``a`` to the domain vertices in ``keep``."""
     _check_element(a)
     keep_set = set(_vertices(keep))  # checked before the set, where True would merge with 1
-    return PartialInjection(a.n, [(x, y) for x, y in a.pairs if x in keep_set])
+    return _trusted(tuple(y if x in keep_set else 0 for x, y in enumerate(a.img)))
 
 
 def _runs(ordered: Iterable[int]) -> tuple[tuple[int, int], ...]:
@@ -316,7 +314,7 @@ def is_iend(a: PartialInjection) -> bool:
 
 def is_paut(a: PartialInjection) -> bool:
     """Membership in PAut(P_n): a and its inverse both send edges to edges."""
-    return is_iend(a) and is_iend(_inverse(a))
+    return is_iend(a) and is_iend(inverse(a))
 
 
 # -- text and JSON forms ----------------------------------------------------

@@ -16,13 +16,15 @@ elements of rank r in the closure are all known once the rank-r bucket is
 drained.  ``_saturate`` yields each layer then, and ``is_generating``
 rejects a candidate generating set at the first layer that differs from
 the target's (``_first_difference``, which also guides the pick of a
-generating set in ``greens.oracle_classifications``).  Every letter of A(n)
-and B(n) has rank n or n-1, so dropping one of them is detected within the
-top two layers.  By the same bound every member of rank >= n-1 of a closure
-is a product of letters of rank >= n-1, so the top two layers depend on
-those letters alone: ``exhaustive_min_size`` decides its candidates in
-groups sharing them, with one saturation for a group whose top layers
-already differ from the target's.
+generating set in ``greens.oracle_classifications``).  A target's layers
+are one record, ``MonoidSet._layers``: the byte images of its members of
+each rank, built once per monoid and read by every such comparison.  Every
+letter of A(n) and B(n) has rank n or n-1, so dropping one of them is
+detected within the top two layers.  By the same bound every member of
+rank >= n-1 of a closure is a product of letters of rank >= n-1, so the top
+two layers depend on those letters alone: ``exhaustive_min_size`` decides
+its candidates in groups sharing them, with one saturation for a group
+whose top layers already differ from the target's.
 """
 
 from __future__ import annotations
@@ -57,21 +59,26 @@ MAX_SUBSETS = 10_000_000
 class MonoidSet:
     """A set of partial injections on a common n, closed under composition.
 
-    Closure is guaranteed by the constructors used throughout (``closure``,
-    the family helpers below); it is not re-verified on every instantiation
-    because that costs |M|^2 products.
+    The constructor refuses with ``ValueError`` an n that is not a positive
+    int, elements that are not a collection of ``PartialInjection`` on that
+    n, and a set without the identity.  Closure is guaranteed by the
+    constructors used throughout (``closure``, the family helpers below); it
+    is not re-verified on every instantiation because that costs |M|^2
+    products.
     """
 
     n: int
     elements: frozenset[PartialInjection]
 
     def __post_init__(self) -> None:
-        for a in self.elements:
-            if a.n != self.n:
-                raise ValueError(
-                    f"element on n={a.n} does not match the monoid's n={self.n}"
-                )
-        if identity(self.n) not in self.elements:
+        n = self.n
+        _check_n(n)
+        for a in _listed(self.elements):
+            # One isinstance per member; ``_check_element`` words the refusal.
+            if not isinstance(a, PartialInjection) or a.n != n:
+                _check_element(a)
+                raise ValueError(f"element on n={a.n} does not match the monoid's n={n}")
+        if identity(n) not in self.elements:
             raise ValueError("a monoid must contain the identity")
 
     def __len__(self) -> int:
@@ -84,20 +91,17 @@ class MonoidSet:
         return iter(self.elements)
 
     @cached_property
-    def _layers(self) -> tuple[frozenset[bytes], tuple[int, ...]]:
-        """The members' byte images (``path_core._img_bytes``), and how many
-        members have each rank 0..n; computed once per monoid for
-        ``is_generating`` and ``_forced_generators``."""
-        imgs = frozenset(_img_bytes(a.img) for a in self.elements)
-        return imgs, _rank_sizes(imgs, self.n)
-
-
-def _rank_sizes(imgs: Iterable[bytes], n: int) -> tuple[int, ...]:
-    """How many of the byte images ``imgs`` at n have each rank 0..n."""
-    sizes = [0] * (n + 1)
-    for y in imgs:
-        sizes[n + 1 - y.count(0)] += 1
-    return tuple(sizes)
+    def _layers(self) -> tuple[frozenset[bytes], ...]:
+        """The members' byte images (``path_core._img_bytes``) by rank:
+        ``_layers[r]`` holds those of the members of rank r, for r = 0..n.
+        Computed once per monoid; every comparison of a closure with the
+        monoid (``_first_difference``), ``_forced_generators`` and the
+        Green's oracle's pick read it."""
+        layers: list[set[bytes]] = [set() for _ in range(self.n + 1)]
+        for a in self.elements:
+            y = _img_bytes(a.img)
+            layers[self.n + 1 - y.count(0)].add(y)
+        return tuple(map(frozenset, layers))
 
 
 def paut_monoid(n: int) -> MonoidSet:
@@ -158,15 +162,15 @@ def closure(gens: Iterable[PartialInjection], n: int) -> MonoidSet:
 
 
 def _first_difference(
-    gens: Iterable[PartialInjection], members: frozenset[bytes], sizes: Sequence[int], n: int
+    gens: Iterable[PartialInjection], layers: Sequence[frozenset[bytes]]
 ) -> tuple[int, list[bytes]] | None:
     """The first finished layer ``(r, layer)`` of the closure of ``gens``,
-    from rank n down, that differs from the target's: one of another size
-    than ``sizes[r]``, or one holding a byte image outside ``members``.
-    None when every layer matches, that is, when ``gens`` generate exactly
-    the target."""
-    for r, layer in _saturate(gens, n):
-        if len(layer) != sizes[r] or not members.issuperset(layer):
+    from rank n down, that differs from the target's ``layers[r]`` (see
+    ``MonoidSet._layers``; n is ``len(layers) - 1``): one of another size,
+    or one holding a byte image outside it.  None when every layer matches,
+    that is, when ``gens`` generate exactly the target."""
+    for r, layer in _saturate(gens, len(layers) - 1):
+        if len(layer) != len(layers[r]) or not layers[r].issuperset(layer):
             return r, layer
     return None
 
@@ -180,8 +184,7 @@ def is_generating(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
     iterable.
     """
     _check_target(target)
-    members, sizes = target._layers
-    return _first_difference(_listed(gens), members, sizes, target.n) is None
+    return _first_difference(_listed(gens), target._layers) is None
 
 
 def _check_target(target: object) -> None:
@@ -212,9 +215,9 @@ def _forced_generators(target: MonoidSet) -> list[PartialInjection]:
     and the other full-domain products give only the identity.  PAut(P_n)
     and IEnd(P_n), n >= 2, are such (the path has two automorphisms).
     """
-    members, layer_sizes = target._layers
+    top = target._layers[target.n]
     rev = make_generator(tau(), target.n)
-    if layer_sizes[target.n] == 2 and _img_bytes(rev.img) in members:
+    if len(top) == 2 and _img_bytes(rev.img) in top:
         return [rev]
     return []
 
@@ -258,7 +261,7 @@ def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
     _refuse_scope(_scope(len(target), len(forced), k), k)
     if k < len(forced):
         return True
-    n, (members, sizes) = target.n, target._layers
+    n, layers = target.n, target._layers
     high: list[PartialInjection] = []
     low: list[PartialInjection] = []
     for a in target.elements:
@@ -269,11 +272,11 @@ def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
         for top in combinations(high, j):
             base = forced + list(top)
             # Layers n and n-1 of a closure come from its high letters alone.
-            differs = _first_difference(base, members, sizes, n)
+            differs = _first_difference(base, layers)
             if differs is not None and differs[0] >= n - 1:
                 continue
             for rest in combinations(low, free - j):
-                if _first_difference(base + list(rest), members, sizes, n) is None:
+                if _first_difference(base + list(rest), layers) is None:
                     return False
     return True
 

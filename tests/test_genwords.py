@@ -281,6 +281,13 @@ class TestWords:
         with pytest.raises(ValueError):
             Word(4, ()) + Word(5, ())
 
+    @pytest.mark.parametrize("other", [3, None, (tau(),), "tau"], ids=["int", "None", "tuple", "str"])
+    def test_concatenation_refuses_what_is_not_a_word(self, other):
+        # ``+`` read ``other.n`` and raised AttributeError, where ``*`` of
+        # elements refuses with ValueError.
+        with pytest.raises(ValueError, match="a word must be a Word, got"):
+            Word(3, (tau(),)) + other
+
     def test_a_list_of_letters_is_stored_as_a_tuple(self):
         # A stored list left the word unhashable, and ``+`` raised TypeError.
         w = Word(5, [tau()])

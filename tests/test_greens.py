@@ -11,6 +11,7 @@ import pytest
 
 from pathmonoid import (
     GreensClassification,
+    MonoidSet,
     PartialInjection,
     classify,
     closure,
@@ -29,7 +30,7 @@ from pathmonoid import (
     r_related,
     type_sequence,
 )
-from pathmonoid import greens
+from pathmonoid import greens, path_core
 from pathmonoid.greens import canonical_type
 from pathmonoid.path_core import _img_bytes, _text_key
 from pathmonoid.selftest import check_greens
@@ -226,6 +227,22 @@ class TestClassify:
         classify(m, relation)
         assert sum(checked.values()) == len(checked) == len(m) == 458
 
+    @pytest.mark.parametrize("relation", ("L", "R", "H", "J"))
+    def test_builds_no_element(self, relation, monkeypatch):
+        # Every element is built through ``path_core._init``; the keys read
+        # the image tuples of the elements and of their inverses.
+        m = enumerate_iend(5)
+        inits = []
+        init = path_core._init
+
+        def counting(a, img):
+            inits.append(img)
+            init(a, img)
+
+        monkeypatch.setattr(path_core, "_init", counting)
+        classify(m, relation)
+        assert inits == []
+
     def test_empty_input(self):
         assert classify([], "H").classes == ()
 
@@ -325,7 +342,7 @@ class TestOracle:
         m = enumerate_paut(5) if family == "paut" else enumerate_iend(5)
         elements = sorted(m, key=_text_key)
         imgs = [_img_bytes(a.img) for a in elements]
-        letters = greens._pick_generators(elements, imgs, 5)
+        letters = greens._pick_generators(elements, imgs, MonoidSet(5, frozenset(m)))
         assert set(letters) <= set(m)
         assert closure(letters, 5).elements == frozenset(m)
 

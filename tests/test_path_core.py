@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 import pathmonoid
 from pathmonoid import (
+    MonoidSet,
     PartialInjection,
+    Word,
     canonical_delta,
     classify,
     closure,
@@ -119,6 +121,55 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PartialInjection(n, pairs)
 
+    def test_one_pass_matches_the_two_pass_reference(self):
+        # The constructor fills ``img`` in its validating loop; the reference
+        # checks every pair first and fills ``img`` in a second loop.
+        rng = random.Random(45)
+        outcomes = set()
+        for _ in range(5000):
+            n = rng.randint(1, 6)
+            vertices = [*range(n + 2), True, 1.0]
+            pairs = [
+                (rng.choice(vertices), rng.choice(vertices)) if rng.random() < 0.05
+                else (rng.randint(1, n), rng.randint(1, n))
+                for _ in range(rng.randint(0, n + 1))
+            ]
+            got, expected = _outcome(PartialInjection, n, pairs), _outcome(_two_pass_image, n, pairs)
+            assert got == expected, (n, pairs)
+            outcomes.add(got.split()[0] if isinstance(got, str) else "built")
+        assert outcomes == {"built", "vertices", "pair", "duplicate"}
+
+
+def _two_pass_image(n, pairs):
+    """The image tuple of the pairs by the two-loop rule: every pair is
+    checked against the sets of defined and of image vertices, then ``img``
+    is filled."""
+    defined, seen_images = set(), set()
+    for x, y in pairs:
+        if type(x) is not int or type(y) is not int:
+            raise ValueError(f"vertices must be integers, got ({x!r}, {y!r})")
+        if not (1 <= x <= n and 1 <= y <= n):
+            raise ValueError(f"pair ({x}, {y}) out of range for n={n}")
+        if x in defined:
+            raise ValueError(f"duplicate domain vertex {x}")
+        if y in seen_images:
+            raise ValueError(f"duplicate image vertex {y} (map not injective)")
+        defined.add(x)
+        seen_images.add(y)
+    img = [0] * (n + 1)
+    for x, y in pairs:
+        img[x] = y
+    return tuple(img)
+
+
+def _outcome(build, n, pairs):
+    """The image tuple ``build`` gives, or the message of its ValueError."""
+    try:
+        built = build(n, pairs)
+    except ValueError as exc:
+        return str(exc)
+    return getattr(built, "img", built)
+
 
 class TestAlgebra:
     def test_compose_right_action(self):
@@ -160,6 +211,16 @@ class TestAlgebra:
     def test_restrict(self):
         a = PartialInjection(5, [(1, 3), (2, 4), (5, 5)])
         assert restrict(a, [2, 5, 4]) == PartialInjection(5, [(2, 4), (5, 5)])
+
+    def test_restrict_matches_the_checked_constructor(self):
+        # ``restrict`` filters the image tuple; the checked constructor,
+        # given the kept pairs, builds the same element.
+        rng = random.Random(47)
+        for a in all_partial_injections(4):
+            keep = rng.sample(range(-1, 7), rng.randint(0, 8))
+            got = restrict(a, keep)
+            expected = PartialInjection(a.n, [(x, y) for x, y in a.pairs if x in keep])
+            assert (got.n, got.img, hash(got)) == (expected.n, expected.img, hash(expected)), (a, keep)
 
     @pytest.mark.parametrize("vertex", [True, 1.0, "1"], ids=["bool", "float", "str"])
     def test_restrict_refuses_a_vertex_that_is_not_an_int(self, vertex):
@@ -412,12 +473,47 @@ def test_functions_that_take_words_letters_or_targets_refuse_other_objects(call,
         call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PartialInjection(3, None), "elements must be an iterable, got NoneType"),
+        (lambda: PartialInjection(3, [1]), "a pair must be two vertices, got 1"),
+        (lambda: PartialInjection(3, [(1, 2, 3)]), "a pair must be two vertices, got (1, 2, 3)"),
+        (lambda: Word(3, None), "elements must be an iterable, got NoneType"),
+        (lambda: Word(None, None), "n must be a positive integer, got None"),
+        (lambda: MonoidSet(3, None), "elements must be an iterable, got NoneType"),
+        (lambda: MonoidSet(3, frozenset([1])), "an element must be a PartialInjection, got int"),
+        (lambda: MonoidSet("x", paut_monoid(3).elements), "n must be a positive integer, got 'x'"),
+        (lambda: MonoidSet(None, None), "n must be a positive integer, got None"),
+    ],
+    ids=[
+        "element-None", "element-int-pair", "element-triple", "word-None",
+        "word-n", "monoid-None", "monoid-int-member", "monoid-n", "monoid-n-first",
+    ],
+)
+def test_constructors_refuse_other_objects(call, message):
+    # Each raised TypeError or AttributeError, or read a str n as a
+    # mismatch ("element on n=3 does not match the monoid's n=x").
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+# The classes of ``pathmonoid.__all__`` whose constructors check their
+# arguments; the other classes are records and exceptions.
+CHECKED_CONSTRUCTORS = {"PartialInjection", "Word", "MonoidSet"}
+
+# One valid value for every keyword-only parameter in ``pathmonoid.__all__``.
+VALID_KEYWORDS = {"verify_rank": {"exhaustive": False}}
+
+
 def _valid_arguments():
-    """One valid positional argument list for every function of
-    ``pathmonoid.__all__``."""
+    """One valid positional argument list for every function and checked
+    constructor of ``pathmonoid.__all__``."""
     a, word = parse_element("n=3;1>1,2>2"), parse_word("tau", 3)
     letter, target = word.letters[0], paut_monoid(3)
     return {
+        "PartialInjection": (3, [(1, 1)]), "Word": (3, (letter,)),
+        "MonoidSet": (3, target.elements),
         "compose": (a, a), "inverse": (a,), "identity": (3,), "empty_map": (3,),
         "restrict": (a, {1}), "maximal_intervals": ({1, 2},), "domain_intervals": (a,),
         "image_intervals": (a,), "is_iend": (a,), "is_paut": (a,), "format_element": (a,),
@@ -440,29 +536,43 @@ def _valid_arguments():
 
 
 def test_every_public_function_refuses_a_wrong_type_with_value_error():
-    # Each function of the public API, with "x" and with None in each
-    # position (the others valid), answers ValueError or a result; any
-    # other exception is an unchecked argument.
+    # Each function and checked constructor of the public API, with "x" and
+    # with None in each positional or keyword-only slot (the others valid),
+    # answers ValueError or a result; any other exception is an unchecked
+    # argument.
     valid = _valid_arguments()
     functions = [
-        name for name in pathmonoid.__all__ if inspect.isfunction(getattr(pathmonoid, name))
+        name
+        for name in pathmonoid.__all__
+        if inspect.isfunction(getattr(pathmonoid, name)) or name in CHECKED_CONSTRUCTORS
     ]
     assert sorted(valid) == sorted(functions)
+    keyword_only = {}
+    for name in functions:
+        parameters = inspect.signature(getattr(pathmonoid, name)).parameters.values()
+        names = sorted(p.name for p in parameters if p.kind is p.KEYWORD_ONLY)
+        if names:
+            keyword_only[name] = names
+    assert keyword_only == {name: sorted(kw) for name, kw in VALID_KEYWORDS.items()}
     other = []
     for name in functions:
         function = getattr(pathmonoid, name)
-        for position in range(len(valid[name])):
+        keywords = VALID_KEYWORDS.get(name, {})
+        for slot in [*range(len(valid[name])), *keywords]:
             for wrong in ("x", None):
-                args = list(valid[name])
-                args[position] = wrong
+                args, kwargs = list(valid[name]), dict(keywords)
+                if isinstance(slot, int):
+                    args[slot] = wrong
+                else:
+                    kwargs[slot] = wrong
                 try:
-                    result = function(*args)
+                    result = function(*args, **kwargs)
                     if inspect.isgenerator(result):
                         list(result)
                 except ValueError:
                     pass
                 except Exception as exc:
-                    other.append(f"{name} #{position} {wrong!r}: {type(exc).__name__}")
+                    other.append(f"{name} {slot!r} {wrong!r}: {type(exc).__name__}")
     assert other == []
 
 

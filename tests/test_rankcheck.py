@@ -394,6 +394,28 @@ def _ideal(family, n, r):
     return MonoidSet(n, frozenset(a for a in members if len(a) <= r) | {identity(n)})
 
 
+class TestLayers:
+    """``MonoidSet._layers`` is one tuple: the members' byte images by rank."""
+
+    @staticmethod
+    def assert_members_by_rank(target):
+        layers = target._layers
+        assert isinstance(layers, tuple) and len(layers) == target.n + 1
+        for r, layer in enumerate(layers):
+            assert isinstance(layer, frozenset), r
+            assert layer == {_img_bytes(a.img) for a in target if len(a) == r}, r
+
+    @pytest.mark.parametrize("family,n", [(family, n) for family in MONOIDS for n in range(1, 7)])
+    def test_family_layers(self, family, n):
+        self.assert_members_by_rank(MONOIDS[family](n))
+
+    @pytest.mark.parametrize(
+        "family,n,r", [(family, n, r) for family in MONOIDS for n in (3, 4) for r in range(n)]
+    )
+    def test_ideal_layers(self, family, n, r):
+        self.assert_members_by_rank(_ideal(family, n, r))
+
+
 SEARCH_TARGETS = {
     **{
         f"{f}{n}": partial(MONOIDS[f], n)
