@@ -23,20 +23,23 @@ table h[r][m] = h[r][m-1] + h[r-1][m] + h[r-1][m-1] with h[0][0] = 1, so
 the sum has O(n^2) terms.  The sum over all 2^n masks (``count_by_mask``) is
 kept as the per-mask table and as the reference the closed form is checked
 against.  ``mask_profile`` reads r, s and T off the mask by popcounts: the
-block starts are the set bits whose lower neighbour is clear.
+block starts are the set bits whose lower neighbour is clear.  The
+placements (q1, q2, t1, t2) depend on (r, s) alone, so ``count_by_mask``
+computes them once per (r, s), not once per mask.
 
-Enumeration does not use the placement rule.  ``_enumerate_family`` walks
-the members depth first by the paper's adjacency definition (|a(x+1) - a(x)|
-= 1 where both are defined, for PAut of a and of its inverse), adding one
-pair at a time and never visiting a non-member, so its size is a third count
-independent of the closed form.  Its preorder is text order, the order of
-every listing, with no sort; ``enumerate_paut`` and ``enumerate_iend``
-return it as it is.  ``elements_with_domain`` keeps the placement rule, one
-domain at a time, and the tests check the walk against it.
+Enumeration does not use the placement rule.  ``_member_images`` walks the
+members depth first by the paper's adjacency definition (|a(x+1) - a(x)| =
+1 where both are defined, for PAut of a and of its inverse), adding one pair
+at a time and never visiting a non-member, so its size is a third count
+independent of the closed form.  It changes one image list in place and
+copies it once per member, so a caller that needs only the texts or the
+count builds no element.  Its preorder is text order, the order of every
+listing, with no sort; ``enumerate_paut`` and ``enumerate_iend`` wrap its
+image tuples as they are.  ``elements_with_domain`` keeps the placement
+rule, one domain at a time, and the tests check the walk against it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations, permutations, product
 from math import comb, factorial
 from operator import add
@@ -80,8 +83,7 @@ def _family(name: str) -> _Family:
         raise ValueError(f"unknown family {name!r}") from None
 
 
-@dataclass(frozen=True)
-class MaskProfile:
+class MaskProfile(NamedTuple):
     """The counting data of one domain mask: its r blocks, s vertices and T
     blocks of size >= 2; q1 and q2 are ``_slots`` at gap 1 (PAut) and 0
     (IEnd), and t_i = r! * q_i."""
@@ -123,6 +125,13 @@ def _slots(n: int, s: int, r: int, gap: int) -> int:
     return comb(n - s + r - (r - 1) * gap, r)
 
 
+def _placements(n: int, r: int, s: int) -> tuple[int, int, int, int]:
+    """(q1, q2, t1, t2) of a mask with r blocks and s vertices at n."""
+    q1, q2 = _slots(n, s, r, 1), _slots(n, s, r, 0)
+    f = factorial(r)
+    return q1, q2, f * q1, f * q2
+
+
 def mask_profile(n: int, bits: int) -> MaskProfile:
     """Compute (r, s, T, q1, q2, t1, t2) for one domain mask."""
     _check_n(n)
@@ -130,18 +139,19 @@ def mask_profile(n: int, bits: int) -> MaskProfile:
         raise ValueError(f"a mask must be an integer, got {bits!r}")
     if not 0 <= bits < 1 << n:
         raise ValueError(f"mask {bits:#x} out of range for n={n}")
-    return _profile(n, bits)
+    return _profile(n, bits, {})
 
 
-def _profile(n: int, bits: int) -> MaskProfile:
-    """``mask_profile`` of a mask already checked against n."""
+def _profile(n: int, bits: int, placements: dict) -> MaskProfile:
+    """``mask_profile`` of a mask already checked against n; ``placements``
+    holds the ``_placements`` of each (r, s) met so far in the caller."""
     # A block starts at a set bit whose lower neighbour is clear, and has
     # size >= 2 when the bit above its start is set too.
     starts = bits & ~(bits << 1)
     r, s, T = starts.bit_count(), bits.bit_count(), (starts & (bits >> 1)).bit_count()
-    q1, q2 = _slots(n, s, r, 1), _slots(n, s, r, 0)
-    f = factorial(r)
-    return MaskProfile(n=n, bits=bits, r=r, s=s, T=T, q1=q1, q2=q2, t1=f * q1, t2=f * q2)
+    if (r, s) not in placements:
+        placements[r, s] = _placements(n, r, s)
+    return MaskProfile(n, bits, r, s, T, *placements[r, s])
 
 
 def _count(n: int, family: str) -> int:
@@ -176,9 +186,10 @@ def count_iend(n: int) -> int:
 def count_by_mask(n: int) -> list[tuple[MaskProfile, int, int]]:
     """Per-mask table of (profile, paut contribution, iend contribution)."""
     _check_n(n)
+    placements: dict = {}
     table = []
     for bits in range(1 << n):
-        prof = _profile(n, bits)
+        prof = _profile(n, bits, placements)
         table.append((prof, prof.t1 << prof.T, prof.t2 << prof.T))
     return table
 
@@ -219,9 +230,9 @@ def elements_with_domain(
     return out
 
 
-def _enumerate_family(n: int, family: str) -> list[PartialInjection]:
-    """Every member of the family at n, in text order, by the paper's
-    adjacency rule alone.
+def _member_images(n: int, family: str) -> list[tuple[int, ...]]:
+    """The image tuple of every member of the family at n, in text order,
+    by the paper's adjacency rule alone.
 
     A depth-first walk whose nodes are exactly the members, the empty map
     at the root: the parent of a member is the member with its largest
@@ -231,44 +242,50 @@ def _enumerate_family(n: int, family: str) -> list[PartialInjection]:
     every (x', y') with x' >= x + 2, each kept when the pair it adds keeps
     the rule.  They are visited in (x', y') order, so for n <= 9, where each
     vertex is one digit and a prefix sorts first, the preorder is text
-    order."""
+    order.  The walk sets and clears pairs in one list ``img`` and copies
+    it once per member."""
     _check_n(n)
     if n > MAX_ENUMERATE_N:
         raise ResourceRefused(f"enumeration at n={n} is above the bound of {MAX_ENUMERATE_N}")
     gap = _family(family).gap
+    img = [0] * (n + 1)
     used = [False] * (n + 2)  # slots 0 and n + 1 stay False
-    zeros = [(0,) * (n + 1 - k) for k in range(n + 2)]
-    out = [_trusted(zeros[0])]
+    out = [tuple(img)]
+    emit = out.append
 
-    def grow(prefix: tuple[int, ...], y: int) -> None:
-        # prefix is img[0..x], x < n; y = img[x], or 0 at the root, whose
-        # children start at x' = 1.
-        x = len(prefix) - 1
-        # a(x + 1) = y ± 1; with a gap (PAut), the other neighbour 2y' - y
-        # of y' must be unused, as its preimage would lie before x.
-        steps = [
-            prefix + (z,) for z in ((y - 1, y + 1) if y else ())
+    def grow(x: int, y: int) -> None:
+        # The node's last pair is (x, y), x < n, or (0, 0) at the root.  A
+        # child sets img[x'] = y' and marks y' used while its subtree is
+        # walked: y' = y ± 1 at x' = x + 1, and any free y' from x' = x + 2
+        # on (from x' = 1 at the root).  With a gap (PAut), a free vertex
+        # has no used neighbour, and y ± 1 needs its other neighbour unused,
+        # as that preimage would lie before x.
+        free = [
+            z for z in range(1, n + 1)
+            if not used[z] and not (gap and (used[z - 1] or used[z + 1]))
+        ] if x + 2 <= n or not y else ()
+        ys = [
+            z for z in (y - 1, y + 1)
             if 0 < z <= n and not used[z] and not (gap and used[2 * z - y])
-        ]
-        first = x + 2 if y else 1
-        if first <= n:
-            free = [
-                z for z in range(1, n + 1)
-                if not used[z] and not (gap and (used[z - 1] or used[z + 1]))
-            ]
-            for x2 in range(first, n + 1):
-                pad = prefix + (0,) * (x2 - x - 1)
-                steps.extend([pad + (z,) for z in free])
-        for child in steps:
-            out.append(_trusted(child + zeros[len(child)]))
-            if len(child) <= n:
-                z = child[-1]
-                used[z] = True
-                grow(child, z)
-                used[z] = False
+        ] if y else free
+        for x2 in range(x + 1, n + 1):
+            for z in ys:
+                img[x2] = z
+                emit(tuple(img))
+                if x2 < n:
+                    used[z] = True
+                    grow(x2, z)
+                    used[z] = False
+            img[x2] = 0
+            ys = free
 
-    grow((0,), 0)
+    grow(0, 0)
     return out
+
+
+def _enumerate_family(n: int, family: str) -> list[PartialInjection]:
+    """Every member of the family at n, in text order (``_member_images``)."""
+    return list(map(_trusted, _member_images(n, family)))
 
 
 def enumerate_paut(n: int) -> list[PartialInjection]:

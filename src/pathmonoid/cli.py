@@ -40,6 +40,7 @@ from .census import (
     _count,
     _enumerate_family,
     _family,
+    _member_images,
     count_by_mask,
     mask_to_string,
 )
@@ -59,6 +60,7 @@ from .greens import classify as classify_elements
 from .path_core import (
     PartialInjection,
     _check_n,
+    _image_text,
     _read_element_json,
     _read_element_text,
     format_element,
@@ -180,7 +182,7 @@ def _cmd_count(args: argparse.Namespace) -> Rendering:
     if args.per_mask:
         rows = []
         for profile, *contributions in count_by_mask(args.n):
-            row = {"mask": mask_to_string(args.n, profile.bits), **vars(profile)}
+            row = {"mask": mask_to_string(args.n, profile.bits), **profile._asdict()}
             del row["n"], row["bits"]
             for family, contribution in zip(_FAMILIES, contributions):
                 if family in families:
@@ -192,7 +194,7 @@ def _cmd_count(args: argparse.Namespace) -> Rendering:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> Rendering:
-    texts = [format_element(a) for a in _enumerate_family(args.n, args.family)]
+    texts = list(map(_image_text, _member_images(args.n, args.family)))
     payload = {
         "n": args.n,
         "family": args.family,

@@ -325,8 +325,14 @@ _ELEMENT_RE = re.compile(r"n=([0-9]+);((?:[0-9]+>[0-9]+)(?:,[0-9]+>[0-9]+)*)?")
 def format_element(a: PartialInjection) -> str:
     """Canonical text form, e.g. ``"n=5;1>3,2>4"`` (empty map: ``"n=5;"``)."""
     _check_element(a)
-    body = ",".join([f"{x}>{y}" for x, y in enumerate(a.img) if y])
-    return f"n={a.n};{body}"
+    return _image_text(a.img)
+
+
+def _image_text(img: tuple[int, ...]) -> str:
+    """The text form of the image tuple ``img``, unchecked: the one text
+    rule, which ``format_element`` and the listings of ``enumerate`` read."""
+    body = ",".join([f"{x}>{y}" for x, y in enumerate(img) if y])
+    return f"n={len(img) - 1};{body}"
 
 
 def _text_key(a: PartialInjection) -> bytes | str:

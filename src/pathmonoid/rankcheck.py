@@ -61,10 +61,11 @@ class MonoidSet:
 
     The constructor refuses with ``ValueError`` an n that is not a positive
     int, elements that are not a collection of ``PartialInjection`` on that
-    n, and a set without the identity.  Closure is guaranteed by the
-    constructors used throughout (``closure``, the family helpers below); it
-    is not re-verified on every instantiation because that costs |M|^2
-    products.
+    n, and a set without the identity.  Any other collection is stored as a
+    frozenset, so every monoid hashes and compares by its members; a
+    frozenset is kept as it is.  Closure is guaranteed by the constructors
+    used throughout (``closure``, the family helpers below); it is not
+    re-verified on every instantiation because that costs |M|^2 products.
     """
 
     n: int
@@ -73,11 +74,14 @@ class MonoidSet:
     def __post_init__(self) -> None:
         n = self.n
         _check_n(n)
-        for a in _listed(self.elements):
+        members = _listed(self.elements)
+        for a in members:
             # One isinstance per member; ``_check_element`` words the refusal.
             if not isinstance(a, PartialInjection) or a.n != n:
                 _check_element(a)
                 raise ValueError(f"element on n={a.n} does not match the monoid's n={n}")
+        if not isinstance(self.elements, frozenset):
+            object.__setattr__(self, "elements", frozenset(members))
         if identity(n) not in self.elements:
             raise ValueError("a monoid must contain the identity")
 

@@ -28,7 +28,7 @@ from pathmonoid import (
     maximal_intervals,
     rank_formula,
 )
-from pathmonoid import census, cli, iend_monoid, paut_monoid, verify_rank
+from pathmonoid import census, cli, iend_monoid, path_core, paut_monoid, verify_rank
 from pathmonoid.census import mask_from_set, mask_to_string
 from pathmonoid.path_core import _text_key
 from pathmonoid.selftest import check_counts
@@ -132,6 +132,23 @@ class TestCounts:
             (prof, (1 << prof.T) * prof.t1, (1 << prof.T) * prof.t2)
             for prof in map(partial(mask_profile, n), range(1 << n))
         ]
+
+    def test_per_mask_table_places_each_r_s_once(self, monkeypatch):
+        # q1 and q2 depend on (r, s) alone: two ``_slots`` calls per
+        # distinct (r, s), not two per mask.
+        n = 12
+        pairs = {(prof.r, prof.s) for prof, _, _ in count_by_mask(n)}
+        calls = []
+        slots = census._slots
+
+        def counting(*args):
+            calls.append(args)
+            return slots(*args)
+
+        monkeypatch.setattr(census, "_slots", counting)
+        count_by_mask(n)
+        assert sorted(calls) == sorted((n, s, r, gap) for r, s in pairs for gap in (0, 1))
+        assert len(calls) == 2 * len(pairs) < 2 * (1 << n)
 
     def test_per_mask_table_checks_n_once(self, monkeypatch):
         checks = []
@@ -296,20 +313,35 @@ class TestTextOrder:
         keys = list(map(_text_key, enumerate_family(n)))
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
-    def test_cli_enumerate_formats_each_element_once(self, monkeypatch, capsys):
-        # Once, for output: the sort reads byte keys, not the text.
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        """Route ``name`` in every module that binds it through a counter."""
         calls = []
+        rule = getattr(path_core, name)
 
-        def counting_format(a):
-            calls.append(a)
-            return format_element(a)
+        def counting(img):
+            calls.append(img)
+            return rule(img)
 
         for info in pkgutil.iter_modules(pathmonoid.__path__):
             module = importlib.import_module(f"pathmonoid.{info.name}")
-            if hasattr(module, "format_element"):
-                monkeypatch.setattr(module, "format_element", counting_format)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_cli_enumerate_formats_each_element_once(self, monkeypatch, capsys):
+        # Once per member, for output, from its image tuple: the listing
+        # builds no element.
+        texts = self._count_calls(monkeypatch, "_image_text")
+        built = self._count_calls(monkeypatch, "_trusted")
         assert cli.main(["enumerate", "--n", "6", "--family", "iend"]) == 0
-        assert len(calls) == IEND_COUNTS[5] == 2127
+        assert len(texts) == IEND_COUNTS[5] == 2127
+        assert built == []
+
+    def test_check_counts_builds_no_element(self, monkeypatch):
+        built = self._count_calls(monkeypatch, "_trusted")
+        assert check_counts(6) is None
+        assert built == []
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_monoids_hold_the_enumeration(self, n):

@@ -618,6 +618,9 @@ class TestConfig:
         # A parameter or a record field with a default is a setting; only
         # ``verify_rank``'s ``exhaustive`` has two callers that need
         # different values (``verify-rank`` with and without ``--exhaustive``).
+        # The records are dataclasses and ``typing.NamedTuple`` classes; the
+        # one record exception is ``Symbol``, whose i and j default to 0 for
+        # the kinds that take fewer indices (``tau()`` is ``Symbol("tau")``).
         settings = [
             f"{name}({param.name}=)"
             for name in pathmonoid.__all__
@@ -633,7 +636,13 @@ class TestConfig:
             if field.default is not dataclasses.MISSING
             or field.default_factory is not dataclasses.MISSING
         ]
-        assert settings == ["verify_rank(exhaustive=)"]
+        settings += [
+            f"{name}.{field}="
+            for name in pathmonoid.__all__
+            if isinstance(record := getattr(pathmonoid, name), type) and issubclass(record, tuple)
+            for field in getattr(record, "_field_defaults", ())
+        ]
+        assert settings == ["verify_rank(exhaustive=)", "Symbol.i=", "Symbol.j="]
 
     def test_private_functions_take_no_settings(self):
         # A default on a private function is an argument no caller needs to

@@ -57,6 +57,16 @@ class TestMonoidSet:
         with pytest.raises(ValueError):
             MonoidSet(3, frozenset({identity(3), identity(4)}))
 
+    @pytest.mark.parametrize("collection", [list, tuple, set, iter], ids=["list", "tuple", "set", "iterator"])
+    def test_stores_its_elements_as_a_frozenset(self, collection):
+        # A list used to be kept as it was: hash() raised TypeError and the
+        # monoid compared unequal to the same members in a frozenset.
+        members = paut_monoid(2).elements
+        m = MonoidSet(2, collection(members))
+        assert type(m.elements) is frozenset
+        assert m == MonoidSet(2, members) == paut_monoid(2)
+        assert hash(m) == hash(paut_monoid(2))
+
     def test_container_protocol(self):
         m = paut_monoid(2)
         assert len(m) == 7
