@@ -230,7 +230,7 @@ class Word:
     def __post_init__(self) -> None:
         _check_n(self.n)
         # A list of letters would leave the word unhashable and break ``+``.
-        object.__setattr__(self, "letters", tuple(_listed(self.letters)))
+        object.__setattr__(self, "letters", tuple(_listed(self.letters, "letters")))
         for sym in self.letters:
             _check_symbol(sym, self.n)
 

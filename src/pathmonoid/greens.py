@@ -48,11 +48,10 @@ from .path_core import (
     _text_key,
     _vertices,
     format_element,
-    identity,
     is_iend,
     split_blocks,
 )
-from .rankcheck import MonoidSet, _first_difference
+from .rankcheck import _by_rank, _first_difference
 
 
 def _require_members(*elements: PartialInjection) -> None:
@@ -194,30 +193,25 @@ def classify(elements: Iterable[PartialInjection], relation: str) -> GreensClass
         key = _KEYS[relation]
     except (KeyError, TypeError):  # TypeError: an unhashable relation
         raise ValueError(f"unknown relation {relation!r}; expected one of L, R, H, J") from None
-    elements = _listed(elements)
+    elements = _listed(elements, "elements")
     _require_members(*elements)
     elements.sort(key=_text_key)
     return _partition_by_key(relation, elements, [key(a.img) for a in elements])
 
 
-def _pick_generators(
-    elements: list[PartialInjection], nodes: list[bytes], monoid: MonoidSet
-) -> list[PartialInjection]:
-    """Letters drawn from ``elements``, in text order, that generate
-    ``monoid``, which holds them and the identity; ``nodes`` are their byte
-    images, in the same order.  The closure of the letters so far is
-    compared with the monoid's rank layers (``MonoidSet._layers``) one by
-    one (``rankcheck._first_difference``); at the first layer that differs,
-    a non-member is refused with ``ValueError``, and otherwise the layer's
-    first missing element becomes a letter."""
-    layers = monoid._layers
-    letters: list[PartialInjection] = []
-    while (differs := _first_difference(letters, layers)) is not None:
+def _pick_generators(nodes: list[bytes], layers: Sequence[frozenset[bytes]]) -> list[bytes]:
+    """Letters drawn from ``nodes``, the byte images of a monoid in text
+    order, that generate it; ``layers`` are the nodes by rank.  At the first
+    layer where the closure of the letters so far differs
+    (``rankcheck._first_difference``), a non-member is refused with
+    ``ValueError``, and otherwise the layer's first missing node is added."""
+    letters: list[bytes] = []
+    while (differs := _first_difference(list(map(_table, letters)), layers)) is not None:
         r, layer = differs
         if not layers[r].issuperset(layer):
             raise ValueError("input set is not closed under composition")
         missing = layers[r].difference(layer)
-        letters.append(next(a for a, y in zip(elements, nodes) if y in missing))
+        letters.append(next(y for y in nodes if y in missing))
     return letters
 
 
@@ -288,7 +282,7 @@ def oracle_classifications(monoid: Iterable[PartialInjection]) -> dict[str, Gree
     no permutation, as the powers of one reach the identity, so the
     adjoined identity is alone in every class and is left out.
     """
-    given = _listed(monoid)
+    given = _listed(monoid, "elements")
     for a in given:
         _check_element(a)
     distinct = set(given)
@@ -305,8 +299,7 @@ def oracle_classifications(monoid: Iterable[PartialInjection]) -> dict[str, Gree
         if any(y.count(0) == 1 for y in nodes):  # a permutation
             raise ValueError("input set is not closed under composition")
         nodes.append(ident)
-    letters = _pick_generators(elements, nodes, MonoidSet(n, frozenset(distinct | {identity(n)})))
-    left, right = _cayley_graphs(nodes, [_img_bytes(g.img) for g in letters])
+    left, right = _cayley_graphs(nodes, _pick_generators(nodes, _by_rank(nodes, n)))
     l_key, r_key = _components(left), _components(right)
     keys = {
         "L": l_key,

@@ -31,11 +31,11 @@ class PartialInjection:
     ``img``; ``pairs`` is the graph of the map sorted by ``x``.  Instances
     are hashable and compare by ``img``.
 
-    The constructor validates its input; ``parse_element`` and
-    ``element_from_json_dict`` pass it what they read.  Results built
-    inside the package (``compose``, ``inverse``, ``restrict``, generators
-    and word evaluation) come from image tuples correct by construction,
-    unchecked.
+    The constructor validates its input, which ``parse_element`` and
+    ``element_from_json_dict`` read, and returns through ``_trusted``, the
+    one maker of elements; results built inside the package (``compose``,
+    ``inverse``, ``restrict``, generators, word evaluation) call it on image
+    tuples correct by construction, unchecked.
     """
 
     __slots__ = ("n", "img", "_hash")
@@ -43,12 +43,12 @@ class PartialInjection:
     n: int
     img: tuple[int, ...]
 
-    def __init__(self, n: int, pairs: Mapping[int, int] | Iterable[tuple[int, int]]):
+    def __new__(cls, n: int, pairs: Mapping[int, int] | Iterable[tuple[int, int]]):
         _check_n(n)
         img = [0] * (n + 1)  # an image is at least 1, so img[x] tells x is defined
         seen_images: set[int] = set()
         # Unsorted: sorting mixed vertex types would raise TypeError.
-        for pair in _listed(pairs.items() if isinstance(pairs, Mapping) else pairs):
+        for pair in _listed(pairs.items() if isinstance(pairs, Mapping) else pairs, "pairs"):
             try:
                 x, y = pair
             except (TypeError, ValueError):
@@ -63,7 +63,7 @@ class PartialInjection:
                 raise ValueError(f"duplicate image vertex {y} (map not injective)")
             img[x] = y
             seen_images.add(y)
-        _init(self, tuple(img))
+        return _trusted(tuple(img))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PartialInjection is immutable")
@@ -123,16 +123,10 @@ class PartialInjection:
 
 # The slots' member descriptors: setting through them skips the
 # ``__setattr__`` that keeps instances immutable, and the lookup of
-# ``object.__setattr__``.
+# ``object.__setattr__``.  ``_trusted`` alone sets them.
 _set_n, _set_img, _set_hash = (
     PartialInjection.__dict__[slot].__set__ for slot in PartialInjection.__slots__
 )
-
-
-def _init(a: PartialInjection, img: tuple[int, ...]) -> None:
-    _set_n(a, len(img) - 1)
-    _set_img(a, img)
-    _set_hash(a, hash(img))
 
 
 def _check_n(n: int) -> None:
@@ -147,13 +141,14 @@ def _check_element(a: object) -> None:
         raise ValueError(f"an element must be a PartialInjection, got {type(a).__name__}")
 
 
-def _listed(items: object) -> list:
-    """``list(items)``, or ``ValueError`` if ``items`` is not iterable: the
-    functions that take a collection of elements list it through here."""
+def _listed(items: object, noun: str) -> list:
+    """``list(items)``, or ``ValueError`` naming ``noun`` if ``items`` is not
+    iterable: the functions that take a collection of elements, pairs,
+    letters or vertices list it through here."""
     try:
         it = iter(items)  # only this call: a generator's own errors pass through
     except TypeError:
-        raise ValueError(f"elements must be an iterable, got {type(items).__name__}") from None
+        raise ValueError(f"{noun} must be an iterable, got {type(items).__name__}") from None
     return list(it)
 
 
@@ -164,9 +159,12 @@ def _check_text(text: object, form: str) -> None:
 
 def _trusted(img: tuple[int, ...]) -> PartialInjection:
     """Wrap an image tuple without checks; ``img`` must already be a valid
-    injective image tuple with ``img[0] == 0`` and length at least 2."""
+    injective image tuple with ``img[0] == 0`` and length at least 2.  It
+    alone sets the slots; the checked constructor returns through it too."""
     a = object.__new__(PartialInjection)
-    _init(a, img)
+    _set_n(a, len(img) - 1)
+    _set_img(a, img)
+    _set_hash(a, hash(img))
     return a
 
 
@@ -235,7 +233,7 @@ def _vertices(points: object) -> list:
     """``points`` listed (``_listed``), or ``ValueError`` for a vertex that
     is not an ``int``, as in the constructor: a bool or a float would
     compare equal to one."""
-    points = _listed(points)
+    points = _listed(points, "vertices")
     for v in points:
         if type(v) is not int:
             raise ValueError(f"vertices must be integers, got {v!r}")

@@ -16,9 +16,10 @@ elements of rank r in the closure are all known once the rank-r bucket is
 drained.  ``_saturate`` yields each layer then, and ``is_generating``
 rejects a candidate generating set at the first layer that differs from
 the target's (``_first_difference``, which also guides the pick of a
-generating set in ``greens.oracle_classifications``).  A target's layers
-are one record, ``MonoidSet._layers``: the byte images of its members of
-each rank, built once per monoid and read by every such comparison.  Every
+generating set in ``greens.oracle_classifications``).  Both take letters
+as translation tables, made once per public call by ``_letter_tables``.  A
+target's layers are one record, ``MonoidSet._layers`` (``_by_rank``): the
+byte images of its members of each rank, built once per monoid.  Every
 letter of A(n) and B(n) has rank n or n-1, so dropping one of them is
 detected within the top two layers.  By the same bound every member of
 rank >= n-1 of a closure is a product of letters of rank >= n-1, so the top
@@ -74,7 +75,7 @@ class MonoidSet:
     def __post_init__(self) -> None:
         n = self.n
         _check_n(n)
-        members = _listed(self.elements)
+        members = _listed(self.elements, "elements")
         for a in members:
             # One isinstance per member; ``_check_element`` words the refusal.
             if not isinstance(a, PartialInjection) or a.n != n:
@@ -96,16 +97,17 @@ class MonoidSet:
 
     @cached_property
     def _layers(self) -> tuple[frozenset[bytes], ...]:
-        """The members' byte images (``path_core._img_bytes``) by rank:
-        ``_layers[r]`` holds those of the members of rank r, for r = 0..n.
-        Computed once per monoid; every comparison of a closure with the
-        monoid (``_first_difference``), ``_forced_generators`` and the
-        Green's oracle's pick read it."""
-        layers: list[set[bytes]] = [set() for _ in range(self.n + 1)]
-        for a in self.elements:
-            y = _img_bytes(a.img)
-            layers[self.n + 1 - y.count(0)].add(y)
-        return tuple(map(frozenset, layers))
+        """The members' byte images (``path_core._img_bytes``) by rank, once
+        per monoid; ``_first_difference`` and ``_forced_generators`` read it."""
+        return _by_rank([_img_bytes(a.img) for a in self.elements], self.n)
+
+
+def _by_rank(images: Iterable[bytes], n: int) -> tuple[frozenset[bytes], ...]:
+    """``images``, byte images on n, by rank: entry r holds those of rank r."""
+    layers: list[set[bytes]] = [set() for _ in range(n + 1)]
+    for y in images:
+        layers[n + 1 - y.count(0)].add(y)
+    return tuple(map(frozenset, layers))
 
 
 def paut_monoid(n: int) -> MonoidSet:
@@ -123,21 +125,28 @@ def alphabet_elements(family: str, n: int) -> list[PartialInjection]:
     return [make_generator(sym, n) for sym in _family(family).alphabet(n)]
 
 
-def _saturate(gens: Iterable[PartialInjection], n: int) -> Iterator[tuple[int, list[bytes]]]:
-    """The byte images of the closure of ``gens`` and the identity under
-    right multiplication, one rank layer at a time: yields ``(r, layer)``
-    for r = n down to 0, each once its bucket is drained and so final (see
-    the module docstring).  ``ValueError`` for an n that is not a positive
-    int, a generator that is not a ``PartialInjection`` or lies on another
-    n, or n above 255."""
+def _letter_tables(gens: Iterable[PartialInjection], n: int) -> list[bytes]:
+    """The translation tables (``path_core._table``) of ``gens``, one per
+    letter in order: where letters enter the byte kernel.  ``ValueError``
+    for ``gens`` that are not an iterable of ``PartialInjection`` on n, an n
+    that is not a positive int, or a letter on n above 255 (``_img_bytes``)."""
+    letters = _listed(gens, "elements")
     _check_n(n)
-    ident = _img_bytes(range(n + 1))
-    tables: dict[bytes, None] = {}
-    for g in gens:
+    tables = []
+    for g in letters:
         _check_element(g)
         if g.n != n:
             raise ValueError(f"generator on n={g.n} does not match n={n}")
-        tables[_table(_img_bytes(g.img))] = None
+        tables.append(_table(_img_bytes(g.img)))
+    return tables
+
+
+def _saturate(tables: Iterable[bytes], n: int) -> Iterator[tuple[int, list[bytes]]]:
+    """The byte images of the closure of the identity on n <= 255 under right
+    multiplication by ``tables``, each once: yields ``(r, layer)`` for r = n
+    down to 0, once its bucket is drained and so final (see the module docstring)."""
+    ident = bytes(range(n + 1))
+    tables = dict.fromkeys(tables)
     seen = {ident}
     buckets: list[list[bytes]] = [[] for _ in range(n)] + [[ident]]
     for r in range(n, -1, -1):
@@ -161,19 +170,20 @@ def closure(gens: Iterable[PartialInjection], n: int) -> MonoidSet:
     ``ValueError`` for n above 255, which the byte kernel refuses, and for
     ``gens`` that are not an iterable of ``PartialInjection``.
     """
-    layers = _saturate(_listed(gens), n)
+    tables = _letter_tables(gens, n)
+    _img_bytes(range(n + 1))  # the byte kernel's n <= 255 rule, with no letters too
+    layers = _saturate(tables, n)
     return MonoidSet(n, frozenset(_trusted(tuple(y)) for _, layer in layers for y in layer))
 
 
 def _first_difference(
-    gens: Iterable[PartialInjection], layers: Sequence[frozenset[bytes]]
+    tables: Iterable[bytes], layers: Sequence[frozenset[bytes]]
 ) -> tuple[int, list[bytes]] | None:
-    """The first finished layer ``(r, layer)`` of the closure of ``gens``,
-    from rank n down, that differs from the target's ``layers[r]`` (see
-    ``MonoidSet._layers``; n is ``len(layers) - 1``): one of another size,
-    or one holding a byte image outside it.  None when every layer matches,
-    that is, when ``gens`` generate exactly the target."""
-    for r, layer in _saturate(gens, len(layers) - 1):
+    """The first finished layer ``(r, layer)`` of the closure of ``tables``,
+    from rank n down, that differs from ``layers[r]`` (n = len(layers) - 1)
+    in size or holds a byte image outside it; None when ``tables`` generate
+    exactly the target whose rank layers (``_by_rank``) are ``layers``."""
+    for r, layer in _saturate(tables, len(layers) - 1):
         if len(layer) != len(layers[r]) or not layers[r].issuperset(layer):
             return r, layer
     return None
@@ -188,7 +198,7 @@ def is_generating(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
     iterable.
     """
     _check_target(target)
-    return _first_difference(_listed(gens), target._layers) is None
+    return _first_difference(_letter_tables(gens, target.n), target._layers) is None
 
 
 def _check_target(target: object) -> None:
@@ -196,10 +206,10 @@ def _check_target(target: object) -> None:
         raise ValueError(f"the target must be a MonoidSet, got {type(target).__name__}")
 
 
-def _first_redundant(gens: list[PartialInjection], target: MonoidSet) -> int | None:
-    """Index of the first letter whose removal leaves a generating set."""
-    for k in range(len(gens)):
-        if is_generating(gens[:k] + gens[k + 1 :], target):
+def _first_redundant(tables: list[bytes], layers: Sequence[frozenset[bytes]]) -> int | None:
+    """Index of the first of ``tables`` whose removal leaves a generating set."""
+    for k in range(len(tables)):
+        if _first_difference(tables[:k] + tables[k + 1 :], layers) is None:
             return k
     return None
 
@@ -207,8 +217,8 @@ def _first_redundant(gens: list[PartialInjection], target: MonoidSet) -> int | N
 def is_irredundant(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
     """Whether ``gens`` generates ``target`` and no proper subset does."""
     _check_target(target)
-    gen_list = _listed(gens)
-    return is_generating(gen_list, target) and _first_redundant(gen_list, target) is None
+    tables, layers = _letter_tables(gens, target.n), target._layers
+    return _first_difference(tables, layers) is None and _first_redundant(tables, layers) is None
 
 
 def _forced_generators(target: MonoidSet) -> list[PartialInjection]:
@@ -219,11 +229,8 @@ def _forced_generators(target: MonoidSet) -> list[PartialInjection]:
     and the other full-domain products give only the identity.  PAut(P_n)
     and IEnd(P_n), n >= 2, are such (the path has two automorphisms).
     """
-    top = target._layers[target.n]
     rev = make_generator(tau(), target.n)
-    if len(top) == 2 and _img_bytes(rev.img) in top:
-        return [rev]
-    return []
+    return [rev] if len(target._layers[target.n]) == 2 and rev in target else []
 
 
 def _scope(size: int, forced: int, k: int) -> int:
@@ -266,15 +273,16 @@ def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
     if k < len(forced):
         return True
     n, layers = target.n, target._layers
-    high: list[PartialInjection] = []
-    low: list[PartialInjection] = []
-    for a in target.elements:
-        if a not in forced:
-            (high if len(a) >= n - 1 else low).append(a)
-    free = k - len(forced)
+    # One table per member, the rest in ``target.elements`` order; a table is
+    # a byte image padded with 0, so its rank is its non-zero count.
+    tables = _letter_tables([*forced, *(a for a in target.elements if a not in forced)], n)
+    fixed, rest = tables[: len(forced)], tables[len(forced) :]
+    high = [t for t in rest if 256 - t.count(0) >= n - 1]
+    low = [t for t in rest if 256 - t.count(0) < n - 1]
+    free = k - len(fixed)
     for j in range(min(free, len(high)) + 1):
         for top in combinations(high, j):
-            base = forced + list(top)
+            base = fixed + list(top)
             # Layers n and n-1 of a closure come from its high letters alone.
             differs = _first_difference(base, layers)
             if differs is not None and differs[0] >= n - 1:
@@ -420,8 +428,9 @@ def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness
             k -= 1
         lower_bound = k + 1
     letters = alphabet_elements(family, n)
-    generates = is_generating(letters, target)
-    redundant = _first_redundant(letters, target) if generates else None
+    tables, layers = _letter_tables(letters, n), target._layers
+    generates = _first_difference(tables, layers) is None
+    redundant = _first_redundant(tables, layers) if generates else None
     counterexample = None
     if not generates:
         counterexample = _generation_counterexample(letters, target)

@@ -129,16 +129,17 @@ class TestSmallCases:
 
 class TestImageTuples:
     def test_factor_builds_no_element(self, monkeypatch):
-        # Every element is built through ``path_core._init``; the factorizer
-        # works on image tuples and builds one only for an error message.
+        # Every element is built through ``path_core._trusted``, which sets
+        # its hash through ``_set_hash``; the factorizer works on image
+        # tuples and builds one only for an error message.
         inits = []
-        init = path_core._init
+        set_hash = path_core._set_hash
 
-        def counting(a, img):
-            inits.append(img)
-            init(a, img)
+        def counting(a, h):
+            inits.append(h)
+            set_hash(a, h)
 
-        monkeypatch.setattr(path_core, "_init", counting)
+        monkeypatch.setattr(path_core, "_set_hash", counting)
         elements = [parse_element(text) for text in (N24_PAUT, IEND_N8, "n=1;", "n=5;1>3,3>5,5>1")]
         assert len(inits) == len(elements)
         inits.clear()

@@ -11,7 +11,6 @@ import pytest
 
 from pathmonoid import (
     GreensClassification,
-    MonoidSet,
     PartialInjection,
     classify,
     closure,
@@ -30,9 +29,10 @@ from pathmonoid import (
     r_related,
     type_sequence,
 )
-from pathmonoid import greens, path_core
+from pathmonoid import greens, path_core, rankcheck
 from pathmonoid.greens import canonical_type
-from pathmonoid.path_core import _img_bytes, _text_key
+from pathmonoid.path_core import _img_bytes, _text_key, _trusted
+from pathmonoid.rankcheck import MonoidSet, _by_rank
 from pathmonoid.selftest import check_greens
 
 from conftest import (
@@ -229,17 +229,18 @@ class TestClassify:
 
     @pytest.mark.parametrize("relation", ("L", "R", "H", "J"))
     def test_builds_no_element(self, relation, monkeypatch):
-        # Every element is built through ``path_core._init``; the keys read
-        # the image tuples of the elements and of their inverses.
+        # Every element is built through ``path_core._trusted``, which sets
+        # its hash through ``_set_hash``; the keys read the image tuples of
+        # the elements and of their inverses.
         m = enumerate_iend(5)
         inits = []
-        init = path_core._init
+        set_hash = path_core._set_hash
 
-        def counting(a, img):
-            inits.append(img)
-            init(a, img)
+        def counting(a, h):
+            inits.append(h)
+            set_hash(a, h)
 
-        monkeypatch.setattr(path_core, "_init", counting)
+        monkeypatch.setattr(path_core, "_set_hash", counting)
         classify(m, relation)
         assert inits == []
 
@@ -342,9 +343,28 @@ class TestOracle:
         m = enumerate_paut(5) if family == "paut" else enumerate_iend(5)
         elements = sorted(m, key=_text_key)
         imgs = [_img_bytes(a.img) for a in elements]
-        letters = greens._pick_generators(elements, imgs, MonoidSet(5, frozenset(m)))
+        letters = [_trusted(tuple(y)) for y in greens._pick_generators(imgs, _by_rank(imgs, 5))]
         assert set(letters) <= set(m)
         assert closure(letters, 5).elements == frozenset(m)
+
+    def test_checks_and_converts_each_member_once(self, monkeypatch):
+        # The pick reads the oracle's own byte images and rank layers: no
+        # MonoidSet is built, and each distinct member becomes a byte image
+        # once, plus the identity once to adjoin it.
+        m = enumerate_iend(5)
+        built, converted = [], []
+        post_init, img_bytes = MonoidSet.__post_init__, path_core._img_bytes
+        monkeypatch.setattr(
+            MonoidSet, "__post_init__", lambda self: built.append(self) or post_init(self)
+        )
+        for module in (path_core, greens, rankcheck):
+            monkeypatch.setattr(
+                module, "_img_bytes", lambda img: converted.append(tuple(img)) or img_bytes(img)
+            )
+        oracle_classifications(m)
+        assert built == []
+        assert len(converted) == len(set(m)) + 1 == 459
+        assert set(converted) == {a.img for a in m}
 
     @pytest.mark.parametrize("name", CLOSED_WITHOUT_IDENTITY)
     def test_a_closed_set_without_the_identity_is_classified(self, name):

@@ -440,9 +440,9 @@ def test_functions_that_take_elements_refuse_other_objects(call):
         (lambda: is_generating(None, paut_monoid(2)), "elements must be an iterable, got NoneType"),
         (lambda: is_irredundant(None, paut_monoid(2)), "elements must be an iterable, got NoneType"),
         (lambda: is_irredundant(3, "x"), "the target must be a MonoidSet, got str"),
-        (lambda: maximal_intervals(None), "elements must be an iterable, got NoneType"),
-        (lambda: restrict(identity(3), None), "elements must be an iterable, got NoneType"),
-        (lambda: elements_with_domain(3, None, "paut"), "elements must be an iterable, got NoneType"),
+        (lambda: maximal_intervals(None), "vertices must be an iterable, got NoneType"),
+        (lambda: restrict(identity(3), None), "vertices must be an iterable, got NoneType"),
+        (lambda: elements_with_domain(3, None, "paut"), "vertices must be an iterable, got NoneType"),
     ],
     ids=[
         "classify", "oracle", "closure", "is_generating", "is_generating-gens", "is_irredundant",
@@ -476,10 +476,10 @@ def test_functions_that_take_words_letters_or_targets_refuse_other_objects(call,
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: PartialInjection(3, None), "elements must be an iterable, got NoneType"),
+        (lambda: PartialInjection(3, None), "pairs must be an iterable, got NoneType"),
         (lambda: PartialInjection(3, [1]), "a pair must be two vertices, got 1"),
         (lambda: PartialInjection(3, [(1, 2, 3)]), "a pair must be two vertices, got (1, 2, 3)"),
-        (lambda: Word(3, None), "elements must be an iterable, got NoneType"),
+        (lambda: Word(3, None), "letters must be an iterable, got NoneType"),
         (lambda: Word(None, None), "n must be a positive integer, got None"),
         (lambda: MonoidSet(3, None), "elements must be an iterable, got NoneType"),
         (lambda: MonoidSet(3, frozenset([1])), "an element must be a PartialInjection, got int"),
@@ -676,6 +676,38 @@ def test_byte_images_are_built_and_multiplied_in_one_place():
                 translates = isinstance(node, ast.Attribute) and node.attr == "translate"
                 if makes_bytes or translates:
                     offenders.append(f"{path.stem}:{node.lineno}")
+    assert offenders == []
+
+
+# ``path_core._trusted`` is the one maker of elements: it alone sets their
+# slots, and the checked constructor returns through it.
+SLOT_SETTERS = {"_set_n", "_set_img", "_set_hash"}
+
+
+def _name_used(node: ast.AST) -> str | None:
+    """The name a node reads or imports: a loaded name, an attribute or an
+    imported alias."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def test_each_element_form_has_one_maker():
+    # A slot set outside ``_trusted`` is a second element maker; a
+    # ``MonoidSet`` in ``greens`` is a second check and conversion of the
+    # oracle's members, which reads its own byte images.
+    offenders = []
+    for path in sorted(Path(pathmonoid.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            maker = (path.stem, getattr(stmt, "name", None)) == ("path_core", "_trusted")
+            for node in ast.walk(stmt):
+                name = _name_used(node)
+                if (name in SLOT_SETTERS and not maker) or (name == "MonoidSet" and path.stem == "greens"):
+                    offenders.append(f"{path.stem}:{node.lineno}:{name}")
     assert offenders == []
 
 

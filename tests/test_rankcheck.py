@@ -119,8 +119,8 @@ def _record_layers(monkeypatch) -> list[int]:
     drawn: list[int] = []
     saturate = rankcheck._saturate
 
-    def recording(gens, n):
-        for r, layer in saturate(gens, n):
+    def recording(tables, n):
+        for r, layer in saturate(tables, n):
             drawn.append(r)
             yield r, layer
 
@@ -244,7 +244,7 @@ class TestAgainstReferenceClosure:
         # Each layer comes out once, from rank n down, and holds each member
         # of that rank once.
         for gens in _saturation_cases(family, n)[1]:
-            layers = list(rankcheck._saturate(gens, n))
+            layers = list(rankcheck._saturate(rankcheck._letter_tables(gens, n), n))
             assert [r for r, _ in layers] == list(range(n, -1, -1)), gens
             expected = reference_closure(gens, n)
             for r, layer in layers:
@@ -477,10 +477,11 @@ class TestGroupedSearch:
         failed_completions = 0
         first_difference = rankcheck._first_difference
 
-        def counting(gens, *layers):
+        def counting(tables, *layers):
             nonlocal failed_completions
-            differs = first_difference(gens, *layers)
-            if differs is not None and any(len(g) < target.n - 1 for g in gens):
+            differs = first_difference(tables, *layers)
+            # A table is a byte image padded with 0: its rank is its non-zero count.
+            if differs is not None and any(256 - t.count(0) < target.n - 1 for t in tables):
                 failed_completions += 1
             return differs
 
@@ -512,6 +513,59 @@ class TestGroupedSearch:
         k = rank_formula(family, n)
         assert subset_search_scope(target, k) == scope
         assert exhaustive_min_size(target, k) is False
+
+
+def _counting(monkeypatch, name) -> list:
+    """Patch ``rankcheck.<name>``, a function of one argument, to record each
+    argument it is called with; returns the list it appends to."""
+    calls: list = []
+    function = getattr(rankcheck, name)
+    monkeypatch.setattr(rankcheck, name, lambda arg: calls.append(arg) or function(arg))
+    return calls
+
+
+class TestOneConversionPerCall:
+    """Letters become translation tables once per public call, at the edge
+    (``rankcheck._letter_tables``), however many saturations read them."""
+
+    def test_is_irredundant_converts_each_letter_once(self, monkeypatch):
+        letters, target = alphabet_elements("iend", 6), iend_monoid(6)
+        tables = _counting(monkeypatch, "_table")
+        assert is_irredundant(letters, target)
+        assert len(tables) == len(letters) == 7
+
+    def test_verify_rank_converts_each_letter_once(self, monkeypatch):
+        tables = _counting(monkeypatch, "_table")
+        assert verify_rank("iend", 6).ok
+        assert len(tables) == rank_formula("iend", 6) == 7
+
+    def test_exhaustive_search_converts_each_member_at_most_once(self, monkeypatch):
+        target = iend_monoid(4)
+        target._layers  # the monoid's own record, built before the search
+        converted = _counting(monkeypatch, "_img_bytes")
+        assert exhaustive_min_size(target, 3) is True
+        images = [tuple(img) for img in converted]
+        assert len(images) == len(set(images)) <= len(target)
+        assert set(images) <= {a.img for a in target}
+
+    @pytest.mark.parametrize(
+        "family,n,calls", [("paut", 5, 374), ("iend", 4, 1130)], ids=["paut5", "iend4"]
+    )
+    def test_candidates_are_tested_in_the_order_of_the_members(self, monkeypatch, family, n, calls):
+        # The saturations until a generating set of rank size is found: the
+        # count pins the order in which the candidates are tested, that of
+        # ``target.elements``, whatever PYTHONHASHSEED is.
+        target = MONOIDS[family](n)
+        first_difference = rankcheck._first_difference
+        counted = []
+
+        def counting(*args):
+            counted.append(1)
+            return first_difference(*args)
+
+        monkeypatch.setattr(rankcheck, "_first_difference", counting)
+        assert exhaustive_min_size(target, rank_formula(family, n)) is False
+        assert len(counted) == calls
 
 
 class TestRankFormula:
