@@ -46,8 +46,7 @@ from operator import add
 from typing import Callable, NamedTuple
 
 from .errors import ResourceRefused
-from .factorize import factor_iend, factor_paut
-from .genwords import Symbol, Word, alphabet_iend, alphabet_paut
+from .genwords import Symbol, alphabet_iend, alphabet_paut
 from .path_core import (
     PartialInjection, _check_n, _runs, _trusted, _vertices, is_iend, is_paut
 )
@@ -61,16 +60,15 @@ class _Family(NamedTuple):
 
     gap: int
     is_member: Callable[[PartialInjection], bool]
-    factor: Callable[[PartialInjection], Word]
     alphabet: Callable[[int], tuple[Symbol, ...]]
     rank: Callable[[int], int]
 
 
 # Every fact in which the families differ; listings of both follow this order.
 _FAMILIES = {
-    "paut": _Family(1, is_paut, factor_paut, alphabet_paut, lambda n: (2, 2, 3)[n - 1] if n <= 3 else n - 1),
+    "paut": _Family(1, is_paut, alphabet_paut, lambda n: (2, 2, 3)[n - 1] if n <= 3 else n - 1),
     "iend": _Family(
-        0, is_iend, factor_iend, alphabet_iend, lambda n: (2, 2, 4)[n - 1] if n <= 3 else n + (n + 1) // 2 - 2
+        0, is_iend, alphabet_iend, lambda n: (2, 2, 4)[n - 1] if n <= 3 else n + (n + 1) // 2 - 2
     ),
 }
 

@@ -27,20 +27,22 @@ element and groups by key, and the pairwise predicates compare keys.
 ``oracle_classifications``, the Cayley-graph oracle, implements the raw
 definitions instead -- equality of principal left/right/two-sided ideals
 inside an explicitly enumerated monoid, read as reachability in its Cayley
-graphs over a generating set picked from it -- and is the independent
-reference for the keys.
+graphs (``path_core``'s byte kernel) over a generating set picked from it --
+and is the independent reference for the keys.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from operator import add
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .path_core import (
     PartialInjection,
+    _by_rank,
+    _cayley_graphs,
     _check_element,
     _domain_intervals,
+    _first_difference,
     _img_bytes,
     _inverse_image,
     _listed,
@@ -51,7 +53,6 @@ from .path_core import (
     is_iend,
     split_blocks,
 )
-from .rankcheck import _by_rank, _first_difference
 
 
 def _require_members(*elements: PartialInjection) -> None:
@@ -203,7 +204,7 @@ def _pick_generators(nodes: list[bytes], layers: Sequence[frozenset[bytes]]) -> 
     """Letters drawn from ``nodes``, the byte images of a monoid in text
     order, that generate it; ``layers`` are the nodes by rank.  At the first
     layer where the closure of the letters so far differs
-    (``rankcheck._first_difference``), a non-member is refused with
+    (``path_core._first_difference``), a non-member is refused with
     ``ValueError``, and otherwise the layer's first missing node is added."""
     letters: list[bytes] = []
     while (differs := _first_difference(list(map(_table, letters)), layers)) is not None:
@@ -213,18 +214,6 @@ def _pick_generators(nodes: list[bytes], layers: Sequence[frozenset[bytes]]) -> 
         missing = layers[r].difference(layer)
         letters.append(next(y for y in nodes if y in missing))
     return letters
-
-
-def _cayley_graphs(nodes: list[bytes], letters: list[bytes]) -> tuple[list, list]:
-    """The left and right Cayley graphs of the monoid ``nodes`` over the
-    generating set ``letters``, both as byte images: node x has the arcs
-    x -> g·x and x -> x·g, one per letter g, given as indices into
-    ``nodes``.  x·y is ``x.translate(_table(y))`` (``path_core._img_bytes``)."""
-    index = {y: i for i, y in enumerate(nodes)}.__getitem__
-    tables = list(map(_table, letters))
-    left = [list(map(index, map(bytes.translate, letters, repeat(_table(x))))) for x in nodes]
-    right = [list(map(index, map(x.translate, tables))) for x in nodes]
-    return left, right
 
 
 def _components(graph: list[list[int]]) -> list[int]:

@@ -13,10 +13,22 @@ are the paper's definitions, by adjacency:
 Elements are stored as image tuples (see ``PartialInjection``).  The
 canonical text format is ``"n=5;1>3,2>4"`` (pairs sorted by domain; an
 empty map is ``"n=5;"``; ASCII digits only).
+
+The byte kernel, the last section here, is the one home of byte images: no
+other module builds or multiplies them.  A byte image is ``bytes(img)``
+(``_img_bytes``), so n <= 255; a larger n is refused with ``ValueError``,
+with no second route.  x·y is ``x.translate(_table(y))``, so the product,
+its hash and the rank n + 1 - ``count(0)`` run in C.  Its two dense loops
+are ``_cayley_graphs`` and ``_saturate``, which yields the closure of the
+identity under right multiplication by letters one rank layer at a time,
+from rank n down: rank(x·y) <= min(rank x, rank y), so the rank-r members
+are final once the rank-r bucket is drained.  ``_first_difference``
+compares those layers with a target's, bucketed by ``_by_rank``.
 """
 from __future__ import annotations
 
 import re
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -67,6 +79,9 @@ class PartialInjection:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PartialInjection is immutable")
+
+    def __reduce__(self) -> tuple:  # copies and pickles pass the checked constructor
+        return PartialInjection, (self.n, self.pairs)
 
     # -- views derived from img -------------------------------------------
 
@@ -174,30 +189,12 @@ def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
     The package has two product kernels.  On image tuples x·y is
     ``itemgetter(*x)(y)``, always a tuple since len(x) = n+1 >= 2; it serves
     any n, and ``compose``, word evaluation and the factorizer use it.  The
-    two dense loops, ``greens._cayley_graphs`` and ``rankcheck._saturate``,
-    multiply byte images instead (see ``_img_bytes``)."""
+    two dense loops multiply byte images instead (see the module docstring)."""
     _check_element(a)
     _check_element(b)
     if a.n != b.n:
         raise ValueError(f"cannot compose maps on different paths (n={a.n} vs n={b.n})")
     return _trusted(itemgetter(*a.img)(b.img))
-
-
-def _img_bytes(img: Sequence[int]) -> bytes:
-    """The image tuple ``img`` (length n+1) as a byte image, the form the
-    byte kernel multiplies: x·y is ``x.translate(_table(y))``, so the
-    product, its hash and ``count(0)`` run in C.  An image fits in bytes
-    only for n <= 255; a larger n is refused with ``ValueError``, and there
-    is no second route for it.  The dense loops convert at their edge here."""
-    if len(img) > 256:
-        raise ValueError(f"the byte kernel needs n <= 255, got n={len(img) - 1}")
-    return bytes(img)
-
-
-def _table(y: bytes) -> bytes:
-    """The byte image ``y`` padded to the 256 entries of a translation
-    table: ``x.translate(_table(y))`` is x·y."""
-    return y.ljust(256, b"\0")
 
 
 def inverse(a: PartialInjection) -> PartialInjection:
@@ -393,3 +390,72 @@ def _read_element_json(obj: Mapping) -> tuple[object, list[tuple[object, object]
 def element_from_json_dict(obj: Mapping) -> PartialInjection:
     """Inverse of :func:`element_to_json_dict`; coerces no value to int."""
     return PartialInjection(*_read_element_json(obj))
+
+
+# -- byte kernel (see the module docstring) ---------------------------------
+
+
+def _img_bytes(img: Sequence[int]) -> bytes:
+    """``img`` as a byte image, or ``ValueError`` for n above 255."""
+    if len(img) > 256:
+        raise ValueError(f"the byte kernel needs n <= 255, got n={len(img) - 1}")
+    return bytes(img)
+
+
+def _table(y: bytes) -> bytes:
+    """The byte image ``y`` padded to the 256 entries of a translation
+    table: ``x.translate(_table(y))`` is x·y."""
+    return y.ljust(256, b"\0")
+
+
+def _by_rank(images: Iterable[bytes], n: int) -> tuple[frozenset[bytes], ...]:
+    """``images``, byte images on n, by rank: entry r holds those of rank r."""
+    layers: list[set[bytes]] = [set() for _ in range(n + 1)]
+    for y in images:
+        layers[n + 1 - y.count(0)].add(y)
+    return tuple(map(frozenset, layers))
+
+
+def _saturate(tables: Iterable[bytes], n: int) -> Iterator[tuple[int, list[bytes]]]:
+    """The byte images of the closure of the identity on n <= 255 under right
+    multiplication by ``tables``, each once: yields ``(r, layer)`` for r = n
+    down to 0, once its bucket is drained and so final (see the module docstring)."""
+    ident = bytes(range(n + 1))
+    tables = dict.fromkeys(tables)
+    seen = {ident}
+    buckets: list[list[bytes]] = [[] for _ in range(n)] + [[ident]]
+    for r in range(n, -1, -1):
+        bucket = buckets[r]
+        # Products of the same rank are appended to the bucket being drained;
+        # iterating a list visits what is appended during the loop.
+        for x in bucket:
+            for table in tables:
+                y = x.translate(table)
+                if y not in seen:
+                    seen.add(y)
+                    buckets[n + 1 - y.count(0)].append(y)
+        yield r, bucket
+
+
+def _first_difference(
+    tables: Iterable[bytes], layers: Sequence[frozenset[bytes]]
+) -> tuple[int, list[bytes]] | None:
+    """The first finished layer ``(r, layer)`` of the closure of ``tables``,
+    from rank n down, that differs from ``layers[r]`` (n = len(layers) - 1)
+    in size or holds a byte image outside it; None when ``tables`` generate
+    exactly the target whose rank layers (``_by_rank``) are ``layers``."""
+    for r, layer in _saturate(tables, len(layers) - 1):
+        if len(layer) != len(layers[r]) or not layers[r].issuperset(layer):
+            return r, layer
+    return None
+
+
+def _cayley_graphs(nodes: list[bytes], letters: list[bytes]) -> tuple[list, list]:
+    """The left and right Cayley graphs of the monoid ``nodes`` over the
+    generating set ``letters``, both as byte images: node x has the arcs
+    x -> g·x and x -> x·g, one per letter g, as indices into ``nodes``."""
+    index = {y: i for i, y in enumerate(nodes)}.__getitem__
+    tables = list(map(_table, letters))
+    left = [list(map(index, map(bytes.translate, letters, repeat(_table(x))))) for x in nodes]
+    right = [list(map(index, map(x.translate, tables))) for x in nodes]
+    return left, right

@@ -8,24 +8,15 @@ closed-form rank values as reference constants, and the structural witness
 checks that back the rank lower bounds at sizes where exhaustive search is
 out of reach.
 
-One saturation loop, ``_saturate``, serves closure and the generation tests.
-It multiplies byte images by ``bytes.translate`` (``path_core._img_bytes``;
-it refuses n above 255) and expands elements in order of decreasing rank
-(the size of the domain).  Since rank(x·y) <= min(rank x, rank y), the
-elements of rank r in the closure are all known once the rank-r bucket is
-drained.  ``_saturate`` yields each layer then, and ``is_generating``
-rejects a candidate generating set at the first layer that differs from
-the target's (``_first_difference``, which also guides the pick of a
-generating set in ``greens.oracle_classifications``).  Both take letters
-as translation tables, made once per public call by ``_letter_tables``.  A
-target's layers are one record, ``MonoidSet._layers`` (``_by_rank``): the
-byte images of its members of each rank, built once per monoid.  Every
-letter of A(n) and B(n) has rank n or n-1, so dropping one of them is
-detected within the top two layers.  By the same bound every member of
-rank >= n-1 of a closure is a product of letters of rank >= n-1, so the top
-two layers depend on those letters alone: ``exhaustive_min_size`` decides
-its candidates in groups sharing them, with one saturation for a group
-whose top layers already differ from the target's.
+Closure and the generation tests read the rank layers of ``_saturate``, the
+byte kernel's saturation loop (see :mod:`pathmonoid.path_core`), with letters
+as translation tables made once per public call by ``_letter_tables``.  A
+target's layers are one record, ``MonoidSet._layers``, built once per
+monoid.  Every letter of A(n) and B(n) has rank n or n-1, so dropping one is
+detected within the top two layers, and those layers of a closure depend on
+its letters of rank >= n-1 alone: ``exhaustive_min_size`` decides its
+candidates in groups sharing them, with one saturation for a group whose top
+layers already differ from the target's.
 """
 
 from __future__ import annotations
@@ -41,10 +32,13 @@ from .errors import ResourceRefused
 from .genwords import make_generator, tau
 from .path_core import (
     PartialInjection,
+    _by_rank,
     _check_element,
     _check_n,
+    _first_difference,
     _img_bytes,
     _listed,
+    _saturate,
     _table,
     _text_key,
     _trusted,
@@ -102,14 +96,6 @@ class MonoidSet:
         return _by_rank([_img_bytes(a.img) for a in self.elements], self.n)
 
 
-def _by_rank(images: Iterable[bytes], n: int) -> tuple[frozenset[bytes], ...]:
-    """``images``, byte images on n, by rank: entry r holds those of rank r."""
-    layers: list[set[bytes]] = [set() for _ in range(n + 1)]
-    for y in images:
-        layers[n + 1 - y.count(0)].add(y)
-    return tuple(map(frozenset, layers))
-
-
 def paut_monoid(n: int) -> MonoidSet:
     """All of PAut(P_n) as a MonoidSet.  Refuses what ``enumerate_paut`` does."""
     return MonoidSet(n, frozenset(_enumerate_family(n, "paut")))
@@ -141,27 +127,6 @@ def _letter_tables(gens: Iterable[PartialInjection], n: int) -> list[bytes]:
     return tables
 
 
-def _saturate(tables: Iterable[bytes], n: int) -> Iterator[tuple[int, list[bytes]]]:
-    """The byte images of the closure of the identity on n <= 255 under right
-    multiplication by ``tables``, each once: yields ``(r, layer)`` for r = n
-    down to 0, once its bucket is drained and so final (see the module docstring)."""
-    ident = bytes(range(n + 1))
-    tables = dict.fromkeys(tables)
-    seen = {ident}
-    buckets: list[list[bytes]] = [[] for _ in range(n)] + [[ident]]
-    for r in range(n, -1, -1):
-        bucket = buckets[r]
-        # Products of the same rank are appended to the bucket being drained;
-        # iterating a list visits what is appended during the loop.
-        for x in bucket:
-            for table in tables:
-                y = x.translate(table)
-                if y not in seen:
-                    seen.add(y)
-                    buckets[n + 1 - y.count(0)].append(y)
-        yield r, bucket
-
-
 def closure(gens: Iterable[PartialInjection], n: int) -> MonoidSet:
     """Least submonoid of I_n containing ``gens`` and the identity.
 
@@ -174,19 +139,6 @@ def closure(gens: Iterable[PartialInjection], n: int) -> MonoidSet:
     _img_bytes(range(n + 1))  # the byte kernel's n <= 255 rule, with no letters too
     layers = _saturate(tables, n)
     return MonoidSet(n, frozenset(_trusted(tuple(y)) for _, layer in layers for y in layer))
-
-
-def _first_difference(
-    tables: Iterable[bytes], layers: Sequence[frozenset[bytes]]
-) -> tuple[int, list[bytes]] | None:
-    """The first finished layer ``(r, layer)`` of the closure of ``tables``,
-    from rank n down, that differs from ``layers[r]`` (n = len(layers) - 1)
-    in size or holds a byte image outside it; None when ``tables`` generate
-    exactly the target whose rank layers (``_by_rank``) are ``layers``."""
-    for r, layer in _saturate(tables, len(layers) - 1):
-        if len(layer) != len(layers[r]) or not layers[r].issuperset(layer):
-            return r, layer
-    return None
 
 
 def is_generating(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
@@ -239,7 +191,10 @@ def _scope(size: int, forced: int, k: int) -> int:
 
 
 def subset_search_scope(target: MonoidSet, k: int) -> int:
-    """Number of candidate k-subsets ``exhaustive_min_size`` will test."""
+    """How many k-subsets ``exhaustive_min_size`` tests, refusing what it refuses."""
+    _check_target(target)
+    if type(k) is not int or not 0 <= k <= len(target):  # bool is a subclass of int
+        raise ValueError(f"subset size must be an integer between 0 and {len(target)}, got {k!r}")
     return _scope(len(target), len(_forced_generators(target)), k)
 
 
@@ -265,11 +220,8 @@ def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
     the budget counts every candidate, grouped or not.  ``ValueError`` if
     ``target`` is not a ``MonoidSet``.
     """
-    _check_target(target)
-    if type(k) is not int or not 0 <= k <= len(target):  # bool is a subclass of int
-        raise ValueError(f"subset size must be an integer between 0 and {len(target)}, got {k!r}")
+    _refuse_scope(subset_search_scope(target, k), k)
     forced = _forced_generators(target)
-    _refuse_scope(_scope(len(target), len(forced), k), k)
     if k < len(forced):
         return True
     n, layers = target.n, target._layers

@@ -9,7 +9,7 @@ from functools import partial
 from typing import Iterator
 
 from .census import _FAMILIES, _count, _enumerate_family, _family, _member_images, count_by_mask
-from .factorize import word_length_bound
+from .factorize import factor_iend, word_length_bound
 from .genwords import (
     Symbol,
     Word,
@@ -60,11 +60,10 @@ def check_round_trip(family: str, n: int) -> str | None:
     """Every element of the family at n (n >= 3) factors into at most
     ``word_length_bound(n)`` = 3n+1 letters, whose expansion over the
     family's alphabet evaluates back."""
-    facts = _family(family)
-    alphabet = frozenset(facts.alphabet(n))
+    alphabet = frozenset(_family(family).alphabet(n))
     bound = word_length_bound(n)
     for a in _enumerate_family(n, family):
-        word = facts.factor(a)
+        word = factor_iend(a)
         if len(word) > bound:
             fault = f"has {len(word)} letters, above the bound of {bound}"
         elif fault := _word_fault(expand_word(word), alphabet, a):

@@ -423,7 +423,7 @@ class TestVerifyRank:
         def saturate(*args, **kwargs):
             raise RuntimeError("saturated before the subset budget was checked")
 
-        monkeypatch.setattr(rankcheck, "_saturate", saturate)
+        monkeypatch.setattr(path_core, "_saturate", saturate)
         start = time.perf_counter()
         code, out, err = run(capsys, "verify-rank", "--n", "5", "--family", "iend", "--exhaustive")
         assert time.perf_counter() - start < 2.0
@@ -524,7 +524,7 @@ PLANTED_FAULTS = {
             selftest, "_count", lambda n, family: census._count(n, family) + (family == "iend")),
         partial(check_counts, 1), "iend n=1:"),
     "factorization-round-trip": (
-        lambda mp: replace_family_facts(mp, "paut", factor=lambda a: Word(a.n, ())),
+        lambda mp: mp.setattr(selftest, "factor_iend", lambda a: Word(a.n, ())),
         partial(check_round_trip, "paut", 3), "paut element n=3;"),
     "expansion-identities": (
         lambda mp: mp.setattr(selftest, "expand_symbol", lambda sym, n: Word(n, ())),

@@ -31,12 +31,11 @@ from pathmonoid import (
     maximal_intervals,
     parse_element,
 )
-from pathmonoid import factorize, genwords, path_core
+from pathmonoid import factorize, genwords, path_core, selftest
 from pathmonoid.factorize import word_length_bound
 from pathmonoid.genwords import Symbol, alpha, beta, canonical_eps_star, eps_star, tau
 from pathmonoid.selftest import check_round_trip
 
-from conftest import replace_family_facts
 from test_golden import WORDS_FILE, WORDS_N, factor_words
 
 # The n = 24 partial automorphism of the golden cases: 4 domain blocks,
@@ -294,7 +293,7 @@ class TestRoundTrips:
             assert eval_word(factor_iend(a)) == a
 
     def test_check_names_a_word_above_the_step_bound(self, monkeypatch):
-        replace_family_facts(monkeypatch, "paut", factor=lambda a: Word(a.n, (tau(),) * 37))
+        monkeypatch.setattr(selftest, "factor_iend", lambda a: Word(a.n, (tau(),) * 37))
         fault = check_round_trip("paut", 3)
         assert fault.startswith("paut element n=3;") and fault.endswith(
             "has 37 letters, above the bound of 10"
@@ -302,7 +301,7 @@ class TestRoundTrips:
 
     def test_check_names_a_letter_outside_the_alphabet(self, monkeypatch):
         # b(2) is a letter of B(3), not of A(3).
-        replace_family_facts(monkeypatch, "paut", factor=lambda a: Word(a.n, (beta(2),)))
+        monkeypatch.setattr(selftest, "factor_iend", lambda a: Word(a.n, (beta(2),)))
         fault = check_round_trip("paut", 3)
         assert fault.startswith("paut element n=3;") and fault.endswith(
             "word 'b2' expands to a word that uses b2, outside the alphabet"

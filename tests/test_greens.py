@@ -31,8 +31,8 @@ from pathmonoid import (
 )
 from pathmonoid import greens, path_core, rankcheck
 from pathmonoid.greens import canonical_type
-from pathmonoid.path_core import _img_bytes, _text_key, _trusted
-from pathmonoid.rankcheck import MonoidSet, _by_rank
+from pathmonoid.path_core import _by_rank, _img_bytes, _text_key, _trusted
+from pathmonoid.rankcheck import MonoidSet
 from pathmonoid.selftest import check_greens
 
 from conftest import (

@@ -121,7 +121,7 @@ class TestMappingViewEdges:
 
 class TestByteKernel:
     """``x.translate(_table(y))`` on byte images, the product of
-    ``greens._cayley_graphs`` and ``rankcheck._saturate``."""
+    ``path_core._cayley_graphs`` and ``path_core._saturate``."""
 
     @pytest.mark.parametrize(
         "elements", [enumerate_iend(4), enumerate_paut(5)], ids=["iend4", "paut5"]

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import ast
+import copy
 import importlib
 import inspect
+import pickle
 import pkgutil
 import random
 import re
@@ -52,6 +54,7 @@ from pathmonoid import (
     paut_monoid,
     restrict,
 )
+from pathmonoid.genwords import alpha, tau
 from pathmonoid.path_core import _text_key
 
 from conftest import (
@@ -86,6 +89,27 @@ class TestConstruction:
         with pytest.raises(AttributeError, match="immutable"):
             a.n = 4
         assert a.n == 3
+
+    @pytest.mark.parametrize(
+        "copy_of",
+        [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    @pytest.mark.parametrize(
+        "value",
+        [
+            identity(3),
+            empty_map(5),
+            parse_element("n=24;1>24,2>23,3>22,7>9,8>10,20>1"),
+            paut_monoid(3),
+            Word(6, (tau(), alpha(2))),
+        ],
+        ids=["identity3", "empty5", "n24", "paut3", "word"],
+    )
+    def test_copies_and_pickles_equal_their_original(self, value, copy_of):
+        # Each copy of an element passes the checked constructor.
+        twin = copy_of(value)
+        assert twin == value and hash(twin) == hash(value)
 
     def test_equal_only_to_elements(self):
         assert (identity(3) == "x") is False
@@ -652,31 +676,43 @@ def test_patterns_read_ascii_digits_only():
     assert offenders == []
 
 
-# The byte kernel's n <= 255 rule lives in ``path_core._img_bytes``; only the
-# two dense loops multiply byte images.
-BYTE_KERNEL_USERS = {("greens", "_cayley_graphs"), ("rankcheck", "_saturate")}
-
-
 def test_byte_images_are_built_and_multiplied_in_one_place():
-    # A ``bytes(...)`` call or a ``translate`` outside ``path_core`` and the
-    # two dense loops would be a second spelling of the n <= 255 rule.
+    # ``path_core``'s byte kernel is the one home of byte images: a
+    # ``bytes(...)`` call or a ``translate`` in any other module would be a
+    # second spelling of their format or of the n <= 255 rule.
     offenders = []
     for path in sorted(Path(pathmonoid.__file__).parent.glob("*.py")):
         if path.stem == "path_core":
             continue
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (path.stem, getattr(stmt, "name", None)) in BYTE_KERNEL_USERS:
-                continue
-            for node in ast.walk(stmt):
-                makes_bytes = (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "bytes"
-                )
-                translates = isinstance(node, ast.Attribute) and node.attr == "translate"
-                if makes_bytes or translates:
-                    offenders.append(f"{path.stem}:{node.lineno}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            makes_bytes = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "bytes"
+            )
+            translates = isinstance(node, ast.Attribute) and node.attr == "translate"
+            if makes_bytes or translates:
+                offenders.append(f"{path.stem}:{node.lineno}")
     assert offenders == []
+
+
+def _package_imports(module: str) -> set[str]:
+    """The modules of the package that ``module`` imports, at any depth."""
+    path = Path(pathmonoid.__file__).parent / f"{module}.py"
+    imported: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:  # a relative import
+            imported.update([node.module] if node.module else [alias.name for alias in node.names])
+    return imported
+
+
+def test_the_import_graph_keeps_each_layer_in_its_home():
+    # ``path_core`` is the base the other modules build on; ``greens`` reads
+    # the byte kernel from it alone, so ``rankcheck`` may import ``greens``;
+    # and ``census``'s family table holds no factorizer.
+    assert _package_imports("path_core") == set()
+    assert _package_imports("greens") == {"path_core"}
+    assert "factorize" not in _package_imports("census")
 
 
 # ``path_core._trusted`` is the one maker of elements: it alone sets their

@@ -37,7 +37,7 @@ from pathmonoid import (
     rank_formula,
     verify_rank,
 )
-from pathmonoid import rankcheck
+from pathmonoid import path_core, rankcheck
 from pathmonoid.genwords import alpha, make_generator, tau
 from pathmonoid.path_core import _img_bytes
 from pathmonoid.rankcheck import (
@@ -114,17 +114,17 @@ class TestClosure:
 
 
 def _record_layers(monkeypatch) -> list[int]:
-    """Patch ``rankcheck._saturate`` to record the rank of every layer its
+    """Patch ``path_core._saturate`` to record the rank of every layer its
     callers draw; returns the list it appends to."""
     drawn: list[int] = []
-    saturate = rankcheck._saturate
+    saturate = path_core._saturate
 
     def recording(tables, n):
         for r, layer in saturate(tables, n):
             drawn.append(r)
             yield r, layer
 
-    monkeypatch.setattr(rankcheck, "_saturate", recording)
+    monkeypatch.setattr(path_core, "_saturate", recording)
     return drawn
 
 
@@ -244,7 +244,7 @@ class TestAgainstReferenceClosure:
         # Each layer comes out once, from rank n down, and holds each member
         # of that rank once.
         for gens in _saturation_cases(family, n)[1]:
-            layers = list(rankcheck._saturate(rankcheck._letter_tables(gens, n), n))
+            layers = list(path_core._saturate(rankcheck._letter_tables(gens, n), n))
             assert [r for r, _ in layers] == list(range(n, -1, -1)), gens
             expected = reference_closure(gens, n)
             for r, layer in layers:
@@ -354,6 +354,21 @@ class TestExhaustiveMinSize:
         # TypeError.
         with pytest.raises(ValueError, match="subset size must be an integer"):
             exhaustive_min_size(paut_monoid(3), k)
+
+    @pytest.mark.parametrize("k", [True, -1, 99, "x"], ids=["bool", "negative", "above-the-size", "str"])
+    def test_scope_refuses_the_k_the_search_refuses(self, k):
+        # The scope used to answer 1 for True and 0 for -1 or 99, and to
+        # raise TypeError for "x".
+        target = paut_monoid(3)
+        for search in (subset_search_scope, exhaustive_min_size):
+            with pytest.raises(ValueError, match=f"between 0 and {len(target)}, got {k!r}$"):
+                search(target, k)
+
+    def test_scope_refuses_the_target_the_search_refuses(self):
+        # The scope used to raise AttributeError.
+        for search in (subset_search_scope, exhaustive_min_size):
+            with pytest.raises(ValueError, match="the target must be a MonoidSet, got str"):
+                search("x", 1)
 
     @pytest.mark.parametrize("family", MONOIDS)
     @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
