@@ -285,7 +285,7 @@ def oracle_classifications(monoid: Iterable[PartialInjection]) -> dict[str, Gree
     nodes = [_img_bytes(a.img) for a in elements]
     ident = _img_bytes(range(n + 1))
     if ident not in nodes:
-        if any(y.count(0) == 1 for y in nodes):  # a permutation
+        if any(len(a) == n for a in elements):  # a permutation
             raise ValueError("input set is not closed under composition")
         nodes.append(ident)
     left, right = _cayley_graphs(nodes, _pick_generators(nodes, _by_rank(nodes, n)))

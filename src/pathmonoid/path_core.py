@@ -22,8 +22,10 @@ its hash and the rank n + 1 - ``count(0)`` run in C.  Its two dense loops
 are ``_cayley_graphs`` and ``_saturate``, which yields the closure of the
 identity under right multiplication by letters one rank layer at a time,
 from rank n down: rank(x·y) <= min(rank x, rank y), so the rank-r members
-are final once the rank-r bucket is drained.  ``_first_difference``
-compares those layers with a target's, bucketed by ``_by_rank``.
+are final once the rank-r bucket is drained.  By the same bound a product
+with a letter of rank below r has rank below r: layers r and above of a
+closure depend on its letters of rank >= r alone.  ``_first_difference``
+compares the layers with a target's, bucketed by ``_by_rank``.
 """
 from __future__ import annotations
 

@@ -12,24 +12,21 @@ Closure and the generation tests read the rank layers of ``_saturate``, the
 byte kernel's saturation loop (see :mod:`pathmonoid.path_core`), with letters
 as translation tables made once per public call by ``_letter_tables``.  A
 target's layers are one record, ``MonoidSet._layers``, built once per
-monoid.  Every letter of A(n) and B(n) has rank n or n-1, so dropping one is
-detected within the top two layers, and those layers of a closure depend on
-its letters of rank >= n-1 alone: ``exhaustive_min_size`` decides its
-candidates in groups sharing them, with one saturation for a group whose top
-layers already differ from the target's.
+monoid.  ``exhaustive_min_size`` prunes by the kernel's layer rule (see
+:mod:`pathmonoid.path_core`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .census import MAX_ENUMERATE_N, _count, _enumerate_family, _family, elements_with_domain
 from .errors import ResourceRefused
 from .genwords import make_generator, tau
+from . import path_core
 from .path_core import (
     PartialInjection,
     _by_rank,
@@ -38,7 +35,6 @@ from .path_core import (
     _first_difference,
     _img_bytes,
     _listed,
-    _saturate,
     _table,
     _text_key,
     _trusted,
@@ -137,7 +133,7 @@ def closure(gens: Iterable[PartialInjection], n: int) -> MonoidSet:
     """
     tables = _letter_tables(gens, n)
     _img_bytes(range(n + 1))  # the byte kernel's n <= 255 rule, with no letters too
-    layers = _saturate(tables, n)
+    layers = path_core._saturate(tables, n)
     return MonoidSet(n, frozenset(_trusted(tuple(y)) for _, layer in layers for y in layer))
 
 
@@ -191,7 +187,8 @@ def _scope(size: int, forced: int, k: int) -> int:
 
 
 def subset_search_scope(target: MonoidSet, k: int) -> int:
-    """How many k-subsets ``exhaustive_min_size`` tests, refusing what it refuses."""
+    """How many k-subsets hold the forced generators: the candidates that
+    ``exhaustive_min_size`` budgets for, refusing what it refuses."""
     _check_target(target)
     if type(k) is not int or not 0 <= k <= len(target):  # bool is a subclass of int
         raise ValueError(f"subset size must be an integer between 0 and {len(target)}, got {k!r}")
@@ -208,41 +205,33 @@ def _refuse_scope(scope: int, k: int) -> None:
 def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
     """True iff no k-subset of ``target`` generates it, i.e. rank > k.
 
-    Candidates omitting a forced generator (see ``_forced_generators``) are
-    skipped, which cuts the search by a factor of roughly |target|/k without
-    losing soundness.  The rest are decided in groups keyed by their high
-    letters, those of rank >= n-1: layers n and n-1 of a closure depend on
-    them alone (see the module docstring), so when the forced and high
-    letters of a group already differ from the target there, every
-    completion by low letters is rejected with that one saturation, and
-    otherwise each completion is tested.  Refuses when the candidates,
-    ``subset_search_scope(target, k)``, exceed the fixed ``MAX_SUBSETS``;
-    the budget counts every candidate, grouped or not.  ``ValueError`` if
-    ``target`` is not a ``MonoidSet``.
+    One depth-first search over the sets of at most k members, taken in
+    order of falling rank (``target.elements`` order within a rank).  Each
+    set is saturated once; when its closure first differs from the target
+    in layer r, it is extended only by later members of rank >= r (the
+    layer rule of :mod:`pathmonoid.path_core`), and dropped when none is
+    left or no letter is left to spend.  Refuses when
+    ``subset_search_scope(target, k)`` exceeds the fixed ``MAX_SUBSETS``.
+    ``ValueError`` if ``target`` is not a ``MonoidSet``.
     """
     _refuse_scope(subset_search_scope(target, k), k)
-    forced = _forced_generators(target)
-    if k < len(forced):
-        return True
-    n, layers = target.n, target._layers
-    # One table per member, the rest in ``target.elements`` order; a table is
-    # a byte image padded with 0, so its rank is its non-zero count.
-    tables = _letter_tables([*forced, *(a for a in target.elements if a not in forced)], n)
-    fixed, rest = tables[: len(forced)], tables[len(forced) :]
-    high = [t for t in rest if 256 - t.count(0) >= n - 1]
-    low = [t for t in rest if 256 - t.count(0) < n - 1]
-    free = k - len(fixed)
-    for j in range(min(free, len(high)) + 1):
-        for top in combinations(high, j):
-            base = fixed + list(top)
-            # Layers n and n-1 of a closure come from its high letters alone.
-            differs = _first_difference(base, layers)
-            if differs is not None and differs[0] >= n - 1:
-                continue
-            for rest in combinations(low, free - j):
-                if _first_difference(base + list(rest), layers) is None:
-                    return False
-    return True
+    members = sorted(target.elements, key=len, reverse=True)  # stable: falling rank
+    tables = _letter_tables(members, target.n)
+    chosen: list[int] = []  # the set under test, as increasing indices into ``members``
+    floors: list[int] = []  # per prefix of ``chosen``, the rank of its first differing layer
+    i = 0  # the next member that may extend ``chosen``
+    while True:
+        differs = _first_difference([tables[j] for j in chosen], target._layers)
+        if differs is None:
+            return False
+        floors.append(differs[0])
+        while len(chosen) == k or i == len(members) or len(members[i]) < floors[-1]:
+            if not chosen:
+                return True
+            floors.pop()
+            i = chosen.pop() + 1
+        chosen.append(i)
+        i += 1
 
 
 def rank_formula(family: str, n: int) -> int:

@@ -696,6 +696,27 @@ def test_byte_images_are_built_and_multiplied_in_one_place():
     assert offenders == []
 
 
+def test_only_the_byte_kernel_reads_a_rank_by_counting_zeros():
+    # ``path_core`` reads the rank of an image tuple, a byte image or a
+    # translation table as its count of 0 entries; a ``.count(0)`` in any
+    # other module is a second spelling of that rule, with its own offset.
+    offenders = []
+    for path in sorted(Path(pathmonoid.__file__).parent.glob("*.py")):
+        if path.stem == "path_core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "count"
+                and len(node.args) == 1
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value == 0
+            ):
+                offenders.append(f"{path.stem}:{node.lineno}")
+    assert offenders == []
+
+
 def _package_imports(module: str) -> set[str]:
     """The modules of the package that ``module`` imports, at any depth."""
     path = Path(pathmonoid.__file__).parent / f"{module}.py"

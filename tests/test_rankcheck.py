@@ -112,6 +112,16 @@ class TestClosure:
         with pytest.raises(ValueError, match="n must be a positive integer"):
             closure(gens, n)
 
+    def test_saturates_through_the_byte_kernel(self, monkeypatch):
+        # ``closure`` used to call its own imported binding of ``_saturate``,
+        # which a patch of ``path_core._saturate`` did not reach.
+        def failing(tables, n):
+            raise RuntimeError("saturated")
+
+        monkeypatch.setattr(path_core, "_saturate", failing)
+        with pytest.raises(RuntimeError, match="saturated"):
+            closure(alphabet_elements("paut", 4), 4)
+
 
 def _record_layers(monkeypatch) -> list[int]:
     """Patch ``path_core._saturate`` to record the rank of every layer its
@@ -396,11 +406,12 @@ class TestExhaustiveMinSize:
         CountingSet.passes = 0
         for k in range(4):
             subset_search_scope(target, k)
-        assert exhaustive_min_size(target, 0) is True
         assert CountingSet.passes == 0
-        # The candidate pool is the one pass over the members.
-        assert exhaustive_min_size(target, 2) is True
+        # Each search makes one pass over the members, which it sorts by rank.
+        assert exhaustive_min_size(target, 0) is True
         assert CountingSet.passes == 1
+        assert exhaustive_min_size(target, 2) is True
+        assert CountingSet.passes == 2
 
     def test_trivial_monoid_has_rank_zero(self):
         trivial = MonoidSet(3, frozenset({identity(3)}))
@@ -455,31 +466,15 @@ SEARCH_TARGETS = {
     },
     **{f"ideal-{f}{n}-r{r}": partial(_ideal, f, n, r) for f in MONOIDS for n in (3, 4) for r in range(n)},
 }
-# The targets at which some candidate that holds a letter of rank below n-1
-# passes the top check and then fails: its group is not skipped, so the
-# completions are tested one by one.  In the families every group that
-# passes the top check generates.
-SECOND_STAGE = {
-    "closure-paut4-1",
-    "closure-paut4-3",
-    "closure-iend4-2",
-    "closure-iend4-3",
-    "ideal-paut3-r1",
-    "ideal-paut4-r1",
-    "ideal-paut4-r2",
-    "ideal-iend3-r1",
-    "ideal-iend4-r1",
-    "ideal-iend4-r2",
-}
 SEARCH_SCOPE = 40_000
 
 
 class TestGroupedSearch:
-    """The search decides its candidates in groups keyed by their letters of
-    rank >= n-1; the reference tests every candidate alone."""
+    """The search drops a set at the first layer that its later members can
+    no longer fix; the reference tests every candidate alone."""
 
     @pytest.mark.parametrize("case", SEARCH_TARGETS)
-    def test_matches_every_candidate_tested_alone(self, monkeypatch, case):
+    def test_matches_every_candidate_tested_alone(self, case):
         target = SEARCH_TARGETS[case]()
         # Every k from 0 up to the first whose scope is too large.
         ks = list(
@@ -489,36 +484,40 @@ class TestGroupedSearch:
         )
         assert len(ks) >= 2
         expected = [reference_exhaustive_min_size(target, k) for k in ks]
-        failed_completions = 0
-        first_difference = rankcheck._first_difference
-
-        def counting(tables, *layers):
-            nonlocal failed_completions
-            differs = first_difference(tables, *layers)
-            # A table is a byte image padded with 0: its rank is its non-zero count.
-            if differs is not None and any(256 - t.count(0) < target.n - 1 for t in tables):
-                failed_completions += 1
-            return differs
-
-        monkeypatch.setattr(rankcheck, "_first_difference", counting)
         assert [exhaustive_min_size(target, k) for k in ks] == expected
-        assert (failed_completions > 0) is (case in SECOND_STAGE), failed_completions
 
     @pytest.mark.parametrize("family,n", [("paut", 5), ("iend", 4)])
     def test_one_saturation_per_set_of_high_letters(self, monkeypatch, family, n):
-        # Below the rank every set of high letters fails in the top two
-        # layers, so the search saturates once per set, not per candidate.
+        # Below the rank every set of high letters, those of rank >= n-1,
+        # fails in the top two layers, so no lower member is ever tried.
+        # Layer n is short until the reversal is chosen, so the sets tested
+        # are the empty set, the identity alone, and the reversal with at
+        # most k-1 other high letters.
         target = MONOIDS[family](n)
         k = rank_formula(family, n) - 1
-        high = sum(len(a) >= n - 1 for a in target) - 1  # the reversal is forced
+        high = sum(len(a) >= n - 1 for a in target) - 1  # all but the reversal
         calls = []
         first_difference = rankcheck._first_difference
         monkeypatch.setattr(
             rankcheck, "_first_difference", lambda *args: calls.append(1) or first_difference(*args)
         )
         assert exhaustive_min_size(target, k) is True
-        assert len(calls) == sum(comb(high, j) for j in range(k))
+        assert len(calls) == 2 + sum(comb(high, j) for j in range(k))
         assert len(calls) < subset_search_scope(target, k)
+
+    def test_an_ideal_is_pruned_below_its_top_layers(self, monkeypatch):
+        # The rank-<=2 ideal of PAut(P_4), with the identity: layer 3 is empty,
+        # so a check of the top two layers alone would saturate every one of
+        # its 24,804 candidates.
+        target = _ideal("paut", 4, 2)
+        expected = reference_exhaustive_min_size(target, 3)
+        calls = []
+        first_difference = rankcheck._first_difference
+        monkeypatch.setattr(
+            rankcheck, "_first_difference", lambda *args: calls.append(1) or first_difference(*args)
+        )
+        assert exhaustive_min_size(target, 3) is expected is True
+        assert len(calls) < 10_000
 
     @pytest.mark.parametrize(
         "family,n,scope", [("paut", 5, 2_604_125), ("iend", 4, 182_104)], ids=["paut5", "iend4"]
@@ -564,12 +563,13 @@ class TestOneConversionPerCall:
         assert set(images) <= {a.img for a in target}
 
     @pytest.mark.parametrize(
-        "family,n,calls", [("paut", 5, 374), ("iend", 4, 1130)], ids=["paut5", "iend4"]
+        "family,n,calls", [("paut", 5, 352), ("iend", 4, 1101)], ids=["paut5", "iend4"]
     )
     def test_candidates_are_tested_in_the_order_of_the_members(self, monkeypatch, family, n, calls):
         # The saturations until a generating set of rank size is found: the
-        # count pins the order in which the candidates are tested, that of
-        # ``target.elements``, whatever PYTHONHASHSEED is.
+        # count pins the order in which the candidates are tested, falling
+        # rank and ``target.elements`` order within a rank, whatever
+        # PYTHONHASHSEED is.
         target = MONOIDS[family](n)
         first_difference = rankcheck._first_difference
         counted = []
