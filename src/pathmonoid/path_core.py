@@ -30,7 +30,7 @@ compares the layers with a target's, bucketed by ``_by_rank``.
 from __future__ import annotations
 
 import re
-from itertools import repeat
+from itertools import compress, count, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -278,7 +278,7 @@ def domain_intervals(a: PartialInjection) -> tuple[tuple[int, int], ...]:
 
 def _domain_intervals(img: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """The runs of the defined slots of the image tuple ``img``, unchecked."""
-    return _runs(x for x, y in enumerate(img) if y)
+    return _runs(compress(count(), img))
 
 
 def image_intervals(a: PartialInjection) -> tuple[tuple[int, int], ...]:

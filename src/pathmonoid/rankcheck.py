@@ -205,8 +205,9 @@ def _refuse_scope(scope: int, k: int) -> None:
 def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
     """True iff no k-subset of ``target`` generates it, i.e. rank > k.
 
-    One depth-first search over the sets of at most k members, taken in
-    order of falling rank (``target.elements`` order within a rank).  Each
+    One depth-first search over the sets of at most k members other than
+    the identity, which lies in every closure, taken in order of falling
+    rank (``target.elements`` order within a rank).  Each
     set is saturated once; when its closure first differs from the target
     in layer r, it is extended only by later members of rank >= r (the
     layer rule of :mod:`pathmonoid.path_core`), and dropped when none is
@@ -215,7 +216,9 @@ def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
     ``ValueError`` if ``target`` is not a ``MonoidSet``.
     """
     _refuse_scope(subset_search_scope(target, k), k)
-    members = sorted(target.elements, key=len, reverse=True)  # stable: falling rank
+    ident = identity(target.n)
+    # Stable: falling rank, ``target.elements`` order within a rank.
+    members = sorted((a for a in target.elements if a != ident), key=len, reverse=True)
     tables = _letter_tables(members, target.n)
     chosen: list[int] = []  # the set under test, as increasing indices into ``members``
     floors: list[int] = []  # per prefix of ``chosen``, the rank of its first differing layer

@@ -25,7 +25,7 @@ from pathmonoid import (
     is_generating,
     is_paut,
 )
-from pathmonoid import census, rankcheck
+from pathmonoid import census, path_core, rankcheck
 from pathmonoid.path_core import _img_bytes, _table
 
 
@@ -109,6 +109,12 @@ def naive_type_sequences(mapping: dict[int, int]) -> dict[tuple[int, int], tuple
 def _naive_types(mapping: dict[int, int]) -> Counter:
     """Multiset of reversal-normalized types of the maximal image intervals."""
     return Counter(min(t, t[::-1]) for t in naive_type_sequences(mapping).values())
+
+
+def reference_domain_intervals(img: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The runs of the defined slots of the image tuple ``img``, the slots
+    picked by a generator over ``enumerate`` rather than by ``compress``."""
+    return path_core._runs(x for x, y in enumerate(img) if y)
 
 
 def reference_l_related(a: PartialInjection, b: PartialInjection) -> bool:

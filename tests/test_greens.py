@@ -279,6 +279,37 @@ class TestClassify:
         assert classify(m, relation).as_sets() == expected
 
 
+class TestJKeyPerRClass:
+    """R ⊆ J, so the J key is read off the R key, once per distinct R key."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("family", ("paut", "iend"))
+    def test_j_key_is_the_multiset_of_naive_types(self, family, n):
+        m = enumerate_paut(n) if family == "paut" else enumerate_iend(n)
+        for a in m:
+            expected = tuple(sorted(_naive_types(dict(a.pairs)).elements()))
+            assert greens._j_key(a.img) == expected, a
+
+    def test_block_ends_are_read_once_per_run_of_each_r_key(self, monkeypatch):
+        m = enumerate_iend(7)
+        r_keys = {greens._r_key(a.img) for a in m}
+        assert (len(r_keys), len(m)) == (601, 10_450)
+        runs = []
+        split_blocks = greens.split_blocks
+        monkeypatch.setattr(greens, "split_blocks", lambda run: runs.append(run) or split_blocks(run))
+        greens._types.cache_clear()
+        classify(m, "J")
+        assert sorted(runs) == sorted(run for key in r_keys for run in key)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("family", ("paut", "iend"))
+    def test_every_r_class_lies_in_one_j_class(self, family, n):
+        m = enumerate_paut(n) if family == "paut" else enumerate_iend(n)
+        j_class = {a: i for i, cls in enumerate(classify(m, "J").classes) for a in cls}
+        for cls in classify(m, "R").classes:
+            assert len({j_class[a] for a in cls}) == 1, cls
+
+
 class TestOracle:
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     @pytest.mark.parametrize("family", ("paut", "iend"))

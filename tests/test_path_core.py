@@ -55,13 +55,14 @@ from pathmonoid import (
     restrict,
 )
 from pathmonoid.genwords import alpha, tau
-from pathmonoid.path_core import _text_key
+from pathmonoid.path_core import _domain_intervals, _text_key
 
 from conftest import (
     _runs,
     all_partial_injections,
     edge_oracle_is_iend,
     partial_injections,
+    reference_domain_intervals,
 )
 
 try:  # Python 3.11+
@@ -292,6 +293,25 @@ class TestIntervals:
         for a in all_partial_injections(n):
             assert domain_intervals(a) == ends(_runs(a.domain()))
             assert image_intervals(a) == ends(_runs(a.image()))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_domain_intervals_of_members_match_the_enumerate_rule(self, n):
+        for a in enumerate_iend(n):
+            for img in (a.img, inverse(a).img):
+                assert _domain_intervals(img) == reference_domain_intervals(img), a
+
+    @pytest.mark.parametrize("n", (300, 1000))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_domain_intervals_of_seeded_images_match_the_enumerate_rule(self, n, seed):
+        # Image tuples of partial injections, from nearly empty to full.
+        rng = random.Random(f"{n}-{seed}")
+        for density in (0.02, 0.3, 0.7, 0.98, 1.0):
+            domain = [x for x in range(1, n + 1) if rng.random() < density]
+            img = [0] * (n + 1)
+            for x, y in zip(domain, rng.sample(range(1, n + 1), len(domain))):
+                img[x] = y
+            img = tuple(img)
+            assert _domain_intervals(img) == reference_domain_intervals(img), density
 
     @given(st.lists(st.integers(min_value=-20, max_value=20)))
     def test_maximal_intervals_match_runs(self, points):
