@@ -5,10 +5,10 @@ maximal intervals (blocks) and s vertices sends its blocks, in some order,
 onto r image intervals of the same sizes, each laid down in two
 orientations when its size is at least 2.  The image intervals of PAut
 keep at least ``gap = 1`` free vertex between each other, as a⁻¹ too sends
-edges to edges; those of IEnd may touch (``gap = 0``).  The gap and every
-other fact in which the families differ live in one table, ``_FAMILIES``,
-read through ``_family``.  By stars and bars the ordered image blocks fit
-on {1..n} in
+edges to edges; those of IEnd may touch (``gap = 0``).  The gap, alphabet
+and rank formula of each family live in one table, ``_FAMILIES``, read
+through ``_family``.  By stars and bars the ordered image blocks fit on
+{1..n} in
 
     _slots(n, s, r, gap) = C(n - s + r - (r - 1) * gap, r)
 
@@ -47,9 +47,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ResourceRefused
 from .genwords import Symbol, alphabet_iend, alphabet_paut
-from .path_core import (
-    PartialInjection, _check_n, _runs, _trusted, _vertices, is_iend, is_paut
-)
+from .path_core import PartialInjection, _check_n, _runs, _trusted, _vertices
 
 # Largest n ``enumerate_*`` accepts: IEnd(P_8) has 53,937 elements.
 MAX_ENUMERATE_N = 8
@@ -59,17 +57,14 @@ class _Family(NamedTuple):
     """One family's facts (see the module docstring); ``gap`` is 1 or 0."""
 
     gap: int
-    is_member: Callable[[PartialInjection], bool]
     alphabet: Callable[[int], tuple[Symbol, ...]]
     rank: Callable[[int], int]
 
 
-# Every fact in which the families differ; listings of both follow this order.
+# The facts read by family name; listings of both follow this order.
 _FAMILIES = {
-    "paut": _Family(1, is_paut, alphabet_paut, lambda n: (2, 2, 3)[n - 1] if n <= 3 else n - 1),
-    "iend": _Family(
-        0, is_iend, alphabet_iend, lambda n: (2, 2, 4)[n - 1] if n <= 3 else n + (n + 1) // 2 - 2
-    ),
+    "paut": _Family(1, alphabet_paut, lambda n: (2, 2, 3)[n - 1] if n <= 3 else n - 1),
+    "iend": _Family(0, alphabet_iend, lambda n: (2, 2, 4)[n - 1] if n <= 3 else n + (n + 1) // 2 - 2),
 }
 
 

@@ -29,9 +29,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from math import floor, log10
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__
 from .census import (
@@ -39,7 +38,6 @@ from .census import (
     _FAMILIES,
     _count,
     _enumerate_family,
-    _family,
     _member_images,
     count_by_mask,
     mask_to_string,
@@ -64,6 +62,7 @@ from .path_core import (
     _read_element_json,
     _read_element_text,
     format_element,
+    is_paut,
 )
 from .rankcheck import verify_rank
 
@@ -77,8 +76,7 @@ EXIT_INTERNAL = 4
 # -- output --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rendering:
+class Rendering(NamedTuple):
     """One command's result in every output shape it supports, and its
     verdict: ``ok`` is false when the command's own check failed."""
 
@@ -242,7 +240,7 @@ def _cmd_factor(args: argparse.Namespace) -> Rendering:
     payload = {
         "n": element.n,
         "element": format_element(element),
-        "family": "paut" if _family("paut").is_member(element) else "iend",
+        "family": "paut" if is_paut(element) else "iend",
         "alphabet": args.alphabet,
         "word": format_word(word),
         "length": len(word),
@@ -275,7 +273,7 @@ def _cmd_expand(args: argparse.Namespace) -> Rendering:
 def _cmd_verify_rank(args: argparse.Namespace) -> Rendering:
     witness = verify_rank(args.family, args.n, exhaustive=args.exhaustive)
     # The witness's fields in declaration order, then ok, then any counterexample.
-    payload = {**vars(witness), "witnesses": dict(witness.witnesses)}
+    payload = {**witness._asdict(), "witnesses": dict(witness.witnesses)}
     del payload["counterexample"]
     payload["ok"] = witness.ok
     lines = _lines(

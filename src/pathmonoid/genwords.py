@@ -50,7 +50,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .path_core import PartialInjection, _check_n, _check_text, _listed, _trusted, identity
 
@@ -102,29 +102,27 @@ _KINDS = {
 }
 
 
-def _kind_entry(kind: str) -> tuple:
-    """The ``_KINDS`` entry of ``kind``; ``ValueError`` for an unknown kind."""
-    try:
-        return _KINDS[kind]
-    except (KeyError, TypeError):  # TypeError: an unhashable kind
-        raise ValueError(f"unknown symbol kind {kind!r}") from None
-
-
-def _check_letter(sym: object) -> None:
+def _check_form(sym: object) -> Callable[[int, int, int], bool]:
+    """The index rule of the letter ``sym``'s kind, or ``ValueError`` unless
+    ``sym`` is a ``Symbol`` of a known kind with ``int`` indices and no index
+    its kind does not write: the rules that do not depend on n."""
     if not isinstance(sym, Symbol):
         raise ValueError(f"a letter must be a Symbol, got {sym!r}")
-
-
-def _check_symbol(sym: Symbol, n: int) -> None:
-    _check_n(n)  # a(0) and a(n+1) would pass the index rules at n <= 0.
-    _check_letter(sym)
-    count, rule = _kind_entry(sym.kind)
+    try:
+        count, rule = _KINDS[sym.kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise ValueError(f"unknown symbol kind {sym.kind!r}") from None
     if type(sym.i) is not int or type(sym.j) is not int:  # bool is a subclass of int
         raise ValueError(f"symbol indices must be integers, got ({sym.i!r}, {sym.j!r})")
     if any((sym.i, sym.j)[count:]):
         raise ValueError(f"symbol {tuple(sym)} sets an index its kind does not take")
-    if not rule(sym.i, sym.j, n):
-        raise ValueError(f"symbol {format_symbol(sym)} has indices out of range for n={n}")
+    return rule
+
+
+def _check_symbol(sym: Symbol, n: int) -> None:
+    _check_n(n)  # a(0) and a(n+1) would pass the index rules at n <= 0.
+    if not _check_form(sym)(sym.i, sym.j, n):
+        raise ValueError(f"symbol {_symbol_text(sym)} has indices out of range for n={n}")
 
 
 @lru_cache(maxsize=1)
@@ -383,9 +381,15 @@ _SYMBOL_RE = re.compile(f"({'|'.join(_KINDS)})(?:([0-9]+)(?:,([0-9]+))?)?")
 
 
 def format_symbol(sym: Symbol) -> str:
-    _check_letter(sym)
-    count = _kind_entry(sym.kind)[0]
-    return sym.kind + ",".join(str(index) for index in (sym.i, sym.j)[:count])
+    _check_form(sym)
+    if sym.i < 0 or sym.j < 0:  # the text form writes ASCII digits only
+        raise ValueError(f"symbol {tuple(sym)} has a negative index, which its text form cannot write")
+    return _symbol_text(sym)
+
+
+def _symbol_text(sym: Symbol) -> str:
+    """The text form of a symbol that passed ``_check_form``, unchecked."""
+    return sym.kind + ",".join(str(index) for index in (sym.i, sym.j)[: _KINDS[sym.kind][0]])
 
 
 def parse_symbol(text: str) -> Symbol:
@@ -407,7 +411,7 @@ def parse_symbol(text: str) -> Symbol:
 
 def format_word(word: Word) -> str:
     _check_word(word)
-    return " ".join(map(format_symbol, word.letters))
+    return " ".join(map(_symbol_text, word.letters))  # each letter passed _check_symbol
 
 
 def parse_word(text: str, n: int) -> Word:

@@ -52,7 +52,8 @@ class PartialInjection:
     tuples correct by construction, unchecked.
     """
 
-    __slots__ = ("n", "img", "_hash")
+    # n is len(img) - 1, a slot as classify's member check and _text_key read it per element.
+    __slots__ = ("n", "img")
 
     n: int
     img: tuple[int, ...]
@@ -127,7 +128,7 @@ class PartialInjection:
         return self.img == other.img
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.img)
 
     def __repr__(self) -> str:
         return f"parse_element({format_element(self)!r})"
@@ -141,7 +142,7 @@ class PartialInjection:
 # The slots' member descriptors: setting through them skips the
 # ``__setattr__`` that keeps instances immutable, and the lookup of
 # ``object.__setattr__``.  ``_trusted`` alone sets them.
-_set_n, _set_img, _set_hash = (
+_set_n, _set_img = (
     PartialInjection.__dict__[slot].__set__ for slot in PartialInjection.__slots__
 )
 
@@ -181,7 +182,6 @@ def _trusted(img: tuple[int, ...]) -> PartialInjection:
     a = object.__new__(PartialInjection)
     _set_n(a, len(img) - 1)
     _set_img(a, img)
-    _set_hash(a, hash(img))
     return a
 
 

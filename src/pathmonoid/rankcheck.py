@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .census import MAX_ENUMERATE_N, _count, _enumerate_family, _family, elements_with_domain
 from .errors import ResourceRefused
@@ -295,8 +295,7 @@ def lower_bound_witnesses(n: int) -> dict[str, bool]:
     }
 
 
-@dataclass(frozen=True)
-class RankWitness:
+class RankWitness(NamedTuple):
     """Outcome of verifying the rank of one family at one n."""
 
     n: int

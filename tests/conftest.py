@@ -25,7 +25,7 @@ from pathmonoid import (
     is_generating,
     is_paut,
 )
-from pathmonoid import census, path_core, rankcheck
+from pathmonoid import path_core, rankcheck
 from pathmonoid.path_core import _img_bytes, _table
 
 
@@ -292,9 +292,3 @@ def partial_injections(draw, min_n: int = 1, max_n: int = 7) -> PartialInjection
     dom = draw(st.lists(st.sampled_from(points), unique=True, max_size=n))
     img = draw(st.permutations(points))
     return PartialInjection(n, list(zip(sorted(dom), img)))
-
-
-def replace_family_facts(monkeypatch, family: str, **facts) -> None:
-    """Replace some facts of ``family``'s record in the family table
-    ``census._FAMILIES`` for the rest of the test."""
-    monkeypatch.setitem(census._FAMILIES, family, census._FAMILIES[family]._replace(**facts))

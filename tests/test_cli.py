@@ -43,8 +43,6 @@ from pathmonoid.selftest import (
     check_round_trip,
 )
 
-from conftest import replace_family_facts
-
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -247,8 +245,7 @@ class TestFactor:
     @pytest.mark.parametrize("element,family", [("n=6;1>1,2>2,4>5", "paut"), ("n=5;1>1,3>2", "iend")])
     def test_membership_is_decided_once_per_entry(self, capsys, monkeypatch, element, family):
         # factor_iend checks is_iend only and factors both families by one
-        # rule; the one PAut membership test, the family table's, is the
-        # "family" label's.
+        # rule; the one PAut membership test is the "family" label's.
         calls = []
 
         def counting_is_paut(a):
@@ -256,7 +253,7 @@ class TestFactor:
             return path_core.is_paut(a)
 
         monkeypatch.setattr(factorize, "is_paut", counting_is_paut)
-        replace_family_facts(monkeypatch, "paut", is_member=counting_is_paut)
+        monkeypatch.setattr(cli, "is_paut", counting_is_paut)
         code, out, _ = run(capsys, "factor", "--element", element)
         payload = json.loads(out)
         assert code == 0 and payload["verified"] is True
@@ -830,6 +827,13 @@ class TestUsage:
         assert choices == {
             "count": (*names, "both"), "enumerate": names, "classify": names, "verify-rank": names,
         }
+
+    def test_pyproject_states_the_package_version(self):
+        # The release number is written twice: pyproject.toml's ``version``
+        # and ``pathmonoid.__version__``, which ``--version`` prints.
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        assert tomllib.loads(pyproject.read_text())["project"]["version"] == pathmonoid.__version__
 
 
 class TestReadmeExamples:

@@ -129,16 +129,16 @@ class TestSmallCases:
 class TestImageTuples:
     def test_factor_builds_no_element(self, monkeypatch):
         # Every element is built through ``path_core._trusted``, which sets
-        # its hash through ``_set_hash``; the factorizer works on image
+        # its image tuple through ``_set_img``; the factorizer works on image
         # tuples and builds one only for an error message.
         inits = []
-        set_hash = path_core._set_hash
+        set_img = path_core._set_img
 
-        def counting(a, h):
-            inits.append(h)
-            set_hash(a, h)
+        def counting(a, img):
+            inits.append(img)
+            set_img(a, img)
 
-        monkeypatch.setattr(path_core, "_set_hash", counting)
+        monkeypatch.setattr(path_core, "_set_img", counting)
         elements = [parse_element(text) for text in (N24_PAUT, IEND_N8, "n=1;", "n=5;1>3,3>5,5>1")]
         assert len(inits) == len(elements)
         inits.clear()

@@ -164,8 +164,9 @@ class TestMakeGenerator:
             lambda sym: make_generator(sym, 5),
             lambda sym: Word(5, (sym,)),
             lambda sym: expand_symbol(sym, 5),
+            format_symbol,
         ],
-        ids=["make_generator", "Word", "expand_symbol"],
+        ids=["make_generator", "Word", "expand_symbol", "format_symbol"],
     )
 
     @_checks
@@ -190,6 +191,14 @@ class TestMakeGenerator:
         # tau(5) printed as "tau", which parse_word reads as another symbol.
         with pytest.raises(ValueError, match="sets an index its kind does not take"):
             check(sym)
+
+    @pytest.mark.parametrize("sym", [Symbol("a", -1), Symbol("es", -1, 4)], ids=["a", "es-i"])
+    def test_format_symbol_rejects_a_negative_index(self, sym):
+        # es(-1, 4) printed as "es-1,4", which parse_symbol cannot read.
+        with pytest.raises(ValueError, match="negative index"):
+            format_symbol(sym)
+        with pytest.raises(ValueError, match=r"indices out of range for n=5$"):
+            make_generator(sym, 5)
 
     def test_legal_symbols_agree_with_validation(self):
         for n in (3, 4, 6):

@@ -230,17 +230,17 @@ class TestClassify:
     @pytest.mark.parametrize("relation", ("L", "R", "H", "J"))
     def test_builds_no_element(self, relation, monkeypatch):
         # Every element is built through ``path_core._trusted``, which sets
-        # its hash through ``_set_hash``; the keys read the image tuples of
-        # the elements and of their inverses.
+        # its image tuple through ``_set_img``; the keys read the image
+        # tuples of the elements and of their inverses.
         m = enumerate_iend(5)
         inits = []
-        set_hash = path_core._set_hash
+        set_img = path_core._set_img
 
-        def counting(a, h):
-            inits.append(h)
-            set_hash(a, h)
+        def counting(a, img):
+            inits.append(img)
+            set_img(a, img)
 
-        monkeypatch.setattr(path_core, "_set_hash", counting)
+        monkeypatch.setattr(path_core, "_set_img", counting)
         classify(m, relation)
         assert inits == []
 

@@ -53,6 +53,7 @@ from pathmonoid import (
     parse_word,
     paut_monoid,
     restrict,
+    verify_rank,
 )
 from pathmonoid.genwords import alpha, tau
 from pathmonoid.path_core import _domain_intervals, _text_key
@@ -104,13 +105,17 @@ class TestConstruction:
             parse_element("n=24;1>24,2>23,3>22,7>9,8>10,20>1"),
             paut_monoid(3),
             Word(6, (tau(), alpha(2))),
+            verify_rank("paut", 3),
         ],
-        ids=["identity3", "empty5", "n24", "paut3", "word"],
+        ids=["identity3", "empty5", "n24", "paut3", "word", "witness"],
     )
     def test_copies_and_pickles_equal_their_original(self, value, copy_of):
-        # Each copy of an element passes the checked constructor.
+        # Each copy of an element passes the checked constructor, and an
+        # element's hash is read off its image tuple.
         twin = copy_of(value)
         assert twin == value and hash(twin) == hash(value)
+        if isinstance(value, PartialInjection):
+            assert hash(twin) == hash(value.img)
 
     def test_equal_only_to_elements(self):
         assert (identity(3) == "x") is False
@@ -758,7 +763,7 @@ def test_the_import_graph_keeps_each_layer_in_its_home():
 
 # ``path_core._trusted`` is the one maker of elements: it alone sets their
 # slots, and the checked constructor returns through it.
-SLOT_SETTERS = {"_set_n", "_set_img", "_set_hash"}
+SLOT_SETTERS = {"_set_n", "_set_img"}
 
 
 def _name_used(node: ast.AST) -> str | None:
