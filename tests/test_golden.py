@@ -65,6 +65,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "count-n16-iend": ("count", "--n", "16", "--family", "iend"),
     "count-n5-per-mask-text": ("count", "--n", "5", "--per-mask", "--format", "text"),
     "enumerate-n4-iend-text": ("enumerate", "--n", "4", "--family", "iend", "--format", "text"),
+    "enumerate-n5-paut": ("enumerate", "--n", "5", "--family", "paut"),
+    "enumerate-n3-iend-csv": ("enumerate", "--n", "3", "--family", "iend", "--format", "csv"),
 }
 
 
