@@ -27,16 +27,18 @@ block starts are the set bits whose lower neighbour is clear.  The
 placements (q1, q2, t1, t2) depend on (r, s) alone, so ``count_by_mask``
 computes them once per (r, s), not once per mask.
 
-Enumeration does not use the placement rule.  ``_member_images`` walks the
+Enumeration does not use the placement rule.  ``_members`` walks the
 members depth first by the paper's adjacency definition (|a(x+1) - a(x)| =
 1 where both are defined, for PAut of a and of its inverse), adding one pair
 at a time and never visiting a non-member, so its size is a third count
-independent of the closed form.  It changes one image list in place and
-copies it once per member, so a caller that needs only the texts or the
-count builds no element.  Its preorder is text order, the order of every
-listing, with no sort; ``enumerate_paut`` and ``enumerate_iend`` wrap its
-image tuples as they are.  ``elements_with_domain`` keeps the placement
-rule, one domain at a time, and the tests check the walk against it.
+independent of the closed form.  The one walk has two outputs, and neither
+builds an element.  It emits image tuples, changing one image list in place
+and copying it once per member, for ``enumerate_paut``, ``enumerate_iend``
+(which wrap them as they are) and the count of ``selftest``.  Or it emits
+texts, each written from its parent's text and one pair, for the CLI's
+``enumerate`` listing.  Its preorder is text order, the order of every
+listing, with no sort.  ``elements_with_domain`` keeps the placement rule,
+one domain at a time, and the tests check the walk against it.
 """
 from __future__ import annotations
 
@@ -47,7 +49,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ResourceRefused
 from .genwords import Symbol, alphabet_iend, alphabet_paut
-from .path_core import PartialInjection, _check_n, _runs, _trusted, _vertices
+from .path_core import PartialInjection, _check_n, _image_text, _runs, _trusted, _vertices
 
 # Largest n ``enumerate_*`` accepts: IEnd(P_8) has 53,937 elements.
 MAX_ENUMERATE_N = 8
@@ -93,6 +95,7 @@ class MaskProfile(NamedTuple):
 
 
 def mask_from_set(n: int, points: set[int] | frozenset[int]) -> int:
+    _check_n(n)
     bits = 0
     for p in _vertices(points):
         if not 1 <= p <= n:
@@ -107,8 +110,19 @@ def _blocks(n: int, bits: int) -> tuple[tuple[int, int], ...]:
     return _runs(p for p in range(1, n + 1) if bits >> (p - 1) & 1)
 
 
+def _check_mask(n: int, bits: int) -> None:
+    """``ValueError`` unless n is a positive int and ``bits`` an int mask of
+    n bits: the check of the functions that take a mask."""
+    _check_n(n)
+    if type(bits) is not int:  # bool is a subclass of int
+        raise ValueError(f"a mask must be an integer, got {bits!r}")
+    if not 0 <= bits < 1 << n:
+        raise ValueError(f"mask {bits:#x} out of range for n={n}")
+
+
 def mask_to_string(n: int, bits: int) -> str:
     """Bit string with position p (left to right) equal to A(p)."""
+    _check_mask(n, bits)
     return "".join("1" if bits >> (p - 1) & 1 else "0" for p in range(1, n + 1))
 
 
@@ -127,11 +141,7 @@ def _placements(n: int, r: int, s: int) -> tuple[int, int, int, int]:
 
 def mask_profile(n: int, bits: int) -> MaskProfile:
     """Compute (r, s, T, q1, q2, t1, t2) for one domain mask."""
-    _check_n(n)
-    if type(bits) is not int:  # bool is a subclass of int
-        raise ValueError(f"a mask must be an integer, got {bits!r}")
-    if not 0 <= bits < 1 << n:
-        raise ValueError(f"mask {bits:#x} out of range for n={n}")
+    _check_mask(n, bits)
     return _profile(n, bits, {})
 
 
@@ -200,7 +210,6 @@ def elements_with_domain(
     both orientations, which realizes every element exactly once.
     """
     gap = _family(family).gap
-    _check_n(n)
     blocks = _blocks(n, mask_from_set(n, domain))
     r, s = len(blocks), sum(hi - lo + 1 for lo, hi in blocks)
     img = [0] * (n + 1)
@@ -223,9 +232,9 @@ def elements_with_domain(
     return out
 
 
-def _member_images(n: int, family: str) -> list[tuple[int, ...]]:
-    """The image tuple of every member of the family at n, in text order,
-    by the paper's adjacency rule alone.
+def _members(n: int, family: str, texts: bool) -> list:
+    """Every member of the family at n, in text order, by the paper's
+    adjacency rule alone: its text form if ``texts``, else its image tuple.
 
     A depth-first walk whose nodes are exactly the members, the empty map
     at the root: the parent of a member is the member with its largest
@@ -235,24 +244,39 @@ def _member_images(n: int, family: str) -> list[tuple[int, ...]]:
     every (x', y') with x' >= x + 2, each kept when the pair it adds keeps
     the rule.  They are visited in (x', y') order, so for n <= 9, where each
     vertex is one digit and a prefix sorts first, the preorder is text
-    order.  The walk sets and clears pairs in one list ``img`` and copies
-    it once per member."""
+    order.  One walk has both outputs.  For image tuples it sets and clears
+    pairs in one list ``img`` and copies it once per member.  For texts a
+    child's text is its parent's, a comma if the parent has a pair, and the
+    text of the pair it adds; the root text and the n² pair texts are read
+    off ``path_core._image_text``, the one text rule, once per call."""
     _check_n(n)
     if n > MAX_ENUMERATE_N:
         raise ResourceRefused(f"enumeration at n={n} is above the bound of {MAX_ENUMERATE_N}")
     gap = _family(family).gap
     img = [0] * (n + 1)
     used = [False] * (n + 2)  # slots 0 and n + 1 stay False
-    out = [tuple(img)]
+    root: str | tuple[int, ...] = tuple(img)
+    if texts:
+        root = _image_text(root)
+        # pairs[x][y] is the text "x>y"; row 0 and column 0 are never read.
+        pairs = [()] + [
+            [""] + [
+                _image_text((0,) * x + (y,) + (0,) * (n - x))[len(root):]
+                for y in range(1, n + 1)
+            ]
+            for x in range(1, n + 1)
+        ]
+    out = [root]
     emit = out.append
 
-    def grow(x: int, y: int) -> None:
-        # The node's last pair is (x, y), x < n, or (0, 0) at the root.  A
-        # child sets img[x'] = y' and marks y' used while its subtree is
-        # walked: y' = y ± 1 at x' = x + 1, and any free y' from x' = x + 2
-        # on (from x' = 1 at the root).  With a gap (PAut), a free vertex
-        # has no used neighbour, and y ± 1 needs its other neighbour unused,
-        # as that preimage would lie before x.
+    def grow(x: int, y: int, head: str) -> None:
+        # The node's last pair is (x, y), x < n, or (0, 0) at the root, and
+        # ``head`` is the text its children extend ("" for image tuples).  A
+        # child adds the pair (x', y') and marks y' used while its subtree
+        # is walked: y' = y ± 1 at x' = x + 1, and any free y' from
+        # x' = x + 2 on (from x' = 1 at the root).  With a gap (PAut), a
+        # free vertex has no used neighbour, and y ± 1 needs its other
+        # neighbour unused, as that preimage would lie before x.
         free = [
             z for z in range(1, n + 1)
             if not used[z] and not (gap and (used[z - 1] or used[z + 1]))
@@ -263,22 +287,25 @@ def _member_images(n: int, family: str) -> list[tuple[int, ...]]:
         ] if y else free
         for x2 in range(x + 1, n + 1):
             for z in ys:
-                img[x2] = z
-                emit(tuple(img))
+                if texts:
+                    emit(text := head + pairs[x2][z])
+                else:
+                    img[x2] = z
+                    emit(tuple(img))
                 if x2 < n:
                     used[z] = True
-                    grow(x2, z)
+                    grow(x2, z, text + "," if texts else "")
                     used[z] = False
             img[x2] = 0
             ys = free
 
-    grow(0, 0)
+    grow(0, 0, root if texts else "")
     return out
 
 
 def _enumerate_family(n: int, family: str) -> list[PartialInjection]:
-    """Every member of the family at n, in text order (``_member_images``)."""
-    return list(map(_trusted, _member_images(n, family)))
+    """Every member of the family at n, in text order (``_members``)."""
+    return list(map(_trusted, _members(n, family, False)))
 
 
 def enumerate_paut(n: int) -> list[PartialInjection]:

@@ -30,7 +30,7 @@ import io
 import json
 import sys
 from math import floor, log10
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import __version__
 from .census import (
@@ -38,7 +38,7 @@ from .census import (
     _FAMILIES,
     _count,
     _enumerate_family,
-    _member_images,
+    _members,
     count_by_mask,
     mask_to_string,
 )
@@ -58,7 +58,6 @@ from .greens import classify as classify_elements
 from .path_core import (
     PartialInjection,
     _check_n,
-    _image_text,
     _read_element_json,
     _read_element_text,
     format_element,
@@ -81,9 +80,9 @@ class Rendering(NamedTuple):
     verdict: ``ok`` is false when the command's own check failed."""
 
     payload: dict
-    text_lines: tuple[str, ...]
+    text_lines: Iterable[str]
     csv_header: tuple[str, ...] | None = None
-    csv_rows: tuple[tuple, ...] | None = None
+    csv_rows: Iterable[Iterable] | None = None
     ok: bool = True
 
 
@@ -192,7 +191,7 @@ def _cmd_count(args: argparse.Namespace) -> Rendering:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> Rendering:
-    texts = list(map(_image_text, _member_images(args.n, args.family)))
+    texts = _members(args.n, args.family, True)
     payload = {
         "n": args.n,
         "family": args.family,
@@ -201,9 +200,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> Rendering:
     }
     return Rendering(
         payload=payload,
-        text_lines=tuple(texts),
+        text_lines=texts,
         csv_header=("element",),
-        csv_rows=tuple((t,) for t in texts),
+        csv_rows=zip(texts),
     )
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Iterator
 
-from .census import _FAMILIES, _count, _enumerate_family, _family, _member_images, count_by_mask
+from .census import _FAMILIES, _count, _enumerate_family, _family, _members, count_by_mask
 from .factorize import factor_iend, word_length_bound
 from .genwords import (
     Symbol,
@@ -36,7 +36,7 @@ def check_counts(n: int) -> str | None:
         routes = {
             "the closed form": _count(n, family),
             "the mask sum": sum(row[column] for row in table),
-            "the enumeration": len(_member_images(n, family)),
+            "the enumeration": len(_members(n, family, False)),
         }
         values = list(routes.values())
         if len(set(values)) > 1:

@@ -72,16 +72,24 @@ class TestMasks:
         assert (prof.r, prof.s, prof.T, prof.t1, prof.t2) == (0, 0, 0, 1, 1)
 
     def test_profile_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            mask_profile(0, 0)
-        with pytest.raises(ValueError):
-            mask_profile(3, 1 << 3)
+        # mask_to_string used to write (3, 9) as "100" and (3, -1) as "111",
+        # and to raise TypeError for (3.0, 1).
+        for read_mask in (mask_profile, mask_to_string):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                read_mask(0, 0)
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                read_mask(3.0, 1)
+            for bits in (1 << 3, 9, -1):
+                with pytest.raises(ValueError, match="out of range for n=3"):
+                    read_mask(3, bits)
 
     @pytest.mark.parametrize("bits", [True, 2.0, "3", None], ids=["bool", "float", "str", "none"])
     def test_profile_rejects_a_non_integer_mask(self, bits):
-        # True used to give a profile with bits=True; 2.0 raised TypeError.
-        with pytest.raises(ValueError, match="a mask must be an integer"):
-            mask_profile(3, bits)
+        # True used to give a profile with bits=True and the string "100";
+        # 2.0 raised TypeError.
+        for read_mask in (mask_profile, mask_to_string):
+            with pytest.raises(ValueError, match="a mask must be an integer"):
+                read_mask(3, bits)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_profile_counts_the_blocks_of_the_set_bits(self, n):
@@ -103,22 +111,29 @@ class TestCounts:
         for count in (count_paut, count_iend):
             with pytest.raises(ValueError):
                 count(0)
+        # mask_from_set used to return 0 for both.
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                mask_from_set(n, set())
 
     @pytest.mark.parametrize(
         ("call", "n"),
         [
             (count_paut, 2.0), (count_paut, True), (count_iend, "3"), (enumerate_paut, 3.0),
             (enumerate_paut, True), (count_by_mask, 2.0), (alphabet_paut, "5"),
-            (partial(rank_formula, "paut"), 4.0),
+            (partial(rank_formula, "paut"), 4.0), (partial(mask_from_set, points={1}), True),
+            (partial(mask_from_set, points={1}), 2.0), (partial(mask_from_set, points=set()), "3"),
         ],
         ids=[
             "count_paut-float", "count_paut-bool", "count_iend-str", "enumerate_paut-float",
             "enumerate_paut-bool", "count_by_mask-float", "alphabet_paut-str", "rank_formula-float",
+            "mask_from_set-bool", "mask_from_set-float", "mask_from_set-str",
         ],
     )
     def test_rejects_a_non_integer_n(self, call, n):
         # Each used to raise TypeError or answer for the int the value
-        # stands for: count_paut(True) gave 2, rank_formula("paut", 4.0) 3.0.
+        # stands for: count_paut(True) gave 2, rank_formula("paut", 4.0) 3.0,
+        # mask_from_set(True, {1}) 1 and mask_from_set("3", set()) 0.
         with pytest.raises(ValueError, match="n must be a positive integer"):
             call(n)
 
@@ -330,13 +345,23 @@ class TestTextOrder:
         return calls
 
     def test_cli_enumerate_formats_each_element_once(self, monkeypatch, capsys):
-        # Once per member, for output, from its image tuple: the listing
-        # builds no element.
+        # The walk writes each member's text once, from its parent's: the
+        # text rule is read for the root and the n² pair texts alone, and
+        # the listing builds no element.
         texts = self._count_calls(monkeypatch, "_image_text")
         built = self._count_calls(monkeypatch, "_trusted")
         assert cli.main(["enumerate", "--n", "6", "--family", "iend"]) == 0
-        assert len(texts) == IEND_COUNTS[5] == 2127
+        assert capsys.readouterr().out.count('"n=6;') == IEND_COUNTS[5] == 2127
+        assert len(texts) <= (6 + 1) ** 2
         assert built == []
+
+    @pytest.mark.parametrize("n", range(1, census.MAX_ENUMERATE_N + 1))
+    @pytest.mark.parametrize("family", ["paut", "iend"])
+    def test_walk_texts_are_the_element_texts(self, family, n):
+        # Every n the walk admits: the texts it writes from the parents'
+        # are the text rule's, in the same order as the image tuples.
+        enumerate_family = {"paut": enumerate_paut, "iend": enumerate_iend}[family]
+        assert census._members(n, family, True) == list(map(format_element, enumerate_family(n)))
 
     def test_check_counts_builds_no_element(self, monkeypatch):
         built = self._count_calls(monkeypatch, "_trusted")
