@@ -38,6 +38,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "classify-n4-paut-J-csv": ("classify", "--n", "4", "--family", "paut", "--relation", "J", "--format", "csv"),
     "verify-rank-n6-iend": ("verify-rank", "--n", "6", "--family", "iend"),
     "verify-rank-n5-paut-text": ("verify-rank", "--n", "5", "--family", "paut", "--format", "text"),
+    "verify-rank-n5-iend-text": ("verify-rank", "--n", "5", "--family", "iend", "--format", "text"),
     "verify-rank-n4-iend-exhaustive": ("verify-rank", "--n", "4", "--family", "iend", "--exhaustive"),
     "verify-rank-n5-paut-exhaustive-text": (
         "verify-rank", "--n", "5", "--family", "paut", "--exhaustive", "--format", "text",
