@@ -13,7 +13,8 @@ selftest     run the oracle suites
 The only setting is ``--format`` (default json; csv for ``enumerate`` and
 ``classify`` only).  Every resource bound is a constant where it is
 enforced: ``MAX_WORD_WORK`` below, ``census.MAX_ENUMERATE_N`` (the one
-bound on n for the commands that enumerate) and ``rankcheck.MAX_SUBSETS``.
+bound on n for the commands that enumerate) and ``rankcheck.MAX_SUBSETS``
+(the largest subset search that ``verify-rank`` runs).
 Each subcommand returns one ``Rendering``, and ``main`` alone maps its
 verdict and every exception to the exit code: 0 success, 1 verification
 failure (a false ``Rendering.ok``), 2 usage error (argparse's, or any
@@ -270,7 +271,7 @@ def _cmd_expand(args: argparse.Namespace) -> Rendering:
 
 
 def _cmd_verify_rank(args: argparse.Namespace) -> Rendering:
-    witness = verify_rank(args.family, args.n, exhaustive=args.exhaustive)
+    witness = verify_rank(args.family, args.n)
     # The witness's fields in declaration order, then ok, then any counterexample.
     payload = {**witness._asdict(), "witnesses": dict(witness.witnesses)}
     del payload["counterexample"]
@@ -368,11 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("verify-rank", _cmd_verify_rank, "check the rank of a family at one n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
-    p.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help="additionally search all smaller subsets (budgeted)",
-    )
 
     p = command("selftest", _cmd_selftest, "run the oracle suites")
     p.add_argument("--n", type=int, required=True)

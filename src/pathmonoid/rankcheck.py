@@ -23,7 +23,7 @@ from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .census import MAX_ENUMERATE_N, _count, _enumerate_family, _family, elements_with_domain
+from .census import _enumerate_family, _family, elements_with_domain
 from .errors import ResourceRefused
 from .genwords import make_generator, tau
 from . import path_core
@@ -181,25 +181,14 @@ def _forced_generators(target: MonoidSet) -> list[PartialInjection]:
     return [rev] if len(target._layers[target.n]) == 2 and rev in target else []
 
 
-def _scope(size: int, forced: int, k: int) -> int:
-    """How many k-subsets of ``size`` members hold the ``forced`` ones."""
-    return comb(size - forced, k - forced) if k >= forced else 0
-
-
 def subset_search_scope(target: MonoidSet, k: int) -> int:
     """How many k-subsets hold the forced generators: the candidates that
     ``exhaustive_min_size`` budgets for, refusing what it refuses."""
     _check_target(target)
     if type(k) is not int or not 0 <= k <= len(target):  # bool is a subclass of int
         raise ValueError(f"subset size must be an integer between 0 and {len(target)}, got {k!r}")
-    return _scope(len(target), len(_forced_generators(target)), k)
-
-
-def _refuse_scope(scope: int, k: int) -> None:
-    if scope > MAX_SUBSETS:
-        raise ResourceRefused(
-            f"searching {scope} candidate {k}-subsets exceeds the budget of {MAX_SUBSETS}"
-        )
+    forced = len(_forced_generators(target))
+    return comb(len(target) - forced, k - forced) if k >= forced else 0
 
 
 def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
@@ -215,7 +204,11 @@ def exhaustive_min_size(target: MonoidSet, k: int) -> bool:
     ``subset_search_scope(target, k)`` exceeds the fixed ``MAX_SUBSETS``.
     ``ValueError`` if ``target`` is not a ``MonoidSet``.
     """
-    _refuse_scope(subset_search_scope(target, k), k)
+    scope = subset_search_scope(target, k)
+    if scope > MAX_SUBSETS:
+        raise ResourceRefused(
+            f"searching {scope} candidate {k}-subsets exceeds the budget of {MAX_SUBSETS}"
+        )
     ident = identity(target.n)
     # Stable: falling rank, ``target.elements`` order within a rank.
     members = sorted((a for a in target.elements if a != ident), key=len, reverse=True)
@@ -251,9 +244,12 @@ def point_deleted_class(n: int, i: int) -> list[PartialInjection]:
     """A_i: automorphisms whose domain omits exactly vertex i or its mirror.
 
     The two candidate domains coincide when i is the middle vertex.
+    ``ValueError`` for an n that is not a positive int, or an i that is not
+    an int (bool included) between 1 and n.
     """
-    if not 1 <= i <= n:
-        raise ValueError(f"vertex {i} out of range for n={n}")
+    _check_n(n)
+    if type(i) is not int or not 1 <= i <= n:  # bool is a subclass of int
+        raise ValueError(f"vertex {i!r} out of range for n={n}")
     full = frozenset(range(1, n + 1))
     out: list[PartialInjection] = []
     for dom in sorted({full - {i}, full - {n + 1 - i}}, key=sorted):
@@ -335,17 +331,17 @@ def _generation_counterexample(
     return f"{format_element(stray)} is generated but lies outside the monoid"
 
 
-def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness:
+def verify_rank(family: str, n: int) -> RankWitness:
     """Check the rank value of the family at n against the shipped alphabet.
 
-    Always verified: the alphabet's size equals the closed-form rank, it
-    generates the enumerated monoid, no single letter can be dropped, and
-    the lower-bound witness checks hold.  With ``exhaustive`` a subset
-    search walks k downward until no k-subset generates, an exact lower
-    bound.  An n past the enumeration bound, or a first (largest) search
-    whose scope is above ``MAX_SUBSETS``, is refused before the monoid is
-    enumerated: the scope follows from the closed-form count, as the
-    reversal is forced (``_forced_generators``).
+    Verified: the alphabet's size equals the closed-form rank, it generates
+    the enumerated monoid, no single letter can be dropped, and the
+    lower-bound witness checks hold.  When the first (largest) subset
+    search fits the budget, ``subset_search_scope(target, formula - 1) <=
+    MAX_SUBSETS`` (PAut n <= 5, IEnd n <= 4), the search walks k downward
+    until no k-subset generates, an exact lower bound; elsewhere the bound
+    and ``subsets_searched`` are None.  An n past the enumeration bound is
+    refused by the enumeration, before any alphabet is built.
 
     When the alphabet does not generate, or a letter can be dropped, the
     witness's ``counterexample`` names the first member missing from the
@@ -353,17 +349,13 @@ def verify_rank(family: str, n: int, *, exhaustive: bool = False) -> RankWitness
     """
     if type(n) is not int or n < 3:  # bool is a subclass of int
         raise ValueError(f"rank verification needs the alphabets (n >= 3), got n={n!r}")
-    if type(exhaustive) is not bool:
-        raise ValueError(f"exhaustive must be True or False, got {exhaustive!r}")
     formula = rank_formula(family, n)
-    if exhaustive and n <= MAX_ENUMERATE_N:
-        _refuse_scope(_scope(_count(n, family), 1, formula - 1), formula - 1)
     target = MonoidSet(n, frozenset(_enumerate_family(n, family)))
     lower_bound: int | None = None
     searched: int | None = None
-    if exhaustive:
+    k = formula - 1
+    if subset_search_scope(target, k) <= MAX_SUBSETS:
         searched = 0
-        k = formula - 1
         while k >= 1:
             searched += subset_search_scope(target, k)
             if exhaustive_min_size(target, k):

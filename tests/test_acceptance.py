@@ -158,9 +158,9 @@ def test_07_minimal_generating_set_sizes():
         assert exhaustive_min_size(paut_monoid(3), 2)
         assert exhaustive_min_size(iend_monoid(3), 3)
         assert time.monotonic() - start < 300.0
-        witness = verify_rank("paut", 3, exhaustive=True)
+        witness = verify_rank("paut", 3)
         assert witness.ok and witness.exhaustive_lower_bound == 3
-        witness = verify_rank("iend", 3, exhaustive=True)
+        witness = verify_rank("iend", 3)
         assert witness.ok and witness.exhaustive_lower_bound == 4
         # Structural witnesses backing the lower bounds at larger n.
         for n in range(3, 9):

@@ -391,7 +391,7 @@ class TestWordWorkBound:
 
 class TestVerifyRank:
     def test_exhaustive_paut_p3(self, capsys):
-        code, out, _ = run(capsys, "verify-rank", "--n", "3", "--family", "paut", "--exhaustive")
+        code, out, _ = run(capsys, "verify-rank", "--n", "3", "--family", "paut")
         payload = json.loads(out)
         assert code == 0
         assert payload["ok"] is True
@@ -399,60 +399,29 @@ class TestVerifyRank:
         assert payload["witnesses"]["reversal_in_alphabet"] is True
 
     def test_plain_iend(self, capsys):
-        code, out, _ = run(capsys, "verify-rank", "--n", "4", "--family", "iend")
+        # The first search of IEnd(P_6), C(2126, 5) subsets, is above the budget.
+        code, out, _ = run(capsys, "verify-rank", "--n", "6", "--family", "iend")
         payload = json.loads(out)
         assert code == 0 and payload["ok"] is True
-        assert payload["exhaustive_lower_bound"] is None
+        assert payload["exhaustive_lower_bound"] is None and payload["subsets_searched"] is None
 
-    @pytest.mark.parametrize("exhaustive", [(), ("--exhaustive",)], ids=["plain", "exhaustive"])
+    def test_exhaustive_flag_is_gone(self, capsys):
+        # The subset search is decided by its scope, not by a flag.
+        code, out, err = run(capsys, "verify-rank", "--n", "4", "--family", "iend", "--exhaustive")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --exhaustive" in err
+
     @pytest.mark.parametrize("n", [2, 0, -4])
-    def test_needs_n_at_least_3(self, capsys, n, exhaustive):
-        code, out, err = run(capsys, "verify-rank", "--n", str(n), "--family", "paut", *exhaustive)
+    def test_needs_n_at_least_3(self, capsys, n):
+        code, out, err = run(capsys, "verify-rank", "--n", str(n), "--family", "paut")
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["message"] == (
             f"rank verification needs the alphabets (n >= 3), got n={n}"
         )
 
-    def test_budget_refusal(self, capsys, monkeypatch):
-        # IEnd(P_5) has 458 elements; with the forced reversal the 5-subsets
-        # to search number C(457, 4), far above the budget.  The search is
-        # sized before any generation check, so nothing is saturated.
-        def saturate(*args, **kwargs):
-            raise RuntimeError("saturated before the subset budget was checked")
-
-        monkeypatch.setattr(path_core, "_saturate", saturate)
-        start = time.perf_counter()
-        code, out, err = run(capsys, "verify-rank", "--n", "5", "--family", "iend", "--exhaustive")
-        assert time.perf_counter() - start < 2.0
-        assert code == 3 and out == ""
-        error = json.loads(err)["error"]
-        assert error["code"] == "resource-refused"
-        assert error["message"] == (
-            f"searching 1793647310 candidate 5-subsets exceeds the budget of "
-            f"{MAX_SUBSETS}"
-        )
-
-    def test_budget_refusal_at_the_enumeration_bound(self, capsys, monkeypatch):
-        # The 9-subsets of IEnd(P_8) number C(53936, 8) with the forced
-        # reversal; the closed-form count sizes them, so nothing is enumerated.
-        def enumerate_family(*args, **kwargs):
-            raise RuntimeError("enumerated before the subset budget was checked")
-
-        monkeypatch.setattr(rankcheck, "_enumerate_family", enumerate_family)
-        start = time.perf_counter()
-        code, out, err = run(capsys, "verify-rank", "--n", "8", "--family", "iend", "--exhaustive")
-        assert time.perf_counter() - start < 2.0
-        assert code == 3 and out == ""
-        error = json.loads(err)["error"]
-        assert error["code"] == "resource-refused"
-        assert error["message"] == (
-            f"searching 1775349616172371733948662312499890 candidate 9-subsets "
-            f"exceeds the budget of {MAX_SUBSETS}"
-        )
-
     def test_budget_counts_the_subsets_searched(self, capsys):
         # C(105, 3) = 187,460 subsets, but the forced reversal leaves C(104, 2).
-        code, out, _ = run(capsys, "verify-rank", "--n", "4", "--family", "iend", "--exhaustive")
+        code, out, _ = run(capsys, "verify-rank", "--n", "4", "--family", "iend")
         payload = json.loads(out)
         assert code == 0 and payload["ok"] is True
         assert payload["subsets_searched"] == 5356
@@ -584,7 +553,7 @@ class TestConfig:
         argvs = [
             ("enumerate", "--n", "4", "--family", "paut"),
             ("classify", "--n", "4", "--family", "paut", "--relation", "J"),
-            ("verify-rank", "--n", "3", "--family", "iend", "--exhaustive"),
+            ("verify-rank", "--n", "3", "--family", "iend"),
             ("count", "--n", "2"),
         ]
         plain = [run(capsys, *argv) for argv in argvs]
@@ -612,10 +581,8 @@ class TestConfig:
         assert err.startswith("error (resource-refused):")
 
     def test_library_functions_take_no_settings(self):
-        # A parameter or a record field with a default is a setting; only
-        # ``verify_rank``'s ``exhaustive`` has two callers that need
-        # different values (``verify-rank`` with and without ``--exhaustive``).
-        # The records are dataclasses and ``typing.NamedTuple`` classes; the
+        # A parameter or a record field with a default is a setting, and no
+        # library function has one.  The records are dataclasses and ``typing.NamedTuple`` classes; the
         # one record exception is ``Symbol``, whose i and j default to 0 for
         # the kinds that take fewer indices (``tau()`` is ``Symbol("tau")``).
         settings = [
@@ -639,7 +606,7 @@ class TestConfig:
             if isinstance(record := getattr(pathmonoid, name), type) and issubclass(record, tuple)
             for field in getattr(record, "_field_defaults", ())
         ]
-        assert settings == ["verify_rank(exhaustive=)", "Symbol.i=", "Symbol.j="]
+        assert settings == ["Symbol.i=", "Symbol.j="]
 
     def test_private_functions_take_no_settings(self):
         # A default on a private function is an argument no caller needs to
@@ -670,7 +637,8 @@ class TestConfig:
 
 class TestFixedBounds:
     """Each fixed bound runs the request at its edge and refuses one past it.
-    The subset budget's refusal is ``TestVerifyRank::test_budget_refusal``."""
+    The subset budget's refusal is ``exhaustive_min_size``'s, in
+    ``tests/test_rankcheck.py::TestExhaustiveMinSize::test_budget_refusal``."""
 
     @pytest.mark.parametrize(
         "argv, check",
@@ -682,7 +650,7 @@ class TestFixedBounds:
              and sum(map(len, p["classes"])) == count_paut(8)),
             (("verify-rank", "--n", "8", "--family", "iend"),
              lambda p: p["ok"] is True and p["formula_value"] == 10),
-            (("verify-rank", "--n", "5", "--family", "paut", "--exhaustive"),
+            (("verify-rank", "--n", "5", "--family", "paut"),
              lambda p: p["ok"] and p["subsets_searched"] == 31375),
         ],
         ids=["enumerate-n8", "per-mask-n8", "classify-n8", "verify-rank-n8", "exhaustive-paut-n5"],
@@ -702,8 +670,6 @@ class TestFixedBounds:
              "enumeration at n=9 is above the bound of 8"),
             (("verify-rank", "--n", "100000000", "--family", "paut"),
              "enumeration at n=100000000 is above the bound of 8"),
-            (("verify-rank", "--n", "100000000", "--family", "iend", "--exhaustive"),
-             "enumeration at n=100000000 is above the bound of 8"),
             (("selftest", "--n", "9"), "n=9 is above the bound of 8 for selftest"),
         ],
         ids=[
@@ -712,7 +678,6 @@ class TestFixedBounds:
             "classify-n9",
             "verify-rank-n9",
             "verify-rank-n1e8",
-            "exhaustive-n1e8",
             "selftest-n9",
         ],
     )
@@ -772,7 +737,7 @@ class TestDeterminism:
             ("enumerate", "--n", "4", "--family", "iend"),
             ("classify", "--n", "3", "--family", "iend", "--relation", "J"),
             ("factor", "--element", "n=5;1>5,3>1,5>3"),
-            ("verify-rank", "--n", "3", "--family", "iend", "--exhaustive"),
+            ("verify-rank", "--n", "3", "--family", "iend"),
         ],
     )
     def test_byte_identical_across_runs(self, capsys, argv):

@@ -39,10 +39,7 @@ CASES: dict[str, tuple[str, ...]] = {
     "verify-rank-n6-iend": ("verify-rank", "--n", "6", "--family", "iend"),
     "verify-rank-n5-paut-text": ("verify-rank", "--n", "5", "--family", "paut", "--format", "text"),
     "verify-rank-n5-iend-text": ("verify-rank", "--n", "5", "--family", "iend", "--format", "text"),
-    "verify-rank-n4-iend-exhaustive": ("verify-rank", "--n", "4", "--family", "iend", "--exhaustive"),
-    "verify-rank-n5-paut-exhaustive-text": (
-        "verify-rank", "--n", "5", "--family", "paut", "--exhaustive", "--format", "text",
-    ),
+    "verify-rank-n4-iend": ("verify-rank", "--n", "4", "--family", "iend"),
     "factor-paut-base": ("factor", "--element", "n=7;1>6,2>5,4>1,5>2,6>3", "--alphabet", "base"),
     "factor-iend-base": ("factor", "--element", "n=8;1>3,2>4,4>5,5>6,7>1", "--alphabet", "base"),
     "factor-iend-derived-text": (

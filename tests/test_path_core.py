@@ -552,7 +552,7 @@ def test_constructors_refuse_other_objects(call, message):
 CHECKED_CONSTRUCTORS = {"PartialInjection", "Word", "MonoidSet"}
 
 # One valid value for every keyword-only parameter in ``pathmonoid.__all__``.
-VALID_KEYWORDS = {"verify_rank": {"exhaustive": False}}
+VALID_KEYWORDS = {}
 
 
 def _valid_arguments():

@@ -628,6 +628,14 @@ class TestWitnesses:
     def test_point_deleted_class_rejects_bad_vertex(self):
         with pytest.raises(ValueError, match="vertex 0 out of range for n=4"):
             point_deleted_class(4, 0)
+        # Neither a bool nor a float stands in for the vertex 1.
+        for i in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match=re.escape(f"vertex {i!r} out of range for n=4")):
+                point_deleted_class(4, i)
+        # n is checked first, and blamed for itself.
+        for n in ("4", 0, True):
+            with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {n!r}")):
+                point_deleted_class(n, 1)
 
     def test_point_deleted_class_mirror(self):
         # A_i and A_{n+1-i} are the same class.
@@ -701,25 +709,58 @@ class TestWitnesses:
 
 class TestVerifyRank:
     def test_exhaustive_paut_p3(self):
-        witness = verify_rank("paut", 3, exhaustive=True)
+        witness = verify_rank("paut", 3)
         assert witness.ok
         assert witness.formula_value == 3
         assert witness.exhaustive_lower_bound == 3
         assert witness.subsets_searched == 21
 
     def test_exhaustive_iend_p3(self):
-        witness = verify_rank("iend", 3, exhaustive=True)
+        witness = verify_rank("iend", 3)
         assert witness.ok
         assert witness.formula_value == 4
         assert witness.exhaustive_lower_bound == 4
         assert witness.subsets_searched == 300
 
-    @pytest.mark.parametrize("family,n", [("paut", 4), ("paut", 5), ("iend", 4), ("iend", 5)])
-    def test_non_exhaustive(self, family, n):
+    @pytest.mark.parametrize(
+        "family, n, bound, searched",
+        [
+            pytest.param(family, n, bound, searched, id=f"{family}-{n}")
+            for family, n, bound, searched in [
+                ("paut", 3, 3, 21),
+                ("paut", 4, 3, 70),
+                ("paut", 5, 4, 31375),
+                ("paut", 6, None, None),  # C(934, 3) = 135,360,884 subsets
+                ("paut", 7, None, None),
+                ("iend", 3, 4, 300),
+                ("iend", 4, 4, 5356),
+                ("iend", 5, None, None),  # C(457, 4) = 1,793,647,310 subsets
+                ("iend", 6, None, None),
+                ("iend", 7, None, None),
+                ("iend", 8, None, None),
+            ]
+        ],
+    )
+    def test_searches_exactly_where_the_first_search_fits(self, monkeypatch, family, n, bound, searched):
+        # The walk runs when subset_search_scope(target, formula - 1) is
+        # within MAX_SUBSETS; above it, no search may start.
+        if bound is None:
+            def search(*args):
+                raise AssertionError("a subset search started above the budget")
+
+            monkeypatch.setattr(rankcheck, "exhaustive_min_size", search)
         witness = verify_rank(family, n)
         assert witness.ok
-        assert witness.exhaustive_lower_bound is None
         assert witness.generating_set_size == rank_formula(family, n)
+        assert (witness.exhaustive_lower_bound, witness.subsets_searched) == (bound, searched)
+
+    def test_the_budget_itself_fits(self, monkeypatch):
+        # IEnd(P_4)'s first search has 5,356 candidates: at that budget it
+        # runs, one below it does not.
+        monkeypatch.setattr(rankcheck, "MAX_SUBSETS", 5356)
+        assert verify_rank("iend", 4).subsets_searched == 5356
+        monkeypatch.setattr(rankcheck, "MAX_SUBSETS", 5355)
+        assert verify_rank("iend", 4).subsets_searched is None
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -730,17 +771,11 @@ class TestVerifyRank:
         with pytest.raises(ValueError, match=re.escape(f"got n={n!r}")):
             verify_rank("paut", n)
 
-    @pytest.mark.parametrize("exhaustive", ["no", 1, None], ids=["str", "int", "none"])
-    def test_rejects_an_exhaustive_that_is_not_a_bool(self, exhaustive):
-        # A truthy "no" must not run the subset search.
-        with pytest.raises(ValueError, match=re.escape(f"got {exhaustive!r}")):
-            verify_rank("paut", 4, exhaustive=exhaustive)
-
     @pytest.mark.parametrize("family", ["paut", "iend"])
     @pytest.mark.parametrize("n", range(3, 9))
     def test_first_search_is_sized_by_the_closed_form(self, family, n):
-        # verify_rank refuses on C(count - 1, formula - 2) before enumerating:
-        # the search of k = formula - 1 with the reversal forced.
+        # The first search, of k = formula - 1 with the reversal forced,
+        # has C(count - 1, formula - 2) candidates.
         count = (count_paut if family == "paut" else count_iend)(n)
         formula = rank_formula(family, n)
         target = MONOIDS[family](n)
@@ -751,7 +786,7 @@ class TestVerifyRank:
         # the walk goes on to k = 2, where none does.
         formula = rank_formula
         monkeypatch.setattr(rankcheck, "rank_formula", lambda family, n: formula(family, n) + 1)
-        witness = verify_rank("paut", 4, exhaustive=True)
+        witness = verify_rank("paut", 4)
         assert witness.exhaustive_lower_bound == 3
         assert witness.subsets_searched == comb(70, 2) + comb(70, 1) == 2485
         assert not witness.ok
