@@ -35,7 +35,6 @@ from pathmonoid import (
 from pathmonoid.cli import MAX_WORD_WORK, main
 from pathmonoid.factorize import word_length_bound
 from pathmonoid.genwords import MAX_EXPANSION_LENGTH
-from pathmonoid.rankcheck import MAX_SUBSETS
 from pathmonoid.selftest import (
     check_counts,
     check_expansions,

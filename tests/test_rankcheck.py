@@ -628,7 +628,7 @@ class TestWitnesses:
     def test_point_deleted_class_rejects_bad_vertex(self):
         with pytest.raises(ValueError, match="vertex 0 out of range for n=4"):
             point_deleted_class(4, 0)
-        # Neither a bool nor a float stands in for the vertex 1.
+        # No bool, float or str stands in for the vertex 1.
         for i in (True, 1.0, "1"):
             with pytest.raises(ValueError, match=re.escape(f"vertex {i!r} out of range for n=4")):
                 point_deleted_class(4, i)
