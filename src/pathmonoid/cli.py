@@ -208,9 +208,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> Rendering:
 
 
 def _cmd_classify(args: argparse.Namespace) -> Rendering:
-    # classify sorts its input by text form itself.
-    partition = classify_elements(_enumerate_family(args.n, args.family), args.relation)
-    classes = [[format_element(a) for a in cls] for cls in partition.classes]
+    # The census walk lists the members and their texts in one text order,
+    # so each class's texts are read off the walk's text output.
+    elements = _enumerate_family(args.n, args.family)
+    text = dict(zip(elements, _members(args.n, args.family, True)))
+    partition = classify_elements(elements, args.relation)
+    classes = [[text[a] for a in cls] for cls in partition.classes]
     payload = {
         "n": args.n,
         "family": args.family,

@@ -20,9 +20,9 @@ interval of b (read off its run in b⁻¹ by the J key's rule,
 close those gaps and give b·δ.  Each reversal letter is its own inverse,
 so δ's word read backwards spells δ⁻¹ on Im δ.  A partial automorphism has
 no cuts, so its word uses {tau, a, as, es} only; other members add their b
-letters.  The factorizer works on image tuples throughout and builds no
-element on success; each step walks its letters with ``eval_word``'s walk
-and checks its end.
+letters.  The factorizer builds no element on success: it reads image
+tuples, and each step walks its letters with ``eval_word``'s walk, on byte
+images at n <= 255 (``path_core._carried``), and checks its end.
 
 Every emitted letter is legal for the ambient n, and emitted es letters are
 boundary-normalized (es(0, n+1) is emitted as tau, es(0, j) as as(j),
@@ -32,11 +32,13 @@ yields a word over B(n) -- over A(n) for partial automorphisms.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .genwords import Symbol, Word, _trusted_word, _walk, alpha, beta, canonical_eps_star
 from .path_core import (
     PartialInjection,
+    _carried,
+    _carried_identity,
     _check_element,
     _domain_intervals,
     _inverse_image,
@@ -60,11 +62,12 @@ def word_length_bound(n: int) -> int:
     return 3 * n + 1
 
 
-def _pack(img: tuple[int, ...], target: tuple[int, ...], blocks: Iterable[tuple[int, int]]) -> list[Symbol]:
-    """Reversal letters carrying the image tuple ``img``, any partial
-    automorphism with domain Dom x, to the image tuple ``target`` of x, whose
-    image blocks are packed from 1 with single gaps; ``blocks`` are the
-    maximal intervals of Dom x in the order of their images under x.
+def _pack(img: Sequence[int], target: Sequence[int], blocks: Iterable[tuple[int, int]]) -> list[Symbol]:
+    """Reversal letters carrying the image ``img``, any partial automorphism
+    with domain Dom x, to the image ``target`` of x, whose image blocks are
+    packed from 1 with single gaps; ``blocks`` are the maximal intervals of
+    Dom x in the order of their images under x.  Both images are carried
+    (``path_core._carried``).
 
     ``front`` is the gap after the blocks already placed; the unplaced
     images lie above it and no two touch, so es(front, cur_hi+1) moves no
@@ -85,7 +88,7 @@ def _pack(img: tuple[int, ...], target: tuple[int, ...], blocks: Iterable[tuple[
             img = _walk(img, (sym,), n)
         front += hi - lo + 2
     if img != target:
-        raise RuntimeError(f"reversal letters did not pack {format_element(_trusted(target))}")
+        raise RuntimeError(f"reversal letters did not pack {format_element(_trusted(tuple(target)))}")
     return letters
 
 
@@ -96,7 +99,7 @@ def _factor(a: PartialInjection) -> Word:
     # Restrict: a(i) drops vertex i and fixes 1..i-1, so in descending i
     # each deleted vertex still sits at its own place when its letter comes.
     letters = [alpha(i) for i in range(n, 0, -1) if not img_a[i]]
-    img = _walk(tuple(range(n + 1)), letters, n)
+    img = _walk(_carried_identity(n), letters, n)
     # Pack: open one gap at each cut of a·δ, where a domain block ends
     # inside a maximal image interval of a; b(i) closes the gap at i.
     inv = _inverse_image(img_a)
@@ -114,18 +117,18 @@ def _factor(a: PartialInjection) -> Word:
                 for x in block:
                     spread[x] += len(merge)
             blocks.append((min(block[0], block[-1]), max(block[0], block[-1])))
-    spread_img = tuple(spread)
+    spread_img = _carried(spread)
     letters += _pack(img, spread_img, blocks)
     # Merge.
-    if _walk(spread_img, merge, n) != packed:
+    if _walk(spread_img, merge, n) != _carried(packed):
         raise RuntimeError(f"merging letters did not reach {format_element(_trusted(packed))}")
     letters += merge
     # Unpack: δ's pack read backwards, from a⁻¹·a, the identity on Im a.
-    letters += _pack(itemgetter(*inv)(img_a), delta, image_blocks)[::-1]
+    letters += _pack(_carried(itemgetter(*inv)(img_a)), _carried(delta), image_blocks)[::-1]
     bound = word_length_bound(n)
     if len(letters) > bound:
         raise RuntimeError(f"factorization exceeded the step bound of {bound} letters")
-    # Every letter passed the checked image cache ``genwords._image`` in a walk.
+    # Every letter passed the checked letter cache in a walk.
     return _trusted_word(n, tuple(letters))
 
 

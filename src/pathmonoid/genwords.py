@@ -15,7 +15,9 @@ The generator families (all partial injections on {1..n}):
 * ``b(i)``           -- fixes 1..i-1, shifts i+1..n down by one.
 
 Words are read left to right in the right action: ``eval_word`` of
-``[u, v]`` is ``compose(u, v)``.
+``[u, v]`` is ``compose(u, v)``.  ``eval_word`` and the factorizer walk
+words through ``_walk``, ``path_core``'s word walk reading each letter
+from the letter cache below.
 
 A symbol's text form is its kind and, in ASCII digits, the number of
 indices ``_KINDS`` gives that kind: ``tau``, ``a3``, ``es1,4``.
@@ -40,19 +42,22 @@ with a(0) = tau, a(n+1) the empty word, and the boundary names of es at
 0 / n+1 substituted first.  No expansion is longer than 10 letters.
 
 Two per-symbol caches live for the process, each bounded at 4096 entries.
-One checks and builds each generator image once for ``make_generator``,
-``eval_word`` and factorization, at about 8·(n+1) bytes, as the ints are
-those of one shared identity tuple; the other holds each symbol's expansion.
+One, the letter cache ``_image``, checks and builds each letter once for
+``make_generator``, ``eval_word`` and factorization.  Its entry is a pair
+(56 bytes): the letter's image tuple, 40 + 8·(n+1) bytes as its ints are
+those of one shared identity tuple, and the letter's factor in the word
+walk, which at n <= 255 is its translation table, 289 bytes, and above is
+the image tuple itself.  The other holds each symbol's expansion.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from functools import lru_cache, partial
+from typing import Callable, Iterator, NamedTuple
 
-from .path_core import PartialInjection, _check_n, _check_text, _listed, _trusted, identity
+from . import path_core
+from .path_core import PartialInjection, _carried_identity, _check_n, _check_text, _letter, _listed, _trusted
 
 
 class Symbol(NamedTuple):
@@ -170,19 +175,20 @@ def _generator_image(kind: str, i: int, j: int, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=4096, typed=True)
-def _image(kind: str, i: int, j: int, n: int) -> tuple[int, ...]:
-    """The image tuple of the symbol ``(kind, i, j)`` at n, checked and built
-    once per process; every caller that needs a letter's image asks here.
-    ``typed`` keeps ``True`` and ``1.0`` from reading the entry of ``1``, so
-    no symbol skips its check."""
+def _image(kind: str, i: int, j: int, n: int) -> tuple[tuple[int, ...], bytes | tuple[int, ...]]:
+    """The entry of the symbol ``(kind, i, j)`` at n, its image tuple and its
+    factor in the word walk (``path_core._letter``), checked and built once
+    per process; every caller that needs a letter asks here.  ``typed``
+    keeps ``True`` and ``1.0`` from reading the entry of ``1``, so no symbol
+    skips its check."""
     _check_symbol(Symbol(kind, i, j), n)
-    return _generator_image(kind, i, j, n)
+    return _letter(_generator_image(kind, i, j, n))
 
 
 def make_generator(sym: Symbol, n: int) -> PartialInjection:
     """The partial injection named by ``sym`` on {1..n}."""
     try:
-        return _trusted(_image(*sym, n))
+        return _trusted(_image(*sym, n)[0])
     except TypeError:  # an unhashable index or n never reaches the check
         _check_symbol(sym, n)
         raise
@@ -259,17 +265,15 @@ def _check_word(word: object) -> None:
         raise ValueError(f"a word must be a Word, got {type(word).__name__}")
 
 
-def _walk(img: tuple[int, ...], letters: Iterable[Symbol], n: int) -> tuple[int, ...]:
-    """The image tuple ``img`` carried through ``letters`` at n."""
-    for sym in letters:
-        img = itemgetter(*img)(_image(*sym, n))
-    return img
+# The word walk, ``path_core._walk`` reading letters from the one letter cache.
+_walk = partial(path_core._walk, _image)
 
 
 def eval_word(word: Word) -> PartialInjection:
     """Evaluate left to right under the right action."""
     _check_word(word)
-    return _trusted(_walk(identity(word.n).img, word.letters, word.n))
+    n = word.n
+    return _trusted(tuple(_walk(_carried_identity(n), word.letters, n)))
 
 
 # -- alphabets ---------------------------------------------------------------

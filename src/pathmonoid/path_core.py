@@ -16,23 +16,28 @@ empty map is ``"n=5;"``; ASCII digits only).
 
 The byte kernel, the last section here, is the one home of byte images: no
 other module builds or multiplies them.  A byte image is ``bytes(img)``
-(``_img_bytes``), so n <= 255; a larger n is refused with ``ValueError``,
-with no second route.  x·y is ``x.translate(_table(y))``, so the product,
-its hash and the rank n + 1 - ``count(0)`` run in C.  Its two dense loops
-are ``_cayley_graphs`` and ``_saturate``, which yields the closure of the
-identity under right multiplication by letters one rank layer at a time,
-from rank n down: rank(x·y) <= min(rank x, rank y), so the rank-r members
-are final once the rank-r bucket is drained.  By the same bound a product
-with a letter of rank below r has rank below r: layers r and above of a
-closure depend on its letters of rank >= r alone.  ``_first_difference``
-compares the layers with a target's, bucketed by ``_by_rank``.
+(``_img_bytes``), so n <= 255.  x·y is ``x.translate(_table(y))``, so the
+product, its hash and the rank n + 1 - ``count(0)`` run in C.  It has three
+loops.  The two dense ones are ``_cayley_graphs`` and ``_saturate``, which
+yields the closure of the identity under right multiplication by letters
+one rank layer at a time, from rank n down: rank(x·y) <= min(rank x,
+rank y), so the rank-r members are final once the rank-r bucket is
+drained.  By the same bound a product with a letter of rank below r has
+rank below r: layers r and above of a closure depend on its letters of
+rank >= r alone.  ``_first_difference`` compares the layers with a
+target's, bucketed by ``_by_rank``.  The dense loops refuse an n above 255
+with ``ValueError``, with no second route.  The third is ``_walk``, the
+word walk of ``eval_word`` and the factorizer, which multiplies an image
+by a word's letters one at a time; it carries a byte image and multiplies
+by each letter's translation table at n <= 255, and runs the tuple kernel
+(see ``compose``) above, so words are walked at every n.
 """
 from __future__ import annotations
 
 import re
 from itertools import compress, count, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class PartialInjection:
@@ -190,8 +195,10 @@ def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
 
     The package has two product kernels.  On image tuples x·y is
     ``itemgetter(*x)(y)``, always a tuple since len(x) = n+1 >= 2; it serves
-    any n, and ``compose``, word evaluation and the factorizer use it.  The
-    two dense loops multiply byte images instead (see the module docstring)."""
+    any n, and ``compose`` and the word walk above n = 255 use it.  The byte
+    kernel's loops, the word walk of ``eval_word`` and the factorizer at
+    n <= 255 among them, multiply byte images instead (see the module
+    docstring)."""
     _check_element(a)
     _check_element(b)
     if a.n != b.n:
@@ -408,6 +415,48 @@ def _table(y: bytes) -> bytes:
     """The byte image ``y`` padded to the 256 entries of a translation
     table: ``x.translate(_table(y))`` is x·y."""
     return y.ljust(256, b"\0")
+
+
+def _letter(img: tuple[int, ...]) -> tuple[tuple[int, ...], bytes | tuple[int, ...]]:
+    """A letter's entry in the one letter cache, ``genwords._image``: its
+    image tuple and its factor in ``_walk``, the translation table at
+    n <= 255 and the image tuple itself above."""
+    return img, (_table(bytes(img)) if len(img) <= 256 else img)
+
+
+def _carried(img: Sequence[int]) -> bytes | tuple[int, ...]:
+    """The image ``img`` in the form ``_walk`` carries at its n: a byte
+    image at n <= 255, an image tuple above."""
+    return bytes(img) if len(img) <= 256 else tuple(img)
+
+
+_IDENTITY = bytes(range(256))
+
+
+def _carried_identity(n: int) -> bytes | tuple[int, ...]:
+    """The identity at n, carried (``_carried``), where words start."""
+    return _IDENTITY[: n + 1] if n <= 255 else tuple(range(n + 1))
+
+
+def _walk(
+    entry: Callable, x: bytes | tuple[int, ...], letters: Sequence[tuple], n: int
+) -> bytes | tuple[int, ...]:
+    """The carried image ``x`` (``_carried``) multiplied by ``letters`` at
+    n, in order.  Each distinct letter's ``_letter`` entry is read once, as
+    ``entry(*letter, n)``, in the order the letters first come."""
+    if len(letters) == 1:  # a pack step: nothing to share
+        factor = entry(*letters[0], n)[1]
+        return x.translate(factor) if type(x) is bytes else itemgetter(*x)(factor)
+    found = dict.fromkeys(letters)
+    for letter in found:
+        found[letter] = entry(*letter, n)[1]
+    if type(x) is bytes:
+        for table in map(found.__getitem__, letters):
+            x = x.translate(table)
+    else:
+        for y in map(found.__getitem__, letters):
+            x = itemgetter(*x)(y)
+    return x
 
 
 def _by_rank(images: Iterable[bytes], n: int) -> tuple[frozenset[bytes], ...]:

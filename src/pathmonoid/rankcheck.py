@@ -44,6 +44,8 @@ from .path_core import (
 )
 
 MAX_SUBSETS = 10_000_000
+# The largest n ``lower_bound_witnesses`` checks: the byte kernel's n.
+MAX_WITNESS_N = 255
 
 
 @dataclass(frozen=True)
@@ -273,9 +275,14 @@ def lower_bound_witnesses(n: int) -> dict[str, bool]:
     - ``enough_letters_outside_automorphisms``: B(n) carries at least
       ceil(n/2) - 1 letters that are not partial automorphisms, matching
       the count forced on IEnd generating sets.
+
+    Refuses n above ``MAX_WITNESS_N`` with ``ResourceRefused`` before it
+    builds an alphabet.
     """
     if type(n) is not int or n < 3:  # bool is a subclass of int
         raise ValueError(f"witness checks are defined for n >= 3, got n={n!r}")
+    if n > MAX_WITNESS_N:
+        raise ResourceRefused(f"witness checks at n={n} are above the bound of {MAX_WITNESS_N}")
     paut_letters = alphabet_elements("paut", n)
     iend_letters = alphabet_elements("iend", n)
     half = (n + 1) // 2

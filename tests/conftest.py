@@ -11,21 +11,27 @@ second reference.
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from itertools import combinations, permutations, repeat
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
+import pytest
 from hypothesis import strategies as st
 
 from pathmonoid import (
     MonoidSet,
     PartialInjection,
     Symbol,
+    Word,
+    compose,
     elements_with_domain,
     format_element,
+    identity,
     is_generating,
     is_paut,
+    make_generator,
 )
-from pathmonoid import path_core, rankcheck
+from pathmonoid import genwords, path_core, rankcheck
 from pathmonoid.path_core import _img_bytes, _table
 
 
@@ -275,6 +281,40 @@ def naive_generator(sym: Symbol, n: int) -> dict[int, int]:
     if k == "b":
         return {x: (x if x < i else x - 1) for x in ident if x != i}
     raise ValueError(f"unknown symbol kind {k!r}")
+
+
+def folded(word: Word) -> PartialInjection:
+    """The reference value of ``eval_word``: the left fold of ``compose``, the
+    tuple kernel, over the generators of the word's letters."""
+    return reduce(compose, (make_generator(sym, word.n) for sym in word), identity(word.n))
+
+
+@pytest.fixture
+def plant_table(monkeypatch) -> Iterator[Callable[[Symbol, int], None]]:
+    """``plant(sym, n)``, for n <= 255, leaves one wrong entry in the
+    translation table of ``sym`` at n in the letter cache: its first defined
+    vertex x reads a(x) mod n + 1 instead of a(x).  The image tuple of the
+    entry stays right, so only the byte route of the word walk goes wrong.
+    The cache is emptied before the plant and after the test."""
+    letter = genwords._letter
+
+    def plant(sym: Symbol, n: int) -> None:
+        target = make_generator(sym, n).img
+
+        def planted(img):
+            entry = letter(img)
+            if img != target:
+                return entry
+            table = bytearray(entry[1])
+            x = next(x for x in range(1, n + 1) if table[x])
+            table[x] = table[x] % n + 1
+            return img, bytes(table)
+
+        monkeypatch.setattr(genwords, "_letter", planted)
+        genwords._image.cache_clear()
+
+    yield plant
+    genwords._image.cache_clear()
 
 
 def naive_eval(letters: Iterable[Symbol], n: int) -> dict[int, int]:

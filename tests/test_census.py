@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import pkgutil
 import re
 from functools import partial
@@ -354,6 +355,15 @@ class TestTextOrder:
         assert capsys.readouterr().out.count('"n=6;') == IEND_COUNTS[5] == 2127
         assert len(texts) <= (6 + 1) ** 2
         assert built == []
+
+    def test_cli_classify_formats_no_member_from_scratch(self, monkeypatch, capsys):
+        # Each class lists the texts of the census walk's text output, so
+        # the text rule is read for the root and the n² pair texts alone.
+        texts = self._count_calls(monkeypatch, "_image_text")
+        assert cli.main(["classify", "--n", "6", "--family", "iend", "--relation", "J"]) == 0
+        classes = json.loads(capsys.readouterr().out)["classes"]
+        assert sum(map(len, classes)) == IEND_COUNTS[5] == 2127
+        assert len(texts) <= (6 + 1) ** 2
 
     @pytest.mark.parametrize("n", range(1, census.MAX_ENUMERATE_N + 1))
     @pytest.mark.parametrize("family", ["paut", "iend"])

@@ -200,6 +200,21 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 16_000_000
 
+    def test_letter_tables_fit_their_entries(self):
+        # At n = 255 the letter cache holds each a(i) with its translation
+        # table: 253 entries, each a pair (56 bytes), an image tuple (2,088)
+        # and a table (289), about 0.62 MB.  A table held as a tuple of ints
+        # would take 1,799 bytes more per entry, about 1.07 MB in all.
+        a = parse_element("n=255;1>255")
+        genwords._image.cache_clear()
+        tracemalloc.start()
+        try:
+            factor_paut(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 900_000
+
 
 def _random_member(rng: random.Random, n: int, family: str) -> PartialInjection:
     """A random element of PAut(P_n), or of IEnd(P_n) with some block images
@@ -218,6 +233,56 @@ def _random_member(rng: random.Random, n: int, family: str) -> PartialInjection:
         pairs += [(x, top + k) for k, x in enumerate(block, 1)]
         top += len(block) + gap + extra
     return PartialInjection(n, pairs)
+
+
+def _round_trip_fault(n: int) -> str | None:
+    """The first of four seeded members of each family at n whose word
+    raises or does not evaluate back, named with what went wrong."""
+    rng = random.Random(n)
+    for family, factor in (("paut", factor_paut), ("iend", factor_iend)):
+        for _ in range(4):
+            a = _random_member(rng, n, family)
+            try:
+                word = factor(a)
+            except (RuntimeError, ValueError) as exc:
+                return f"{format_element(a)}: {exc}"
+            if not eval_word(word) == a == eval_word(expand_word(word)):
+                return f"{format_element(a)}: {format_word(word)}"
+    return None
+
+
+class TestWalkRoutes:
+    """The factorizer walks byte images at n <= 255 and image tuples above."""
+
+    @pytest.mark.parametrize("n", (255, 256))
+    def test_seeded_members_round_trip(self, n):
+        assert _round_trip_fault(n) is None
+
+    def test_a_planted_wrong_table_entry_is_found(self, plant_table):
+        # The first letter of the first seeded member's word.
+        sym = factor_paut(_random_member(random.Random(255), 255, "paut")).letters[0]
+        plant_table(sym, 255)
+        assert _round_trip_fault(255) is not None
+
+    @pytest.mark.parametrize("n", (24, 255))
+    def test_both_routes_write_the_same_words(self, monkeypatch, n):
+        rng = random.Random(n)
+        members = [_random_member(rng, n, family) for family in ("paut", "iend") for _ in range(4)]
+        words = [factor_iend(a) for a in members]
+        # The tuple route at n <= 255: image tuples carried, and each
+        # letter's image tuple as its factor.
+        tuple_route = {"_carried": tuple, "_carried_identity": lambda n: tuple(range(n + 1))}
+        for module in (factorize, genwords):
+            for name, route in tuple_route.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, route)
+        monkeypatch.setattr(genwords, "_letter", lambda img: (img, img))
+        genwords._image.cache_clear()
+        try:
+            assert [factor_iend(a) for a in members] == words
+            assert [eval_word(word) for word in words] == members
+        finally:
+            genwords._image.cache_clear()
 
 
 class TestWordLength:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,7 @@ from pathmonoid import (
     parse_symbol,
     parse_word,
 )
-from pathmonoid import genwords
+from pathmonoid import genwords, path_core
 from pathmonoid.genwords import (
     MAX_EXPANSION_LENGTH,
     _is_base_letter,
@@ -39,6 +41,8 @@ from pathmonoid.genwords import (
     tau,
 )
 from pathmonoid.selftest import check_expansions
+
+from conftest import folded
 
 
 class TestSymbol:
@@ -411,6 +415,60 @@ class TestExpansion:
         # base alphabet below n = 3 to write it over.
         with pytest.raises(ValueError, match=f"expansion requires n >= 3, got n={n}"):
             expand_word(Word(n, ()))
+
+
+def _one_letter_words(n: int) -> list[Word]:
+    return [Word(n, (sym,)) for sym in legal_symbols(n)]
+
+
+def _seeded_words(n: int) -> list[Word]:
+    """Three seeded 40-letter words at n, drawn from pools of 1, 5 and 40
+    legal symbols, so that letters repeat within a walk."""
+    rng = random.Random(n)
+    symbols = list(legal_symbols(n))
+    return [
+        Word(n, tuple(rng.choices(rng.sample(symbols, size), k=40))) for size in (1, 5, 40)
+    ]
+
+
+def _walk_fault(words: list[Word]) -> Word | None:
+    """The first of ``words`` that ``eval_word`` does not take to its fold."""
+    return next((word for word in words if eval_word(word) != folded(word)), None)
+
+
+class TestWordWalk:
+    """``eval_word`` walks byte images at n <= 255 and image tuples above;
+    the left fold of ``compose`` over ``make_generator``, the tuple kernel,
+    is the reference of both routes."""
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_every_legal_symbol_walks_to_its_generator(self, n):
+        assert _walk_fault(_one_letter_words(n)) is None
+
+    @pytest.mark.parametrize("n", (24, 100, 255, 256))
+    def test_seeded_words_walk_to_their_fold(self, n):
+        words = _seeded_words(n)
+        assert _walk_fault(words) is None
+        carried = genwords._walk(path_core._carried(range(n + 1)), words[2].letters, n)
+        assert type(carried) is (bytes if n <= 255 else tuple)
+
+    @pytest.mark.parametrize(
+        "words, sym",
+        [
+            pytest.param(lambda: _one_letter_words(5), tau(), id="one-letter-n5"),
+            pytest.param(lambda: _seeded_words(24), None, id="seeded-n24"),
+            pytest.param(lambda: _seeded_words(255), None, id="seeded-n255"),
+        ],
+    )
+    def test_a_planted_wrong_table_entry_is_found(self, plant_table, words, sym):
+        # The byte route reads only the translation table, the fold only the
+        # image tuple: one wrong table entry shows as a fault.  The seeded
+        # cases plant into the first letter of their first word.
+        words = words()
+        sym = sym or words[0].letters[0]
+        plant_table(sym, words[0].n)
+        fault = _walk_fault(words)
+        assert fault is not None and sym in fault.letters
 
 
 @settings(max_examples=60)

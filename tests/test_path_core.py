@@ -721,6 +721,45 @@ def test_byte_images_are_built_and_multiplied_in_one_place():
     assert offenders == []
 
 
+def test_letters_are_read_and_multiplied_in_one_walk():
+    # ``genwords._image`` is the one letter cache, and ``path_core._walk``,
+    # which ``genwords._walk`` binds to it, the one word walk.  A module
+    # other than ``genwords`` that names the cache or its builder, or one
+    # outside ``path_core`` and ``genwords`` that names the kernel's walk or
+    # the letter entry ``_letter``, would read or multiply letters beside
+    # the walk.  ``factorize`` takes its walk from ``genwords``.
+    offenders = []
+    for path in sorted(Path(pathmonoid.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+                if isinstance(node.value, ast.Name) and node.value.id == "path_core":
+                    names = {f"path_core.{node.attr}"}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if node.module == "path_core":
+                    names = {f"path_core.{name}" for name in names}
+            else:
+                continue
+            if path.stem != "genwords":
+                named = names & {"_image", "_generator_image"}
+                offenders += [f"{path.stem}:{node.lineno} {name}" for name in named]
+            if path.stem not in ("path_core", "genwords"):
+                named = names & {"path_core._walk", "path_core._letter", "_letter"}
+                offenders += [f"{path.stem}:{node.lineno} {name}" for name in named]
+    assert offenders == []
+    factorize = ast.parse(Path(pathmonoid.factorize.__file__).read_text(encoding="utf-8"))
+    walks = [
+        node.module
+        for node in ast.walk(factorize)
+        if isinstance(node, ast.ImportFrom) and "_walk" in {alias.name for alias in node.names}
+    ]
+    assert walks == ["genwords"]
+
+
 def test_only_the_byte_kernel_reads_a_rank_by_counting_zeros():
     # ``path_core`` reads the rank of an image tuple, a byte image or a
     # translation table as its count of 0 entries; a ``.count(0)`` in any

@@ -646,6 +646,20 @@ class TestWitnesses:
         report = lower_bound_witnesses(n)
         assert all(report.values()), report
 
+    def test_witnesses_hold_at_their_bound(self):
+        assert rankcheck.MAX_WITNESS_N == 255
+        report = lower_bound_witnesses(255)
+        assert all(report.values()), report
+
+    def test_one_past_the_bound_is_refused_before_any_alphabet(self, monkeypatch):
+        def alphabet(*args):
+            raise RuntimeError("alphabet built before the witness bound was checked")
+
+        monkeypatch.setattr(rankcheck, "alphabet_elements", alphabet)
+        for n in (256, 10**8):
+            with pytest.raises(ResourceRefused, match=f"witness checks at n={n} are above the bound of 255$"):
+                lower_bound_witnesses(n)
+
     def test_each_class_check_can_fail(self, monkeypatch):
         # n = 7: A_1..A_4 are checked for a letter, A_3 also for two letters
         # and for 16 members.  Each patch breaks exactly one check.
