@@ -21,8 +21,9 @@ close those gaps and give b·δ.  Each reversal letter is its own inverse,
 so δ's word read backwards spells δ⁻¹ on Im δ.  A partial automorphism has
 no cuts, so its word uses {tau, a, as, es} only; other members add their b
 letters.  The factorizer builds no element on success: it reads image
-tuples, and each step walks its letters with ``eval_word``'s walk, on byte
-images at n <= 255 (``path_core._carried``), and checks its end.
+tuples, and each step walks its letters with ``eval_word``'s walk, from
+images in the form ``path_core._carried`` gives them (byte images at
+n <= 255), and checks its end; a·δ and a⁻¹·a are ``path_core._img_product``.
 
 Every emitted letter is legal for the ambient n, and emitted es letters are
 boundary-normalized (es(0, n+1) is emitted as tau, es(0, j) as as(j),
@@ -31,16 +32,15 @@ yields a word over B(n) -- over A(n) for partial automorphisms.
 """
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .genwords import Symbol, Word, _trusted_word, _walk, alpha, beta, canonical_eps_star
 from .path_core import (
     PartialInjection,
     _carried,
-    _carried_identity,
     _check_element,
     _domain_intervals,
+    _img_product,
     _inverse_image,
     _trusted,
     format_element,
@@ -99,13 +99,13 @@ def _factor(a: PartialInjection) -> Word:
     # Restrict: a(i) drops vertex i and fixes 1..i-1, so in descending i
     # each deleted vertex still sits at its own place when its letter comes.
     letters = [alpha(i) for i in range(n, 0, -1) if not img_a[i]]
-    img = _walk(_carried_identity(n), letters, n)
+    img = _walk(_carried(range(n + 1)), letters, n)
     # Pack: open one gap at each cut of a·δ, where a domain block ends
     # inside a maximal image interval of a; b(i) closes the gap at i.
     inv = _inverse_image(img_a)
     image_blocks = _domain_intervals(inv)  # Im a = Dom a⁻¹
     delta = _delta_image(n, image_blocks)
-    packed = itemgetter(*img_a)(delta)  # a·δ
+    packed = _img_product(img_a, delta)  # a·δ
     spread = list(packed)
     blocks: list[tuple[int, int]] = []  # the domain blocks, in image order
     merge: list[Symbol] = []
@@ -124,7 +124,7 @@ def _factor(a: PartialInjection) -> Word:
         raise RuntimeError(f"merging letters did not reach {format_element(_trusted(packed))}")
     letters += merge
     # Unpack: δ's pack read backwards, from a⁻¹·a, the identity on Im a.
-    letters += _pack(_carried(itemgetter(*inv)(img_a)), _carried(delta), image_blocks)[::-1]
+    letters += _pack(_carried(_img_product(inv, img_a)), _carried(delta), image_blocks)[::-1]
     bound = word_length_bound(n)
     if len(letters) > bound:
         raise RuntimeError(f"factorization exceeded the step bound of {bound} letters")

@@ -57,7 +57,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterator, NamedTuple
 
 from . import path_core
-from .path_core import PartialInjection, _carried_identity, _check_n, _check_text, _letter, _listed, _trusted
+from .path_core import PartialInjection, _carried, _check_n, _check_text, _letter, _listed, _trusted
 
 
 class Symbol(NamedTuple):
@@ -273,7 +273,7 @@ def eval_word(word: Word) -> PartialInjection:
     """Evaluate left to right under the right action."""
     _check_word(word)
     n = word.n
-    return _trusted(tuple(_walk(_carried_identity(n), word.letters, n)))
+    return _trusted(tuple(_walk(_carried(range(n + 1)), word.letters, n)))
 
 
 # -- alphabets ---------------------------------------------------------------

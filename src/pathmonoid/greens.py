@@ -213,12 +213,14 @@ def _pick_generators(nodes: list[bytes], layers: Sequence[frozenset[bytes]]) -> 
     (``path_core._first_difference``), a non-member is refused with
     ``ValueError``, and otherwise the layer's first missing node is added."""
     letters: list[bytes] = []
-    while (differs := _first_difference(list(map(_table, letters)), layers)) is not None:
+    tables: list[bytes] = []  # one per letter, built when it is picked
+    while (differs := _first_difference(tables, layers)) is not None:
         r, layer = differs
         if not layers[r].issuperset(layer):
             raise ValueError("input set is not closed under composition")
         missing = layers[r].difference(layer)
         letters.append(next(y for y in nodes if y in missing))
+        tables.append(_table(letters[-1]))
     return letters
 
 

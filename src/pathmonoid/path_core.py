@@ -27,10 +27,11 @@ rank below r: layers r and above of a closure depend on its letters of
 rank >= r alone.  ``_first_difference`` compares the layers with a
 target's, bucketed by ``_by_rank``.  The dense loops refuse an n above 255
 with ``ValueError``, with no second route.  The third is ``_walk``, the
-word walk of ``eval_word`` and the factorizer, which multiplies an image
-by a word's letters one at a time; it carries a byte image and multiplies
-by each letter's translation table at n <= 255, and runs the tuple kernel
-(see ``compose``) above, so words are walked at every n.
+word walk of ``eval_word`` and the factorizer: one loop that multiplies an
+image by a word's letters in order, reading each distinct letter's factor
+the first time it comes.  It carries the form ``_carried`` gives, a byte
+image multiplied by translation tables at n <= 255 and an image tuple
+multiplied by ``_img_product`` above, so words are walked at every n.
 """
 from __future__ import annotations
 
@@ -194,16 +195,21 @@ def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
     """Right-action composite: x -> b(a(x)) where both sides are defined.
 
     The package has two product kernels.  On image tuples x·y is
-    ``itemgetter(*x)(y)``, always a tuple since len(x) = n+1 >= 2; it serves
-    any n, and ``compose`` and the word walk above n = 255 use it.  The byte
-    kernel's loops, the word walk of ``eval_word`` and the factorizer at
-    n <= 255 among them, multiply byte images instead (see the module
-    docstring)."""
+    ``_img_product``; it serves any n, and ``compose``, the word walk above
+    n = 255 and the factorizer's a·δ and a⁻¹·a use it.  The byte kernel's
+    loops, the word walk of ``eval_word`` and the factorizer at n <= 255
+    among them, multiply byte images instead (see the module docstring)."""
     _check_element(a)
     _check_element(b)
     if a.n != b.n:
         raise ValueError(f"cannot compose maps on different paths (n={a.n} vs n={b.n})")
-    return _trusted(itemgetter(*a.img)(b.img))
+    return _trusted(_img_product(a.img, b.img))
+
+
+def _img_product(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of x·y from the image tuples ``x`` and ``y``: the one
+    tuple product.  ``itemgetter`` of n+1 >= 2 slots always gives a tuple."""
+    return itemgetter(*x)(y)
 
 
 def inverse(a: PartialInjection) -> PartialInjection:
@@ -419,23 +425,17 @@ def _table(y: bytes) -> bytes:
 
 def _letter(img: tuple[int, ...]) -> tuple[tuple[int, ...], bytes | tuple[int, ...]]:
     """A letter's entry in the one letter cache, ``genwords._image``: its
-    image tuple and its factor in ``_walk``, the translation table at
-    n <= 255 and the image tuple itself above."""
-    return img, (_table(bytes(img)) if len(img) <= 256 else img)
+    image tuple and its factor in ``_walk``, the translation table of its
+    carried form (``_carried``) at n <= 255 and the image tuple above."""
+    y = _carried(img)
+    return img, (_table(y) if type(y) is bytes else y)
 
 
 def _carried(img: Sequence[int]) -> bytes | tuple[int, ...]:
     """The image ``img`` in the form ``_walk`` carries at its n: a byte
-    image at n <= 255, an image tuple above."""
+    image at n <= 255, an image tuple above.  It alone decides the walk's
+    route; words start from ``_carried(range(n + 1))``."""
     return bytes(img) if len(img) <= 256 else tuple(img)
-
-
-_IDENTITY = bytes(range(256))
-
-
-def _carried_identity(n: int) -> bytes | tuple[int, ...]:
-    """The identity at n, carried (``_carried``), where words start."""
-    return _IDENTITY[: n + 1] if n <= 255 else tuple(range(n + 1))
 
 
 def _walk(
@@ -443,19 +443,14 @@ def _walk(
 ) -> bytes | tuple[int, ...]:
     """The carried image ``x`` (``_carried``) multiplied by ``letters`` at
     n, in order.  Each distinct letter's ``_letter`` entry is read once, as
-    ``entry(*letter, n)``, in the order the letters first come."""
-    if len(letters) == 1:  # a pack step: nothing to share
-        factor = entry(*letters[0], n)[1]
-        return x.translate(factor) if type(x) is bytes else itemgetter(*x)(factor)
-    found = dict.fromkeys(letters)
-    for letter in found:
-        found[letter] = entry(*letter, n)[1]
-    if type(x) is bytes:
-        for table in map(found.__getitem__, letters):
-            x = x.translate(table)
-    else:
-        for y in map(found.__getitem__, letters):
-            x = itemgetter(*x)(y)
+    ``entry(*letter, n)``, the first time the letter comes."""
+    product = bytes.translate if type(x) is bytes else _img_product
+    found: dict = {}
+    for letter in letters:
+        factor = found.get(letter)
+        if factor is None:
+            factor = found[letter] = entry(*letter, n)[1]
+        x = product(x, factor)
     return x
 
 

@@ -174,13 +174,14 @@ def is_irredundant(gens: Iterable[PartialInjection], target: MonoidSet) -> bool:
 def _forced_generators(target: MonoidSet) -> list[PartialInjection]:
     """Elements that every generating set of ``target`` must contain.
 
-    When rank n has two members, the identity and the full reversal, the
-    reversal is forced: a product with a proper partial factor is proper,
-    and the other full-domain products give only the identity.  PAut(P_n)
-    and IEnd(P_n), n >= 2, are such (the path has two automorphisms).
+    When rank n has two members, the identity and a permutation g, g is
+    forced: a product with a proper factor is proper, and only products with
+    g as a factor give g.  PAut(P_n) and IEnd(P_n), n >= 2, are such, with g
+    the full reversal (the path has two automorphisms).
     """
-    rev = make_generator(tau(), target.n)
-    return [rev] if len(target._layers[target.n]) == 2 and rev in target else []
+    units = target._layers[target.n]
+    ident = _img_bytes(range(target.n + 1))
+    return [_trusted(tuple(y)) for y in units if y != ident] if len(units) == 2 else []
 
 
 def subset_search_scope(target: MonoidSet, k: int) -> int:

@@ -269,14 +269,11 @@ class TestWalkRoutes:
         rng = random.Random(n)
         members = [_random_member(rng, n, family) for family in ("paut", "iend") for _ in range(4)]
         words = [factor_iend(a) for a in members]
-        # The tuple route at n <= 255: image tuples carried, and each
-        # letter's image tuple as its factor.
-        tuple_route = {"_carried": tuple, "_carried_identity": lambda n: tuple(range(n + 1))}
-        for module in (factorize, genwords):
-            for name, route in tuple_route.items():
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, route)
-        monkeypatch.setattr(genwords, "_letter", lambda img: (img, img))
+        # The tuple route at n <= 255: ``_carried`` alone decides the route,
+        # so carrying image tuples wherever it is read also makes each
+        # letter's image tuple its factor.
+        for module in (path_core, factorize, genwords):
+            monkeypatch.setattr(module, "_carried", tuple)
         genwords._image.cache_clear()
         try:
             assert [factor_iend(a) for a in members] == words

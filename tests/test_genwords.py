@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from pathmonoid import (
     parse_word,
 )
 from pathmonoid import genwords, path_core
+from pathmonoid.path_core import _trusted
 from pathmonoid.genwords import (
     MAX_EXPANSION_LENGTH,
     _is_base_letter,
@@ -469,6 +471,55 @@ class TestWordWalk:
         plant_table(sym, words[0].n)
         fault = _walk_fault(words)
         assert fault is not None and sym in fault.letters
+
+
+class TestWalkContract:
+    """``path_core._walk`` is one loop: it reads each distinct letter's entry
+    from ``entry`` the first time the letter comes, and multiplies by every
+    letter in order."""
+
+    @staticmethod
+    def _walk(word: Word) -> tuple[object, list[Symbol]]:
+        """The carried end of ``word``'s walk from the identity, and the
+        letters whose entries it read, in order."""
+        reads: list[Symbol] = []
+
+        def entry(kind, i, j, n):
+            reads.append(Symbol(kind, i, j))
+            return genwords._image(kind, i, j, n)
+
+        n = word.n
+        return path_core._walk(entry, path_core._carried(range(n + 1)), word.letters, n), reads
+
+    @pytest.mark.parametrize("n", (24, 256))
+    def test_a_one_letter_word_reads_one_entry(self, n):
+        end, reads = self._walk(Word(n, (alpha(2),)))
+        assert reads == [alpha(2)]
+        assert tuple(end) == make_generator(alpha(2), n).img
+
+    @pytest.mark.parametrize("n", (24, 256))
+    def test_the_empty_word_reads_nothing_and_returns_its_start(self, n):
+        start = path_core._carried(range(n + 1))
+        reads: list = []
+        assert path_core._walk(reads.append, start, (), n) is start
+        assert reads == []
+
+    @pytest.mark.parametrize("n", (24, 256))
+    def test_each_symbol_is_read_once_in_the_order_it_first_comes(self, n):
+        word = _seeded_words(n)[1]  # 40 letters from 5 symbols
+        end, reads = self._walk(word)
+        assert len(word) == 40 and len(reads) == 5
+        assert reads == list(dict.fromkeys(word.letters))
+        assert _trusted(tuple(end)) == folded(word)
+
+    def test_a_letter_with_a_bool_index_is_refused_where_it_comes(self):
+        # The typed letter cache refuses the 30th letter, a(True), which no
+        # letter before it equals.
+        n = 24
+        pool = [sym for sym in legal_symbols(n) if sym != alpha(1)]
+        letters = (*random.Random(30).choices(pool, k=29), Symbol("a", True))
+        with pytest.raises(ValueError, match=re.escape("symbol indices must be integers, got (True, 0)")):
+            eval_word(genwords._trusted_word(n, letters))
 
 
 @settings(max_examples=60)

@@ -378,6 +378,20 @@ class TestOracle:
         assert set(letters) <= set(m)
         assert closure(letters, 5).elements == frozenset(m)
 
+    @pytest.mark.parametrize("family, n, picked", [("paut", 5, 7), ("iend", 5, 12)])
+    def test_each_picked_letter_is_made_a_table_once(self, monkeypatch, family, n, picked):
+        # The pick saturates once per letter added; each letter's
+        # translation table is built when the letter is picked, not again
+        # in every later round (28 tables for 7 letters on PAut(P_5)).
+        m = enumerate_paut(n) if family == "paut" else enumerate_iend(n)
+        imgs = [_img_bytes(a.img) for a in sorted(m, key=_text_key)]
+        tables = []
+        table = path_core._table
+        monkeypatch.setattr(greens, "_table", lambda y: tables.append(y) or table(y))
+        letters = greens._pick_generators(imgs, _by_rank(imgs, n))
+        assert len(letters) == picked
+        assert tables == letters
+
     def test_checks_and_converts_each_member_once(self, monkeypatch):
         # The pick reads the oracle's own byte images and rank layers: no
         # MonoidSet is built, and each distinct member becomes a byte image

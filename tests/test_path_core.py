@@ -721,6 +721,28 @@ def test_byte_images_are_built_and_multiplied_in_one_place():
     assert offenders == []
 
 
+def test_image_tuples_are_multiplied_in_one_place():
+    # ``path_core._img_product`` is the one tuple product, as the byte
+    # kernel is the one home of byte images: ``itemgetter`` named in any
+    # other module would be a second spelling of x·y on image tuples.
+    offenders = []
+    for path in sorted(Path(pathmonoid.__file__).parent.glob("*.py")):
+        if path.stem == "path_core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if "itemgetter" in names:
+                offenders.append(f"{path.stem}:{node.lineno}")
+    assert offenders == []
+
+
 def test_letters_are_read_and_multiplied_in_one_walk():
     # ``genwords._image`` is the one letter cache, and ``path_core._walk``,
     # which ``genwords._walk`` binds to it, the one word walk.  A module

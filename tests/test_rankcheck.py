@@ -292,12 +292,11 @@ class TestAgainstReferenceClosure:
 
 
 def _forced_by_full_domain_scan(target):
-    """The reference: the reversal is forced when it and the identity are
-    the only full-domain members and differ."""
+    """The reference: a full-domain member other than the identity is
+    forced when it and the identity are the only full-domain members."""
     n = target.n
-    ident, rev = identity(n), make_generator(tau(), n)
     full_domain = {a for a in target.elements if len(a) == n}
-    return [rev] if rev != ident and full_domain == {ident, rev} else []
+    return list(full_domain - {identity(n)}) if len(full_domain) == 2 else []
 
 
 class TestExhaustiveMinSize:
@@ -345,6 +344,17 @@ class TestExhaustiveMinSize:
 
     def test_nothing_forced_without_the_reversal(self):
         assert rankcheck._forced_generators(closure([make_generator(alpha(1), 4)], 4)) == []
+
+    def test_a_unit_other_than_the_reversal_is_forced(self):
+        # The transposition g of 1 and 2 on P_3 generates {1, g}: g is in
+        # every generating set, so no 0-subset and one 1-subset are candidates.
+        g = PartialInjection(3, [(1, 2), (2, 1), (3, 3)])
+        target = closure([g], 3)
+        assert target.elements == {identity(3), g}
+        assert rankcheck._forced_generators(target) == [g] == _forced_by_full_domain_scan(target)
+        assert [subset_search_scope(target, k) for k in (0, 1, 2)] == [0, 1, 1]
+        assert exhaustive_min_size(target, 0) is True
+        assert exhaustive_min_size(target, 1) is False
 
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
